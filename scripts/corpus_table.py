@@ -6,21 +6,10 @@ with broken face transitivity, orientability, orientation-preserving
 order, chirality.
 """
 
-from maniplex.constructions import construction
+from maniplex.constructions import CORPUS, construction
 from maniplex.oriented import aut_plus, is_chiral_a_la_conway, orientation
 from maniplex.stg import classify, quotient, transitivity_profile
 from maniplex.symmetry import aut_group
-
-LABELS = (
-    [f"polygon:{l}" for l in range(3, 13)]
-    + [f"simplex:{d}" for d in range(1, 6)]
-    + [f"hypercube:{d}" for d in range(1, 6)]
-    + [f"prism:{l}" for l in range(3, 9)]
-    + [f"pyramid:{l}" for l in range(3, 9)]
-    + ["cube", "tetrahedron", "octahedron", "cuboctahedron", "hemicube"]
-    + [f"torus44:{b},{c}" for b in range(6) for c in range(6)
-       if (b, c) != (0, 0) and b * b + c * c <= 25]
-)
 
 
 def main() -> None:
@@ -28,7 +17,7 @@ def main() -> None:
               f"{'class':<22} {'broken':<9} {'orient':<6} {'|Aut+|':>6} chiral")
     print(header)
     print("-" * len(header))
-    for label in LABELS:
+    for label in CORPUS:
         g = construction(label)
         a = aut_group(g)
         t = quotient(g, a)

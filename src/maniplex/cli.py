@@ -13,13 +13,12 @@ from pathlib import Path
 
 from . import constructions, formats
 from .enumeration import enumerate_stg, has_no_odd_closed_walks, is_fully_transitive
-from .flag_graph import FlagGraph, validate
-from .oriented import (InternalCheckError, aut_plus, black_orbit_count,
-                       classify_oriented, is_chiral_a_la_conway, orientation,
-                       oriented_stg)
+from .flag_graph import FlagGraph, InternalCheckError, component, validate
+from .oriented import (aut_plus, black_orbit_count, classify_oriented,
+                       is_chiral_a_la_conway, orientation, oriented_stg)
 from .stg import classify, quotient, transitivity_profile
 from .symmetry import aut_group
-from .walkgen import closure, realize_generators, reduce_generators
+from .walkgen import realize_generators, reduce_generators
 
 EXIT_PARSE = 2
 EXIT_VALIDATE = 3
@@ -84,20 +83,23 @@ def cmd_analyze(args) -> int:
 
     if args.generators:
         gens = reduce_generators(realize_generators(g, aut, t))
-        sub = closure(gens.automorphisms, g.flag_count)
+        # Aut acts freely, so the generated subgroup is as large as the
+        # orbit of flag 0 under the generators
+        closure_order = len(component([a.tolist() for a in gens.automorphisms], 0,
+                                      g.flag_count))
         payload["generators"] = {
             "words": [",".join(map(str, w)) for w in gens.words],
             "permutations": [formats.cycle_string(a) for a in gens.automorphisms],
-            "closure_order": len(sub),
-            "matches_aut": len(sub) == aut.order,
+            "closure_order": closure_order,
+            "matches_aut": closure_order == aut.order,
         }
         text_lines.append("generators:")
         for word, auto in zip(gens.words, gens.automorphisms):
             text_lines.append(f"  {','.join(map(str, word))}  {formats.cycle_string(auto)}")
         text_lines.append(
-            f"  closure order {len(sub)} "
-            f"({'matches' if len(sub) == aut.order else 'MISMATCH with'} aut order)")
-        if len(sub) != aut.order:
+            f"  closure order {closure_order} "
+            f"({'matches' if closure_order == aut.order else 'MISMATCH with'} aut order)")
+        if closure_order != aut.order:
             raise CliError("generator closure does not match the automorphism group",
                            EXIT_INTERNAL)
 
@@ -155,7 +157,10 @@ def cmd_enumerate(args) -> int:
         filters.append(is_fully_transitive)
     if args.bipartite:
         filters.append(has_no_odd_closed_walks)
-    graphs = enumerate_stg(args.colors, args.vertices, filters=tuple(filters))
+    try:
+        graphs = enumerate_stg(args.colors, args.vertices, filters=tuple(filters))
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
     print(len(graphs))
     rows = []
     for idx, t in enumerate(graphs):

@@ -298,6 +298,19 @@ _NAMED = {
 }
 
 
+# The worked example corpus: every label here builds and validates.
+CORPUS = tuple(
+    [f"polygon:{l}" for l in range(3, 13)]
+    + [f"simplex:{d}" for d in range(1, 6)]
+    + [f"hypercube:{d}" for d in range(1, 6)]
+    + [f"prism:{l}" for l in range(3, 9)]
+    + [f"pyramid:{l}" for l in range(3, 9)]
+    + ["cube", "tetrahedron", "octahedron", "cuboctahedron", "hemicube"]
+    + [f"torus44:{b},{c}" for b in range(6) for c in range(6)
+       if (b, c) != (0, 0) and b * b + c * c <= 25]
+)
+
+
 def construction(label: str) -> FlagGraph:
     """Build a corpus item from a label like ``prism:3`` or ``cube``."""
     name, _, args = label.partition(":")

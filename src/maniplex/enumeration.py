@@ -13,8 +13,9 @@ import warnings
 from dataclasses import dataclass
 from itertools import permutations
 
+from .flag_graph import component, five_quotient_bad, two_colouring
 from .oriented import OrientedSTG
-from .stg import (SEMI, SymmetryTypeGraph, is_i_face_transitive, stg_violations,
+from .stg import (SEMI, SymmetryTypeGraph, is_i_face_transitive, partner_tables,
                   transitivity_profile)
 
 
@@ -42,55 +43,6 @@ def involutions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _pair_admissible(mi, mj, k: int) -> bool:
-    """Five-quotient check for two matchings at colour distance >= 2."""
-    seen = [False] * k
-    for start in range(k):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for m in (mi, mj):
-                v = m[u]
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        if len(comp) == 1:
-            continue
-        if len(comp) == 2:
-            u, v = comp
-            if mi[u] == v and mj[u] == v:
-                continue
-            if mi[u] == v and mj[u] == u and mj[v] == v:
-                continue
-            if mj[u] == v and mi[u] == u and mi[v] == v:
-                continue
-            return False
-        if len(comp) == 4:
-            if all(mi[u] != u and mj[u] != u for u in comp):
-                continue
-            return False
-        return False
-    return True
-
-
-def _connected(ms, k: int) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for m in ms:
-            v = m[u]
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == k
-
-
 def _to_stg(ms, k: int) -> SymmetryTypeGraph:
     slots = tuple(
         tuple(SEMI if m[u] == u else m[u] for m in ms) for u in range(k)
@@ -98,24 +50,27 @@ def _to_stg(ms, k: int) -> SymmetryTypeGraph:
     return SymmetryTypeGraph(rank=len(ms), vertex_count=k, slots=slots)
 
 
-def canonical_code(t: SymmetryTypeGraph) -> bytes:
-    """Minimum serialization over all vertex relabellings.
-
-    Vertices are permuted, colours are not; 255 marks a semi-edge.
-    """
-    k = t.vertex_count
+def _min_code(rows) -> bytes:
+    """Minimum serialization of rows of vertex-or-SEMI cells over all
+    vertex relabellings; 255 marks a semi-edge."""
     best = None
-    for perm in permutations(range(k)):
+    for perm in permutations(range(len(rows))):
         row_bytes = bytearray()
-        for new_u in range(k):
-            old_u = perm.index(new_u)
-            for i in range(t.rank):
-                s = t.slots[old_u][i]
+        for new_u in range(len(rows)):
+            for s in rows[perm.index(new_u)]:
                 row_bytes.append(255 if s == SEMI else perm[s])
         code = bytes(row_bytes)
         if best is None or code < best:
             best = code
     return best
+
+
+def canonical_code(t: SymmetryTypeGraph) -> bytes:
+    """Minimum serialization over all vertex relabellings.
+
+    Vertices are permuted, colours are not; 255 marks a semi-edge.
+    """
+    return _min_code(t.slots)
 
 
 def enumerate_stg(n_colours: int, k: int, filters=(),
@@ -138,19 +93,13 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
 
     def place(colour: int) -> None:
         if colour == n_colours:
-            if not _connected(stack_ms, k):
-                return
-            t = _to_stg(stack_ms, k)
-            if stg_violations(t):
-                return
-            found.setdefault(canonical_code(t), t)
+            # pair pruning on involution tables leaves only connectivity
+            if len(component(stack_ms, 0)) == k:
+                t = _to_stg(stack_ms, k)
+                found.setdefault(canonical_code(t), t)
             return
         for m in choices:
-            ok = all(
-                _pair_admissible(stack_ms[i], m, k)
-                for i in range(colour - 1)
-            )
-            if ok:
+            if not any(any(five_quotient_bad(stack_ms[i], m)) for i in range(colour - 1)):
                 stack_ms.append(m)
                 place(colour + 1)
                 stack_ms.pop()
@@ -164,10 +113,6 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
 
 def is_fully_transitive(t: SymmetryTypeGraph) -> bool:
     return all(is_i_face_transitive(t, i) for i in range(t.rank))
-
-
-def has_no_semi_edges(t: SymmetryTypeGraph) -> bool:
-    return not t.has_semi_edges()
 
 
 def has_no_odd_closed_walks(t: SymmetryTypeGraph) -> bool:
@@ -186,23 +131,11 @@ def oriented_canonical_code(ot: OrientedSTG) -> bytes:
     Reversing every dart is the quotient of the opposite orientation
     choice of the same structure, so mirror pairs count once.
     """
-    k = ot.vertex_count
-    reversed_dart = [0] * k
-    for u in range(k):
-        reversed_dart[ot.dart[u]] = u
-    best = None
-    for dart in (ot.dart, tuple(reversed_dart)):
-        for perm in permutations(range(k)):
-            row_bytes = bytearray()
-            for new_u in range(k):
-                old_u = perm.index(new_u)
-                for s in ot.undirected[old_u]:
-                    row_bytes.append(255 if s == SEMI else perm[s])
-                row_bytes.append(perm[dart[old_u]])
-            code = bytes(row_bytes)
-            if best is None or code < best:
-                best = code
-    return best
+    reversed_dart = [0] * ot.vertex_count
+    for u, v in enumerate(ot.dart):
+        reversed_dart[v] = u
+    return min(_min_code([row + (v,) for row, v in zip(ot.undirected, dart)])
+               for dart in (ot.dart, reversed_dart))
 
 
 _DART_SHAPES = {
@@ -282,31 +215,17 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
                         chosen.pop()
 
             def _emit(chosen: list) -> None:
-                reach = {0}
-                stack = [0]
-                while stack:
-                    u = stack.pop()
-                    targets = [dart[u]]
-                    for p in chosen:
-                        if p is not None and u in p:
-                            targets.append(p[0] if p[1] == u else p[1])
-                    for v in targets:
-                        if v not in reach:
-                            reach.add(v)
-                            stack.append(v)
-                if len(reach) != 3:
+                tables = []
+                for p in chosen:
+                    m = [0, 1, 2]
+                    if p is not None:
+                        m[p[0]], m[p[1]] = p[1], p[0]
+                    tables.append(m)
+                if len(component([dart] + tables, 0)) != 3:
                     return
-                rows = []
-                for u in range(3):
-                    row = []
-                    for p in chosen:
-                        if p is not None and u in p:
-                            row.append(p[0] if p[1] == u else p[1])
-                        else:
-                            row.append(SEMI)
-                    rows.append(tuple(row))
-                ot = OrientedSTG(rank=n, vertex_count=3,
-                                 undirected=tuple(rows), dart=dart)
+                rows = tuple(tuple(SEMI if m[u] == u else m[u] for m in tables)
+                             for u in range(3))
+                ot = OrientedSTG(rank=n, vertex_count=3, undirected=rows, dart=dart)
                 found.setdefault(oriented_canonical_code(ot), ot)
 
             place(0, [])
@@ -344,16 +263,7 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
             pair_of[u] = idx
             pair_of[v] = idx
         # darts must be read off one part of the bipartition throughout
-        side = [-1] * 6
-        side[0] = 0
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for i in range(n):
-                v = t.slots[u][i]
-                if side[v] < 0:
-                    side[v] = 1 - side[u]
-                    stack.append(v)
+        side = two_colouring(partner_tables(t))
         rows = []
         darts = []
         ok = True

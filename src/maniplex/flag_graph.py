@@ -5,6 +5,11 @@ common set of flags, one matching per colour.  Matchings of colours i and
 j commute whenever |i - j| >= 2, which makes every (i, j) 2-factor a
 disjoint union of 4-cycles.  Maps, maniplexes and the flag structures of
 abstract polytopes all live in this representation.
+
+The same object, n involutions on k points, is also a symmetry type
+graph and every candidate the census enumerator tries.  The routines
+below work on that shared form: a *partner table* ``m`` per colour,
+where ``m[u]`` is u's neighbour and ``m[u] == u`` is a semi-edge.
 """
 
 from __future__ import annotations
@@ -12,6 +17,70 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class InternalCheckError(AssertionError):
+    """A cross-checked identity failed; indicates a bug, not bad input."""
+
+
+def _tree(tables, start: int, seen: list[bool]):
+    """Depth-first spanning tree of the component of ``start``.
+
+    Yields ``(parent, child)`` for every vertex first reached, marking it
+    in ``seen``; ``start`` is marked but not yielded.
+    """
+    seen[start] = True
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for m in tables:
+            v = m[u]
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+                yield u, v
+
+
+def component(tables, start: int, count: int | None = None) -> list[int]:
+    """Sorted vertices reachable from ``start`` along the partner tables.
+
+    ``count`` (the vertex count) is needed only when ``tables`` is empty.
+    """
+    seen = [False] * (len(tables[0]) if count is None else count)
+    return sorted([start] + [v for _, v in _tree(tables, start, seen)])
+
+
+def components(tables, count: int | None = None) -> list[list[int]]:
+    """All components as sorted vertex lists, in order of least vertex."""
+    seen = [False] * (len(tables[0]) if count is None else count)
+    return [sorted([start] + [v for _, v in _tree(tables, start, seen)])
+            for start in range(len(seen)) if not seen[start]]
+
+
+def two_colouring(tables) -> list[int] | None:
+    """Sides 0/1 with every component's least vertex on side 0, or None
+    when some edge (a semi-edge included) joins two vertices of one side."""
+    side = [0] * len(tables[0])
+    seen = [False] * len(side)
+    for start in range(len(side)):
+        if not seen[start]:
+            for u, v in _tree(tables, start, seen):
+                side[v] = 1 - side[u]
+    if any(side[m[u]] == side[u] for m in tables for u in range(len(side))):
+        return None
+    return side
+
+
+def five_quotient_bad(mi, mj):
+    """Components of the (i, j) 2-factor, as sorted tuples, that are not
+    one of the five quotients of an alternating 4-cycle.
+
+    For involution tables the components of one or two vertices are
+    always quotients; four vertices must form the 4-cycle itself.
+    """
+    for comp in components((mi, mj)):
+        if len(comp) > 2 and (len(comp) != 4 or any(mi[u] == u or mj[u] == u for u in comp)):
+            yield tuple(comp)
 
 
 @dataclass(frozen=True)
@@ -163,24 +232,13 @@ def i_faces(g: FlagGraph, i: int) -> FacePartition:
     """
     if not 0 <= i < g.rank:
         raise ValueError(f"colour {i} out of range for rank {g.rank}")
-    colours = [c for c in range(g.rank) if c != i]
-    face_of = np.full(g.flag_count, -1, dtype=np.int32)
-    count = 0
-    for start in range(g.flag_count):
-        if face_of[start] >= 0:
-            continue
-        face_of[start] = count
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for c in colours:
-                nxt = int(g.adj[c, f])
-                if face_of[nxt] < 0:
-                    face_of[nxt] = count
-                    stack.append(nxt)
-        count += 1
+    tables = [g.adj[c].tolist() for c in range(g.rank) if c != i]
+    faces = components(tables, g.flag_count)
+    face_of = np.empty(g.flag_count, dtype=np.int32)
+    for face, flags in enumerate(faces):
+        face_of[flags] = face
     face_of.setflags(write=False)
-    return FacePartition(colour_removed=i, face_of=face_of, face_count=count)
+    return FacePartition(colour_removed=i, face_of=face_of, face_count=len(faces))
 
 
 def face_component(g: FlagGraph, i: int, face: int) -> np.ndarray:
@@ -194,18 +252,8 @@ def face_component(g: FlagGraph, i: int, face: int) -> np.ndarray:
     part = i_faces(g, i)
     if not 0 <= face < part.face_count:
         raise ValueError(f"face id {face} out of range")
-    members = part.flags_of(face)
-    seed = int(members[0])
-    in_comp = {seed}
-    stack = [seed]
-    while stack:
-        f = stack.pop()
-        for c in range(i):
-            nxt = int(g.adj[c, f])
-            if nxt not in in_comp:
-                in_comp.add(nxt)
-                stack.append(nxt)
-    return np.array(sorted(in_comp), dtype=np.int32)
+    seed = int(part.flags_of(face)[0])
+    return np.array(component(g.adj[:i].tolist(), seed), dtype=np.int32)
 
 
 def face_maniplex(g: FlagGraph, i: int, face: int) -> FlagGraph:

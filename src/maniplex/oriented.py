@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, i_faces
-from .stg import SEMI, SymmetryTypeGraph
-from .symmetry import AutGroup, aut_group, invert
-
-
-class InternalCheckError(AssertionError):
-    """A cross-checked identity failed; indicates a bug, not bad input."""
+from .flag_graph import FlagGraph, InternalCheckError, i_faces, two_colouring
+from .stg import SEMI, SymmetryTypeGraph, partner_tables
+from .symmetry import AutGroup, _extend, aut_group, group_with_orbits, invert
 
 
 @dataclass(frozen=True)
@@ -96,16 +92,8 @@ def aut_plus(g: FlagGraph, o: Orientation, aut: AutGroup | None = None) -> AutGr
     of one flag, so filtering on the image of flag 0 suffices.
     """
     full = aut_group(g) if aut is None else aut
-    elements = [el for el in full.elements if o.colour_of[el[0]] == o.colour_of[0]]
-    matrix = np.stack(elements)
-    orbit_of = np.full(g.flag_count, -1, dtype=np.int32)
-    count = 0
-    for f in range(g.flag_count):
-        if orbit_of[f] < 0:
-            orbit_of[matrix[:, f]] = count
-            count += 1
-    orbit_of.setflags(write=False)
-    return AutGroup(elements=elements, orbit_of=orbit_of, orbit_count=count)
+    return group_with_orbits(
+        [el for el in full.elements if o.colour_of[el[0]] == o.colour_of[0]])
 
 
 def black_orbit_count(a_plus: AutGroup, o: Orientation) -> int:
@@ -119,21 +107,7 @@ def stg_has_odd_closed_walk(t: SymmetryTypeGraph) -> bool:
     A semi-edge joins two flags of opposite parts inside one orbit, which
     forces a part-swapping automorphism, so it behaves as an odd cycle.
     """
-    if t.has_semi_edges():
-        return True
-    side = [-1] * t.vertex_count
-    side[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for i in range(t.rank):
-            v = t.neighbour(u, i)
-            if side[v] < 0:
-                side[v] = 1 - side[u]
-                stack.append(v)
-            elif side[v] == side[u]:
-                return True
-    return False
+    return two_colouring(partner_tables(t)) is None
 
 
 def is_chiral_a_la_conway(g: FlagGraph, o: Orientation, aut: AutGroup | None = None,
@@ -250,43 +224,20 @@ def enantiomorph(d: OrientedFlagDigraph) -> OrientedFlagDigraph:
                                t_adj=d.t_adj, rot=d.rot_inv)
 
 
-def _digraph_moves(d: OrientedFlagDigraph):
-    moves = [d.t_adj[i] for i in range(d.rank - 2)]
-    moves.append(np.asarray(d.rot))
-    moves.append(d.rot_inv)
-    return moves
+def _move_graph(d: OrientedFlagDigraph) -> FlagGraph:
+    """The di-graph's moves t_0..t_{n-3}, rot and rot^-1 as the colours of a
+    FlagGraph, so the trial extension of flag graphs applies unchanged."""
+    return FlagGraph(list(d.t_adj) + [d.rot, d.rot_inv])
 
 
 def oriented_are_isomorphic(d1: OrientedFlagDigraph, d2: OrientedFlagDigraph):
     """Class- and direction-preserving bijection of black flags, or None."""
     if d1.rank != d2.rank or d1.black_count != d2.black_count:
         return None
-    count = d1.black_count
-    moves1 = _digraph_moves(d1)
-    moves2 = _digraph_moves(d2)
-    for target in range(count):
-        img = np.full(count, -1, dtype=np.int32)
-        img[0] = target
-        stack = [0]
-        ok = True
-        while stack and ok:
-            f = stack.pop()
-            for m1, m2 in zip(moves1, moves2):
-                nxt = int(m1[f])
-                want = int(m2[img[f]])
-                if img[nxt] < 0:
-                    img[nxt] = want
-                    stack.append(nxt)
-                elif img[nxt] != want:
-                    ok = False
-                    break
-        if not ok or img.min() < 0:
-            continue
-        fine = all(
-            np.array_equal(img[d1.t_adj[i]], d2.t_adj[i][img]) for i in range(d1.rank - 2)
-        ) and np.array_equal(img[d1.rot], d2.rot[img])
-        if fine and np.bincount(img, minlength=count).max() == 1:
-            img.setflags(write=False)
+    g1, g2 = _move_graph(d1), _move_graph(d2)
+    for target in range(d1.black_count):
+        img = _extend(g1, g2, 0, target)
+        if img is not None:
             return img
     return None
 

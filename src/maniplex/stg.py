@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flag_graph import FlagGraph, face_component, face_maniplex, i_faces
+from .flag_graph import (FlagGraph, InternalCheckError, component, components,
+                         face_component, face_maniplex, five_quotient_bad, i_faces)
 from .symmetry import AutGroup, aut_group
 
 SEMI = -1
@@ -46,51 +47,13 @@ class SymmetryTypeGraph:
         return any(SEMI in row for row in self.slots)
 
 
-def _component(t: SymmetryTypeGraph, start: int, colours) -> list[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for i in colours:
-            v = t.neighbour(u, i)
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return sorted(seen)
+def partner_tables(t: SymmetryTypeGraph) -> list[list[int]]:
+    """One partner table per colour; a semi-edge is a fixed point."""
+    return [[t.neighbour(u, i) for u in range(t.vertex_count)] for i in range(t.rank)]
 
 
-def _two_factor_violations(t: SymmetryTypeGraph) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(i, j, component) triples breaking the five-quotient condition."""
-    bad = []
-    for i in range(t.rank):
-        for j in range(i + 2, t.rank):
-            left = set(range(t.vertex_count))
-            while left:
-                comp = _component(t, min(left), (i, j))
-                left -= set(comp)
-                if not _component_ok(t, comp, i, j):
-                    bad.append((i, j, tuple(comp)))
-    return bad
-
-
-def _component_ok(t: SymmetryTypeGraph, comp: list[int], i: int, j: int) -> bool:
-    if len(comp) == 1:
-        u = comp[0]
-        return t.slots[u][i] == SEMI and t.slots[u][j] == SEMI
-    if len(comp) == 2:
-        u, v = comp
-        si, sj = t.slots[u][i], t.slots[u][j]
-        if si == v and sj == v:
-            return True
-        if si == v and sj == SEMI and t.slots[v][j] == SEMI:
-            return True
-        if sj == v and si == SEMI and t.slots[v][i] == SEMI:
-            return True
-        return False
-    if len(comp) == 4:
-        # alternating 4-cycle: every slot of both colours is an edge
-        return all(t.slots[u][c] != SEMI for u in comp for c in (i, j))
-    return False
+def _without(t: SymmetryTypeGraph, i: int) -> list[list[int]]:
+    return [m for c, m in enumerate(partner_tables(t)) if c != i]
 
 
 def stg_violations(t: SymmetryTypeGraph) -> list[str]:
@@ -109,10 +72,13 @@ def stg_violations(t: SymmetryTypeGraph) -> list[str]:
                 out.append(f"asymmetric edge ({u}, {s}) colour {i}")
     if out:
         return out
-    if len(_component(t, 0, range(t.rank))) != t.vertex_count:
+    tables = partner_tables(t)
+    if len(component(tables, 0)) != t.vertex_count:
         out.append("disconnected")
-    for i, j, comp in _two_factor_violations(t):
-        out.append(f"bad ({i},{j}) 2-factor component {comp}")
+    for i in range(t.rank):
+        for j in range(i + 2, t.rank):
+            for comp in five_quotient_bad(tables[i], tables[j]):
+                out.append(f"bad ({i},{j}) 2-factor component {comp}")
     return out
 
 
@@ -137,7 +103,7 @@ def quotient(g: FlagGraph, a: AutGroup) -> SymmetryTypeGraph:
     t = SymmetryTypeGraph(rank=g.rank, vertex_count=a.orbit_count, slots=tuple(rows))
     problems = stg_violations(t)
     if problems:
-        raise AssertionError(f"quotient broke pregraph invariants: {problems}")
+        raise InternalCheckError(f"quotient broke pregraph invariants: {problems}")
     return t
 
 
@@ -145,8 +111,7 @@ def is_i_face_transitive(t: SymmetryTypeGraph, i: int) -> bool:
     """True when deleting colour-i edges leaves the pregraph connected."""
     if not 0 <= i < t.rank:
         raise ValueError(f"colour {i} out of range for rank {t.rank}")
-    colours = [c for c in range(t.rank) if c != i]
-    return len(_component(t, 0, colours)) == t.vertex_count
+    return len(component(_without(t, i), 0, t.vertex_count)) == t.vertex_count
 
 
 def transitivity_profile(t: SymmetryTypeGraph) -> frozenset[int]:
@@ -156,14 +121,7 @@ def transitivity_profile(t: SymmetryTypeGraph) -> frozenset[int]:
 
 def face_orbit_splits(t: SymmetryTypeGraph, i: int) -> tuple[int, ...]:
     """Sorted component sizes of the pregraph with colour i deleted."""
-    colours = [c for c in range(t.rank) if c != i]
-    left = set(range(t.vertex_count))
-    sizes = []
-    while left:
-        comp = _component(t, min(left), colours)
-        left -= set(comp)
-        sizes.append(len(comp))
-    return tuple(sorted(sizes))
+    return tuple(sorted(len(comp) for comp in components(_without(t, i), t.vertex_count)))
 
 
 @dataclass(frozen=True)
@@ -318,7 +276,8 @@ def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None
             return False
 
     component_vertices = set(pi)
-    if set(_component(stg, min(component_vertices), [c for c in range(g.rank) if c != i])) != component_vertices:
+    reached = component(_without(stg, i), min(component_vertices), stg.vertex_count)
+    if set(reached) != component_vertices:
         return False
     if set(pi.values()) != set(range(sub_aut.orbit_count)):
         return False

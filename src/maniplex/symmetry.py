@@ -9,11 +9,11 @@ arrays); composition is a gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph
+from .flag_graph import FlagGraph, InternalCheckError
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,22 +69,35 @@ class AutGroup:
     elements: list[np.ndarray]
     orbit_of: np.ndarray
     orbit_count: int
-    _index_of: dict[bytes, int] = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains(self, perm: np.ndarray) -> bool:
-        if not self._index_of:
-            self._index_of = {el.tobytes(): t for t, el in enumerate(self.elements)}
-        return perm.astype(np.int32).tobytes() in self._index_of
 
     def orbit_representatives(self) -> list[int]:
         reps = [-1] * self.orbit_count
         for f in range(self.orbit_of.size - 1, -1, -1):
             reps[self.orbit_of[f]] = f
         return reps
+
+
+def group_with_orbits(elements: list[np.ndarray]) -> AutGroup:
+    """Wrap the image tables of a group acting freely on the flags.
+
+    The elementwise minimum over the images of a flag is the least flag
+    of its orbit, so numbering those minima in increasing order numbers
+    the orbits in order of least flag.
+    """
+    least = elements[0].copy()
+    for el in elements[1:]:
+        np.minimum(least, el, out=least)
+    firsts, orbit_of = np.unique(least, return_inverse=True)
+    if least.size != len(elements) * firsts.size:
+        raise InternalCheckError(
+            f"{least.size} flags != group order {len(elements)} x {firsts.size} orbits")
+    orbit_of = orbit_of.astype(np.int32)
+    orbit_of.setflags(write=False)
+    return AutGroup(elements=elements, orbit_of=orbit_of, orbit_count=firsts.size)
 
 
 def aut_group(g: FlagGraph) -> AutGroup:
@@ -94,15 +107,7 @@ def aut_group(g: FlagGraph) -> AutGroup:
         el = _extend(g, g, 0, target)
         if el is not None:
             elements.append(el)
-    matrix = np.stack(elements)
-    orbit_of = np.full(g.flag_count, -1, dtype=np.int32)
-    count = 0
-    for f in range(g.flag_count):
-        if orbit_of[f] < 0:
-            orbit_of[matrix[:, f]] = count
-            count += 1
-    orbit_of.setflags(write=False)
-    return AutGroup(elements=elements, orbit_of=orbit_of, orbit_count=count)
+    return group_with_orbits(elements)
 
 
 def are_isomorphic(g1: FlagGraph, g2: FlagGraph):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph
+from .flag_graph import FlagGraph, InternalCheckError
 from .stg import SEMI, SymmetryTypeGraph
 from .symmetry import AutGroup, extend_automorphism, identity
 
@@ -173,20 +173,20 @@ def realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> Gener
     the minimal spanning walk is already rooted correctly.
     """
     if a.orbit_of[0] != 0:
-        raise AssertionError("orbit ids must start at the base flag")
+        raise InternalCheckError("orbit ids must start at the base flag")
     spanning = min_spanning_walk(t)
     walks = generating_walks(t, spanning)
     words = [w.word for w in walks]
     autos = []
     for walk, word in zip(walks, words):
         if not walk.is_closed():
-            raise RuntimeError(f"generating walk is not closed: {walk}")
+            raise InternalCheckError(f"generating walk is not closed: {walk}")
         target = g.act(0, word)
         if a.orbit_of[target] != a.orbit_of[0]:
-            raise RuntimeError("closed walk left the base orbit")
+            raise InternalCheckError("closed walk left the base orbit")
         auto = extend_automorphism(g, 0, target)
         if auto is None:
-            raise RuntimeError("no automorphism realizes a closed walk word")
+            raise InternalCheckError("no automorphism realizes a closed walk word")
         autos.append(auto)
     return GeneratorSet(base_flag=0, spanning_walk=spanning, walks=walks,
                         words=words, automorphisms=autos)

@@ -11,22 +11,6 @@ settings.register_profile("suite", max_examples=25, derandomize=True, deadline=N
 settings.load_profile("suite")
 
 
-CORPUS_LABELS = tuple(
-    [f"polygon:{l}" for l in range(3, 13)]
-    + [f"simplex:{d}" for d in range(1, 6)]
-    + [f"hypercube:{d}" for d in range(1, 6)]
-    + [f"prism:{l}" for l in range(3, 9)]
-    + [f"pyramid:{l}" for l in range(3, 9)]
-    + ["cube", "tetrahedron", "octahedron", "cuboctahedron", "hemicube"]
-    + [
-        f"torus44:{b},{c}"
-        for b in range(6)
-        for c in range(6)
-        if (b, c) != (0, 0) and b * b + c * c <= 25
-    ]
-)
-
-
 class CorpusCache:
     """Build each corpus item (and its group data) once per session."""
 

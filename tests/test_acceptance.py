@@ -8,8 +8,7 @@ import random
 
 import numpy as np
 
-from tests.conftest import CORPUS_LABELS
-
+from maniplex.constructions import CORPUS
 from maniplex.enumeration import (enumerate_oriented_stg3, enumerate_stg,
                                   is_fully_transitive, oriented_stg3_families)
 from maniplex.flag_graph import i_faces, validate
@@ -24,14 +23,14 @@ from maniplex.walkgen import (closure, generates_full_group, realize_generators,
 
 
 def test_criterion_1_axiom_suite(corpus):
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         assert validate(corpus.graph(label)) == [], label
     assert orientation(corpus.graph("hemicube")) is None
     print("criterion 1 PASS: all corpus constructions valid; hemicube not orientable")
 
 
 def test_criterion_2_orbit_identities(corpus):
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         g = corpus.graph(label)
         a = corpus.aut(label)
         assert a.order * a.orbit_count == g.flag_count, label
@@ -85,7 +84,7 @@ def test_criterion_5_theorem_checks():
 
 
 def test_criterion_6_generator_theorem(corpus):
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         g, a, t = corpus.graph(label), corpus.aut(label), corpus.stg(label)
         assert generates_full_group(realize_generators(g, a, t), a), label
     g, a, t = (corpus.graph("cuboctahedron"), corpus.aut("cuboctahedron"),
@@ -114,7 +113,7 @@ def test_criterion_7_oriented_suite(corpus):
         ap = aut_plus(g, o)
         assert corpus.aut(label).order // ap.order == 2, label
 
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         g = corpus.graph(label)
         o = orientation(g)
         if o is None:
@@ -144,7 +143,7 @@ def test_criterion_8_oriented_three_vertex_census():
 
 def test_criterion_9_property_suite(corpus):
     rng = random.Random(9)
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         g, a = corpus.graph(label), corpus.aut(label)
         for _ in range(100):
             word = [rng.randrange(g.rank) for _ in range(rng.randint(1, 8))]
@@ -154,10 +153,10 @@ def test_criterion_9_property_suite(corpus):
             f2 = int(members[rng.randrange(members.size)])
             assert a.orbit_of[g.act(f1, word)] == a.orbit_of[g.act(f2, word)]
 
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         assert is_admissible(corpus.stg(label)), label
 
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         g = corpus.graph(label)
         if g.rank < 3:
             continue

@@ -1,6 +1,6 @@
 import pytest
 
-from maniplex.constructions import (MapError, MapSpec, construction, cube,
+from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, cube,
                                     cuboctahedron, hypercube, map_from_faces,
                                     octahedron, polygon, prism, pyramid, simplex,
                                     tetrahedron, torus44)
@@ -31,9 +31,7 @@ def test_map_from_faces_counts():
 
 
 def test_every_builder_is_valid(corpus):
-    from tests.conftest import CORPUS_LABELS
-
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         assert validate(corpus.graph(label)) == [], label
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from maniplex.constructions import CORPUS
 from maniplex.enumeration import (canonical_code, enumerate_oriented_stg3,
                                   enumerate_stg, involutions, is_fully_transitive,
                                   oriented_canonical_code, oriented_stg3_families,
@@ -84,10 +85,8 @@ def test_enumeration_sorted_and_unique():
 
 
 def test_corpus_quotients_appear_in_enumeration(corpus):
-    from tests.conftest import CORPUS_LABELS
-
     tables = {}
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         t = corpus.stg(label)
         key = (t.rank, t.vertex_count)
         if key not in tables:

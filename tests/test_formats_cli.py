@@ -3,7 +3,7 @@ import json
 import pytest
 
 from maniplex.cli import main
-from maniplex.constructions import cuboctahedron, map_from_faces
+from maniplex.constructions import CORPUS, cuboctahedron, map_from_faces
 from maniplex.formats import (ParseError, cycle_string, parse_maniplex_text,
                               parse_map_text, stg_to_dot, write_maniplex_text,
                               write_map_text)
@@ -14,9 +14,7 @@ import numpy as np
 
 
 def test_maniplex_round_trip_byte_identical(corpus):
-    from tests.conftest import CORPUS_LABELS
-
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         g = corpus.graph(label)
         text = write_maniplex_text(g)
         again = parse_maniplex_text(text)

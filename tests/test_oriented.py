@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from maniplex.constructions import (cube, cuboctahedron, hemicube, polygon, prism,
-                                    simplex, torus44)
+from maniplex.constructions import (CORPUS, cube, cuboctahedron, hemicube, polygon,
+                                    prism, simplex, torus44)
 from maniplex.oriented import (Rotary, TwoOrbitOriented, aut_plus,
                                black_orbit_count, check_facets_against_faces,
                                classify_oriented, enantiomorph,
@@ -85,9 +85,7 @@ def test_aut_plus_orders():
 
 
 def test_chirality_both_tests_agree(corpus):
-    from tests.conftest import CORPUS_LABELS
-
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         g = corpus.graph(label)
         o = orientation(g)
         if o is None:
@@ -163,9 +161,7 @@ def test_enantiomorph_mirror_maps():
 def test_vertex_count_theorem(corpus):
     # quotient and oriented quotient have equally many vertices exactly
     # when the quotient has a semi-edge or an odd cycle
-    from tests.conftest import CORPUS_LABELS
-
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         g = corpus.graph(label)
         o = orientation(g)
         if o is None:
@@ -189,10 +185,8 @@ def test_facet_partition_matches_faces(corpus):
 def test_chiral_orbit_count_doubles(corpus):
     # chiral-a-la-Conway: no semi-edges, and the full orbit count is twice
     # the orientation-preserving one
-    from tests.conftest import CORPUS_LABELS
-
     seen_chiral = 0
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         g = corpus.graph(label)
         o = orientation(g)
         if o is None:
@@ -226,9 +220,7 @@ def test_digraph_classes_agree_with_flag_actions(corpus):
 
 
 def test_index_two_iff_orientation_reversing(corpus):
-    from tests.conftest import CORPUS_LABELS
-
-    for label in CORPUS_LABELS:
+    for label in CORPUS:
         g = corpus.graph(label)
         o = orientation(g)
         if o is None:
