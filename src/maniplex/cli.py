@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 internal
-assertion failure (a cross-checked identity broke).
+assertion failure (a cross-checked identity broke), 5 request too large
+(``analyze --generators`` on more than MAX_GENERATOR_ORBITS flag orbits).
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from .walkgen import realize_generators, reduce_generators
 EXIT_PARSE = 2
 EXIT_VALIDATE = 3
 EXIT_INTERNAL = 4
+EXIT_TOO_LARGE = 5
+
+# The minimal spanning walk behind --generators searches (vertex,
+# visited-set) states, exponentially many in the orbit count: about 3 ms
+# at 12 orbits, seconds at 20 and more than 30 s at 24.
+MAX_GENERATOR_ORBITS = 16
 
 
 class CliError(Exception):
@@ -82,20 +89,24 @@ def cmd_analyze(args) -> int:
     ] + ["  " + row for row in formats.stg_table(t)]
 
     if args.generators:
+        if t.vertex_count > MAX_GENERATOR_ORBITS:
+            raise CliError(f"--generators supports at most {MAX_GENERATOR_ORBITS} flag orbits; "
+                           f"this input has {t.vertex_count}", EXIT_TOO_LARGE)
         gens = reduce_generators(realize_generators(g, aut, t))
         # Aut acts freely, so the generated subgroup is as large as the
         # orbit of flag 0 under the generators
         closure_order = len(component([a.tolist() for a in gens.automorphisms], 0,
                                       g.flag_count))
+        cycles = [formats.cycle_string(a) for a in gens.automorphisms]
         payload["generators"] = {
             "words": [",".join(map(str, w)) for w in gens.words],
-            "permutations": [formats.cycle_string(a) for a in gens.automorphisms],
+            "permutations": cycles,
             "closure_order": closure_order,
             "matches_aut": closure_order == aut.order,
         }
         text_lines.append("generators:")
-        for word, auto in zip(gens.words, gens.automorphisms):
-            text_lines.append(f"  {','.join(map(str, word))}  {formats.cycle_string(auto)}")
+        for word, cycle in zip(gens.words, cycles):
+            text_lines.append(f"  {','.join(map(str, word))}  {cycle}")
         text_lines.append(
             f"  closure order {closure_order} "
             f"({'matches' if closure_order == aut.order else 'MISMATCH with'} aut order)")

@@ -168,18 +168,19 @@ def digraph_to_dot(d: OrientedFlagDigraph, name: str = "oriented_flags") -> str:
 
 def cycle_string(perm: np.ndarray) -> str:
     """Permutation in cycle notation, fixed points omitted ('()' if identity)."""
-    seen = [False] * perm.size
+    perm = perm.tolist()
+    seen = [False] * len(perm)
     parts = []
-    for start in range(perm.size):
+    for start in range(len(perm)):
         if seen[start]:
             continue
         cycle = [start]
         seen[start] = True
-        nxt = int(perm[start])
+        nxt = perm[start]
         while nxt != start:
             seen[nxt] = True
             cycle.append(nxt)
-            nxt = int(perm[nxt])
+            nxt = perm[nxt]
         if len(cycle) > 1:
             parts.append("(" + " ".join(map(str, cycle)) + ")")
     return "".join(parts) or "()"

@@ -14,7 +14,8 @@ import numpy as np
 
 from .flag_graph import FlagGraph, InternalCheckError, i_faces, two_colouring
 from .stg import SEMI, SymmetryTypeGraph, partner_tables
-from .symmetry import AutGroup, _extend, aut_group, group_with_orbits, invert
+from .symmetry import (AutGroup, are_isomorphic, aut_group, invariant_colours, invert,
+                       search_group)
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,17 @@ def oriented_digraph(g: FlagGraph, o: Orientation) -> OrientedFlagDigraph:
 def aut_plus(g: FlagGraph, o: Orientation, aut: AutGroup | None = None) -> AutGroup:
     """Orientation-preserving subgroup, with its own orbit partition.
 
-    An automorphism preserves the parts as soon as it preserves the part
-    of one flag, so filtering on the image of flag 0 suffices.
+    The same search as :func:`aut_group`, with the parts as an extra seed
+    colour, so the candidates are black flags; an automorphism preserves
+    the parts as soon as it preserves the part of flag 0.  When ``aut``
+    is given, the candidates are its black targets, which all extend.
     """
-    full = aut_group(g) if aut is None else aut
-    return group_with_orbits(
-        [el for el in full.elements if o.colour_of[el[0]] == o.colour_of[0]])
+    if aut is not None:
+        candidates = aut.targets[o.colour_of[aut.targets] == o.colour_of[0]]
+    else:
+        colour = invariant_colours(g.adj, seed=[o.colour_of])
+        candidates = np.flatnonzero(colour == colour[0])
+    return search_group(g, candidates)
 
 
 def black_orbit_count(a_plus: AutGroup, o: Orientation) -> int:
@@ -232,14 +238,7 @@ def _move_graph(d: OrientedFlagDigraph) -> FlagGraph:
 
 def oriented_are_isomorphic(d1: OrientedFlagDigraph, d2: OrientedFlagDigraph):
     """Class- and direction-preserving bijection of black flags, or None."""
-    if d1.rank != d2.rank or d1.black_count != d2.black_count:
-        return None
-    g1, g2 = _move_graph(d1), _move_graph(d2)
-    for target in range(d1.black_count):
-        img = _extend(g1, g2, 0, target)
-        if img is not None:
-            return img
-    return None
+    return are_isomorphic(_move_graph(d1), _move_graph(d2))
 
 
 def facets(d: OrientedFlagDigraph) -> list[frozenset[int]]:

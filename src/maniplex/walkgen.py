@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError
+from .flag_graph import FlagGraph, InternalCheckError, component
 from .stg import SEMI, SymmetryTypeGraph
 from .symmetry import AutGroup, extend_automorphism, identity
 
@@ -212,29 +212,12 @@ def reduce_generators(s: GeneratorSet) -> GeneratorSet:
     )
 
 
-def closure(generators, flag_count: int) -> list[np.ndarray]:
-    """Subgroup generated by the given image tables (breadth-first products)."""
-    ident = identity(flag_count)
-    seen = {ident.tobytes(): ident}
-    frontier = [ident]
-    gens = [np.asarray(p, dtype=np.int32) for p in generators]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for p in gens:
-                prod = el[p]
-                key = prod.tobytes()
-                if key not in seen:
-                    seen[key] = prod
-                    nxt.append(prod)
-        frontier = nxt
-    return list(seen.values())
-
-
 def generates_full_group(s: GeneratorSet, a: AutGroup) -> bool:
-    """Element-for-element match of the generated subgroup with Aut."""
-    sub = closure(s.automorphisms, a.orbit_of.size)
-    if len(sub) != a.order:
-        return False
-    have = {el.tobytes() for el in sub}
-    return all(el.tobytes() in have for el in a.elements)
+    """True when the orbit of flag 0 under the generators is ``a.targets``.
+
+    The generators are automorphisms and Aut acts freely, so the subgroup
+    they generate has as many elements as that orbit has flags; equal
+    orbits therefore mean equal groups.
+    """
+    tables = [p.tolist() for p in s.automorphisms]
+    return component(tables, 0, a.orbit_of.size) == a.targets.tolist()

@@ -1,6 +1,7 @@
 """The partner-table core shared by flag graphs, symmetry type graphs and
 the census enumerator, checked against independent oracles."""
 
+import dataclasses
 import json
 import random
 from itertools import permutations, product
@@ -8,7 +9,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from maniplex import oriented
+from maniplex import oriented, symmetry
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, cube, torus44
 from maniplex.enumeration import canonical_code, enumerate_stg, involutions
@@ -17,8 +18,9 @@ from maniplex.flag_graph import (InternalCheckError, component, components,
 from maniplex.oriented import (OrientedFlagDigraph, oriented_are_isomorphic,
                                oriented_digraph, orientation)
 from maniplex.stg import SEMI, SymmetryTypeGraph, quotient, stg_violations
-from maniplex.symmetry import aut_group, group_with_orbits
-from maniplex.walkgen import closure, realize_generators, reduce_generators
+from maniplex.symmetry import aut_group
+from maniplex.walkgen import realize_generators, reduce_generators
+from oracles import closure
 
 # The five quotients of an alternating (i, j) 4-cycle, as (m_i, m_j)
 # partner tables on local vertices 0..size-1.
@@ -152,21 +154,31 @@ def test_enumerator_pair_pruning_against_brute_force(n_colours, k):
 def test_orbit_partition_matches_orbit_loop():
     for label in ("cube", "prism:5", "pyramid:4", "torus44:2,1", "hemicube"):
         a = aut_group(construction(label))
+        elements = [a.element(t) for t in a.targets]
         # the loop the shared helper replaced: label each new orbit in turn
         orbit_of = np.full(a.orbit_of.size, -1)
         count = 0
         for f in range(a.orbit_of.size):
             if orbit_of[f] < 0:
-                orbit_of[[int(el[f]) for el in a.elements]] = count
+                orbit_of[[int(el[f]) for el in elements]] = count
                 count += 1
         assert np.array_equal(a.orbit_of, orbit_of), label
         assert a.orbit_count == count
 
 
-def test_orbit_partition_checks_free_action():
-    a = aut_group(cube())
+def test_orbit_partition_checks_free_action(monkeypatch):
+    # a bogus "automorphism" swapping flags 0 and 1 gives a group of order
+    # 2 with 47 orbits on the 48 flags of the cube
+    def one_swap(g1, g2, source, target):
+        if target != 1:
+            return None
+        img = np.arange(g1.flag_count, dtype=np.int32)
+        img[[0, 1]] = [1, 0]
+        return img
+
+    monkeypatch.setattr(symmetry, "_extend", one_swap)
     with pytest.raises(InternalCheckError):
-        group_with_orbits(a.elements + a.elements[:1])
+        aut_group(cube())
     assert oriented.InternalCheckError is InternalCheckError
 
 
@@ -217,7 +229,7 @@ def test_cli_corrupted_orbits_exit_internal(monkeypatch, capsys):
         # move one neighbour of the base flag into another orbit
         f = int(g.adj[1, 0])
         orbit_of[f] = (orbit_of[f] + 1) % a.orbit_count
-        return type(a)(elements=a.elements, orbit_of=orbit_of, orbit_count=a.orbit_count)
+        return dataclasses.replace(a, orbit_of=orbit_of)
 
     monkeypatch.setattr(cli, "aut_group", corrupted)
     assert main(["analyze", "prism:3", "--json"]) == 4

@@ -230,5 +230,5 @@ def test_index_two_iff_orientation_reversing(corpus):
         assert a.order % ap.order == 0
         index = a.order // ap.order
         assert index in (1, 2)
-        reversing_exists = any(o.colour_of[el[0]] != o.colour_of[0] for el in a.elements)
+        reversing_exists = any(o.colour_of[t] != o.colour_of[0] for t in a.targets)
         assert (index == 2) == reversing_exists, label
