@@ -27,9 +27,13 @@ EXIT_INTERNAL = 4
 EXIT_TOO_LARGE = 5
 
 # The minimal spanning walk behind --generators searches (vertex,
-# visited-set) states, exponentially many in the orbit count: about 3 ms
-# at 12 orbits, seconds at 20 and more than 30 s at 24.
-MAX_GENERATOR_ORBITS = 16
+# visited-set) states, exponentially many in the orbit count. The limit
+# is the largest count at which the slowest of 24 or more seeded random
+# rank-3 symmetry type graphs stays within 2 s and 200 MB (2-CPU machine):
+# 0.62 s and 103 MB at 16 and 17 orbits, 1.65 s and 193 MB at 18 and 19,
+# 10.7 s and 898 MB at 20. Denser graphs of higher rank cost more: random
+# rank-5 involution tuples take 3.4 s at 16 vertices and 38 s at 19.
+MAX_GENERATOR_ORBITS = 19
 
 
 class CliError(Exception):

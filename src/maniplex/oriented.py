@@ -14,8 +14,7 @@ import numpy as np
 
 from .flag_graph import FlagGraph, InternalCheckError, i_faces, two_colouring
 from .stg import SEMI, SymmetryTypeGraph, partner_tables
-from .symmetry import (AutGroup, are_isomorphic, aut_group, invariant_colours, invert,
-                       search_group)
+from .symmetry import AutGroup, are_isomorphic, aut_group, invert, search_group
 
 
 @dataclass(frozen=True)
@@ -89,17 +88,12 @@ def oriented_digraph(g: FlagGraph, o: Orientation) -> OrientedFlagDigraph:
 def aut_plus(g: FlagGraph, o: Orientation, aut: AutGroup | None = None) -> AutGroup:
     """Orientation-preserving subgroup, with its own orbit partition.
 
-    The same search as :func:`aut_group`, with the parts as an extra seed
-    colour, so the candidates are black flags; an automorphism preserves
-    the parts as soon as it preserves the part of flag 0.  When ``aut``
-    is given, the candidates are its black targets, which all extend.
+    An automorphism preserves the parts as soon as it preserves the part
+    of flag 0, so the candidates are the targets of Aut in flag 0's part,
+    all of which extend.
     """
-    if aut is not None:
-        candidates = aut.targets[o.colour_of[aut.targets] == o.colour_of[0]]
-    else:
-        colour = invariant_colours(g.adj, seed=[o.colour_of])
-        candidates = np.flatnonzero(colour == colour[0])
-    return search_group(g, candidates)
+    full = aut_group(g) if aut is None else aut
+    return search_group(g, full.targets[o.colour_of[full.targets] == o.colour_of[0]])
 
 
 def black_orbit_count(a_plus: AutGroup, o: Orientation) -> int:

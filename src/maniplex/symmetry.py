@@ -76,22 +76,20 @@ def _cycle_lengths(p: np.ndarray) -> np.ndarray:
         least, step = nxt, step[step]
 
 
-def invariant_colours(tables, seed=()) -> np.ndarray:
+def invariant_colours(tables) -> np.ndarray:
     """A colour per point that every colour-preserving isomorphism keeps.
 
     ``tables`` are permutations of the points.  The colours start from
-    the seed columns and the cycle lengths of each table and of each
-    product of two tables, then are refined on the tables (a point's
-    colour together with its neighbours' colours) until the class count
-    stops growing.  Colours are ranks of sorted rows, so the points of
+    the cycle lengths of each table and of each product of two tables,
+    then are refined on the tables (a point's colour together with its
+    neighbours' colours) until the class count stops growing.  Colours are ranks of sorted rows, so the points of
     two graphs coloured in one call, on their disjoint union, get
     comparable colours.
     """
     tables = np.asarray(tables)
     rank = len(tables)
-    columns = [np.asarray(s) for s in seed]
-    columns += [_cycle_lengths(tables[i] if i == j else tables[i][tables[j]])
-                for i in range(rank) for j in range(i, rank)]
+    columns = [_cycle_lengths(tables[i] if i == j else tables[i][tables[j]])
+               for i in range(rank) for j in range(i, rank)]
     colour, count = _classes(columns)
     while True:
         nxt, nxt_count = _classes([colour] + [colour[m] for m in tables])

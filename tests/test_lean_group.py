@@ -32,9 +32,9 @@ def check_against_oracle(g, a=None):
     o = orientation(g)
     if o is not None:
         kept = [el for el in elements if o.colour_of[el[0]] == o.colour_of[0]]
-        for ap in (aut_plus(g, o), aut_plus(g, o, aut=a)):
-            assert ap.targets.tolist() == sorted(int(el[0]) for el in kept)
-            assert np.array_equal(ap.orbit_of, orbit_partition(kept))
+        ap = aut_plus(g, o)
+        assert ap.targets.tolist() == sorted(int(el[0]) for el in kept)
+        assert np.array_equal(ap.orbit_of, orbit_partition(kept))
     return a
 
 
