@@ -14,7 +14,7 @@ from .oriented import (Orientation, OrientedFlagDigraph, OrientedSTG, aut_plus,
 from .stg import (SEMI, SymmetryTypeGraph, classify, is_i_face_transitive,
                   quotient, transitivity_profile, verify_face_projection)
 from .symmetry import AutGroup, are_isomorphic, aut_group, extend_automorphism
-from .walkgen import (GeneratorSet, Walk, generating_walks, min_spanning_walk,
-                      realize_generators, reduce_generators)
+from .walkgen import (GeneratorSet, generating_walks, realize_generators,
+                      reduce_generators, spanning_tree)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 internal
-assertion failure (a cross-checked identity broke), 5 request too large
-(``analyze --generators`` on more than MAX_GENERATOR_ORBITS flag orbits).
+Exit codes: 0 success, 2 parse error (also an input that is both a file
+and a construction label), 3 validation error, 4 internal assertion
+failure (a cross-checked identity broke).
 """
 
 from __future__ import annotations
@@ -24,16 +24,6 @@ from .walkgen import realize_generators, reduce_generators
 EXIT_PARSE = 2
 EXIT_VALIDATE = 3
 EXIT_INTERNAL = 4
-EXIT_TOO_LARGE = 5
-
-# The minimal spanning walk behind --generators searches (vertex,
-# visited-set) states, exponentially many in the orbit count. The limit
-# is the largest count at which the slowest of 24 or more seeded random
-# rank-3 symmetry type graphs stays within 2 s and 200 MB (2-CPU machine):
-# 0.62 s and 103 MB at 16 and 17 orbits, 1.65 s and 193 MB at 18 and 19,
-# 10.7 s and 898 MB at 20. Denser graphs of higher rank cost more: random
-# rank-5 involution tuples take 3.4 s at 16 vertices and 38 s at 19.
-MAX_GENERATOR_ORBITS = 19
 
 
 class CliError(Exception):
@@ -45,6 +35,13 @@ class CliError(Exception):
 def _load_input(label: str) -> tuple[str, FlagGraph]:
     path = Path(label)
     if path.exists():
+        try:
+            constructions.parse_label(label)
+        except ValueError:
+            pass  # not a label, so the file is meant
+        else:
+            raise CliError(f"{label!r} is both a file and a construction label; "
+                           f"./{label} selects the file", EXIT_PARSE)
         text = path.read_text()
         head = text.lstrip().split(None, 1)[0] if text.strip() else ""
         try:
@@ -93,9 +90,6 @@ def cmd_analyze(args) -> int:
     ] + ["  " + row for row in formats.stg_table(t)]
 
     if args.generators:
-        if t.vertex_count > MAX_GENERATOR_ORBITS:
-            raise CliError(f"--generators supports at most {MAX_GENERATOR_ORBITS} flag orbits; "
-                           f"this input has {t.vertex_count}", EXIT_TOO_LARGE)
         gens = reduce_generators(realize_generators(g, aut, t))
         # Aut acts freely, so the generated subgroup is as large as the
         # orbit of flag 0 under the generators
@@ -224,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--json", action="store_true", help="machine-readable output")
     analyze.add_argument("--dot", metavar="PATH", help="write the quotient in DOT format")
     analyze.add_argument("--generators", action="store_true",
-                         help="derive generators from a spanning walk")
+                         help="derive generators from a spanning tree of the quotient")
     analyze.add_argument("--oriented", action="store_true",
                          help="add orientability and oriented quotient data")
     analyze.set_defaults(func=cmd_analyze)

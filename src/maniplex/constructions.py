@@ -311,20 +311,27 @@ CORPUS = tuple(
 )
 
 
-def construction(label: str) -> FlagGraph:
-    """Build a corpus item from a label like ``prism:3`` or ``cube``."""
+def parse_label(label: str):
+    """The builder a label like ``prism:3`` or ``cube`` names, and its
+    integer parameters; ValueError when it names none."""
     name, _, args = label.partition(":")
     if name in _NAMED:
         if args:
             raise ValueError(f"{name} takes no parameters")
-        return _NAMED[name]()
+        return _NAMED[name], ()
     if name in _PARAMETRIC:
         builder, arity = _PARAMETRIC[name]
         parts = [p for p in args.split(",") if p] if args else []
         if len(parts) != arity:
             raise ValueError(f"{name} takes {arity} parameter(s), e.g. {name}:" + ",".join("1" * arity))
-        return builder(*(int(p) for p in parts))
+        return builder, tuple(int(p) for p in parts)
     raise ValueError(f"unknown construction {name!r}")
+
+
+def construction(label: str) -> FlagGraph:
+    """Build a corpus item from a label like ``prism:3`` or ``cube``."""
+    builder, params = parse_label(label)
+    return builder(*params)
 
 
 def construction_names() -> list[str]:

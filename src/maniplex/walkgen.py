@@ -1,10 +1,12 @@
-"""Automorphism generators from spanning walks of the symmetry type graph.
+"""Automorphism generators from a spanning tree of the symmetry type graph.
 
 A closed walk based at the vertex of the base flag's orbit spells a
 colour word; applying the word to the base flag lands in the same orbit,
-so each closed walk realizes an automorphism.  A minimal walk through all
-vertices, together with one detour per unused edge and per semi-edge,
-generates the whole group.
+so each closed walk realizes an automorphism.  Given a spanning tree, the
+closed walks through one edge left out of the tree, and those through
+one semi-edge, generate the whole group.  The tree is the depth-first
+tree from vertex 0 that tries colours in increasing order; the words
+cost time linear in their total length, whatever the orbit count.
 """
 
 from __future__ import annotations
@@ -18,169 +20,79 @@ from .stg import SEMI, SymmetryTypeGraph
 from .symmetry import AutGroup, extend_automorphism, identity
 
 
-@dataclass(frozen=True)
-class Walk:
-    """Steps are (colour, vertex reached); a semi-edge step stays put."""
+def spanning_tree(t: SymmetryTypeGraph) -> dict[int, tuple[int, ...]]:
+    """Colour word of the tree path from vertex 0 to each vertex.
 
-    start: int
-    steps: tuple[tuple[int, int], ...]
-
-    @property
-    def end(self) -> int:
-        return self.steps[-1][1] if self.steps else self.start
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.steps)
-
-    def vertices(self) -> tuple[int, ...]:
-        out = [self.start]
-        for _, v in self.steps:
-            out.append(v)
-        return tuple(out)
-
-    def is_closed(self) -> bool:
-        return self.end == self.start
-
-
-def check_walk(t: SymmetryTypeGraph, walk: Walk) -> None:
-    """Raise unless every step follows a slot and no (semi-)edge repeats."""
-    here = walk.start
-    prev = None
-    for colour, to in walk.steps:
-        if t.neighbour(here, colour) != to:
-            raise ValueError(f"step ({colour}, {to}) from {here} does not follow a slot")
-        edge = (min(here, to), max(here, to), colour)
-        if edge == prev:
-            raise ValueError(f"walk retraces edge {edge}")
-        prev = edge
-        here = to
-
-
-def min_spanning_walk(t: SymmetryTypeGraph) -> Walk:
-    """Shortest walk from vertex 0 visiting every vertex.
-
-    Breadth-first over (vertex, visited-set) states; length ties break to
-    the lexicographically smallest colour sequence.
+    The tree is grown depth first from vertex 0, trying colours in
+    increasing order and descending as soon as a new vertex is reached.
+    The dict lists the vertices in the order the search reaches them.
     """
-    full = frozenset(range(t.vertex_count))
-    start_state = (0, frozenset([0]))
-    best: dict[tuple[int, frozenset], tuple[int, ...]] = {start_state: ()}
-    frontier = [start_state]
-    while True:
-        if not frontier:
-            raise ValueError("pregraph is not connected")
-        done = [(word, state) for state, word in best.items() if state[1] == full and state in frontier]
-        if done:
-            word = min(w for w, _ in done)
-            return _walk_from_word(t, 0, word)
-        nxt: dict[tuple[int, frozenset], tuple[int, ...]] = {}
-        for state in sorted(frontier, key=best.__getitem__):
-            u, visited = state
-            word = best[state]
-            for colour in range(t.rank):
-                v = t.slots[u][colour]
-                if v == SEMI:
-                    continue
-                new_state = (v, visited | {v})
-                new_word = word + (colour,)
-                if new_state in best:
-                    continue
-                if new_state not in nxt or new_word < nxt[new_state]:
-                    nxt[new_state] = new_word
-        best.update(nxt)
-        frontier = list(nxt)
+    paths = {0: ()}
+    stack = [(0, 0)]
+    while stack:
+        u, colour = stack.pop()
+        if colour < t.rank:
+            stack.append((u, colour + 1))
+            v = t.slots[u][colour]
+            if v != SEMI and v not in paths:
+                paths[v] = paths[u] + (colour,)
+                stack.append((v, 0))
+    if len(paths) != t.vertex_count:
+        raise ValueError("pregraph is not connected")
+    return paths
 
 
-def _walk_from_word(t: SymmetryTypeGraph, start: int, word) -> Walk:
-    steps = []
-    here = start
-    for colour in word:
-        here = t.neighbour(here, colour)
-        steps.append((colour, here))
-    return Walk(start=start, steps=tuple(steps))
+def generating_walks(t: SymmetryTypeGraph) -> list[tuple[int, ...]]:
+    """Colour words of closed walks at vertex 0, one per (semi-)edge
+    missing from the spanning tree.
 
-
-def generating_walks(t: SymmetryTypeGraph, c: Walk) -> list[Walk]:
-    """One closed detour walk per (semi-)edge missing from the walk ``c``.
-
-    For an unused edge between walk positions i < j: out along c to
-    position i, across, back along c from position j.  For a semi-edge at
-    position i: out, trace it, back the same way.  Edge detours come
-    first, each group ordered by (i, j, colour).
+    For an edge of colour c between u and v, u reached first: out along
+    the tree to u, across, back along the tree from v.  For a semi-edge
+    of colour c at u: out to u, trace it, back the same way.  Edge walks
+    come first, ordered by (order of u, order of v, c); semi-edge walks
+    follow, ordered by (order of u, c).
     """
-    verts = c.vertices()
-    if set(verts) != set(range(t.vertex_count)):
-        raise ValueError("walk does not span the pregraph")
-    pos = {}
-    for idx, u in enumerate(verts):
-        pos.setdefault(u, idx)
-    used = set()
-    here = c.start
-    for colour, to in c.steps:
-        used.add((min(here, to), max(here, to), colour))
-        here = to
-
-    def prefix(upto: int) -> tuple[tuple[int, int], ...]:
-        return c.steps[:upto]
-
-    def back(upto: int) -> tuple[tuple[int, int], ...]:
-        out = []
-        vseq = verts[: upto + 1]
-        for idx in range(upto, 0, -1):
-            colour = c.steps[idx - 1][0]
-            out.append((colour, vseq[idx - 1]))
-        return tuple(out)
-
-    edge_detours = []
-    for u, v, colour in t.edges():
-        if (u, v, colour) in used:
-            continue
-        i, j = sorted((pos[u], pos[v]))
-        edge_detours.append((i, j, colour))
-    edge_detours.sort()
-
-    walks = []
-    for i, j, colour in edge_detours:
-        mid = ((colour, verts[j]),)
-        walks.append(Walk(start=c.start, steps=prefix(i) + mid + back(j)))
-    semi_detours = []
-    for u in range(t.vertex_count):
+    paths = spanning_tree(t)
+    verts = list(paths)
+    pos = {v: i for i, v in enumerate(verts)}
+    words = []
+    edges = sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), colour)
+                   for u, v, colour in t.edges())
+    for i, j, colour in edges:
+        u, v = verts[i], verts[j]
+        # v was reached after u, so the edge is in the tree exactly when
+        # it is the last step of the tree path to v
+        if paths[v][-1] != colour:
+            words.append(paths[u] + (colour,) + paths[v][::-1])
+    for u in verts:
         for colour in sorted(t.semi_colours(u)):
-            semi_detours.append((pos[u], colour))
-    semi_detours.sort()
-    for i, colour in semi_detours:
-        mid = ((colour, verts[i]),)
-        walks.append(Walk(start=c.start, steps=prefix(i) + mid + back(i)))
-    for w in walks:
-        check_walk(t, w)
-    return walks
+            words.append(paths[u] + (colour,) + paths[u][::-1])
+    return words
 
 
 @dataclass
 class GeneratorSet:
     base_flag: int
-    spanning_walk: Walk
-    walks: list[Walk]
     words: list[tuple[int, ...]]
     automorphisms: list[np.ndarray]
 
 
 def realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> GeneratorSet:
-    """Automorphisms realizing the closed detour walks from the base flag.
+    """Automorphisms realizing the closed walks from the base flag.
 
     The base flag is flag 0, whose orbit is vertex 0 of the quotient, so
-    the minimal spanning walk is already rooted correctly.
+    the spanning tree is already rooted correctly.
     """
     if a.orbit_of[0] != 0:
         raise InternalCheckError("orbit ids must start at the base flag")
-    spanning = min_spanning_walk(t)
-    walks = generating_walks(t, spanning)
-    words = [w.word for w in walks]
+    words = generating_walks(t)
     autos = []
-    for walk, word in zip(walks, words):
-        if not walk.is_closed():
-            raise InternalCheckError(f"generating walk is not closed: {walk}")
+    for word in words:
+        end = 0
+        for colour in word:
+            end = t.neighbour(end, colour)
+        if end != 0:
+            raise InternalCheckError(f"generating walk is not closed: {word}")
         target = g.act(0, word)
         if a.orbit_of[target] != a.orbit_of[0]:
             raise InternalCheckError("closed walk left the base orbit")
@@ -188,8 +100,7 @@ def realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> Gener
         if auto is None:
             raise InternalCheckError("no automorphism realizes a closed walk word")
         autos.append(auto)
-    return GeneratorSet(base_flag=0, spanning_walk=spanning, walks=walks,
-                        words=words, automorphisms=autos)
+    return GeneratorSet(base_flag=0, words=words, automorphisms=autos)
 
 
 def reduce_generators(s: GeneratorSet) -> GeneratorSet:
@@ -205,8 +116,6 @@ def reduce_generators(s: GeneratorSet) -> GeneratorSet:
         keep.append(idx)
     return GeneratorSet(
         base_flag=s.base_flag,
-        spanning_walk=s.spanning_walk,
-        walks=[s.walks[i] for i in keep],
         words=[s.words[i] for i in keep],
         automorphisms=[s.automorphisms[i] for i in keep],
     )

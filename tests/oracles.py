@@ -1,16 +1,19 @@
 """Slow reference computations and random inputs for the tests.
 
-The oracles materialise whole groups, so they are for small inputs only.
+The oracles materialise whole groups or search exponentially many
+states, so they are for small inputs only.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
 from maniplex.flag_graph import FlagGraph, validate
 from maniplex.oriented import orientation
+from maniplex.stg import SEMI, SymmetryTypeGraph
 from maniplex.symmetry import extend_automorphism, identity
 
 
@@ -93,3 +96,153 @@ def relabel(g: FlagGraph, rng: random.Random) -> FlagGraph:
     adj = np.empty_like(g.adj)
     adj[:, perm] = perm[g.adj]
     return FlagGraph(adj)
+
+
+# The generator words that walkgen.generating_walks replaced: a shortest
+# walk from vertex 0 through every vertex of the quotient (least colour
+# word among the shortest), with one closed detour per (semi-)edge it
+# does not use.  The detours raise ValueError where the walk turns back.
+
+
+def spanning_walk_words(t: SymmetryTypeGraph) -> list[tuple[int, ...]]:
+    return [w.word for w in detour_walks(t, min_spanning_walk(t))]
+
+
+@dataclass(frozen=True)
+class Walk:
+    """Steps are (colour, vertex reached); a semi-edge step stays put."""
+
+    start: int
+    steps: tuple[tuple[int, int], ...]
+
+    @property
+    def end(self) -> int:
+        return self.steps[-1][1] if self.steps else self.start
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        return tuple(c for c, _ in self.steps)
+
+    def vertices(self) -> tuple[int, ...]:
+        out = [self.start]
+        for _, v in self.steps:
+            out.append(v)
+        return tuple(out)
+
+    def is_closed(self) -> bool:
+        return self.end == self.start
+
+
+def check_walk(t: SymmetryTypeGraph, walk: Walk) -> None:
+    """Raise unless every step follows a slot and no (semi-)edge repeats."""
+    here = walk.start
+    prev = None
+    for colour, to in walk.steps:
+        if t.neighbour(here, colour) != to:
+            raise ValueError(f"step ({colour}, {to}) from {here} does not follow a slot")
+        edge = (min(here, to), max(here, to), colour)
+        if edge == prev:
+            raise ValueError(f"walk retraces edge {edge}")
+        prev = edge
+        here = to
+
+
+def min_spanning_walk(t: SymmetryTypeGraph) -> Walk:
+    """Shortest walk from vertex 0 visiting every vertex.
+
+    Breadth-first over (vertex, visited-set) states; length ties break to
+    the lexicographically smallest colour sequence.
+    """
+    full = frozenset(range(t.vertex_count))
+    start_state = (0, frozenset([0]))
+    best: dict[tuple[int, frozenset], tuple[int, ...]] = {start_state: ()}
+    frontier = [start_state]
+    while True:
+        if not frontier:
+            raise ValueError("pregraph is not connected")
+        done = [(word, state) for state, word in best.items() if state[1] == full and state in frontier]
+        if done:
+            word = min(w for w, _ in done)
+            return walk_from_word(t, 0, word)
+        nxt: dict[tuple[int, frozenset], tuple[int, ...]] = {}
+        for state in sorted(frontier, key=best.__getitem__):
+            u, visited = state
+            word = best[state]
+            for colour in range(t.rank):
+                v = t.slots[u][colour]
+                if v == SEMI:
+                    continue
+                new_state = (v, visited | {v})
+                new_word = word + (colour,)
+                if new_state in best:
+                    continue
+                if new_state not in nxt or new_word < nxt[new_state]:
+                    nxt[new_state] = new_word
+        best.update(nxt)
+        frontier = list(nxt)
+
+
+def walk_from_word(t: SymmetryTypeGraph, start: int, word) -> Walk:
+    steps = []
+    here = start
+    for colour in word:
+        here = t.neighbour(here, colour)
+        steps.append((colour, here))
+    return Walk(start=start, steps=tuple(steps))
+
+
+def detour_walks(t: SymmetryTypeGraph, c: Walk) -> list[Walk]:
+    """One closed detour walk per (semi-)edge missing from the walk ``c``.
+
+    For an unused edge between walk positions i < j: out along c to
+    position i, across, back along c from position j.  For a semi-edge at
+    position i: out, trace it, back the same way.  Edge detours come
+    first, each group ordered by (i, j, colour).
+    """
+    verts = c.vertices()
+    if set(verts) != set(range(t.vertex_count)):
+        raise ValueError("walk does not span the pregraph")
+    pos = {}
+    for idx, u in enumerate(verts):
+        pos.setdefault(u, idx)
+    used = set()
+    here = c.start
+    for colour, to in c.steps:
+        used.add((min(here, to), max(here, to), colour))
+        here = to
+
+    def prefix(upto: int) -> tuple[tuple[int, int], ...]:
+        return c.steps[:upto]
+
+    def back(upto: int) -> tuple[tuple[int, int], ...]:
+        out = []
+        vseq = verts[: upto + 1]
+        for idx in range(upto, 0, -1):
+            colour = c.steps[idx - 1][0]
+            out.append((colour, vseq[idx - 1]))
+        return tuple(out)
+
+    edge_detours = []
+    for u, v, colour in t.edges():
+        if (u, v, colour) in used:
+            continue
+        i, j = sorted((pos[u], pos[v]))
+        edge_detours.append((i, j, colour))
+    edge_detours.sort()
+
+    walks = []
+    for i, j, colour in edge_detours:
+        mid = ((colour, verts[j]),)
+        walks.append(Walk(start=c.start, steps=prefix(i) + mid + back(j)))
+    semi_detours = []
+    for u in range(t.vertex_count):
+        for colour in sorted(t.semi_colours(u)):
+            semi_detours.append((pos[u], colour))
+    semi_detours.sort()
+    for i, colour in semi_detours:
+        mid = ((colour, verts[i]),)
+        walks.append(Walk(start=c.start, steps=prefix(i) + mid + back(i)))
+    for w in walks:
+        check_walk(t, w)
+    return walks
+

@@ -133,6 +133,21 @@ def test_cli_unknown_input(capsys):
     assert main(["analyze", "widget:9"]) == 2
 
 
+def test_cli_file_named_like_a_construction(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cube").write_text("maniplex rank=2 flags=4\nr0: 1 0 3 2\nr1: 3 2 1 0\n")
+    assert main(["analyze", "cube"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "file" in captured.err and "construction" in captured.err
+    assert "./cube" in captured.err
+    assert main(["analyze", "./cube"]) == 0
+    assert "flags: 4" in capsys.readouterr().out
+    assert main(["analyze", "tetrahedron"]) == 0
+    assert "flags: 24" in capsys.readouterr().out
+
+
 def test_cli_oriented_rank_one(capsys):
     # rank-1 input: orientability and group data, no di-graph block
     assert main(["analyze", "simplex:1", "--oriented", "--json"]) == 0

@@ -1,6 +1,8 @@
 """The lean automorphism group (generators, orbit of flag 0, orbit
 partition) against trial extension of flag 0 to every flag."""
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from maniplex import symmetry
-from maniplex.cli import EXIT_TOO_LARGE, MAX_GENERATOR_ORBITS, main
+from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, torus44
 from maniplex.formats import write_maniplex_text
 from maniplex.oriented import aut_plus, orientation
@@ -111,17 +113,26 @@ def test_non_isomorphic_random_maps_cost_no_extension(monkeypatch):
     assert len(calls) < g1.flag_count // 10
 
 
-def test_generators_refused_above_orbit_limit(tmp_path, capsys):
-    g = random_map(random.Random(4), 5, 1, True)
-    assert aut_group(g).orbit_count == 20 > MAX_GENERATOR_ORBITS
-    path = tmp_path / "twenty.mnpx"
+def analyze_file(tmp_path, g, *flags):
+    path = tmp_path / "input.mnpx"
     path.write_text(write_maniplex_text(g))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(path), "--json", *flags]) == 0
+    return json.loads(out.getvalue())
+
+
+def test_generators_on_twenty_orbit_map(tmp_path):
+    g = random_map(random.Random(4), 5, 1, True)
+    report = analyze_file(tmp_path, g, "--generators")
+    assert report["orbit_count"] == 20
+    assert report["generators"]["matches_aut"] is True
+
+
+def test_generators_on_2400_flag_random_map(tmp_path):
+    g = random_map(random.Random(7), 600, 1, True)
     start = time.perf_counter()
-    assert main(["analyze", str(path), "--json", "--generators"]) == EXIT_TOO_LARGE == 5
-    assert time.perf_counter() - start < 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert "20" in captured.err and str(MAX_GENERATOR_ORBITS) in captured.err
-    assert main(["analyze", str(path), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["orbit_count"] == 20
+    report = analyze_file(tmp_path, g, "--generators", "--oriented")
+    assert time.perf_counter() - start < 5
+    assert report["orbit_count"] == 2400 == g.flag_count
+    assert report["generators"]["matches_aut"] is True

@@ -1,13 +1,21 @@
+import contextlib
+import io
+import json
+import random
+from itertools import product
+
 import pytest
 
-from maniplex.constructions import cube, cuboctahedron, prism
+from maniplex.cli import main
+from maniplex.constructions import construction, cube, cuboctahedron, prism
+from maniplex.enumeration import enumerate_stg
+from maniplex.formats import write_maniplex_text
 from maniplex.stg import SEMI, SymmetryTypeGraph, quotient
 from maniplex.symmetry import aut_group, identity
-from maniplex.walkgen import (GeneratorSet, Walk, check_walk,
-                              generates_full_group, generating_walks,
-                              min_spanning_walk, realize_generators,
-                              reduce_generators)
-from oracles import closure
+from maniplex.walkgen import (GeneratorSet, generates_full_group, generating_walks,
+                              realize_generators, reduce_generators, spanning_tree)
+from oracles import (Walk, check_walk, closure, min_spanning_walk, random_map, relabel,
+                     spanning_walk_words, walk_from_word)
 
 
 def test_min_walk_single_vertex_is_empty():
@@ -38,36 +46,107 @@ def test_min_walk_prefers_lexicographic_word():
     assert min_spanning_walk(t).word == (1,)
 
 
+def test_spanning_tree_descends_at_once():
+    # a 4-cycle 0 -1- 1 -2- 2 -1- 3 -2- 0: the search goes 0, 1, 2, 3
+    # along colours 1, 2, 1 instead of reaching 3 from 0 along colour 2
+    t = SymmetryTypeGraph(rank=3, vertex_count=4, slots=(
+        (SEMI, 1, 3), (SEMI, 0, 2), (SEMI, 3, 1), (SEMI, 2, 0)))
+    assert spanning_tree(t) == {0: (), 1: (1,), 2: (1, 2), 3: (1, 2, 1)}
+    assert list(spanning_tree(t)) == [0, 1, 2, 3]
+    assert generating_walks(t)[0] == (2, 1, 2, 1)
+
+
 def test_generating_walks_regular_case():
     t = SymmetryTypeGraph(rank=4, vertex_count=1, slots=((SEMI,) * 4,))
-    walks = generating_walks(t, min_spanning_walk(t))
-    assert [w.word for w in walks] == [(0,), (1,), (2,), (3,)]
+    assert generating_walks(t) == [(0,), (1,), (2,), (3,)]
 
 
 def test_generating_walks_cuboctahedron():
     g = cuboctahedron()
     t = quotient(g, aut_group(g))
-    walks = generating_walks(t, min_spanning_walk(t))
-    assert [w.word for w in walks] == [(0,), (1,), (2, 0, 2), (2, 1, 2)]
-    assert all(w.is_closed() for w in walks)
+    assert generating_walks(t) == [(0,), (1,), (2, 0, 2), (2, 1, 2)]
 
 
 def test_generator_count_formula(corpus):
     for label in ("cube", "cuboctahedron", "prism:3", "pyramid:4", "torus44:1,2"):
         t = corpus.stg(label)
-        walk = min_spanning_walk(t)
-        walks = generating_walks(t, walk)
         semi_count = sum(len(t.semi_colours(u)) for u in range(t.vertex_count))
         edge_count = len(t.edges())
-        assert len(walks) == semi_count + (edge_count - len(walk.steps))
+        assert len(generating_walks(t)) == semi_count + edge_count - (t.vertex_count - 1)
 
 
 def test_walks_closed_at_start(corpus):
     for label in ("prism:4", "pyramid:5", "torus44:2,1"):
         t = corpus.stg(label)
-        for w in generating_walks(t, min_spanning_walk(t)):
-            assert w.start == 0 and w.is_closed()
+        for word in generating_walks(t):
+            w = walk_from_word(t, 0, word)
+            assert w.is_closed()
             check_walk(t, w)
+
+
+def rooted_stgs(colours, vertices):
+    """Every admissible STG, once rooted at each of its vertices."""
+    for t in enumerate_stg(colours, vertices):
+        for root in range(vertices):
+            swap = list(range(vertices))
+            swap[0], swap[root] = root, 0
+            slots = [()] * vertices
+            for u, row in enumerate(t.slots):
+                slots[swap[u]] = tuple(SEMI if s == SEMI else swap[s] for s in row)
+            yield SymmetryTypeGraph(t.rank, vertices, tuple(slots))
+
+
+def test_words_match_the_spanning_walk_oracle():
+    """Up to 4 vertices the depth-first tree gives the words of the
+    shortest spanning walk wherever that walk does not turn back."""
+    compared = raised = 0
+    for colours, vertices in product(range(1, 6), range(1, 5)):
+        for t in rooted_stgs(colours, vertices):
+            words = generating_walks(t)
+            for word in words:
+                assert walk_from_word(t, 0, word).is_closed()
+            try:
+                expected = spanning_walk_words(t)
+            except ValueError:
+                raised += 1
+                continue
+            assert words == expected, t
+            compared += 1
+    assert compared > 1000 and raised > 0
+
+
+def test_generating_walks_requires_spanning():
+    t = SymmetryTypeGraph(rank=2, vertex_count=2, slots=((SEMI, SEMI), (SEMI, SEMI)))
+    with pytest.raises(ValueError):
+        generating_walks(t)
+
+
+def analyze_generators(tmp_path, g):
+    path = tmp_path / "input.mnpx"
+    path.write_text(write_maniplex_text(g))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(path), "--json", "--generators"]) == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("label, seed", [("prism:5", 1), ("prism:5", 2), ("prism:5", 4),
+                                         ("prism:5", 5), ("prism:3", 2), ("pyramid:5", 0),
+                                         ("pyramid:5", 2), ("pyramid:5", 4)])
+def test_generators_where_the_spanning_walk_turned_back(tmp_path, label, seed):
+    g = relabel(construction(label), random.Random(seed))
+    t = quotient(g, aut_group(g))
+    with pytest.raises(ValueError, match="retraces"):
+        spanning_walk_words(t)
+    report = analyze_generators(tmp_path, g)
+    assert report["generators"]["matches_aut"] is True
+
+
+def test_generators_on_smallest_turning_back_random_map(tmp_path):
+    g = random_map(random.Random(5), 3, 1, True)
+    report = analyze_generators(tmp_path, g)
+    assert report["stg"]["slots"] == [[1, 2, -1], [0, -1, -1], [-1, 0, -1]]
+    assert report["generators"]["matches_aut"] is True
 
 
 def test_realize_generators_cube():
@@ -92,8 +171,6 @@ def test_reduce_removes_identity_and_duplicates():
     ident = identity(g.flag_count)
     padded = GeneratorSet(
         base_flag=s.base_flag,
-        spanning_walk=s.spanning_walk,
-        walks=[s.walks[0]] + s.walks + [s.walks[0]],
         words=[(2, 2)] + s.words + [s.words[0]],
         automorphisms=[ident] + s.automorphisms + [s.automorphisms[0]],
     )
@@ -120,10 +197,3 @@ def test_check_walk_rejects_retrace():
         check_walk(t, Walk(start=0, steps=((2, 1), (2, 0))))
     with pytest.raises(ValueError):
         check_walk(t, Walk(start=0, steps=((1, 1),)))
-
-
-def test_generating_walks_requires_spanning():
-    g = cuboctahedron()
-    t = quotient(g, aut_group(g))
-    with pytest.raises(ValueError):
-        generating_walks(t, Walk(start=0, steps=()))
