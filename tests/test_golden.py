@@ -1,9 +1,13 @@
-"""`maniplex analyze --generators --oriented` output, pinned byte for byte.
+"""`maniplex analyze` and the census output, pinned byte for byte.
 
 The digests in ``golden_analyze.json`` are sha256 sums of stdout for the
 JSON and the text report of every corpus label and of the benchmark's
-larger labels.  A change that alters any report fails here; regenerate
-the file only for a deliberate change of output, with
+larger labels.  Those in ``golden_census.json`` are sha256 sums of the
+stdout and the CSV file of `maniplex enumerate` at the census grid
+points, of `scripts/run_census.py`'s stdout, and of the ordered
+oriented canonical codes of the three-vertex oriented census.  A change
+that alters any of them fails here; regenerate the files only for a
+deliberate change of output, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,35 +16,78 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
+import tempfile
+import warnings
 from pathlib import Path
 
 from maniplex.cli import main
 from maniplex.constructions import CORPUS
+from maniplex.enumeration import enumerate_oriented_stg3, oriented_canonical_code
 
 GOLDEN = Path(__file__).with_name("golden_analyze.json")
+GOLDEN_CENSUS = Path(__file__).with_name("golden_census.json")
+RUN_CENSUS = Path(__file__).parent.parent / "scripts" / "run_census.py"
 LABELS = CORPUS + ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6")
 FORMS = {"json": ["--json"], "text": []}
+GRID = ((3, 5), (4, 5), (5, 4), (6, 4), (5, 5), (3, 6))
+FILTERS = ("--bipartite", "--fully-transitive")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stdout(run) -> bytes:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = run()
+    assert code == 0, code
+    return buffer.getvalue().encode()
 
 
 def analyze_digests() -> dict[str, str]:
     out = {}
     for label in LABELS:
         for form, flags in FORMS.items():
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
-                code = main(["analyze", label, *flags, "--generators", "--oriented"])
-            assert code == 0, (label, form, code)
-            out[f"{label} {form}"] = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+            argv = ["analyze", label, *flags, "--generators", "--oriented"]
+            out[f"{label} {form}"] = _sha(_stdout(lambda: main(argv)))
     return out
 
 
-def test_analyze_output_is_byte_identical():
-    expected = json.loads(GOLDEN.read_text())
-    actual = analyze_digests()
+def census_digests(workdir: Path) -> dict[str, str]:
+    runs = [(f"{n},{k}", ["--colors", str(n), "--vertices", str(k)]) for n, k in GRID]
+    runs += [(f"4,4 {flag}", ["--colors", "4", "--vertices", "4", flag]) for flag in FILTERS]
+    out = {}
+    csv_path = workdir / "enumerate.csv"
+    for key, args in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stdout = _stdout(lambda: main(["enumerate", *args, "--csv", str(csv_path)]))
+        out[f"enumerate {key} stdout"] = _sha(stdout)
+        out[f"enumerate {key} csv"] = _sha(csv_path.read_bytes())
+    out["run_census stdout"] = _sha(_stdout(runpy.run_path(str(RUN_CENSUS))["main"]))
+    for n in range(4, 11):
+        codes = [oriented_canonical_code(ot) for ot in enumerate_oriented_stg3(n)]
+        out[f"oriented codes {n}"] = _sha("\n".join(c.hex() for c in codes).encode())
+    return out
+
+
+def _assert_same(expected: dict[str, str], actual: dict[str, str]) -> None:
     assert sorted(actual) == sorted(expected)
     changed = [key for key in expected if actual[key] != expected[key]]
     assert not changed, changed
 
 
+def test_analyze_output_is_byte_identical():
+    _assert_same(json.loads(GOLDEN.read_text()), analyze_digests())
+
+
+def test_census_output_is_byte_identical(tmp_path):
+    _assert_same(json.loads(GOLDEN_CENSUS.read_text()), census_digests(tmp_path))
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(analyze_digests(), indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as workdir:
+        GOLDEN_CENSUS.write_text(json.dumps(census_digests(Path(workdir)), indent=1) + "\n")
