@@ -42,7 +42,10 @@ def _load_input(label: str) -> tuple[str, FlagGraph]:
         else:
             raise CliError(f"{label!r} is both a file and a construction label; "
                            f"./{label} selects the file", EXIT_PARSE)
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CliError(f"cannot read {label}: {exc}", EXIT_PARSE) from exc
         head = text.lstrip().split(None, 1)[0] if text.strip() else ""
         try:
             if head == "map":

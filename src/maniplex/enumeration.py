@@ -1,19 +1,23 @@
 """Exhaustive generation of admissible symmetry type graphs.
 
-Each colour contributes a matching-with-fixed-points on the k vertices
-(fixed points are semi-edges).  Backtracking over colours prunes on the
-five-quotient condition for colour pairs at distance >= 2; connected
-results are deduplicated up to vertex relabelling (colours are never
-permuted: the classes are colour-specific).
+Each colour contributes an involution on the k vertices (a fixed point
+is a semi-edge), and admissibility asks the involutions of colours at
+distance >= 2 to commute.  One backtracking search picks a table per
+colour from that colour's candidates, keeping those that commute with
+every earlier colour but the previous one; connected results are
+deduplicated by a rooted canonical code.  Vertices are relabelled,
+colours never are, so the classes are colour-specific.
+
+The three-vertex oriented census is the same search on the six-point
+double covers of the oriented quotients.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
 
-from .flag_graph import component, five_quotient_bad, two_colouring
+from .flag_graph import commute_defect, component, two_colouring
 from .oriented import OrientedSTG
 from .stg import (SEMI, SymmetryTypeGraph, is_i_face_transitive, partner_tables,
                   transitivity_profile)
@@ -50,36 +54,88 @@ def _to_stg(ms, k: int) -> SymmetryTypeGraph:
     return SymmetryTypeGraph(rank=len(ms), vertex_count=k, slots=slots)
 
 
-def _min_code(rows) -> bytes:
-    """Minimum serialization of rows of vertex-or-SEMI cells over all
-    vertex relabellings; 255 marks a semi-edge."""
-    best = None
-    for perm in permutations(range(len(rows))):
-        row_bytes = bytearray()
-        for new_u in range(len(rows)):
-            for s in rows[perm.index(new_u)]:
-                row_bytes.append(255 if s == SEMI else perm[s])
-        code = bytes(row_bytes)
-        if best is None or code < best:
-            best = code
-    return best
+def _rooted_code(rows, root: int) -> bytes:
+    """Serialization of rows of vertex-or-SEMI cells with ``root`` labelled 0.
+
+    Rows are read in label order and cells in colour order; a vertex met
+    for the first time takes the next free label, and 255 marks a
+    semi-edge.
+    """
+    label = {root: 0}
+    order = [root]
+    code = bytearray()
+    for u in order:
+        for s in rows[u]:
+            if s == SEMI:
+                code.append(255)
+                continue
+            if s not in label:
+                label[s] = len(order)
+                order.append(s)
+            code.append(label[s])
+    if len(order) != len(rows):
+        raise ValueError("a canonical code needs a connected input")
+    return bytes(code)
+
+
+def _least_code(rows) -> bytes:
+    """The least rooted code over all roots.
+
+    On a connected input this is the least serialization over all k!
+    vertex relabellings: once the root is fixed, wherever a new vertex
+    is met the next free label is the only smallest byte, and the
+    vertex labelled j is met before row j is read.
+    """
+    return min(_rooted_code(rows, root) for root in range(len(rows)))
 
 
 def canonical_code(t: SymmetryTypeGraph) -> bytes:
-    """Minimum serialization over all vertex relabellings.
+    """Least serialization over all vertex relabellings.
 
     Vertices are permuted, colours are not; 255 marks a semi-edge.
+    Raises ValueError when ``t`` is disconnected.
     """
-    return _min_code(t.slots)
+    return _least_code(t.slots)
+
+
+def _commuting_tuples(candidates):
+    """Every tuple of one table per colour, drawn from that colour's list
+    in ``candidates``, in which colours at distance >= 2 commute.
+
+    Tuples come in lexicographic order of the lists, colour 0 most
+    significant.  Commutation is tested once per pair of distinct
+    tables, into one bitmask per table.
+    """
+    tables = list(dict.fromkeys(m for cands in candidates for m in cands))
+    commutes = [sum(1 << b for b, mb in enumerate(tables) if commute_defect(ma, mb) is None)
+                for ma in tables]
+    index = {m: a for a, m in enumerate(tables)}
+    lists = [[index[m] for m in cands] for cands in candidates]
+    chosen: list[int] = []
+
+    def grow(allowed: int):
+        # allowed: the tables commuting with every chosen colour but the last
+        if len(chosen) == len(lists):
+            yield tuple(tables[a] for a in chosen)
+            return
+        after = allowed & commutes[chosen[-1]] if chosen else allowed
+        for a in lists[len(chosen)]:
+            if allowed >> a & 1:
+                chosen.append(a)
+                yield from grow(after)
+                chosen.pop()
+
+    yield from grow((1 << len(tables)) - 1)
 
 
 def enumerate_stg(n_colours: int, k: int, filters=(),
                   fixed_point_free: bool = False) -> list[SymmetryTypeGraph]:
     """All admissible connected coloured pregraphs on k vertices.
 
-    One representative per canonical code, sorted by code; ``filters``
-    are predicates applied after generation.  ``fixed_point_free``
-    restricts the search to types without semi-edges.
+    One representative per canonical code, the first one the search
+    meets, sorted by code; ``filters`` are predicates applied after
+    generation.  ``fixed_point_free`` restricts the search to types
+    without semi-edges.
     """
     if n_colours < 1 or k < 1:
         raise ValueError("need at least one colour and one vertex")
@@ -89,22 +145,10 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
     if fixed_point_free:
         choices = [m for m in choices if all(m[v] != v for v in range(k))]
     found: dict[bytes, SymmetryTypeGraph] = {}
-    stack_ms: list[tuple[int, ...]] = []
-
-    def place(colour: int) -> None:
-        if colour == n_colours:
-            # pair pruning on involution tables leaves only connectivity
-            if len(component(stack_ms, 0)) == k:
-                t = _to_stg(stack_ms, k)
-                found.setdefault(canonical_code(t), t)
-            return
-        for m in choices:
-            if not any(any(five_quotient_bad(stack_ms[i], m)) for i in range(colour - 1)):
-                stack_ms.append(m)
-                place(colour + 1)
-                stack_ms.pop()
-
-    place(0)
+    for ms in _commuting_tuples([choices] * n_colours):
+        if len(component(ms, 0)) == k:
+            t = _to_stg(ms, k)
+            found.setdefault(canonical_code(t), t)
     graphs = [found[code] for code in sorted(found)]
     for predicate in filters:
         graphs = [t for t in graphs if predicate(t)]
@@ -125,24 +169,22 @@ def has_no_odd_closed_walks(t: SymmetryTypeGraph) -> bool:
 # three-vertex oriented quotients
 
 
+def _inverse(p) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for u, v in enumerate(p):
+        inv[v] = u
+    return tuple(inv)
+
+
 def oriented_canonical_code(ot: OrientedSTG) -> bytes:
-    """Minimum serialization over relabellings and dart reversal.
+    """Least serialization over relabellings and dart reversal.
 
     Reversing every dart is the quotient of the opposite orientation
-    choice of the same structure, so mirror pairs count once.
+    choice of the same structure, so mirror pairs count once.  The dart
+    is one more cell per row, a loop written as the vertex itself.
     """
-    reversed_dart = [0] * ot.vertex_count
-    for u, v in enumerate(ot.dart):
-        reversed_dart[v] = u
-    return min(_min_code([row + (v,) for row, v in zip(ot.undirected, dart)])
-               for dart in (ot.dart, reversed_dart))
-
-
-_DART_SHAPES = {
-    "three_loops": [(0, 1, 2)],
-    "two_cycle_loop": [(1, 0, 2), (2, 1, 0), (0, 2, 1)],
-    "three_cycle": [(1, 2, 0), (2, 0, 1)],
-}
+    return min(_least_code([row + (v,) for row, v in zip(ot.undirected, dart)])
+               for dart in (ot.dart, _inverse(ot.dart)))
 
 
 def _dart_shape(dart: tuple[int, int, int]) -> str:
@@ -154,81 +196,47 @@ def _dart_shape(dart: tuple[int, int, int]) -> str:
     return "three_cycle"
 
 
+def _lift(black, white) -> tuple[int, ...]:
+    """Six-point table sending black u (point u) to white ``black[u]``
+    (point black[u] + 3), and white v back to black ``white[v]``."""
+    return tuple(v + 3 for v in black) + tuple(white)
+
+
+# The involutions of three points: the identity, then the transpositions
+# (0 1), (0 2), (1 2).  Followed by the two 3-cycles they are the dart
+# permutations.  In this order the search meets first the same
+# representative of each class as the hand-derived search it replaced.
+_INVOLUTIONS3 = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1))
+_DARTS3 = _INVOLUTIONS3 + ((1, 2, 0), (2, 0, 1))
+
+
 def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     """All three-vertex oriented quotient di-graphs with n_colours colours.
 
-    Encodes the structural facts that hold for quotients of six-vertex
-    semi-edge-free types:
+    Each is read off its double cover, the six-point type with black u
+    at point u and white u at point u + 3: colour i <= n-3 sends black u
+    to white t_i(u) for the undirected class t_i (an involution on three
+    points), colour n-2 sends black u to white rot(u) for the dart
+    permutation rot, and colour n-1 joins black u to white u.  For each
+    rot the commuting-tuple search runs over these lifts, and the
+    connected results are kept.
 
-    * the directed class forms a 3-cycle, a 2-cycle plus a loop, or
-      three loops;
-    * every undirected class is one inter-vertex edge plus one semi-edge,
-      or three semi-edges;
-    * two edges sharing exactly one vertex carry colours differing by 1
-      (two at distance >= 2 would force a forbidden 6-cycle upstairs);
-    * with a dart 2-cycle and a loop, a class of colour <= n-4 is either
-      all semi-edges or parallel to the dart 2-cycle (anything touching
-      the loop vertex forces a forbidden 6-cycle against the directed
-      class);
-    * with a dart 3-cycle, a class of colour <= n-4 cannot be all
-      semi-edges (that copies the top matching, recreating the directed
-      6-cycle at distance >= 2).
-
-    Deduplicated up to vertex relabelling, sorted by canonical code.
+    Deduplicated up to vertex relabelling and dart reversal, sorted by
+    oriented canonical code.
     """
     if n_colours < 4:
         raise ValueError("three-vertex oriented quotients need n_colours >= 4")
     n = n_colours
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    # an undirected class: None for three semi-edges, else the edge pair
-    class_options: list[tuple[int, int] | None] = [None] + pairs
-
+    classes = {_lift(t, t): t for t in _INVOLUTIONS3}
+    top = _lift(range(3), range(3))
     found: dict[bytes, OrientedSTG] = {}
-    for shape, darts in _DART_SHAPES.items():
-        for dart in darts:
-            dart_pair = None
-            if shape == "two_cycle_loop":
-                swapped = [u for u in range(3) if dart[u] != u]
-                dart_pair = (min(swapped), max(swapped))
-
-            def place(colour: int, chosen: list) -> None:
-                if colour == n - 2:
-                    _emit(chosen)
-                    return
-                for opt in class_options:
-                    if opt is not None and shape == "two_cycle_loop" and colour <= n - 4:
-                        if opt != dart_pair:
-                            continue
-                    if opt is None and shape == "three_cycle" and colour <= n - 4:
-                        continue
-                    ok = True
-                    for prev_colour, prev in enumerate(chosen):
-                        if prev is None or opt is None:
-                            continue
-                        shared = len(set(prev) & set(opt))
-                        if shared == 1 and abs(prev_colour - colour) >= 2:
-                            ok = False
-                            break
-                    if ok:
-                        chosen.append(opt)
-                        place(colour + 1, chosen)
-                        chosen.pop()
-
-            def _emit(chosen: list) -> None:
-                tables = []
-                for p in chosen:
-                    m = [0, 1, 2]
-                    if p is not None:
-                        m[p[0]], m[p[1]] = p[1], p[0]
-                    tables.append(m)
-                if len(component([dart] + tables, 0)) != 3:
-                    return
-                rows = tuple(tuple(SEMI if m[u] == u else m[u] for m in tables)
-                             for u in range(3))
-                ot = OrientedSTG(rank=n, vertex_count=3, undirected=rows, dart=dart)
+    for rot in _DARTS3:
+        candidates = [list(classes)] * (n - 2) + [[_lift(rot, _inverse(rot))], [top]]
+        for ms in _commuting_tuples(candidates):
+            if len(component(ms, 0)) == 6:
+                undirected = _to_stg([classes[m] for m in ms[:-2]], 3).slots
+                ot = OrientedSTG(rank=n, vertex_count=3, undirected=undirected, dart=rot)
                 found.setdefault(oriented_canonical_code(ot), ot)
-
-            place(0, [])
     return [found[code] for code in sorted(found)]
 
 
@@ -246,7 +254,7 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
 
     Enumerates admissible six-vertex types without semi-edges or odd
     cycles, quotients each by its top-colour matching, and deduplicates.
-    Exponential in n_colours; intended for the smallest rank only.
+    Exponential in n_colours; a cross-check for small colour counts.
     """
     n = n_colours
     found: dict[bytes, OrientedSTG] = {}

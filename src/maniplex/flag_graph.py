@@ -71,16 +71,24 @@ def two_colouring(tables) -> list[int] | None:
     return side
 
 
-def five_quotient_bad(mi, mj):
-    """Components of the (i, j) 2-factor, as sorted tuples, that are not
-    one of the five quotients of an alternating 4-cycle.
+def commute_defect(mi, mj) -> int | None:
+    """Least vertex u with ``mi[mj[u]] != mj[mi[u]]``, or None when the two
+    tables commute.
 
-    For involution tables the components of one or two vertices are
-    always quotients; four vertices must form the 4-cycle itself.
+    Commutation is the admissibility rule of colours i, j at distance
+    >= 2: on involutions, the components of the (i, j) 2-factor are
+    quotients of an alternating 4-cycle exactly where the two commute.
     """
-    for comp in components((mi, mj)):
-        if len(comp) > 2 and (len(comp) != 4 or any(mi[u] == u or mj[u] == u for u in comp)):
-            yield tuple(comp)
+    mi, mj = np.asarray(mi), np.asarray(mj)
+    bad = np.flatnonzero(mi[mj] != mj[mi])
+    return int(bad[0]) if bad.size else None
+
+
+def non_commuting(tables) -> list[tuple[int, int, int]]:
+    """``(i, j, u)`` for each colour pair i + 2 <= j whose tables do not
+    commute, u the least vertex where they fail to."""
+    return [(i, j, u) for i in range(len(tables)) for j in range(i + 2, len(tables))
+            if (u := commute_defect(tables[i], tables[j])) is not None]
 
 
 @dataclass(frozen=True)
@@ -205,11 +213,7 @@ def validate(g: FlagGraph) -> list[Violation]:
         for flags, _, _ in g.bfs_levels(0):
             reached[flags] = True
         out.append(Violation("disconnected", (), int(np.nonzero(~reached)[0][0])))
-    for i in range(g.rank):
-        for j in range(i + 2, g.rank):
-            bad = np.nonzero(g.adj[i][g.adj[j]] != g.adj[j][g.adj[i]])[0]
-            if bad.size:
-                out.append(Violation("commuting condition", (i, j), int(bad[0])))
+    out += [Violation("commuting condition", (i, j), u) for i, j, u in non_commuting(g.adj)]
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError, i_faces, two_colouring
+from .flag_graph import FlagGraph, InternalCheckError, components, i_faces, two_colouring
 from .stg import SEMI, SymmetryTypeGraph, partner_tables
 from .symmetry import AutGroup, are_isomorphic, aut_group, invert, search_group
 
@@ -244,32 +244,14 @@ def facets(d: OrientedFlagDigraph) -> list[frozenset[int]]:
     darts in a row reduce.  Returned as frozensets of original flag ids,
     sorted by least member.
     """
-    count = d.black_count
-    parent = list(range(count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
     inverse_moves = [d.t_adj[i] for i in range(d.rank - 2)] + [d.rot_inv]
     forward_moves = [d.t_adj[i] for i in range(d.rank - 2)] + [np.asarray(d.rot)]
-    for a, back in enumerate(inverse_moves):
-        for b, fwd in enumerate(forward_moves):
-            if a == b:
-                continue
-            for f in range(count):
-                union(f, int(fwd[back[f]]))
-    groups: dict[int, set[int]] = {}
-    for f in range(count):
-        groups.setdefault(find(f), set()).add(int(d.black_flags[f]))
-    return sorted((frozenset(s) for s in groups.values()), key=min)
+    # each composed move is a permutation, so following it forwards
+    # reaches the same classes as joining both ways
+    moves = [fwd[back].tolist() for a, back in enumerate(inverse_moves)
+             for b, fwd in enumerate(forward_moves) if a != b]
+    return sorted((frozenset(int(d.black_flags[f]) for f in comp)
+                   for comp in components(moves, d.black_count)), key=min)
 
 
 def check_facets_against_faces(g: FlagGraph, o: Orientation) -> bool:

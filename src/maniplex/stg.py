@@ -4,7 +4,8 @@ The quotient is a connected pregraph with one slot per colour at each
 vertex; a slot is either an edge to another vertex or a semi-edge
 (within-orbit adjacency).  For colours i, j with |i - j| >= 2 every
 component of the (i, j) 2-factor must be one of the five quotients of an
-alternating 4-cycle.
+alternating 4-cycle, which holds exactly when the partner tables of i
+and j commute (a semi-edge being a fixed point).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .flag_graph import (FlagGraph, InternalCheckError, component, components,
-                         face_component, face_maniplex, five_quotient_bad, i_faces)
+                         face_component, face_maniplex, i_faces, non_commuting)
 from .symmetry import AutGroup, aut_group
 
 SEMI = -1
@@ -75,10 +76,7 @@ def stg_violations(t: SymmetryTypeGraph) -> list[str]:
     tables = partner_tables(t)
     if len(component(tables, 0)) != t.vertex_count:
         out.append("disconnected")
-    for i in range(t.rank):
-        for j in range(i + 2, t.rank):
-            for comp in five_quotient_bad(tables[i], tables[j]):
-                out.append(f"bad ({i},{j}) 2-factor component {comp}")
+    out += [f"bad ({i},{j}) 2-factor at vertex {u}" for i, j, u in non_commuting(tables)]
     return out
 
 

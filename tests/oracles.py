@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
-from maniplex.flag_graph import FlagGraph, validate
-from maniplex.oriented import orientation
+from maniplex.flag_graph import FlagGraph, component, validate
+from maniplex.oriented import OrientedSTG, orientation
 from maniplex.stg import SEMI, SymmetryTypeGraph
 from maniplex.symmetry import extend_automorphism, identity
 
@@ -246,3 +247,114 @@ def detour_walks(t: SymmetryTypeGraph, c: Walk) -> list[Walk]:
         check_walk(t, w)
     return walks
 
+
+
+# The canonical forms and the oriented census that enumeration's rooted
+# code and double-cover search replaced.
+
+
+def min_code(rows) -> bytes:
+    """Minimum serialization of rows of vertex-or-SEMI cells over all
+    vertex relabellings; 255 marks a semi-edge."""
+    best = None
+    for perm in permutations(range(len(rows))):
+        row_bytes = bytearray()
+        for new_u in range(len(rows)):
+            for s in rows[perm.index(new_u)]:
+                row_bytes.append(255 if s == SEMI else perm[s])
+        code = bytes(row_bytes)
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def oriented_min_code(ot: OrientedSTG) -> bytes:
+    """``min_code`` of the rows with the dart appended, over both dart
+    directions."""
+    reversed_dart = [0] * ot.vertex_count
+    for u, v in enumerate(ot.dart):
+        reversed_dart[v] = u
+    return min(min_code([row + (v,) for row, v in zip(ot.undirected, dart)])
+               for dart in (ot.dart, reversed_dart))
+
+
+DART_SHAPES = {
+    "three_loops": [(0, 1, 2)],
+    "two_cycle_loop": [(1, 0, 2), (2, 1, 0), (0, 2, 1)],
+    "three_cycle": [(1, 2, 0), (2, 0, 1)],
+}
+
+
+def hand_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
+    """Three-vertex oriented quotients from hand-derived structural facts.
+
+    The facts hold for quotients of six-vertex semi-edge-free types:
+
+    * the directed class forms a 3-cycle, a 2-cycle plus a loop, or
+      three loops;
+    * every undirected class is one inter-vertex edge plus one semi-edge,
+      or three semi-edges;
+    * two edges sharing exactly one vertex carry colours differing by 1
+      (two at distance >= 2 would force a forbidden 6-cycle upstairs);
+    * with a dart 2-cycle and a loop, a class of colour <= n-4 is either
+      all semi-edges or parallel to the dart 2-cycle (anything touching
+      the loop vertex forces a forbidden 6-cycle against the directed
+      class);
+    * with a dart 3-cycle, a class of colour <= n-4 cannot be all
+      semi-edges (that copies the top matching, recreating the directed
+      6-cycle at distance >= 2).
+
+    Deduplicated up to vertex relabelling, sorted by ``oriented_min_code``.
+    """
+    n = n_colours
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    # an undirected class: None for three semi-edges, else the edge pair
+    class_options: list[tuple[int, int] | None] = [None] + pairs
+
+    found: dict[bytes, OrientedSTG] = {}
+    for shape, darts in DART_SHAPES.items():
+        for dart in darts:
+            dart_pair = None
+            if shape == "two_cycle_loop":
+                swapped = [u for u in range(3) if dart[u] != u]
+                dart_pair = (min(swapped), max(swapped))
+
+            def place(colour: int, chosen: list) -> None:
+                if colour == n - 2:
+                    emit(chosen)
+                    return
+                for opt in class_options:
+                    if opt is not None and shape == "two_cycle_loop" and colour <= n - 4:
+                        if opt != dart_pair:
+                            continue
+                    if opt is None and shape == "three_cycle" and colour <= n - 4:
+                        continue
+                    ok = True
+                    for prev_colour, prev in enumerate(chosen):
+                        if prev is None or opt is None:
+                            continue
+                        shared = len(set(prev) & set(opt))
+                        if shared == 1 and abs(prev_colour - colour) >= 2:
+                            ok = False
+                            break
+                    if ok:
+                        chosen.append(opt)
+                        place(colour + 1, chosen)
+                        chosen.pop()
+
+            def emit(chosen: list) -> None:
+                tables = []
+                for p in chosen:
+                    m = [0, 1, 2]
+                    if p is not None:
+                        m[p[0]], m[p[1]] = p[1], p[0]
+                    tables.append(m)
+                if len(component([dart] + tables, 0)) != 3:
+                    return
+                rows = tuple(tuple(SEMI if m[u] == u else m[u] for m in tables)
+                             for u in range(3))
+                ot = OrientedSTG(rank=n, vertex_count=3, undirected=rows, dart=dart)
+                found.setdefault(oriented_min_code(ot), ot)
+
+            place(0, [])
+    return [found[code] for code in sorted(found)]

@@ -4,6 +4,7 @@ the census enumerator, checked against independent oracles."""
 import dataclasses
 import json
 import random
+import re
 from itertools import permutations, product
 
 import numpy as np
@@ -13,14 +14,14 @@ from maniplex import oriented, symmetry
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, cube, torus44
 from maniplex.enumeration import canonical_code, enumerate_stg, involutions
-from maniplex.flag_graph import (InternalCheckError, component, components,
-                                 five_quotient_bad, two_colouring)
+from maniplex.flag_graph import (InternalCheckError, commute_defect, component, components,
+                                 non_commuting, two_colouring)
 from maniplex.oriented import (OrientedFlagDigraph, oriented_are_isomorphic,
                                oriented_digraph, orientation)
 from maniplex.stg import SEMI, SymmetryTypeGraph, quotient, stg_violations
 from maniplex.symmetry import aut_group
 from maniplex.walkgen import realize_generators, reduce_generators
-from oracles import closure
+from oracles import closure, min_code
 
 # The five quotients of an alternating (i, j) 4-cycle, as (m_i, m_j)
 # partner tables on local vertices 0..size-1.
@@ -82,14 +83,17 @@ def _stg(tables):
 
 
 def _oracle_violations(tables):
+    """Whether the tables connect their points, and the components each
+    colour pair at distance >= 2 rejects, by pair."""
     k = len(tables[0])
-    out = [] if len(_oracle_groups(tables, k)) == 1 else ["disconnected"]
+    rejected = {}
     for i in range(len(tables)):
         for j in range(i + 2, len(tables)):
-            for comp in _oracle_groups((tables[i], tables[j]), k):
-                if not _is_five_quotient(tables[i], tables[j], comp):
-                    out.append(f"bad ({i},{j}) 2-factor component {tuple(comp)}")
-    return out
+            bad = [comp for comp in _oracle_groups((tables[i], tables[j]), k)
+                   if not _is_five_quotient(tables[i], tables[j], comp)]
+            if bad:
+                rejected[(i, j)] = bad
+    return len(_oracle_groups(tables, k)) == 1, rejected
 
 
 def test_components_match_union_find():
@@ -123,21 +127,55 @@ def test_two_colouring_against_odd_closed_walks():
 
 
 def test_five_quotient_check_against_explicit_table():
+    # stg_violations flags exactly the colour pairs the table rejects,
+    # each with a witness vertex inside a rejected component
     rng = random.Random(2024)
+    bad_pair = re.compile(r"bad \((\d+),(\d+)\) 2-factor at vertex (\d+)")
     for _ in range(2000):
         k = rng.randint(1, 7)
         tables = [_random_involution(rng, k) for _ in range(rng.randint(3, 5))]
-        assert stg_violations(_stg(tables)) == _oracle_violations(tables)
+        connected, rejected = _oracle_violations(tables)
+        report = stg_violations(_stg(tables))
+        head = [] if connected else ["disconnected"]
+        assert report[:len(head)] == head
+        witnesses = [tuple(map(int, bad_pair.fullmatch(line).groups()))
+                     for line in report[len(head):]]
+        assert [(i, j) for i, j, _ in witnesses] == list(rejected)
+        for i, j, u in witnesses:
+            assert any(u in comp for comp in rejected[(i, j)])
 
 
 def test_five_quotient_check_on_each_quotient_and_near_misses():
     for qi, qj in FIVE_QUOTIENTS:
-        assert list(five_quotient_bad(qi, qj)) == []
-    # a 4-cycle with one semi-edge pair instead of an edge, a 3-path, a 6-cycle
-    assert list(five_quotient_bad((1, 0, 2, 3), (3, 2, 1, 0))) == [(0, 1, 2, 3)]
-    assert list(five_quotient_bad((1, 0, 2), (0, 2, 1))) == [(0, 1, 2)]
-    assert list(five_quotient_bad((1, 0, 3, 2, 5, 4), (5, 2, 1, 4, 3, 0))) == [
-        (0, 1, 2, 3, 4, 5)]
+        assert commute_defect(qi, qj) is None
+    # a 4-cycle with one semi-edge pair instead of an edge, a 3-path, a
+    # 6-cycle: one component each, which the table rejects; vertex 0 is
+    # the least vertex where the colours fail to commute
+    for mi, mj in (((1, 0, 2, 3), (3, 2, 1, 0)), ((1, 0, 2), (0, 2, 1)),
+                   ((1, 0, 3, 2, 5, 4), (5, 2, 1, 4, 3, 0))):
+        assert _oracle_violations((mi, mi, mj))[1] == {(0, 2): [list(range(len(mi)))]}
+        assert commute_defect(mi, mj) == 0
+        assert non_commuting((mi, mi, mj)) == [(0, 2, 0)]
+
+
+def test_canonical_code_on_random_tuples_against_all_relabellings():
+    rng = random.Random(6)
+    checked = 0
+    while checked < 400:
+        k = rng.randint(1, 6)
+        tables = [_random_involution(rng, k) for _ in range(rng.randint(1, 4))]
+        t = _stg(tables)
+        if len(_oracle_groups(tables, k)) > 1:
+            with pytest.raises(ValueError):
+                canonical_code(t)
+            continue
+        perm = rng.sample(range(k), k)
+        moved = [[0] * k for _ in tables]
+        for m, m2 in zip(tables, moved):
+            for u in range(k):
+                m2[perm[u]] = perm[m[u]]
+        assert canonical_code(t) == canonical_code(_stg(moved)) == min_code(t.slots)
+        checked += 1
 
 
 @pytest.mark.parametrize("n_colours,k", [(3, 4), (4, 3), (4, 4), (5, 3)])
@@ -146,7 +184,7 @@ def test_enumerator_pair_pruning_against_brute_force(n_colours, k):
     # connectivity, gives the enumerator's classes
     expected = set()
     for tables in product(involutions(k), repeat=n_colours):
-        if not _oracle_violations(tables):
+        if _oracle_violations(tables) == (True, {}):
             expected.add(canonical_code(_stg(tables)))
     assert [canonical_code(t) for t in enumerate_stg(n_colours, k)] == sorted(expected)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from maniplex.constructions import CORPUS
@@ -7,6 +9,7 @@ from maniplex.enumeration import (canonical_code, enumerate_oriented_stg3,
                                   oriented_stg3_via_quotient, verify_census)
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1,
                           TwoOrbit, classify, is_admissible, transitivity_profile)
+from oracles import hand_oriented_stg3, min_code, oriented_min_code
 
 
 def test_involution_counts():
@@ -129,9 +132,28 @@ def test_oriented_small_rank_specials_present():
 
 
 def test_oriented_direct_route_matches_quotient_route():
-    direct = [oriented_canonical_code(ot) for ot in enumerate_oriented_stg3(4)]
-    via = [oriented_canonical_code(ot) for ot in oriented_stg3_via_quotient(4)]
-    assert direct == via
+    for n in range(4, 9):
+        direct = [oriented_canonical_code(ot) for ot in enumerate_oriented_stg3(n)]
+        via = [oriented_canonical_code(ot) for ot in oriented_stg3_via_quotient(n)]
+        assert direct == via, n
+
+
+def test_oriented_census_matches_hand_derived_search():
+    # same classes, order and representatives; codes equal the k! oracle's
+    for n in range(4, 13):
+        census = enumerate_oriented_stg3(n)
+        assert census == hand_oriented_stg3(n), n
+        assert [oriented_canonical_code(ot) for ot in census] == [
+            oriented_min_code(ot) for ot in census], n
+
+
+@pytest.mark.parametrize("n_colours,k", [(3, 4), (4, 4), (3, 5), (4, 5), (5, 4), (6, 4),
+                                         (5, 5), (6, 3), (3, 6)])
+def test_canonical_code_matches_all_relabellings(n_colours, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        graphs = enumerate_stg(n_colours, k)
+    assert [canonical_code(t) for t in graphs] == [min_code(t.slots) for t in graphs]
 
 
 def test_oriented_rejects_small_rank():

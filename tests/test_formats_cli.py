@@ -148,6 +148,26 @@ def test_cli_file_named_like_a_construction(tmp_path, monkeypatch, capsys):
     assert "flags: 24" in capsys.readouterr().out
 
 
+def test_cli_directory_input(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "somedir").mkdir()
+    assert main(["analyze", "somedir"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read somedir")
+    assert "Traceback" not in captured.err
+
+
+def test_cli_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_oriented_rank_one(capsys):
     # rank-1 input: orientability and group data, no di-graph block
     assert main(["analyze", "simplex:1", "--oriented", "--json"]) == 0
