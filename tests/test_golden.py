@@ -30,7 +30,7 @@ GOLDEN_CENSUS = Path(__file__).with_name("golden_census.json")
 RUN_CENSUS = Path(__file__).parent.parent / "scripts" / "run_census.py"
 LABELS = CORPUS + ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6")
 FORMS = {"json": ["--json"], "text": []}
-GRID = ((3, 5), (4, 5), (5, 4), (6, 4), (5, 5), (3, 6))
+GRID = ((3, 5), (4, 5), (5, 4), (6, 4), (5, 5), (3, 6), (4, 6), (5, 6), (3, 7))
 FILTERS = ("--bipartite", "--fully-transitive")
 
 
