@@ -174,18 +174,10 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     print(len(graphs))
-    rows = []
-    for idx, t in enumerate(graphs):
-        rows.append({
-            "index": idx,
-            "vertices": t.vertex_count,
-            "colours": t.rank,
-            "class": classify(t).label(),
-            "slots": ";".join(" ".join(str(s) for s in row) for row in t.slots),
-        })
+    labels = [classify(t).label() for t in graphs] if args.csv or not args.count_only else []
     if not args.count_only:
-        for idx, t in enumerate(graphs):
-            print(f"-- {idx}: {classify(t).label()}")
+        for idx, (t, label) in enumerate(zip(graphs, labels)):
+            print(f"-- {idx}: {label}")
             for line in formats.stg_table(t):
                 print("   " + line)
     if args.csv:
@@ -193,7 +185,13 @@ def cmd_enumerate(args) -> int:
             writer = csv.DictWriter(
                 handle, fieldnames=["index", "vertices", "colours", "class", "slots"])
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows({
+                "index": idx,
+                "vertices": t.vertex_count,
+                "colours": t.rank,
+                "class": label,
+                "slots": ";".join(" ".join(str(s) for s in row) for row in t.slots),
+            } for idx, (t, label) in enumerate(zip(graphs, labels)))
     return 0
 
 

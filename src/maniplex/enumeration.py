@@ -4,9 +4,12 @@ Each colour contributes an involution on the k vertices (a fixed point
 is a semi-edge), and admissibility asks the involutions of colours at
 distance >= 2 to commute.  One backtracking search picks a table per
 colour from that colour's candidates, keeping those that commute with
-every earlier colour but the previous one; connected results are
-deduplicated by a rooted canonical code.  Vertices are relabelled,
-colours never are, so the classes are colour-specific.
+every earlier colour but the previous one.  The search is orderly: it
+keeps a tuple only when it is lexicographically least, by position in
+the candidate lists, among its vertex relabellings, so each class is
+generated once, as the first labelled tuple an exhaustive search would
+meet.  A rooted canonical code sorts the classes.  Vertices are
+relabelled, colours never are, so the classes are colour-specific.
 
 The three-vertex oriented census is the same search on the six-point
 double covers of the oriented quotients.
@@ -16,11 +19,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import permutations
 
-from .flag_graph import commute_defect, component, two_colouring
+import numpy as np
+
+from .flag_graph import InternalCheckError, commute_defect, component, two_colouring
 from .oriented import OrientedSTG
-from .stg import (SEMI, SymmetryTypeGraph, is_i_face_transitive, partner_tables,
-                  transitivity_profile)
+from .stg import SEMI, SymmetryTypeGraph, partner_tables, transitivity_profile
 
 
 def involutions(k: int) -> list[tuple[int, ...]]:
@@ -98,9 +103,44 @@ def canonical_code(t: SymmetryTypeGraph) -> bytes:
     return _least_code(t.slots)
 
 
-def _commuting_tuples(candidates):
-    """Every tuple of one table per colour, drawn from that colour's list
-    in ``candidates``, in which colours at distance >= 2 commute.
+def _relabellings(k: int) -> list[tuple[int, ...]]:
+    """Every permutation of 0..k-1."""
+    return list(permutations(range(k)))
+
+
+def _images(tables, relabellings) -> np.ndarray:
+    """``out[a, g]``: the index in ``tables`` of table a relabelled by g.
+
+    Relabelling by p sends m to p m p^-1, which maps p(u) to p(m(u)).
+    Every image must be one of ``tables``.
+    """
+    p = np.array(relabellings, dtype=np.intp)
+    k = p.shape[1]
+    t = np.array(tables, dtype=np.intp).reshape(-1, k)
+    # a table as a base-k number, point u at digit u
+    weights = k ** np.arange(k)
+    codes = (t * weights).sum(axis=1)
+    images = sum(p[:, t[:, u]].T * weights[p[:, u]] for u in range(k))
+    order = np.argsort(codes)
+    out = order[np.searchsorted(codes, images, sorter=order).clip(max=len(t) - 1)]
+    if (codes[out] != images).any():
+        raise ValueError("a relabelling maps a candidate outside the candidates")
+    return out
+
+
+def _commuting_tuples(candidates, relabellings):
+    """The tuples of one table per colour, drawn from that colour's list
+    in ``candidates``, in which colours at distance >= 2 commute: one per
+    orbit of the group ``relabellings``, whose point permutations each
+    map every list onto itself.
+
+    A tuple is kept when its positions in the lists are lexicographically
+    least among its images.  At colour i the chosen table must be least
+    among its images under the relabellings fixing colours 0..i-1, which
+    then narrow to those fixing it too; a prefix that fails has no
+    extension that passes, so the whole subtree is skipped.  The tuple
+    kept from each orbit is the one an exhaustive search in list order
+    meets first.
 
     Tuples come in lexicographic order of the lists, colour 0 most
     significant.  Commutation is tested once per pair of distinct
@@ -111,31 +151,55 @@ def _commuting_tuples(candidates):
                 for ma in tables]
     index = {m: a for a, m in enumerate(tables)}
     lists = [[index[m] for m in cands] for cands in candidates]
+    # one bitmask over the relabellings per table: those fixing it, and
+    # per colour those moving it earlier in that colour's list
+    images = _images(tables, relabellings)
+    fixes = _bitmasks(images == np.arange(len(tables))[:, None])
+    earlier = []
+    for lst in lists:
+        position = np.full(len(tables), len(tables))
+        position[lst] = np.arange(len(lst))
+        earlier.append(_bitmasks(position[images] < position[:, None]))
     chosen: list[int] = []
 
-    def grow(allowed: int):
-        # allowed: the tables commuting with every chosen colour but the last
-        if len(chosen) == len(lists):
+    def grow(allowed: int, stabiliser: int):
+        # allowed: the tables commuting with every chosen colour but the last;
+        # stabiliser: the relabellings fixing every chosen table
+        c = len(chosen)
+        if c == len(lists):
             yield tuple(tables[a] for a in chosen)
             return
         after = allowed & commutes[chosen[-1]] if chosen else allowed
-        for a in lists[len(chosen)]:
-            if allowed >> a & 1:
+        for a in lists[c]:
+            if allowed >> a & 1 and not stabiliser & earlier[c][a]:
                 chosen.append(a)
-                yield from grow(after)
+                yield from grow(after, stabiliser & fixes[a])
                 chosen.pop()
 
-    yield from grow((1 << len(tables)) - 1)
+    yield from grow((1 << len(tables)) - 1, (1 << len(relabellings)) - 1)
+
+
+def _bitmasks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean array as an int, column j at bit j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _keep_new(found: dict, code: bytes, item) -> None:
+    """Record ``item`` under ``code``; the search yields one per class."""
+    if code in found:
+        raise InternalCheckError(f"the census met class {code.hex()} twice")
+    found[code] = item
 
 
 def enumerate_stg(n_colours: int, k: int, filters=(),
                   fixed_point_free: bool = False) -> list[SymmetryTypeGraph]:
     """All admissible connected coloured pregraphs on k vertices.
 
-    One representative per canonical code, the first one the search
-    meets, sorted by code; ``filters`` are predicates applied after
-    generation.  ``fixed_point_free`` restricts the search to types
-    without semi-edges.
+    One representative per class, the first one an exhaustive search
+    over ``involutions(k)`` meets, sorted by canonical code; ``filters``
+    are predicates applied after generation.  ``fixed_point_free``
+    restricts the search to types without semi-edges.
     """
     if n_colours < 1 or k < 1:
         raise ValueError("need at least one colour and one vertex")
@@ -145,10 +209,10 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
     if fixed_point_free:
         choices = [m for m in choices if all(m[v] != v for v in range(k))]
     found: dict[bytes, SymmetryTypeGraph] = {}
-    for ms in _commuting_tuples([choices] * n_colours):
+    for ms in _commuting_tuples([choices] * n_colours, _relabellings(k)):
         if len(component(ms, 0)) == k:
             t = _to_stg(ms, k)
-            found.setdefault(canonical_code(t), t)
+            _keep_new(found, canonical_code(t), t)
     graphs = [found[code] for code in sorted(found)]
     for predicate in filters:
         graphs = [t for t in graphs if predicate(t)]
@@ -156,7 +220,7 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
 
 
 def is_fully_transitive(t: SymmetryTypeGraph) -> bool:
-    return all(is_i_face_transitive(t, i) for i in range(t.rank))
+    return not transitivity_profile(t)
 
 
 def has_no_odd_closed_walks(t: SymmetryTypeGraph) -> bool:
@@ -217,36 +281,51 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     at point u and white u at point u + 3: colour i <= n-3 sends black u
     to white t_i(u) for the undirected class t_i (an involution on three
     points), colour n-2 sends black u to white rot(u) for the dart
-    permutation rot, and colour n-1 joins black u to white u.  For each
-    rot the commuting-tuple search runs over these lifts, and the
-    connected results are kept.
+    permutation rot, and colour n-1 joins black u to white u.  A rot
+    that relabelling or dart reversal maps to an earlier one in
+    ``_DARTS3`` is skipped; for each other rot the commuting-tuple
+    search runs over these lifts, up to the relabellings and reversals
+    that fix rot, and the connected results are kept.
 
-    Deduplicated up to vertex relabelling and dart reversal, sorted by
-    oriented canonical code.
+    One class per orbit under vertex relabelling and dart reversal,
+    sorted by oriented canonical code.
     """
     if n_colours < 4:
         raise ValueError("three-vertex oriented quotients need n_colours >= 4")
     n = n_colours
     classes = {_lift(t, t): t for t in _INVOLUTIONS3}
     top = _lift(range(3), range(3))
+    # a relabelling p acts diagonally on black and white points; reversing
+    # every dart swaps black u with white u
+    diagonal = [p + tuple(v + 3 for v in p) for p in _relabellings(3)]
+    group = diagonal + [d[3:] + d[:3] for d in diagonal]
+    darts = [_lift(rot, _inverse(rot)) for rot in _DARTS3]
+    dart_images = _images(darts, group)
     found: dict[bytes, OrientedSTG] = {}
-    for rot in _DARTS3:
-        candidates = [list(classes)] * (n - 2) + [[_lift(rot, _inverse(rot))], [top]]
-        for ms in _commuting_tuples(candidates):
+    for r, rot in enumerate(_DARTS3):
+        if dart_images[r].min() < r:
+            continue
+        stabiliser = [group[g] for g in np.flatnonzero(dart_images[r] == r)]
+        candidates = [list(classes)] * (n - 2) + [[darts[r]], [top]]
+        for ms in _commuting_tuples(candidates, stabiliser):
             if len(component(ms, 0)) == 6:
                 undirected = _to_stg([classes[m] for m in ms[:-2]], 3).slots
                 ot = OrientedSTG(rank=n, vertex_count=3, undirected=undirected, dart=rot)
-                found.setdefault(oriented_canonical_code(ot), ot)
+                _keep_new(found, oriented_canonical_code(ot), ot)
     return [found[code] for code in sorted(found)]
+
+
+def _by_shape(census: list[OrientedSTG]) -> dict[str, list[OrientedSTG]]:
+    groups: dict[str, list[OrientedSTG]] = {
+        "three_loops": [], "two_cycle_loop": [], "three_cycle": []}
+    for ot in census:
+        groups[_dart_shape(ot.dart)].append(ot)
+    return groups
 
 
 def oriented_stg3_families(n_colours: int) -> dict[str, list[OrientedSTG]]:
     """The census grouped by directed-class shape."""
-    groups: dict[str, list[OrientedSTG]] = {
-        "three_loops": [], "two_cycle_loop": [], "three_cycle": []}
-    for ot in enumerate_oriented_stg3(n_colours):
-        groups[_dart_shape(ot.dart)].append(ot)
-    return groups
+    return _by_shape(enumerate_oriented_stg3(n_colours))
 
 
 def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
@@ -321,26 +400,26 @@ def verify_census() -> list[CensusCheck]:
     10 at 4, 5, 6 colours and 2n-3 from 7 colours on.
     """
     checks: list[CensusCheck] = []
+    three = {n: enumerate_stg(n, 3) for n in range(3, 7)}
+    four = enumerate_stg(4, 4)
     for n in range(3, 7):
         checks.append(CensusCheck(f"k=1 types, {n} colours", 1, len(enumerate_stg(n, 1))))
     for n in (3, 4, 5):
         checks.append(CensusCheck(
             f"k=2 types, {n} colours", 2 ** n - 1, len(enumerate_stg(n, 2))))
     for n in range(3, 7):
-        checks.append(CensusCheck(
-            f"k=3 types, {n} colours", 2 * n - 3, len(enumerate_stg(n, 3))))
+        checks.append(CensusCheck(f"k=3 types, {n} colours", 2 * n - 3, len(three[n])))
     checks.append(CensusCheck(
         "k=4 fully-transitive types, 4 colours", 20,
-        len(enumerate_stg(4, 4, filters=(is_fully_transitive,)))))
+        sum(map(is_fully_transitive, four))))
     for n in range(3, 7):
         checks.append(CensusCheck(
             f"k=3 fully-transitive types, {n} colours", 0,
-            len(enumerate_stg(n, 3, filters=(is_fully_transitive,)))))
+            sum(map(is_fully_transitive, three[n]))))
     checks.append(CensusCheck(
         "k=5 fully-transitive types, 4 colours", 0,
         len(enumerate_stg(4, 5, filters=(is_fully_transitive,)))))
 
-    four = enumerate_stg(4, 4)
     splits_ok = all(
         all(1 <= _component_count(t, i) <= 3 for i in range(t.rank)) for t in four)
     checks.append(CensusCheck("k=4: 1..3 components per deleted colour", True, splits_ok))
@@ -350,13 +429,13 @@ def verify_census() -> list[CensusCheck]:
         True, profiles_ok))
 
     expected_totals = {4: 6, 5: 9, 6: 10}
-    for n in range(4, 11):
+    oriented = {n: enumerate_oriented_stg3(n) for n in range(4, 11)}
+    for n, census in oriented.items():
         expected = expected_totals.get(n, 2 * n - 3)
         checks.append(CensusCheck(
-            f"oriented 3-vertex types, {n} colours", expected,
-            len(enumerate_oriented_stg3(n))))
+            f"oriented 3-vertex types, {n} colours", expected, len(census)))
     for n in range(7, 11):
-        groups = oriented_stg3_families(n)
+        groups = _by_shape(oriented[n])
         checks.append(CensusCheck(
             f"oriented 3-vertex, three loops, {n} colours", 2 * n - 7,
             len(groups["three_loops"])))
@@ -365,7 +444,7 @@ def verify_census() -> list[CensusCheck]:
             len(groups["two_cycle_loop"])))
     checks.append(CensusCheck(
         "oriented 3-vertex, 4 colours: direct route matches 6-vertex quotient route",
-        [oriented_canonical_code(ot) for ot in enumerate_oriented_stg3(4)],
+        [oriented_canonical_code(ot) for ot in oriented[4]],
         [oriented_canonical_code(ot) for ot in oriented_stg3_via_quotient(4)]))
     return checks
 

@@ -53,10 +53,6 @@ def partner_tables(t: SymmetryTypeGraph) -> list[list[int]]:
     return [[t.neighbour(u, i) for u in range(t.vertex_count)] for i in range(t.rank)]
 
 
-def _without(t: SymmetryTypeGraph, i: int) -> list[list[int]]:
-    return [m for c, m in enumerate(partner_tables(t)) if c != i]
-
-
 def stg_violations(t: SymmetryTypeGraph) -> list[str]:
     """All structural defects: shape, symmetry, connectivity, 2-factors."""
     out = []
@@ -105,21 +101,33 @@ def quotient(g: FlagGraph, a: AutGroup) -> SymmetryTypeGraph:
     return t
 
 
+def _without(tables: list[list[int]], i: int) -> list[list[int]]:
+    return tables[:i] + tables[i + 1:]
+
+
+def _connected_without(tables: list[list[int]], i: int) -> bool:
+    """True when the tables of every colour but i connect all vertices."""
+    k = len(tables[0])
+    return len(component(_without(tables, i), 0, k)) == k
+
+
 def is_i_face_transitive(t: SymmetryTypeGraph, i: int) -> bool:
     """True when deleting colour-i edges leaves the pregraph connected."""
     if not 0 <= i < t.rank:
         raise ValueError(f"colour {i} out of range for rank {t.rank}")
-    return len(component(_without(t, i), 0, t.vertex_count)) == t.vertex_count
+    return _connected_without(partner_tables(t), i)
 
 
 def transitivity_profile(t: SymmetryTypeGraph) -> frozenset[int]:
     """Colours i for which the structure is NOT i-face-transitive."""
-    return frozenset(i for i in range(t.rank) if not is_i_face_transitive(t, i))
+    tables = partner_tables(t)
+    return frozenset(i for i in range(t.rank) if not _connected_without(tables, i))
 
 
 def face_orbit_splits(t: SymmetryTypeGraph, i: int) -> tuple[int, ...]:
     """Sorted component sizes of the pregraph with colour i deleted."""
-    return tuple(sorted(len(comp) for comp in components(_without(t, i), t.vertex_count)))
+    comps = components(_without(partner_tables(t), i), t.vertex_count)
+    return tuple(sorted(len(comp) for comp in comps))
 
 
 @dataclass(frozen=True)
@@ -274,7 +282,8 @@ def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None
             return False
 
     component_vertices = set(pi)
-    reached = component(_without(stg, i), min(component_vertices), stg.vertex_count)
+    reached = component(_without(partner_tables(stg), i), min(component_vertices),
+                        stg.vertex_count)
     if set(reached) != component_vertices:
         return False
     if set(pi.values()) != set(range(sub_aut.orbit_count)):

@@ -12,7 +12,8 @@ from itertools import permutations
 
 import numpy as np
 
-from maniplex.flag_graph import FlagGraph, component, validate
+from maniplex.enumeration import canonical_code, involutions
+from maniplex.flag_graph import FlagGraph, commute_defect, component, validate
 from maniplex.oriented import OrientedSTG, orientation
 from maniplex.stg import SEMI, SymmetryTypeGraph
 from maniplex.symmetry import extend_automorphism, identity
@@ -357,4 +358,49 @@ def hand_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
                 found.setdefault(oriented_min_code(ot), ot)
 
             place(0, [])
+    return [found[code] for code in sorted(found)]
+
+
+# The exhaustive search that the orderly one replaced: every labelled
+# tuple is generated, and the first one met of each canonical code kept.
+
+
+def exhaustive_commuting_tuples(candidates):
+    """Every tuple of one table per colour, drawn from that colour's list
+    in ``candidates``, in which colours at distance >= 2 commute, in
+    lexicographic order of the lists, colour 0 most significant."""
+    tables = list(dict.fromkeys(m for cands in candidates for m in cands))
+    commutes = [sum(1 << b for b, mb in enumerate(tables) if commute_defect(ma, mb) is None)
+                for ma in tables]
+    index = {m: a for a, m in enumerate(tables)}
+    lists = [[index[m] for m in cands] for cands in candidates]
+    chosen: list[int] = []
+
+    def grow(allowed: int):
+        # allowed: the tables commuting with every chosen colour but the last
+        if len(chosen) == len(lists):
+            yield tuple(tables[a] for a in chosen)
+            return
+        after = allowed & commutes[chosen[-1]] if chosen else allowed
+        for a in lists[len(chosen)]:
+            if allowed >> a & 1:
+                chosen.append(a)
+                yield from grow(after)
+                chosen.pop()
+
+    yield from grow((1 << len(tables)) - 1)
+
+
+def exhaustive_stg(n_colours: int, k: int,
+                   fixed_point_free: bool = False) -> list[SymmetryTypeGraph]:
+    """``enumerate_stg`` without filters, by the exhaustive search."""
+    choices = involutions(k)
+    if fixed_point_free:
+        choices = [m for m in choices if all(m[v] != v for v in range(k))]
+    found: dict[bytes, SymmetryTypeGraph] = {}
+    for ms in exhaustive_commuting_tuples([choices] * n_colours):
+        if len(component(ms, 0)) == k:
+            slots = tuple(tuple(SEMI if m[u] == u else m[u] for m in ms) for u in range(k))
+            t = SymmetryTypeGraph(rank=n_colours, vertex_count=k, slots=slots)
+            found.setdefault(canonical_code(t), t)
     return [found[code] for code in sorted(found)]

@@ -1,15 +1,20 @@
 import warnings
+from itertools import permutations
 
 import pytest
 
+from maniplex import enumeration
+from maniplex.cli import main
 from maniplex.constructions import CORPUS
 from maniplex.enumeration import (canonical_code, enumerate_oriented_stg3,
                                   enumerate_stg, involutions, is_fully_transitive,
                                   oriented_canonical_code, oriented_stg3_families,
                                   oriented_stg3_via_quotient, verify_census)
+from maniplex.flag_graph import InternalCheckError
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1,
-                          TwoOrbit, classify, is_admissible, transitivity_profile)
-from oracles import hand_oriented_stg3, min_code, oriented_min_code
+                          TwoOrbit, classify, is_admissible, partner_tables,
+                          transitivity_profile)
+from oracles import exhaustive_stg, hand_oriented_stg3, min_code, oriented_min_code
 
 
 def test_involution_counts():
@@ -154,6 +159,44 @@ def test_canonical_code_matches_all_relabellings(n_colours, k):
         warnings.simplefilter("ignore")
         graphs = enumerate_stg(n_colours, k)
     assert [canonical_code(t) for t in graphs] == [min_code(t.slots) for t in graphs]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_orderly_search_matches_exhaustive_search(k):
+    # same classes, representatives and order as keeping the first
+    # labelled tuple met of each canonical code
+    for n_colours in range(1, 7):
+        for fixed_point_free in (False, True):
+            assert enumerate_stg(n_colours, k, fixed_point_free=fixed_point_free) == \
+                exhaustive_stg(n_colours, k, fixed_point_free), (n_colours, fixed_point_free)
+
+
+@pytest.mark.parametrize("n_colours,k", [(3, 5), (4, 4), (5, 4)])
+def test_representatives_are_least_among_relabellings(n_colours, k):
+    position = {m: j for j, m in enumerate(involutions(k))}
+    for t in enumerate_stg(n_colours, k):
+        tables = partner_tables(t)
+        own = [position[tuple(m)] for m in tables]
+        for p in permutations(range(k)):
+            image = [0] * k
+            relabelled = []
+            for m in tables:
+                for u in range(k):
+                    image[p[u]] = p[m[u]]
+                relabelled.append(position[tuple(image)])
+            assert own <= relabelled, (t, p)
+
+
+def test_labelled_copies_fail_the_internal_check(monkeypatch, capsys):
+    # with the identity as the only relabelling every labelled copy of a
+    # class is emitted, and the census meets some class twice
+    monkeypatch.setattr(enumeration, "_relabellings", lambda k: [tuple(range(k))])
+    with pytest.raises(InternalCheckError):
+        enumerate_stg(3, 3)
+    with pytest.raises(InternalCheckError):
+        enumerate_oriented_stg3(4)
+    assert main(["enumerate", "--colors", "3", "--vertices", "3"]) == 4
+    assert "internal check failed:" in capsys.readouterr().err
 
 
 def test_oriented_rejects_small_rank():
