@@ -1,14 +1,16 @@
 """Exhaustive generation of admissible symmetry type graphs.
 
-Each colour contributes an involution on the k vertices (a fixed point
-is a semi-edge), and admissibility asks the involutions of colours at
-distance >= 2 to commute.  One backtracking search picks a table per
-colour from that colour's candidates, keeping those that commute with
-every earlier colour but the previous one.  The search is orderly: it
-keeps a tuple only when it is lexicographically least, by position in
-the candidate lists, among its vertex relabellings, so each class is
-generated once, as the first labelled tuple an exhaustive search would
-meet.  A rooted canonical code sorts the classes.  Vertices are
+Each colour contributes an involution on the k vertices, a partner
+table whose fixed points are semi-edges, and admissibility asks the
+involutions of colours at distance >= 2 to commute; a tuple of such
+tables is a ``SymmetryTypeGraph`` as it stands.  One backtracking
+search picks a table per colour from that colour's candidates, keeping
+those that commute with every earlier colour but the previous one.
+The search is orderly: it keeps a tuple only when it is
+lexicographically least, by position in the candidate lists, among its
+vertex relabellings, so each class is generated once, as the first
+labelled tuple an exhaustive search would meet.  A rooted canonical
+code sorts the classes.  Vertices are
 relabelled, colours never are, so the classes are colour-specific.
 
 The three-vertex oriented census is the same search on the six-point
@@ -23,9 +25,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .flag_graph import InternalCheckError, commute_defect, component, two_colouring
+from .flag_graph import InternalCheckError, component, quotient_tables, two_colouring
 from .oriented import OrientedSTG
-from .stg import SEMI, SymmetryTypeGraph, partner_tables, transitivity_profile
+from .stg import SymmetryTypeGraph, transitivity_profile
 
 
 def involutions(k: int) -> list[tuple[int, ...]]:
@@ -52,46 +54,42 @@ def involutions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _to_stg(ms, k: int) -> SymmetryTypeGraph:
-    slots = tuple(
-        tuple(SEMI if m[u] == u else m[u] for m in ms) for u in range(k)
-    )
-    return SymmetryTypeGraph(rank=len(ms), vertex_count=k, slots=slots)
+def _rooted_code(tables, root: int, semi: int) -> bytes:
+    """Serialization of partner tables with ``root`` labelled 0.
 
-
-def _rooted_code(rows, root: int) -> bytes:
-    """Serialization of rows of vertex-or-SEMI cells with ``root`` labelled 0.
-
-    Rows are read in label order and cells in colour order; a vertex met
-    for the first time takes the next free label, and 255 marks a
-    semi-edge.
+    Vertices are read in label order and, at each, the tables in colour
+    order; a vertex met for the first time takes the next free label.
+    In the first ``semi`` tables a fixed point is a semi-edge, written
+    255; in the others it is written as the vertex's label.
     """
+    columns = [(m, c < semi) for c, m in enumerate(tables)]
     label = {root: 0}
     order = [root]
     code = bytearray()
     for u in order:
-        for s in rows[u]:
-            if s == SEMI:
+        for m, marks_semi in columns:
+            v = m[u]
+            if v == u and marks_semi:
                 code.append(255)
                 continue
-            if s not in label:
-                label[s] = len(order)
-                order.append(s)
-            code.append(label[s])
-    if len(order) != len(rows):
+            if v not in label:
+                label[v] = len(order)
+                order.append(v)
+            code.append(label[v])
+    if len(order) != len(tables[0]):
         raise ValueError("a canonical code needs a connected input")
     return bytes(code)
 
 
-def _least_code(rows) -> bytes:
+def _least_code(tables, semi: int) -> bytes:
     """The least rooted code over all roots.
 
     On a connected input this is the least serialization over all k!
     vertex relabellings: once the root is fixed, wherever a new vertex
     is met the next free label is the only smallest byte, and the
-    vertex labelled j is met before row j is read.
+    vertex labelled j is met before vertex j's cells are read.
     """
-    return min(_rooted_code(rows, root) for root in range(len(rows)))
+    return min(_rooted_code(tables, root, semi) for root in range(len(tables[0])))
 
 
 def canonical_code(t: SymmetryTypeGraph) -> bytes:
@@ -100,7 +98,7 @@ def canonical_code(t: SymmetryTypeGraph) -> bytes:
     Vertices are permuted, colours are not; 255 marks a semi-edge.
     Raises ValueError when ``t`` is disconnected.
     """
-    return _least_code(t.slots)
+    return _least_code(t.tables, t.rank)
 
 
 def _relabellings(k: int) -> list[tuple[int, ...]]:
@@ -143,12 +141,12 @@ def _commuting_tuples(candidates, relabellings):
     meets first.
 
     Tuples come in lexicographic order of the lists, colour 0 most
-    significant.  Commutation is tested once per pair of distinct
-    tables, into one bitmask per table.
+    significant.
     """
     tables = list(dict.fromkeys(m for cands in candidates for m in cands))
-    commutes = [sum(1 << b for b, mb in enumerate(tables) if commute_defect(ma, mb) is None)
-                for ma in tables]
+    if not tables:
+        return
+    commutes = _commutation_masks(tables)
     index = {m: a for a, m in enumerate(tables)}
     lists = [[index[m] for m in cands] for cands in candidates]
     # one bitmask over the relabellings per table: those fixing it, and
@@ -177,6 +175,14 @@ def _commuting_tuples(candidates, relabellings):
                 chosen.pop()
 
     yield from grow((1 << len(tables)) - 1, (1 << len(relabellings)) - 1)
+
+
+def _commutation_masks(tables) -> list[int]:
+    """Per table a, a bitmask with bit b set when tables a and b commute,
+    from one array of every product: ``ab[a, b]`` is a after b."""
+    t = np.array(tables, dtype=np.int8)
+    ab = t[:, t]
+    return _bitmasks((ab == ab.transpose(1, 0, 2)).all(axis=2))
 
 
 def _bitmasks(rows: np.ndarray) -> list[int]:
@@ -211,7 +217,7 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
     found: dict[bytes, SymmetryTypeGraph] = {}
     for ms in _commuting_tuples([choices] * n_colours, _relabellings(k)):
         if len(component(ms, 0)) == k:
-            t = _to_stg(ms, k)
+            t = SymmetryTypeGraph(ms)
             _keep_new(found, canonical_code(t), t)
     graphs = [found[code] for code in sorted(found)]
     for predicate in filters:
@@ -245,9 +251,10 @@ def oriented_canonical_code(ot: OrientedSTG) -> bytes:
 
     Reversing every dart is the quotient of the opposite orientation
     choice of the same structure, so mirror pairs count once.  The dart
-    is one more cell per row, a loop written as the vertex itself.
+    is one more table after the undirected classes, a loop written as
+    the vertex itself.
     """
-    return min(_least_code([row + (v,) for row, v in zip(ot.undirected, dart)])
+    return min(_least_code(ot.tables + (dart,), len(ot.tables))
                for dart in (ot.dart, _inverse(ot.dart)))
 
 
@@ -309,8 +316,7 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
         candidates = [list(classes)] * (n - 2) + [[darts[r]], [top]]
         for ms in _commuting_tuples(candidates, stabiliser):
             if len(component(ms, 0)) == 6:
-                undirected = _to_stg([classes[m] for m in ms[:-2]], 3).slots
-                ot = OrientedSTG(rank=n, vertex_count=3, undirected=undirected, dart=rot)
+                ot = OrientedSTG(tables=tuple(classes[m] for m in ms[:-2]), dart=rot)
                 _keep_new(found, oriented_canonical_code(ot), ot)
     return [found[code] for code in sorted(found)]
 
@@ -332,8 +338,12 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
     """Cross-check route: quotient six-vertex semi-edge-free types.
 
     Enumerates admissible six-vertex types without semi-edges or odd
-    cycles, quotients each by its top-colour matching, and deduplicates.
-    Exponential in n_colours; a cross-check for small colour counts.
+    cycles and quotients each by its top-colour pairs, and deduplicates.
+    The classes t_i, i <= n-3, commute with the top colour, so both
+    points of a pair reach the same pair.  The dart of a pair is read
+    from its point on vertex 0's side of the bipartition: r_{n-2} after
+    r_{n-1} there, which is r_{n-2} at the other point.  Exponential in
+    n_colours; a cross-check for small colour counts.
     """
     n = n_colours
     found: dict[bytes, OrientedSTG] = {}
@@ -343,32 +353,12 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
         sixes = enumerate_stg(n, 6, filters=(has_no_odd_closed_walks,),
                               fixed_point_free=True)
     for t in sixes:
-        top = [t.slots[u][n - 1] for u in range(6)]
-        pairs = sorted({(min(u, top[u]), max(u, top[u])) for u in range(6)})
-        pair_of = {}
-        for idx, (u, v) in enumerate(pairs):
-            pair_of[u] = idx
-            pair_of[v] = idx
-        # darts must be read off one part of the bipartition throughout
-        side = two_colouring(partner_tables(t))
-        rows = []
-        darts = []
-        ok = True
-        for idx, (u, v) in enumerate(pairs):
-            row = []
-            for i in range(n - 2):
-                w = pair_of[t.slots[u][i]]
-                w2 = pair_of[t.slots[v][i]]
-                if w != w2:
-                    ok = False
-                row.append(SEMI if w == idx else w)
-            rows.append(tuple(row))
-            rep = u if side[u] == side[pairs[0][0]] else v
-            darts.append(pair_of[t.slots[t.slots[rep][n - 1]][n - 2]])
-        if not ok:
-            continue
-        ot = OrientedSTG(rank=n, vertex_count=3,
-                         undirected=tuple(rows), dart=tuple(darts))
+        m = np.array(t.tables)
+        black = np.array(two_colouring(t.tables)) == 0
+        rot = np.where(black, m[n - 2][m[n - 1]], m[n - 2])
+        *tables, dart = quotient_tables(np.vstack([m[:n - 2], rot]),
+                                        np.minimum(np.arange(6), m[n - 1]))
+        ot = OrientedSTG(tables=tuple(tables), dart=dart)
         found.setdefault(oriented_canonical_code(ot), ot)
     return [found[code] for code in sorted(found)]
 

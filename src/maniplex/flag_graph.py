@@ -71,6 +71,19 @@ def two_colouring(tables) -> list[int] | None:
     return side
 
 
+def quotient_tables(tables, part_of) -> tuple[tuple[int, ...], ...]:
+    """Partner tables on the parts of a partition that every table maps
+    part to part: one part per distinct value of ``part_of``, in
+    increasing order of value.
+
+    Each table is read at each part's least point, so ``out[i][p]`` is
+    the part that table i sends part p into; a point sent into its own
+    part becomes a fixed point, a semi-edge.
+    """
+    _, first, part = np.unique(part_of, return_index=True, return_inverse=True)
+    return tuple(map(tuple, part[np.asarray(tables)[:, first]].tolist()))
+
+
 def commute_defect(mi, mj) -> int | None:
     """Least vertex u with ``mi[mj[u]] != mj[mi[u]]``, or None when the two
     tables commute.

@@ -130,8 +130,8 @@ def oriented_stg_to_dot(ot: OrientedSTG, name: str = "oriented_stg") -> str:
     lines = [f"digraph {name} {{", "  node [shape=circle];"]
     for u in range(ot.vertex_count):
         lines.append(f'  v{u} [label="{u}"];')
-    for u in range(ot.vertex_count):
-        for colour, s in enumerate(ot.undirected[u]):
+    for u, row in enumerate(ot.undirected):
+        for colour, s in enumerate(row):
             hue = PALETTE[colour % len(PALETTE)]
             if s == SEMI:
                 lines.append(
@@ -188,20 +188,16 @@ def cycle_string(perm: np.ndarray) -> str:
 
 def stg_table(t: SymmetryTypeGraph) -> list[str]:
     out = []
-    for u in range(t.vertex_count):
-        cells = []
-        for i, s in enumerate(t.slots[u]):
-            cells.append(f"{i}:semi" if s == SEMI else f"{i}:v{s}")
+    for u, row in enumerate(t.slots):
+        cells = [f"{i}:semi" if s == SEMI else f"{i}:v{s}" for i, s in enumerate(row)]
         out.append(f"v{u}  " + "  ".join(cells))
     return out
 
 
 def oriented_stg_table(ot: OrientedSTG) -> list[str]:
     out = []
-    for u in range(ot.vertex_count):
-        cells = []
-        for i, s in enumerate(ot.undirected[u]):
-            cells.append(f"t{i}:semi" if s == SEMI else f"t{i}:v{s}")
+    for u, row in enumerate(ot.undirected):
+        cells = [f"t{i}:semi" if s == SEMI else f"t{i}:v{s}" for i, s in enumerate(row)]
         d = ot.dart[u]
         cells.append(f"t{ot.rank - 2}:loop" if d == u else f"t{ot.rank - 2}:->v{d}")
         out.append(f"v{u}  " + "  ".join(cells))

@@ -4,6 +4,9 @@ A flag graph is orientable when bipartite; fixing the two parts as black
 and white, the black flags carry the structure of the even walks: the
 compositions t_i = r_{n-1} r_i are involutions for i <= n-3 (undirected
 classes) while t_{n-2} is a genuine permutation (the directed class).
+Their quotient by the orientation-preserving orbits keeps the same form:
+a partner table per undirected class, where a fixed point is a
+semi-edge, plus the dart permutation.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError, components, i_faces, two_colouring
-from .stg import SEMI, SymmetryTypeGraph, partner_tables
+from .flag_graph import (FlagGraph, InternalCheckError, components, i_faces,
+                         quotient_tables, two_colouring)
+from .stg import SymmetryTypeGraph, slot_rows
 from .symmetry import AutGroup, are_isomorphic, aut_group, invert, search_group
 
 
@@ -107,7 +111,7 @@ def stg_has_odd_closed_walk(t: SymmetryTypeGraph) -> bool:
     A semi-edge joins two flags of opposite parts inside one orbit, which
     forces a part-swapping automorphism, so it behaves as an odd cycle.
     """
-    return two_colouring(partner_tables(t)) is None
+    return two_colouring(t.tables) is None
 
 
 def is_chiral_a_la_conway(g: FlagGraph, o: Orientation, aut: AutGroup | None = None,
@@ -139,47 +143,44 @@ def is_chiral_a_la_conway(g: FlagGraph, o: Orientation, aut: AutGroup | None = N
 class OrientedSTG:
     """Quotient of the black-flag di-graph by orientation-preserving orbits.
 
-    ``undirected[u][i]`` is a vertex or SEMI for the classes t_0..t_{n-3};
-    ``dart[u]`` is the target of the out-dart of the directed class (a
-    self-target is a loop; mutually inverse darts between two vertices
-    stay distinct).
+    ``tables[i]`` is the partner table of the class t_i, i <= n-3 (a
+    fixed point is a semi-edge); ``dart[u]`` is the target of the out-dart
+    of the directed class (a self-target is a loop; mutually inverse
+    darts between two vertices stay distinct).
     """
 
-    rank: int
-    vertex_count: int
-    undirected: tuple[tuple[int, ...], ...]
+    tables: tuple[tuple[int, ...], ...]
     dart: tuple[int, ...]
 
+    @property
+    def rank(self) -> int:
+        return len(self.tables) + 2
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.dart)
+
+    @property
+    def undirected(self) -> tuple[tuple[int, ...], ...]:
+        """The report's form: ``undirected[u][i]`` is a vertex or SEMI."""
+        return slot_rows(self.tables, self.vertex_count)
+
     def semi_or_loop_colours(self, u: int) -> frozenset[int]:
-        out = {i for i, s in enumerate(self.undirected[u]) if s == SEMI}
+        out = {i for i, m in enumerate(self.tables) if m[u] == u}
         if self.dart[u] == u:
             out.add(self.rank - 2)
         return frozenset(out)
 
 
 def oriented_stg(g: FlagGraph, o: Orientation, a_plus: AutGroup | None = None) -> OrientedSTG:
-    """Quotient the oriented di-graph by the Aut+ orbits of black flags."""
+    """Quotient the oriented di-graph by the Aut+ orbits of black flags,
+    numbered in order of orbit id."""
     d = oriented_digraph(g, o)
     if a_plus is None:
         a_plus = aut_plus(g, o)
-    orbit_ids = sorted({int(a_plus.orbit_of[f]) for f in d.black_flags})
-    renumber = {o_id: t for t, o_id in enumerate(orbit_ids)}
-    reps = {}
-    for t_black, f in enumerate(d.black_flags):
-        u = renumber[int(a_plus.orbit_of[f])]
-        reps.setdefault(u, t_black)
-    rows = []
-    darts = []
-    for u in range(len(orbit_ids)):
-        rep = reps[u]
-        row = []
-        for i in range(d.rank - 2):
-            v = renumber[int(a_plus.orbit_of[d.black_flags[d.t_adj[i, rep]]])]
-            row.append(SEMI if v == u else v)
-        rows.append(tuple(row))
-        darts.append(renumber[int(a_plus.orbit_of[d.black_flags[d.rot[rep]]])])
-    return OrientedSTG(rank=d.rank, vertex_count=len(orbit_ids),
-                       undirected=tuple(rows), dart=tuple(darts))
+    *tables, dart = quotient_tables(np.vstack([d.t_adj, d.rot]),
+                                    a_plus.orbit_of[d.black_flags])
+    return OrientedSTG(tables=tuple(tables), dart=dart)
 
 
 @dataclass(frozen=True)

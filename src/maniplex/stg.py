@@ -1,11 +1,12 @@
 """Symmetry type graphs: quotients of flag graphs by automorphism orbits.
 
-The quotient is a connected pregraph with one slot per colour at each
-vertex; a slot is either an edge to another vertex or a semi-edge
-(within-orbit adjacency).  For colours i, j with |i - j| >= 2 every
-component of the (i, j) 2-factor must be one of the five quotients of an
-alternating 4-cycle, which holds exactly when the partner tables of i
-and j commute (a semi-edge being a fixed point).
+Like a flag graph, a symmetry type graph is one partner table per
+colour on its vertices, the flag orbits; a flag adjacency inside one
+orbit becomes a fixed point of its colour's table, a semi-edge.  For
+colours i, j with |i - j| >= 2 every component of the (i, j) 2-factor
+must be one of the five quotients of an alternating 4-cycle, which
+holds exactly when the tables of i and j commute.  The vertex-major
+``slots``, with SEMI for a semi-edge, are only the report's form.
 """
 
 from __future__ import annotations
@@ -13,66 +14,70 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .flag_graph import (FlagGraph, InternalCheckError, component, components,
-                         face_component, face_maniplex, i_faces, non_commuting)
+                         face_component, face_maniplex, i_faces, non_commuting,
+                         quotient_tables)
 from .symmetry import AutGroup, aut_group
 
 SEMI = -1
 
 
+def slot_rows(tables, count: int) -> tuple[tuple[int, ...], ...]:
+    """Vertex-major rows of partner tables on ``count`` points: row u
+    holds u's partner per colour, SEMI for a fixed point."""
+    return tuple(tuple(SEMI if m[u] == u else m[u] for m in tables) for u in range(count))
+
+
 @dataclass(frozen=True)
 class SymmetryTypeGraph:
-    """Coloured pregraph: ``slots[u][i]`` is a vertex or SEMI."""
+    """Coloured pregraph: ``tables[i][u]`` is u's colour-i partner, and
+    ``tables[i][u] == u`` a semi-edge at u."""
 
-    rank: int
-    vertex_count: int
-    slots: tuple[tuple[int, ...], ...]
+    tables: tuple[tuple[int, ...], ...]
 
-    def neighbour(self, u: int, i: int) -> int:
-        """Vertex reached from u along colour i (u itself on a semi-edge)."""
-        s = self.slots[u][i]
-        return u if s == SEMI else s
+    @property
+    def rank(self) -> int:
+        return len(self.tables)
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.tables[0])
+
+    @property
+    def slots(self) -> tuple[tuple[int, ...], ...]:
+        """The report's form: ``slots[u][i]`` is a vertex or SEMI."""
+        return slot_rows(self.tables, self.vertex_count)
 
     def semi_colours(self, u: int) -> frozenset[int]:
-        return frozenset(i for i in range(self.rank) if self.slots[u][i] == SEMI)
+        return frozenset(i for i, m in enumerate(self.tables) if m[u] == u)
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Inter-vertex edges as (u, v, colour) with u < v."""
-        out = []
-        for u in range(self.vertex_count):
-            for i, s in enumerate(self.slots[u]):
-                if s != SEMI and u < s:
-                    out.append((u, s, i))
-        return out
+        return [(u, m[u], i) for u in range(self.vertex_count)
+                for i, m in enumerate(self.tables) if u < m[u]]
 
     def has_semi_edges(self) -> bool:
-        return any(SEMI in row for row in self.slots)
-
-
-def partner_tables(t: SymmetryTypeGraph) -> list[list[int]]:
-    """One partner table per colour; a semi-edge is a fixed point."""
-    return [[t.neighbour(u, i) for u in range(t.vertex_count)] for i in range(t.rank)]
+        return any(m[u] == u for m in self.tables for u in range(len(m)))
 
 
 def stg_violations(t: SymmetryTypeGraph) -> list[str]:
     """All structural defects: shape, symmetry, connectivity, 2-factors."""
+    k = t.vertex_count
+    for i, m in enumerate(t.tables):
+        if len(m) != k:
+            return [f"colour {i} has {len(m)} entries, expected {k}"]
     out = []
-    for u, row in enumerate(t.slots):
-        if len(row) != t.rank:
-            out.append(f"vertex {u} has {len(row)} slots, expected {t.rank}")
-            return out
-        for i, s in enumerate(row):
-            if s == u:
-                out.append(f"loop at vertex {u}, colour {i}")
-            elif s != SEMI and not (0 <= s < t.vertex_count):
+    for u in range(k):
+        for i, m in enumerate(t.tables):
+            v = m[u]
+            if not 0 <= v < k:
                 out.append(f"slot ({u}, {i}) out of range")
-            elif s != SEMI and t.slots[s][i] != u:
-                out.append(f"asymmetric edge ({u}, {s}) colour {i}")
+            elif m[v] != u:
+                out.append(f"asymmetric edge ({u}, {v}) colour {i}")
     if out:
         return out
-    tables = partner_tables(t)
-    if len(component(tables, 0)) != t.vertex_count:
+    if len(component(t.tables, 0)) != k:
         out.append("disconnected")
-    out += [f"bad ({i},{j}) 2-factor at vertex {u}" for i, j, u in non_commuting(tables)]
+    out += [f"bad ({i},{j}) 2-factor at vertex {u}" for i, j, u in non_commuting(t.tables)]
     return out
 
 
@@ -81,31 +86,20 @@ def is_admissible(t: SymmetryTypeGraph) -> bool:
 
 
 def quotient(g: FlagGraph, a: AutGroup) -> SymmetryTypeGraph:
-    """Symmetry type graph: one vertex per flag orbit.
-
-    Within-orbit adjacency becomes a semi-edge; the slot table is well
-    defined because orbits map to orbits under every colour action.
-    """
-    reps = a.orbit_representatives()
-    rows = []
-    for u, rep in enumerate(reps):
-        row = []
-        for i in range(g.rank):
-            o = int(a.orbit_of[g.adj[i, rep]])
-            row.append(SEMI if o == u else o)
-        rows.append(tuple(row))
-    t = SymmetryTypeGraph(rank=g.rank, vertex_count=a.orbit_count, slots=tuple(rows))
+    """Symmetry type graph: one vertex per flag orbit, numbered like the
+    orbits; Aut commutes with every colour, so orbits map to orbits."""
+    t = SymmetryTypeGraph(quotient_tables(g.adj, a.orbit_of))
     problems = stg_violations(t)
     if problems:
         raise InternalCheckError(f"quotient broke pregraph invariants: {problems}")
     return t
 
 
-def _without(tables: list[list[int]], i: int) -> list[list[int]]:
+def _without(tables, i: int):
     return tables[:i] + tables[i + 1:]
 
 
-def _connected_without(tables: list[list[int]], i: int) -> bool:
+def _connected_without(tables, i: int) -> bool:
     """True when the tables of every colour but i connect all vertices."""
     k = len(tables[0])
     return len(component(_without(tables, i), 0, k)) == k
@@ -115,18 +109,17 @@ def is_i_face_transitive(t: SymmetryTypeGraph, i: int) -> bool:
     """True when deleting colour-i edges leaves the pregraph connected."""
     if not 0 <= i < t.rank:
         raise ValueError(f"colour {i} out of range for rank {t.rank}")
-    return _connected_without(partner_tables(t), i)
+    return _connected_without(t.tables, i)
 
 
 def transitivity_profile(t: SymmetryTypeGraph) -> frozenset[int]:
     """Colours i for which the structure is NOT i-face-transitive."""
-    tables = partner_tables(t)
-    return frozenset(i for i in range(t.rank) if not _connected_without(tables, i))
+    return frozenset(i for i in range(t.rank) if not _connected_without(t.tables, i))
 
 
 def face_orbit_splits(t: SymmetryTypeGraph, i: int) -> tuple[int, ...]:
     """Sorted component sizes of the pregraph with colour i deleted."""
-    comps = components(_without(partner_tables(t), i), t.vertex_count)
+    comps = components(_without(t.tables, i), t.vertex_count)
     return tuple(sorted(len(comp) for comp in comps))
 
 
@@ -230,7 +223,7 @@ def classify(t: SymmetryTypeGraph) -> STGClass:
     if k == 4:
         profile = transitivity_profile(t)
         splits = tuple((i, face_orbit_splits(t, i)) for i in sorted(profile))
-        semis = frozenset(i for i in range(t.rank) if any(t.slots[u][i] == SEMI for u in range(k)))
+        semis = frozenset(i for i, m in enumerate(t.tables) if any(m[u] == u for u in range(k)))
         return FourOrbitFamily(profile=profile, splits=splits, semi_colours=semis)
     return OtherClass(k)
 
@@ -282,7 +275,7 @@ def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None
             return False
 
     component_vertices = set(pi)
-    reached = component(_without(partner_tables(stg), i), min(component_vertices),
+    reached = component(_without(stg.tables, i), min(component_vertices),
                         stg.vertex_count)
     if set(reached) != component_vertices:
         return False
@@ -294,9 +287,9 @@ def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None
         for j in range(g.rank):
             if j == i:
                 continue
-            v = stg.neighbour(u, j)
+            v = stg.tables[j][u]
             if j < i:
-                if sub_stg.neighbour(pi[u], j) != pi[v]:
+                if sub_stg.tables[j][pi[u]] != pi[v]:
                     return False
             else:
                 if pi[v] != pi[u]:

@@ -136,12 +136,6 @@ class AutGroup:
             raise ValueError(f"flag {target} is not in the orbit of flag 0")
         return _extend(self.graph, self.graph, 0, int(target))
 
-    def orbit_representatives(self) -> list[int]:
-        reps = [-1] * self.orbit_count
-        for f in range(self.orbit_of.size - 1, -1, -1):
-            reps[self.orbit_of[f]] = f
-        return reps
-
 
 def search_group(g: FlagGraph, candidates) -> AutGroup:
     """The group of the automorphisms of ``g`` sending flag 0 into

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flag_graph import FlagGraph, InternalCheckError, component
-from .stg import SEMI, SymmetryTypeGraph
+from .stg import SymmetryTypeGraph
 from .symmetry import AutGroup, extend_automorphism, identity
 
 
@@ -33,8 +33,8 @@ def spanning_tree(t: SymmetryTypeGraph) -> dict[int, tuple[int, ...]]:
         u, colour = stack.pop()
         if colour < t.rank:
             stack.append((u, colour + 1))
-            v = t.slots[u][colour]
-            if v != SEMI and v not in paths:
+            v = t.tables[colour][u]
+            if v not in paths:
                 paths[v] = paths[u] + (colour,)
                 stack.append((v, 0))
     if len(paths) != t.vertex_count:
@@ -90,7 +90,7 @@ def realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> Gener
     for word in words:
         end = 0
         for colour in word:
-            end = t.neighbour(end, colour)
+            end = t.tables[colour][end]
         if end != 0:
             raise InternalCheckError(f"generating walk is not closed: {word}")
         target = g.act(0, word)

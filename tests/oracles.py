@@ -14,9 +14,62 @@ import numpy as np
 
 from maniplex.enumeration import canonical_code, involutions
 from maniplex.flag_graph import FlagGraph, commute_defect, component, validate
-from maniplex.oriented import OrientedSTG, orientation
+from maniplex.oriented import OrientedSTG, Orientation, oriented_digraph, orientation
 from maniplex.stg import SEMI, SymmetryTypeGraph
-from maniplex.symmetry import extend_automorphism, identity
+from maniplex.symmetry import AutGroup, extend_automorphism, identity
+
+
+def tables_from_slots(slots, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Partner tables of vertex-major rows of vertex-or-SEMI cells."""
+    return tuple(tuple(u if row[i] == SEMI else row[i] for u, row in enumerate(slots))
+                 for i in range(rank))
+
+
+def stg_from_slots(slots) -> SymmetryTypeGraph:
+    """The symmetry type graph with these rows as its ``slots``."""
+    return SymmetryTypeGraph(tables_from_slots(slots, len(slots[0])))
+
+
+# The per-orbit loops that flag_graph.quotient_tables replaced in
+# stg.quotient and oriented.oriented_stg.
+
+
+def orbit_loop_quotient(g: FlagGraph, a: AutGroup) -> SymmetryTypeGraph:
+    """One row per orbit, read at the orbit's least flag."""
+    reps = [-1] * a.orbit_count
+    for f in range(a.orbit_of.size - 1, -1, -1):
+        reps[a.orbit_of[f]] = f
+    rows = []
+    for u, rep in enumerate(reps):
+        row = []
+        for i in range(g.rank):
+            o = int(a.orbit_of[g.adj[i, rep]])
+            row.append(SEMI if o == u else o)
+        rows.append(tuple(row))
+    return stg_from_slots(rows)
+
+
+def orbit_loop_oriented_stg(g: FlagGraph, o: Orientation, a_plus: AutGroup) -> OrientedSTG:
+    """One row and dart per Aut+ orbit of black flags, read at the
+    orbit's first black flag."""
+    d = oriented_digraph(g, o)
+    orbit_ids = sorted({int(a_plus.orbit_of[f]) for f in d.black_flags})
+    renumber = {o_id: t for t, o_id in enumerate(orbit_ids)}
+    reps = {}
+    for t_black, f in enumerate(d.black_flags):
+        u = renumber[int(a_plus.orbit_of[f])]
+        reps.setdefault(u, t_black)
+    rows = []
+    darts = []
+    for u in range(len(orbit_ids)):
+        rep = reps[u]
+        row = []
+        for i in range(d.rank - 2):
+            v = renumber[int(a_plus.orbit_of[d.black_flags[d.t_adj[i, rep]]])]
+            row.append(SEMI if v == u else v)
+        rows.append(tuple(row))
+        darts.append(renumber[int(a_plus.orbit_of[d.black_flags[d.rot[rep]]])])
+    return OrientedSTG(tables=tables_from_slots(rows, d.rank - 2), dart=tuple(darts))
 
 
 def trial_extension_elements(g: FlagGraph) -> list[np.ndarray]:
@@ -140,7 +193,7 @@ def check_walk(t: SymmetryTypeGraph, walk: Walk) -> None:
     here = walk.start
     prev = None
     for colour, to in walk.steps:
-        if t.neighbour(here, colour) != to:
+        if t.tables[colour][here] != to:
             raise ValueError(f"step ({colour}, {to}) from {here} does not follow a slot")
         edge = (min(here, to), max(here, to), colour)
         if edge == prev:
@@ -171,8 +224,8 @@ def min_spanning_walk(t: SymmetryTypeGraph) -> Walk:
             u, visited = state
             word = best[state]
             for colour in range(t.rank):
-                v = t.slots[u][colour]
-                if v == SEMI:
+                v = t.tables[colour][u]
+                if v == u:
                     continue
                 new_state = (v, visited | {v})
                 new_word = word + (colour,)
@@ -188,7 +241,7 @@ def walk_from_word(t: SymmetryTypeGraph, start: int, word) -> Walk:
     steps = []
     here = start
     for colour in word:
-        here = t.neighbour(here, colour)
+        here = t.tables[colour][here]
         steps.append((colour, here))
     return Walk(start=start, steps=tuple(steps))
 
@@ -349,12 +402,10 @@ def hand_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
                     m = [0, 1, 2]
                     if p is not None:
                         m[p[0]], m[p[1]] = p[1], p[0]
-                    tables.append(m)
+                    tables.append(tuple(m))
                 if len(component([dart] + tables, 0)) != 3:
                     return
-                rows = tuple(tuple(SEMI if m[u] == u else m[u] for m in tables)
-                             for u in range(3))
-                ot = OrientedSTG(rank=n, vertex_count=3, undirected=rows, dart=dart)
+                ot = OrientedSTG(tables=tuple(tables), dart=dart)
                 found.setdefault(oriented_min_code(ot), ot)
 
             place(0, [])
@@ -400,7 +451,6 @@ def exhaustive_stg(n_colours: int, k: int,
     found: dict[bytes, SymmetryTypeGraph] = {}
     for ms in exhaustive_commuting_tuples([choices] * n_colours):
         if len(component(ms, 0)) == k:
-            slots = tuple(tuple(SEMI if m[u] == u else m[u] for m in ms) for u in range(k))
-            t = SymmetryTypeGraph(rank=n_colours, vertex_count=k, slots=slots)
+            t = SymmetryTypeGraph(ms)
             found.setdefault(canonical_code(t), t)
     return [found[code] for code in sorted(found)]

@@ -18,7 +18,7 @@ from maniplex.flag_graph import (InternalCheckError, commute_defect, component, 
                                  non_commuting, two_colouring)
 from maniplex.oriented import (OrientedFlagDigraph, oriented_are_isomorphic,
                                oriented_digraph, orientation)
-from maniplex.stg import SEMI, SymmetryTypeGraph, quotient, stg_violations
+from maniplex.stg import SymmetryTypeGraph, quotient, stg_violations
 from maniplex.symmetry import aut_group
 from maniplex.walkgen import realize_generators, reduce_generators
 from oracles import closure, min_code
@@ -77,9 +77,7 @@ def _random_involution(rng, k):
 
 
 def _stg(tables):
-    k = len(tables[0])
-    slots = tuple(tuple(SEMI if m[u] == u else m[u] for m in tables) for u in range(k))
-    return SymmetryTypeGraph(rank=len(tables), vertex_count=k, slots=slots)
+    return SymmetryTypeGraph(tuple(map(tuple, tables)))
 
 
 def _oracle_violations(tables):

@@ -10,11 +10,11 @@ from maniplex.enumeration import (canonical_code, enumerate_oriented_stg3,
                                   enumerate_stg, involutions, is_fully_transitive,
                                   oriented_canonical_code, oriented_stg3_families,
                                   oriented_stg3_via_quotient, verify_census)
-from maniplex.flag_graph import InternalCheckError
-from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1,
-                          TwoOrbit, classify, is_admissible, partner_tables,
-                          transitivity_profile)
-from oracles import exhaustive_stg, hand_oriented_stg3, min_code, oriented_min_code
+from maniplex.flag_graph import InternalCheckError, commute_defect
+from maniplex.stg import (SEMI, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, classify,
+                          is_admissible, transitivity_profile)
+from oracles import (exhaustive_stg, hand_oriented_stg3, min_code, oriented_min_code,
+                     stg_from_slots)
 
 
 def test_involution_counts():
@@ -67,18 +67,18 @@ def test_three_orbit_classes_cover_both_patterns():
 
 
 def test_canonical_code_relabelling_invariance():
-    t1 = SymmetryTypeGraph(rank=3, vertex_count=3, slots=(
+    t1 = stg_from_slots((
         (SEMI, 1, SEMI), (SEMI, 0, 2), (SEMI, SEMI, 1)))
     # t1 with vertices relabelled by 0->1, 1->2, 2->0
-    t2 = SymmetryTypeGraph(rank=3, vertex_count=3, slots=(
+    t2 = stg_from_slots((
         (SEMI, SEMI, 2), (SEMI, 2, SEMI), (SEMI, 1, 0)))
     assert canonical_code(t1) == canonical_code(t2)
 
 
 def test_canonical_code_is_colour_sensitive():
-    t01 = SymmetryTypeGraph(rank=3, vertex_count=3, slots=(
+    t01 = stg_from_slots((
         (1, SEMI, SEMI), (0, 2, SEMI), (SEMI, 1, SEMI)))
-    t12 = SymmetryTypeGraph(rank=3, vertex_count=3, slots=(
+    t12 = stg_from_slots((
         (SEMI, 1, SEMI), (SEMI, 0, 2), (SEMI, SEMI, 1)))
     assert classify(t01) == ThreeOrbitJJ1(0)
     assert classify(t12) == ThreeOrbitJJ1(1)
@@ -175,7 +175,7 @@ def test_orderly_search_matches_exhaustive_search(k):
 def test_representatives_are_least_among_relabellings(n_colours, k):
     position = {m: j for j, m in enumerate(involutions(k))}
     for t in enumerate_stg(n_colours, k):
-        tables = partner_tables(t)
+        tables = t.tables
         own = [position[tuple(m)] for m in tables]
         for p in permutations(range(k)):
             image = [0] * k
@@ -185,6 +185,18 @@ def test_representatives_are_least_among_relabellings(n_colours, k):
                     image[p[u]] = p[m[u]]
                 relabelled.append(position[tuple(image)])
             assert own <= relabelled, (t, p)
+
+
+def test_commutation_masks_match_pairwise_defects():
+    # the one-array commutation table against one commute_defect per pair,
+    # on every involution list up to six points and on the oriented lifts
+    lifts = [enumeration._lift(t, t) for t in enumeration._INVOLUTIONS3]
+    lifts += [enumeration._lift(rot, enumeration._inverse(rot))
+              for rot in enumeration._DARTS3]
+    for tables in [involutions(k) for k in range(1, 7)] + [list(dict.fromkeys(lifts))]:
+        expected = [sum(1 << b for b, mb in enumerate(tables)
+                        if commute_defect(ma, mb) is None) for ma in tables]
+        assert enumeration._commutation_masks(tables) == expected
 
 
 def test_labelled_copies_fail_the_internal_check(monkeypatch, capsys):

@@ -75,16 +75,15 @@ def test_quotients_admissible(pick):
 
 @given(st.integers(min_value=0, max_value=6), st.permutations(list(range(4))))
 def test_canonical_code_invariant_under_relabelling(pick, perm):
-    from maniplex.stg import SEMI, SymmetryTypeGraph
+    from maniplex.stg import SEMI
+    from oracles import stg_from_slots
 
     g, a = built(SMALL_LABELS[pick % len(SMALL_LABELS)])
     t = quotient(g, a)
     k = t.vertex_count
     sigma = [p for p in perm if p < k]
-    relabelled = SymmetryTypeGraph(
-        rank=t.rank,
-        vertex_count=k,
-        slots=tuple(
+    relabelled = stg_from_slots(
+        tuple(
             tuple(
                 SEMI if s == SEMI else sigma[s]
                 for s in t.slots[sigma.index(new_u)]

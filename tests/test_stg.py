@@ -1,13 +1,19 @@
+import random
+from itertools import product
+
 import pytest
 
-from maniplex.constructions import cube, cuboctahedron, prism, pyramid, torus44
+from maniplex.constructions import CORPUS, cube, cuboctahedron, prism, pyramid, torus44
 from maniplex.flag_graph import i_faces
+from maniplex.oriented import aut_plus, orientation, oriented_stg
 from maniplex.stg import (SEMI, FourOrbitFamily, Regular, SymmetryTypeGraph,
                           ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, classify,
                           is_admissible, is_i_face_transitive, quotient,
                           stg_violations, transitivity_profile,
                           verify_face_projection)
 from maniplex.symmetry import aut_group
+from oracles import (orbit_loop_oriented_stg, orbit_loop_quotient, random_map, relabel,
+                     stg_from_slots)
 
 
 def test_cube_quotient_is_one_vertex_all_semi():
@@ -52,7 +58,7 @@ def test_transitivity_matches_face_orbit_counts(corpus):
 
 
 def test_single_vertex_always_transitive():
-    t = SymmetryTypeGraph(rank=4, vertex_count=1, slots=((SEMI,) * 4,))
+    t = stg_from_slots(((SEMI,) * 4,))
     assert all(is_i_face_transitive(t, i) for i in range(4))
 
 
@@ -89,7 +95,7 @@ def test_classify_corpus():
 
 def test_classify_three_orbit_with_parallel_edges():
     # middle vertex with one j-edge and parallel (j-1, j+1)-edges
-    t = SymmetryTypeGraph(rank=3, vertex_count=3, slots=(
+    t = stg_from_slots((
         (SEMI, 1, SEMI),
         (2, 0, 2),
         (1, SEMI, 1),
@@ -108,7 +114,7 @@ def test_labels():
 
 def test_admissibility_rejects_bad_two_factor():
     # three vertices in one (0,2) component: path, not a 4-cycle quotient
-    t = SymmetryTypeGraph(rank=3, vertex_count=3, slots=(
+    t = stg_from_slots((
         (1, SEMI, SEMI),
         (0, SEMI, 2),
         (SEMI, SEMI, 1),
@@ -117,11 +123,43 @@ def test_admissibility_rejects_bad_two_factor():
     assert any("2-factor" in line for line in stg_violations(t))
 
 
-def test_admissibility_rejects_loop_and_asymmetry():
-    t = SymmetryTypeGraph(rank=1, vertex_count=2, slots=((0,), (0,)))
-    assert any("loop" in line for line in stg_violations(t))
-    t = SymmetryTypeGraph(rank=1, vertex_count=3, slots=((1,), (2,), (0,)))
+def test_admissibility_rejects_asymmetry():
+    t = stg_from_slots(((1,), (2,), (0,)))
     assert any("asymmetric" in line for line in stg_violations(t))
+
+
+def test_violations_of_malformed_tables():
+    # a table of the wrong length, a value out of range, a non-involution
+    assert stg_violations(SymmetryTypeGraph(((1, 0), (0,)))) == [
+        "colour 1 has 1 entries, expected 2"]
+    assert stg_violations(SymmetryTypeGraph(((1, 0), (0, 2)))) == [
+        "slot (1, 1) out of range"]
+    assert stg_violations(SymmetryTypeGraph(((1, 2, 0),))) == [
+        "asymmetric edge (0, 1) colour 0", "asymmetric edge (1, 2) colour 0",
+        "asymmetric edge (2, 0) colour 0"]
+    assert stg_violations(SymmetryTypeGraph(((1, 0, 1),))) == [
+        "asymmetric edge (2, 1) colour 0"]
+    assert not is_admissible(SymmetryTypeGraph(((1, 0), (-1, 1))))
+
+
+def test_quotients_match_the_orbit_loops(corpus):
+    # every corpus label, and seeded random maps, orientable or not, with
+    # their relabellings
+    graphs = [corpus.graph(label) for label in CORPUS]
+    rng = random.Random(8)
+    for sheets, orientable in product((1, 2, 3), (True, False)):
+        g = random_map(rng, 24 // sheets, sheets, orientable)
+        graphs += [g, relabel(g, rng)]
+    oriented = 0
+    for g in graphs:
+        a = aut_group(g)
+        assert quotient(g, a) == orbit_loop_quotient(g, a)
+        o = orientation(g)
+        if o is not None and g.rank >= 2:
+            ap = aut_plus(g, o, aut=a)
+            assert oriented_stg(g, o, a_plus=ap) == orbit_loop_oriented_stg(g, o, ap)
+            oriented += 1
+    assert oriented > len(graphs) // 3
 
 
 def test_quotient_always_admissible(corpus):

@@ -10,16 +10,16 @@ from maniplex.cli import main
 from maniplex.constructions import construction, cube, cuboctahedron, prism
 from maniplex.enumeration import enumerate_stg
 from maniplex.formats import write_maniplex_text
-from maniplex.stg import SEMI, SymmetryTypeGraph, quotient
+from maniplex.stg import SEMI, quotient
 from maniplex.symmetry import aut_group, identity
 from maniplex.walkgen import (GeneratorSet, generates_full_group, generating_walks,
                               realize_generators, reduce_generators, spanning_tree)
 from oracles import (Walk, check_walk, closure, min_spanning_walk, random_map, relabel,
-                     spanning_walk_words, walk_from_word)
+                     spanning_walk_words, stg_from_slots, walk_from_word)
 
 
 def test_min_walk_single_vertex_is_empty():
-    t = SymmetryTypeGraph(rank=3, vertex_count=1, slots=((SEMI, SEMI, SEMI),))
+    t = stg_from_slots(((SEMI, SEMI, SEMI),))
     assert min_spanning_walk(t) == Walk(start=0, steps=())
 
 
@@ -41,7 +41,7 @@ def test_min_walk_prism3_two_steps():
 
 def test_min_walk_prefers_lexicographic_word():
     # two vertices joined by edges of colours 1 and 2: the walk picks 1
-    t = SymmetryTypeGraph(rank=3, vertex_count=2, slots=(
+    t = stg_from_slots((
         (SEMI, 1, 1), (SEMI, 0, 0)))
     assert min_spanning_walk(t).word == (1,)
 
@@ -49,7 +49,7 @@ def test_min_walk_prefers_lexicographic_word():
 def test_spanning_tree_descends_at_once():
     # a 4-cycle 0 -1- 1 -2- 2 -1- 3 -2- 0: the search goes 0, 1, 2, 3
     # along colours 1, 2, 1 instead of reaching 3 from 0 along colour 2
-    t = SymmetryTypeGraph(rank=3, vertex_count=4, slots=(
+    t = stg_from_slots((
         (SEMI, 1, 3), (SEMI, 0, 2), (SEMI, 3, 1), (SEMI, 2, 0)))
     assert spanning_tree(t) == {0: (), 1: (1,), 2: (1, 2), 3: (1, 2, 1)}
     assert list(spanning_tree(t)) == [0, 1, 2, 3]
@@ -57,7 +57,7 @@ def test_spanning_tree_descends_at_once():
 
 
 def test_generating_walks_regular_case():
-    t = SymmetryTypeGraph(rank=4, vertex_count=1, slots=((SEMI,) * 4,))
+    t = stg_from_slots(((SEMI,) * 4,))
     assert generating_walks(t) == [(0,), (1,), (2,), (3,)]
 
 
@@ -93,7 +93,7 @@ def rooted_stgs(colours, vertices):
             slots = [()] * vertices
             for u, row in enumerate(t.slots):
                 slots[swap[u]] = tuple(SEMI if s == SEMI else swap[s] for s in row)
-            yield SymmetryTypeGraph(t.rank, vertices, tuple(slots))
+            yield stg_from_slots(tuple(slots))
 
 
 def test_words_match_the_spanning_walk_oracle():
@@ -116,7 +116,7 @@ def test_words_match_the_spanning_walk_oracle():
 
 
 def test_generating_walks_requires_spanning():
-    t = SymmetryTypeGraph(rank=2, vertex_count=2, slots=((SEMI, SEMI), (SEMI, SEMI)))
+    t = stg_from_slots(((SEMI, SEMI), (SEMI, SEMI)))
     with pytest.raises(ValueError):
         generating_walks(t)
 
@@ -192,7 +192,7 @@ def test_reduce_idempotent():
 
 
 def test_check_walk_rejects_retrace():
-    t = SymmetryTypeGraph(rank=3, vertex_count=2, slots=((SEMI, SEMI, 1), (SEMI, SEMI, 0)))
+    t = stg_from_slots(((SEMI, SEMI, 1), (SEMI, SEMI, 0)))
     with pytest.raises(ValueError):
         check_walk(t, Walk(start=0, steps=((2, 1), (2, 0))))
     with pytest.raises(ValueError):
