@@ -1,8 +1,9 @@
 """`maniplex analyze` and the census output, pinned byte for byte.
 
 The digests in ``golden_analyze.json`` are sha256 sums of stdout for the
-JSON and the text report of every corpus label and of the benchmark's
-larger labels.  Those in ``golden_census.json`` are sha256 sums of the
+JSON and the text report of every corpus label, of the benchmark's
+larger labels and of two seeded 2,400-flag random maps, whose symmetry
+type graphs have 1,200 and 2,400 vertices.  Those in ``golden_census.json`` are sha256 sums of the
 stdout and the CSV file of `maniplex enumerate` at the census grid
 points, of `scripts/run_census.py`'s stdout, and of the ordered
 oriented canonical codes of the three-vertex oriented census.  A change
@@ -16,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import runpy
 import tempfile
 import warnings
@@ -24,12 +26,16 @@ from pathlib import Path
 from maniplex.cli import main
 from maniplex.constructions import CORPUS
 from maniplex.enumeration import enumerate_oriented_stg3, oriented_canonical_code
+from maniplex.formats import write_maniplex_text
+from oracles import random_map
 
 GOLDEN = Path(__file__).with_name("golden_analyze.json")
 GOLDEN_CENSUS = Path(__file__).with_name("golden_census.json")
 RUN_CENSUS = Path(__file__).parent.parent / "scripts" / "run_census.py"
 LABELS = CORPUS + ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6")
 FORMS = {"json": ["--json"], "text": []}
+# name -> (seed, base edges, sheets, orientable); 2,400 flags each
+RANDOM_MAPS = {"map-o1": (7, 600, 1, True), "map-n2": (8, 300, 2, False)}
 GRID = ((3, 5), (4, 5), (5, 4), (6, 4), (5, 5), (3, 6), (4, 6), (5, 6), (3, 7))
 FILTERS = ("--bipartite", "--fully-transitive")
 
@@ -46,12 +52,19 @@ def _stdout(run) -> bytes:
     return buffer.getvalue().encode()
 
 
-def analyze_digests() -> dict[str, str]:
+def analyze_digests(workdir: Path) -> dict[str, str]:
     out = {}
     for label in LABELS:
         for form, flags in FORMS.items():
             argv = ["analyze", label, *flags, "--generators", "--oriented"]
             out[f"{label} {form}"] = _sha(_stdout(lambda: main(argv)))
+    for name, (seed, edges, sheets, orientable) in RANDOM_MAPS.items():
+        path = workdir / f"{name}.maniplex"
+        path.write_text(write_maniplex_text(
+            random_map(random.Random(seed), edges, sheets, orientable)))
+        for form, flags in FORMS.items():
+            argv = ["analyze", str(path), *flags, "--oriented"]
+            out[f"{name} {form}"] = _sha(_stdout(lambda: main(argv)))
     return out
 
 
@@ -79,8 +92,8 @@ def _assert_same(expected: dict[str, str], actual: dict[str, str]) -> None:
     assert not changed, changed
 
 
-def test_analyze_output_is_byte_identical():
-    _assert_same(json.loads(GOLDEN.read_text()), analyze_digests())
+def test_analyze_output_is_byte_identical(tmp_path):
+    _assert_same(json.loads(GOLDEN.read_text()), analyze_digests(tmp_path))
 
 
 def test_census_output_is_byte_identical(tmp_path):
@@ -88,6 +101,6 @@ def test_census_output_is_byte_identical(tmp_path):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(analyze_digests(), indent=1) + "\n")
     with tempfile.TemporaryDirectory() as workdir:
+        GOLDEN.write_text(json.dumps(analyze_digests(Path(workdir)), indent=1) + "\n")
         GOLDEN_CENSUS.write_text(json.dumps(census_digests(Path(workdir)), indent=1) + "\n")
