@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 parse error (also an input that is both a file
-and a construction label), 3 validation error, 4 internal assertion
-failure (a cross-checked identity broke).
+and a construction label, and an output file that cannot be written),
+3 validation error, 4 internal assertion failure (a cross-checked
+identity broke).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -59,6 +61,14 @@ def _load_input(label: str) -> tuple[str, FlagGraph]:
         raise CliError(f"cannot interpret input {label!r}: {exc}", EXIT_PARSE) from exc
 
 
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE) from exc
+
+
 def cmd_analyze(args) -> int:
     name, g = _load_input(args.input)
     problems = validate(g)
@@ -69,28 +79,16 @@ def cmd_analyze(args) -> int:
 
     aut = aut_group(g)
     t = quotient(g, aut)
-    cls = classify(t)
-    profile = sorted(transitivity_profile(t))
     payload: dict = {
         "input": name,
         "rank": g.rank,
         "flags": g.flag_count,
         "aut_order": aut.order,
         "orbit_count": aut.orbit_count,
-        "class": cls.label(),
-        "non_transitive": profile,
-        "stg": {"vertices": t.vertex_count, "slots": [list(row) for row in t.slots]},
+        "class": classify(t).label(),
+        "non_transitive": sorted(transitivity_profile(t)),
+        "stg": {"vertices": t.vertex_count, "slots": t.slots},
     }
-    text_lines = [
-        f"input: {name}",
-        f"rank: {g.rank}",
-        f"flags: {g.flag_count}",
-        f"aut order: {aut.order}",
-        f"flag orbits: {aut.orbit_count}",
-        f"class: {cls.label()}",
-        "non-transitive ranks: {" + ",".join(map(str, profile)) + "}",
-        "symmetry type graph:",
-    ] + ["  " + row for row in formats.stg_table(t)]
 
     if args.generators:
         gens = reduce_generators(realize_generators(g, aut, t))
@@ -98,68 +96,45 @@ def cmd_analyze(args) -> int:
         # orbit of flag 0 under the generators
         closure_order = len(component([a.tolist() for a in gens.automorphisms], 0,
                                       g.flag_count))
-        cycles = [formats.cycle_string(a) for a in gens.automorphisms]
-        payload["generators"] = {
-            "words": [",".join(map(str, w)) for w in gens.words],
-            "permutations": cycles,
-            "closure_order": closure_order,
-            "matches_aut": closure_order == aut.order,
-        }
-        text_lines.append("generators:")
-        for word, cycle in zip(gens.words, cycles):
-            text_lines.append(f"  {','.join(map(str, word))}  {cycle}")
-        text_lines.append(
-            f"  closure order {closure_order} "
-            f"({'matches' if closure_order == aut.order else 'MISMATCH with'} aut order)")
         if closure_order != aut.order:
             raise CliError("generator closure does not match the automorphism group",
                            EXIT_INTERNAL)
+        payload["generators"] = {
+            "words": [",".join(map(str, w)) for w in gens.words],
+            "permutations": [formats.cycle_string(a) for a in gens.automorphisms],
+            "closure_order": closure_order,
+            "matches_aut": closure_order == aut.order,
+        }
 
-    oriented_dot = None
+    ot = None
     if args.oriented:
         o = orientation(g)
         if o is None:
             payload["oriented"] = {"orientable": False}
-            text_lines.append("orientable: no")
         else:
             ap = aut_plus(g, o, aut=aut)
-            chiral = is_chiral_a_la_conway(g, o, aut=aut, a_plus=ap, stg=t)
             block: dict = {
                 "orientable": True,
                 "aut_plus_order": ap.order,
                 "index": aut.order // ap.order,
-                "chiral_a_la_conway": chiral,
+                "chiral_a_la_conway": is_chiral_a_la_conway(g, o, aut=aut, a_plus=ap, stg=t),
                 "black_orbit_count": black_orbit_count(ap, o),
             }
-            text_lines.append("orientable: yes")
-            text_lines.append(f"aut+ order: {ap.order} (index {aut.order // ap.order})")
-            text_lines.append(f"chiral-a-la-Conway: {'yes' if chiral else 'no'}")
             if g.rank >= 2:
                 ot = oriented_stg(g, o, a_plus=ap)
-                ocls = classify_oriented(ot)
-                block["class"] = ocls.label()
-                block["stg"] = {
-                    "vertices": ot.vertex_count,
-                    "undirected": [list(row) for row in ot.undirected],
-                    "dart": list(ot.dart),
-                }
-                text_lines.append(f"oriented class: {ocls.label()}")
-                text_lines.append("oriented symmetry type di-graph:")
-                text_lines += ["  " + row for row in formats.oriented_stg_table(ot)]
-                oriented_dot = ot
+                block["class"] = classify_oriented(ot).label()
+                block["stg"] = {"vertices": ot.vertex_count, "undirected": ot.undirected,
+                                "dart": ot.dart}
             payload["oriented"] = block
 
     if args.dot:
         out = Path(args.dot)
-        out.write_text(formats.stg_to_dot(t, name="stg"))
-        if oriented_dot is not None:
+        _write(out, formats.stg_to_dot(t, name="stg"))
+        if ot is not None:
             extra = out.with_name(out.stem + ".oriented" + (out.suffix or ".dot"))
-            extra.write_text(formats.oriented_stg_to_dot(oriented_dot))
+            _write(extra, formats.oriented_stg_to_dot(ot))
 
-    if args.json:
-        print(formats.json_report(payload))
-    else:
-        print("\n".join(text_lines))
+    print(formats.json_report(payload) if args.json else formats.text_report(payload))
     return 0
 
 
@@ -178,20 +153,21 @@ def cmd_enumerate(args) -> int:
     if not args.count_only:
         for idx, (t, label) in enumerate(zip(graphs, labels)):
             print(f"-- {idx}: {label}")
-            for line in formats.stg_table(t):
+            for line in formats.stg_table(t.slots):
                 print("   " + line)
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.DictWriter(
-                handle, fieldnames=["index", "vertices", "colours", "class", "slots"])
-            writer.writeheader()
-            writer.writerows({
-                "index": idx,
-                "vertices": t.vertex_count,
-                "colours": t.rank,
-                "class": label,
-                "slots": ";".join(" ".join(str(s) for s in row) for row in t.slots),
-            } for idx, (t, label) in enumerate(zip(graphs, labels)))
+        buffer = io.StringIO()
+        writer = csv.DictWriter(
+            buffer, fieldnames=["index", "vertices", "colours", "class", "slots"])
+        writer.writeheader()
+        writer.writerows({
+            "index": idx,
+            "vertices": t.vertex_count,
+            "colours": t.rank,
+            "class": label,
+            "slots": ";".join(" ".join(str(s) for s in row) for row in t.slots),
+        } for idx, (t, label) in enumerate(zip(graphs, labels)))
+        _write(args.csv, buffer.getvalue())
     return 0
 
 
@@ -202,7 +178,7 @@ def cmd_construct(args) -> int:
         raise CliError(str(exc), EXIT_PARSE) from exc
     text = formats.write_maniplex_text(g)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -1,14 +1,18 @@
-"""Text formats, DOT export, and the JSON report schema.
+"""Text formats, DOT export, and the two renderers of the report.
 
 Flag graph files: a header ``maniplex rank=<n> flags=<F>`` followed by
 one line per colour, ``r<i>: <F images>``.  Map files: a header
 ``map vertices=<V>`` followed by one face cycle per line.  ``#`` starts
 a comment; blank lines are ignored.  All indices are 0-based.
+
+``analyze`` renders its one payload with ``text_report`` or with
+``json_report``, which writes the bytes of ``json.dumps(indent=2)``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -186,23 +190,68 @@ def cycle_string(perm: np.ndarray) -> str:
     return "".join(parts) or "()"
 
 
-def stg_table(t: SymmetryTypeGraph) -> list[str]:
-    out = []
-    for u, row in enumerate(t.slots):
-        cells = [f"{i}:semi" if s == SEMI else f"{i}:v{s}" for i, s in enumerate(row)]
-        out.append(f"v{u}  " + "  ".join(cells))
-    return out
+def _cells(row, prefix: str = "") -> list[str]:
+    return [f"{prefix}{i}:semi" if s == SEMI else f"{prefix}{i}:v{s}" for i, s in enumerate(row)]
 
 
-def oriented_stg_table(ot: OrientedSTG) -> list[str]:
-    out = []
-    for u, row in enumerate(ot.undirected):
-        cells = [f"t{i}:semi" if s == SEMI else f"t{i}:v{s}" for i, s in enumerate(row)]
-        d = ot.dart[u]
-        cells.append(f"t{ot.rank - 2}:loop" if d == u else f"t{ot.rank - 2}:->v{d}")
-        out.append(f"v{u}  " + "  ".join(cells))
-    return out
+def stg_table(slots) -> list[str]:
+    return [f"v{u}  " + "  ".join(_cells(row)) for u, row in enumerate(slots)]
+
+
+def oriented_stg_table(undirected, dart) -> list[str]:
+    """The directed class t_{n-2} is numbered after the n-2 undirected ones."""
+    return [f"v{u}  " + "  ".join(_cells(row, "t") + [
+        f"t{len(row)}:loop" if d == u else f"t{len(row)}:->v{d}"])
+        for u, (row, d) in enumerate(zip(undirected, dart))]
+
+
+def text_report(p: dict) -> str:
+    """The text form of an ``analyze`` payload."""
+    lines = [f"{label}: {p[key]}" for label, key in (
+        ("input", "input"), ("rank", "rank"), ("flags", "flags"), ("aut order", "aut_order"),
+        ("flag orbits", "orbit_count"), ("class", "class"))]
+    lines.append("non-transitive ranks: {" + ",".join(map(str, p["non_transitive"])) + "}")
+    lines += ["symmetry type graph:"] + ["  " + row for row in stg_table(p["stg"]["slots"])]
+    gens = p.get("generators")
+    if gens is not None:
+        lines.append("generators:")
+        lines += [f"  {w}  {c}" for w, c in zip(gens["words"], gens["permutations"])]
+        lines.append(f"  closure order {gens['closure_order']} "
+                     f"({'matches' if gens['matches_aut'] else 'MISMATCH with'} aut order)")
+    o = p.get("oriented")
+    if o is not None and not o["orientable"]:
+        lines.append("orientable: no")
+    elif o is not None:
+        lines += ["orientable: yes",
+                  f"aut+ order: {o['aut_plus_order']} (index {o['index']})",
+                  f"chiral-a-la-Conway: {'yes' if o['chiral_a_la_conway'] else 'no'}"]
+        if "stg" in o:
+            lines += [f"oriented class: {o['class']}", "oriented symmetry type di-graph:"]
+            lines += ["  " + row for row in oriented_stg_table(o["stg"]["undirected"],
+                                                               o["stg"]["dart"])]
+    return "\n".join(lines)
+
+
+def _json(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` at ``indent``; int lists and int matrices by one format."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = ",\n".join(f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in obj.items())
+        return f"{{\n{items}\n{indent}}}"
+    cell, values = "%d", obj
+    if set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0]:
+        cell = "[\n" + ",\n".join([inner + "  %d"] * len(obj[0])) + f"\n{inner}]"
+        values = tuple(chain.from_iterable(obj))
+    if set(map(type, values)) == {int}:
+        return "[\n" + ",\n".join([inner + cell] * len(obj)) % tuple(values) + f"\n{indent}]"
+    items = ",\n".join(inner + _json(v, inner) for v in obj)
+    return f"[\n{items}\n{indent}]"
 
 
 def json_report(payload: dict) -> str:
-    return json.dumps({"schema": JSON_SCHEMA_VERSION, **payload}, indent=2, sort_keys=False)
+    """The bytes of ``json.dumps({"schema": 1, **payload}, indent=2)``."""
+    return _json({"schema": JSON_SCHEMA_VERSION, **payload}, "")

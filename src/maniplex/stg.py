@@ -24,7 +24,8 @@ SEMI = -1
 def slot_rows(tables, count: int) -> tuple[tuple[int, ...], ...]:
     """Vertex-major rows of partner tables on ``count`` points: row u
     holds u's partner per colour, SEMI for a fixed point."""
-    return tuple(tuple(SEMI if m[u] == u else m[u] for m in tables) for u in range(count))
+    columns = [[SEMI if v == u else v for u, v in enumerate(m)] for m in tables]
+    return tuple(zip(*columns)) if columns else ((),) * count
 
 
 @dataclass(frozen=True)

@@ -81,25 +81,29 @@ def realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> Gener
     """Automorphisms realizing the closed walks from the base flag.
 
     The base flag is flag 0, whose orbit is vertex 0 of the quotient, so
-    the spanning tree is already rooted correctly.
+    the spanning tree is already rooted correctly.  Words are followed
+    once, on quotient and flags together; each target is extended once.
     """
     if a.orbit_of[0] != 0:
         raise InternalCheckError("orbit ids must start at the base flag")
     words = generating_walks(t)
+    adj = g.adj.tolist()
+    by_target: dict[int, np.ndarray] = {}
     autos = []
     for word in words:
-        end = 0
+        end = target = 0
         for colour in word:
             end = t.tables[colour][end]
+            target = adj[colour][target]
         if end != 0:
             raise InternalCheckError(f"generating walk is not closed: {word}")
-        target = g.act(0, word)
-        if a.orbit_of[target] != a.orbit_of[0]:
-            raise InternalCheckError("closed walk left the base orbit")
-        auto = extend_automorphism(g, 0, target)
-        if auto is None:
-            raise InternalCheckError("no automorphism realizes a closed walk word")
-        autos.append(auto)
+        if target not in by_target:
+            if a.orbit_of[target] != a.orbit_of[0]:
+                raise InternalCheckError("closed walk left the base orbit")
+            by_target[target] = extend_automorphism(g, 0, target)
+            if by_target[target] is None:
+                raise InternalCheckError("no automorphism realizes a closed walk word")
+        autos.append(by_target[target])
     return GeneratorSet(base_flag=0, words=words, automorphisms=autos)
 
 

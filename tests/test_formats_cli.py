@@ -1,7 +1,10 @@
+import itertools
 import json
+import random
 
 import pytest
 
+from maniplex import formats
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, cuboctahedron, map_from_faces
 from maniplex.formats import (ParseError, cycle_string, parse_maniplex_text,
@@ -11,6 +14,8 @@ from maniplex.stg import quotient
 from maniplex.symmetry import aut_group
 
 import numpy as np
+
+from oracles import random_map
 
 
 def test_maniplex_round_trip_byte_identical(corpus):
@@ -226,3 +231,68 @@ def test_cli_dot_output(tmp_path):
     oriented_path = tmp_path / "out.oriented.dot"
     assert oriented_path.exists()
     assert "digraph" in oriented_path.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "cube", "--dot", "{missing}/x.dot"],
+    ["analyze", "cube", "--dot", "{tmp}"],
+    ["construct", "cube", "--out", "{missing}/x"],
+    ["enumerate", "--colors", "3", "--vertices", "2", "--csv", "{missing}/x.csv"],
+])
+def test_cli_write_error_exits_2(tmp_path, capsys, argv):
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {argv[-1]}")
+    assert "Traceback" not in err
+
+
+def _analyze_payloads(monkeypatch, capsys, argvs) -> list[dict]:
+    """The payload each ``analyze --json`` run hands to ``json_report``."""
+    seen = []
+    real = formats.json_report
+    monkeypatch.setattr(formats, "json_report", lambda p: seen.append(p) or real(p))
+    for argv in argvs:
+        assert main(["analyze", *argv, "--json"]) == 0, argv
+    monkeypatch.undo()
+    capsys.readouterr()
+    return seen
+
+
+def test_json_report_equals_json_dumps(tmp_path, monkeypatch, capsys):
+    argvs = [[label, *gens, *orient] for label, gens, orient in itertools.product(
+        CORPUS, ([], ["--generators"]), ([], ["--oriented"]))]
+    for seed, (sheets, orientable) in enumerate(itertools.product((1, 2), (True, False))):
+        path = tmp_path / f"map{seed}.maniplex"
+        path.write_text(write_maniplex_text(
+            random_map(random.Random(seed), 60 // sheets, sheets, orientable)))
+        argvs.append([str(path), "--oriented"])
+    payloads = _analyze_payloads(monkeypatch, capsys, argvs)
+    payloads += [
+        {"list": [], "dict": {}, "tuple": ()},
+        {"column": [[3], [-1], [0]], "empty rows": [(), ()], "one row": [(1, 2, 3)]},
+        {"ragged": [[1, 2], [3]], "bools": [[1, True], [0, False]], "scalars": [[1], 2]},
+        {"ints": [3, -1, 0], "int and bool": [1, True], "strings": [["a"], ["b"]]},
+        {"a": {"b": {"c": [1, {"d": [[None, 1.5]]}], "e": {}}}},
+        {"label": "2_∅", "2⁺_{0}": ["∅", 'quote " and \\'], "float rows": [[1.0, 2.0]]},
+    ]
+    for p in payloads:
+        assert formats.json_report(p) == json.dumps({"schema": 1, **p}, indent=2), p
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("renderer of the other form was called")
+
+
+def test_analyze_json_renders_no_text(monkeypatch, capsys):
+    for name in ("text_report", "stg_table", "oriented_stg_table"):
+        monkeypatch.setattr(formats, name, _fail)
+    assert main(["analyze", "cuboctahedron", "--json", "--generators", "--oriented"]) == 0
+    assert json.loads(capsys.readouterr().out)["orbit_count"] == 2
+
+
+def test_analyze_text_encodes_no_json(monkeypatch, capsys):
+    monkeypatch.setattr(formats, "json_report", _fail)
+    monkeypatch.setattr(json, "dumps", _fail)
+    assert main(["analyze", "cuboctahedron", "--generators", "--oriented"]) == 0
+    assert "flag orbits: 2" in capsys.readouterr().out
