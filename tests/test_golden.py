@@ -3,7 +3,8 @@
 The digests in ``golden_analyze.json`` are sha256 sums of stdout for the
 JSON and the text report of every corpus label, of the benchmark's
 larger labels and of two seeded 2,400-flag random maps, whose symmetry
-type graphs have 1,200 and 2,400 vertices.  Those in ``golden_census.json`` are sha256 sums of the
+type graphs have 1,200 and 2,400 vertices, and of
+`scripts/corpus_table.py`'s stdout.  Those in ``golden_census.json`` are sha256 sums of the
 stdout and the CSV file of `maniplex enumerate` at the census grid
 points, of `scripts/run_census.py`'s stdout, and of the ordered
 oriented canonical codes of the three-vertex oriented census.  A change
@@ -31,7 +32,9 @@ from oracles import random_map
 
 GOLDEN = Path(__file__).with_name("golden_analyze.json")
 GOLDEN_CENSUS = Path(__file__).with_name("golden_census.json")
-RUN_CENSUS = Path(__file__).parent.parent / "scripts" / "run_census.py"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+RUN_CENSUS = SCRIPTS / "run_census.py"
+CORPUS_TABLE = SCRIPTS / "corpus_table.py"
 LABELS = CORPUS + ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6")
 FORMS = {"json": ["--json"], "text": []}
 # name -> (seed, base edges, sheets, orientable); 2,400 flags each
@@ -65,6 +68,8 @@ def analyze_digests(workdir: Path) -> dict[str, str]:
         for form, flags in FORMS.items():
             argv = ["analyze", str(path), *flags, "--oriented"]
             out[f"{name} {form}"] = _sha(_stdout(lambda: main(argv)))
+    corpus_table = runpy.run_path(str(CORPUS_TABLE))["main"]
+    out["corpus_table stdout"] = _sha(_stdout(lambda: corpus_table() or 0))
     return out
 
 
