@@ -8,9 +8,8 @@ from .enumeration import (canonical_code, enumerate_oriented_stg3, enumerate_stg
                           is_fully_transitive, verify_census)
 from .flag_graph import (FacePartition, FlagGraph, Violation, face_maniplex,
                          i_faces, recolour_dual, validate)
-from .oriented import (Orientation, OrientedFlagDigraph, OrientedSTG, aut_plus,
-                       classify_oriented, enantiomorph, is_chiral_a_la_conway,
-                       orientation, oriented_digraph, oriented_stg)
+from .oriented import (Orientation, OrientedSTG, aut_plus, classify_oriented,
+                       is_chiral_a_la_conway, orientation, oriented_digraph, oriented_stg)
 from .stg import (SEMI, SymmetryTypeGraph, classify, is_i_face_transitive,
                   quotient, transitivity_profile, verify_face_projection)
 from .symmetry import AutGroup, are_isomorphic, aut_group, extend_automorphism

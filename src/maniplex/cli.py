@@ -15,13 +15,14 @@ import sys
 from pathlib import Path
 
 from . import constructions, formats
-from .enumeration import enumerate_stg, has_no_odd_closed_walks, is_fully_transitive
-from .flag_graph import FlagGraph, InternalCheckError, component, validate
+from .enumeration import enumerate_stg, is_fully_transitive
+from .flag_graph import FlagGraph, InternalCheckError, validate
 from .oriented import (aut_plus, black_orbit_count, classify_oriented,
-                       is_chiral_a_la_conway, orientation, oriented_stg)
+                       is_chiral_a_la_conway, orientation, oriented_stg,
+                       stg_has_odd_closed_walk)
 from .stg import classify, quotient, transitivity_profile
 from .symmetry import aut_group
-from .walkgen import realize_generators, reduce_generators
+from .walkgen import generates_full_group, realize_generators, reduce_generators
 
 EXIT_PARSE = 2
 EXIT_VALIDATE = 3
@@ -92,18 +93,13 @@ def cmd_analyze(args) -> int:
 
     if args.generators:
         gens = reduce_generators(realize_generators(g, aut, t))
-        # Aut acts freely, so the generated subgroup is as large as the
-        # orbit of flag 0 under the generators
-        closure_order = len(component([a.tolist() for a in gens.automorphisms], 0,
-                                      g.flag_count))
-        if closure_order != aut.order:
-            raise CliError("generator closure does not match the automorphism group",
-                           EXIT_INTERNAL)
+        if not generates_full_group(gens, aut):
+            raise InternalCheckError("generator closure does not match the automorphism group")
         payload["generators"] = {
             "words": [",".join(map(str, w)) for w in gens.words],
             "permutations": [formats.cycle_string(a) for a in gens.automorphisms],
-            "closure_order": closure_order,
-            "matches_aut": closure_order == aut.order,
+            "closure_order": aut.order,
+            "matches_aut": True,
         }
 
     ot = None
@@ -143,7 +139,7 @@ def cmd_enumerate(args) -> int:
     if args.fully_transitive:
         filters.append(is_fully_transitive)
     if args.bipartite:
-        filters.append(has_no_odd_closed_walks)
+        filters.append(lambda t: not stg_has_odd_closed_walk(t))
     try:
         graphs = enumerate_stg(args.colors, args.vertices, filters=tuple(filters))
     except ValueError as exc:

@@ -332,7 +332,3 @@ def construction(label: str) -> FlagGraph:
     """Build a corpus item from a label like ``prism:3`` or ``cube``."""
     builder, params = parse_label(label)
     return builder(*params)
-
-
-def construction_names() -> list[str]:
-    return sorted(_PARAMETRIC) + sorted(_NAMED)

@@ -26,8 +26,8 @@ from itertools import permutations
 import numpy as np
 
 from .flag_graph import InternalCheckError, component, quotient_tables, two_colouring
-from .oriented import OrientedSTG
-from .stg import SymmetryTypeGraph, transitivity_profile
+from .oriented import OrientedSTG, stg_has_odd_closed_walk
+from .stg import SymmetryTypeGraph, face_orbit_splits, transitivity_profile
 
 
 def involutions(k: int) -> list[tuple[int, ...]]:
@@ -229,12 +229,6 @@ def is_fully_transitive(t: SymmetryTypeGraph) -> bool:
     return not transitivity_profile(t)
 
 
-def has_no_odd_closed_walks(t: SymmetryTypeGraph) -> bool:
-    from .oriented import stg_has_odd_closed_walk
-
-    return not stg_has_odd_closed_walk(t)
-
-
 # ---------------------------------------------------------------------------
 # three-vertex oriented quotients
 
@@ -350,7 +344,7 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         # no odd closed walks rules out semi-edges from the start
-        sixes = enumerate_stg(n, 6, filters=(has_no_odd_closed_walks,),
+        sixes = enumerate_stg(n, 6, filters=(lambda t: not stg_has_odd_closed_walk(t),),
                               fixed_point_free=True)
     for t in sixes:
         m = np.array(t.tables)
@@ -411,7 +405,7 @@ def verify_census() -> list[CensusCheck]:
         len(enumerate_stg(4, 5, filters=(is_fully_transitive,)))))
 
     splits_ok = all(
-        all(1 <= _component_count(t, i) <= 3 for i in range(t.rank)) for t in four)
+        all(1 <= len(face_orbit_splits(t, i)) <= 3 for i in range(t.rank)) for t in four)
     checks.append(CensusCheck("k=4: 1..3 components per deleted colour", True, splits_ok))
     profiles_ok = all(_profile_shape_ok(t) for t in four)
     checks.append(CensusCheck(
@@ -437,12 +431,6 @@ def verify_census() -> list[CensusCheck]:
         [oriented_canonical_code(ot) for ot in oriented[4]],
         [oriented_canonical_code(ot) for ot in oriented_stg3_via_quotient(4)]))
     return checks
-
-
-def _component_count(t: SymmetryTypeGraph, i: int) -> int:
-    from .stg import face_orbit_splits
-
-    return len(face_orbit_splits(t, i))
 
 
 def _profile_shape_ok(t: SymmetryTypeGraph) -> bool:

@@ -280,12 +280,7 @@ def face_maniplex(g: FlagGraph, i: int, face: int) -> FlagGraph:
     densely in increasing order of their original ids.
     """
     comp = face_component(g, i, face)
-    local = {int(f): t for t, f in enumerate(comp)}
-    sub = np.empty((i, comp.size), dtype=np.int32)
-    for c in range(i):
-        for t, f in enumerate(comp):
-            sub[c, t] = local[int(g.adj[c, f])]
-    return FlagGraph(sub)
+    return FlagGraph(np.searchsorted(comp, g.adj[:i, comp]))
 
 
 def recolour_dual(g: FlagGraph) -> FlagGraph:

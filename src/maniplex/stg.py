@@ -56,9 +56,6 @@ class SymmetryTypeGraph:
         return [(u, m[u], i) for u in range(self.vertex_count)
                 for i, m in enumerate(self.tables) if u < m[u]]
 
-    def has_semi_edges(self) -> bool:
-        return any(m[u] == u for m in self.tables for u in range(len(m)))
-
 
 def stg_violations(t: SymmetryTypeGraph) -> list[str]:
     """All structural defects: shape, symmetry, connectivity, 2-factors."""

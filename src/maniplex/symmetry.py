@@ -17,11 +17,6 @@ import numpy as np
 from .flag_graph import FlagGraph, InternalCheckError, component, components
 
 
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a . b)(f) = a[b[f]]: apply b first, then a."""
-    return a[b]
-
-
 def invert(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[a] = np.arange(a.size, dtype=a.dtype)

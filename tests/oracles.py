@@ -13,7 +13,9 @@ from itertools import permutations
 import numpy as np
 
 from maniplex.enumeration import canonical_code, involutions
-from maniplex.flag_graph import FlagGraph, commute_defect, component, validate
+from maniplex.flag_graph import (FlagGraph, commute_defect, component, components,
+                                 i_faces, validate)
+from maniplex.formats import PALETTE
 from maniplex.oriented import OrientedSTG, Orientation, oriented_digraph, orientation
 from maniplex.stg import SEMI, SymmetryTypeGraph
 from maniplex.symmetry import AutGroup, extend_automorphism, identity
@@ -53,10 +55,11 @@ def orbit_loop_oriented_stg(g: FlagGraph, o: Orientation, a_plus: AutGroup) -> O
     """One row and dart per Aut+ orbit of black flags, read at the
     orbit's first black flag."""
     d = oriented_digraph(g, o)
-    orbit_ids = sorted({int(a_plus.orbit_of[f]) for f in d.black_flags})
+    black = o.black_flags
+    orbit_ids = sorted({int(a_plus.orbit_of[f]) for f in black})
     renumber = {o_id: t for t, o_id in enumerate(orbit_ids)}
     reps = {}
-    for t_black, f in enumerate(d.black_flags):
+    for t_black, f in enumerate(black):
         u = renumber[int(a_plus.orbit_of[f])]
         reps.setdefault(u, t_black)
     rows = []
@@ -65,11 +68,80 @@ def orbit_loop_oriented_stg(g: FlagGraph, o: Orientation, a_plus: AutGroup) -> O
         rep = reps[u]
         row = []
         for i in range(d.rank - 2):
-            v = renumber[int(a_plus.orbit_of[d.black_flags[d.t_adj[i, rep]]])]
+            v = renumber[int(a_plus.orbit_of[black[d.adj[i, rep]]])]
             row.append(SEMI if v == u else v)
         rows.append(tuple(row))
-        darts.append(renumber[int(a_plus.orbit_of[d.black_flags[d.rot[rep]]])])
+        darts.append(renumber[int(a_plus.orbit_of[black[d.adj[d.rank - 2, rep]]])])
     return OrientedSTG(tables=tables_from_slots(rows, d.rank - 2), dart=tuple(darts))
+
+
+# Test-only views of the oriented flag di-graph, a FlagGraph whose
+# colours are t_0..t_{n-3}, rot and rot^-1 (oriented.oriented_digraph).
+
+
+def enantiomorph(d: FlagGraph) -> FlagGraph:
+    """Mirror image: reverse the directed class, that is, swap the last
+    two colours."""
+    n = d.rank
+    return FlagGraph(d.adj[[*range(n - 2), n - 1, n - 2]])
+
+
+def digraph_to_dot(d: FlagGraph, name: str = "oriented_flags") -> str:
+    """DOT of the di-graph: the classes t_i undirected, rot as arcs."""
+    n = d.rank
+    lines = [f"digraph {name} {{", "  node [shape=point];"]
+    for i in range(n - 2):
+        hue = PALETTE[i % len(PALETTE)]
+        for f in range(d.flag_count):
+            g = int(d.adj[i, f])
+            if f < g:
+                lines.append(f'  b{f} -> b{g} [label="t{i}", color="{hue}", dir=none];')
+    hue = PALETTE[(n - 2) % len(PALETTE)]
+    for f in range(d.flag_count):
+        lines.append(f'  b{f} -> b{int(d.adj[n - 2, f])} [label="t{n - 2}", color="{hue}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def facets(d: FlagGraph, black_flags) -> list[frozenset[int]]:
+    """Facet partition of the black flags, read off the di-graph alone.
+
+    Two black flags share a facet exactly when joined by a path whose
+    directed-class darts alternate against-then-with the arrows (the
+    moves t_a^{-1} t_b), which is how paths avoiding two same-direction
+    darts in a row reduce.  Returned as frozensets of the flag ids in
+    ``black_flags``, sorted by least member.
+    """
+    n = d.rank
+    inverse_moves = list(d.adj[:n - 2]) + [d.adj[n - 1]]
+    forward_moves = list(d.adj[:n - 1])
+    # each composed move is a permutation, so following it forwards
+    # reaches the same classes as joining both ways
+    moves = [fwd[back].tolist() for a, back in enumerate(inverse_moves)
+             for b, fwd in enumerate(forward_moves) if a != b]
+    return sorted((frozenset(int(black_flags[f]) for f in comp)
+                   for comp in components(moves, d.flag_count)), key=min)
+
+
+def check_facets_against_faces(g: FlagGraph, o: Orientation) -> bool:
+    """Cross-check di-graph facets with the top-rank face partition."""
+    from_digraph = set(facets(oriented_digraph(g, o), o.black_flags))
+    part = i_faces(g, g.rank - 1)
+    black = set(int(f) for f in o.black_flags)
+    from_faces = set()
+    for face in range(part.face_count):
+        members = frozenset(int(f) for f in part.flags_of(face) if int(f) in black)
+        from_faces.add(members)
+    return from_digraph == from_faces
+
+
+def has_semi_edges(t: SymmetryTypeGraph) -> bool:
+    return any(m[u] == u for m in t.tables for u in range(len(m)))
+
+
+def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a . b)(f) = a[b[f]]: apply b first, then a."""
+    return a[b]
 
 
 def trial_extension_elements(g: FlagGraph) -> list[np.ndarray]:

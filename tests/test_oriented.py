@@ -4,12 +4,11 @@ import pytest
 from maniplex.constructions import (CORPUS, cube, cuboctahedron, hemicube, polygon,
                                     prism, simplex, torus44)
 from maniplex.oriented import (Rotary, TwoOrbitOriented, aut_plus,
-                               black_orbit_count, check_facets_against_faces,
-                               classify_oriented, enantiomorph,
-                               is_chiral_a_la_conway, orientation,
-                               oriented_are_isomorphic, oriented_digraph,
+                               black_orbit_count, classify_oriented,
+                               is_chiral_a_la_conway, orientation, oriented_digraph,
                                oriented_stg, stg_has_odd_closed_walk)
-from maniplex.symmetry import aut_group
+from maniplex.symmetry import are_isomorphic, aut_group
+from oracles import check_facets_against_faces, enantiomorph, has_semi_edges
 
 
 def test_orientability():
@@ -29,18 +28,21 @@ def test_orientation_parts_alternate():
 def test_digraph_counts_and_classes():
     g = cuboctahedron()
     d = oriented_digraph(g, orientation(g))
-    assert d.black_count == 48
+    assert d.flag_count == 48
     g = cube()
     d = oriented_digraph(g, orientation(g))
-    assert d.black_count == 24
+    assert d.flag_count == 24
+    assert d.rank == 3  # t_0, rot, rot^-1
+    t0, rot, rot_inv = d.adj
     ident = np.arange(24)
-    assert np.array_equal(d.t_adj[0][d.t_adj[0]], ident)
-    assert np.all(d.t_adj[0] != ident)
-    assert np.all(d.rot != ident)
+    assert np.array_equal(t0[t0], ident)
+    assert np.all(t0 != ident)
+    assert np.all(rot != ident)
+    assert np.array_equal(rot[rot_inv], ident)
     # rot turns around a vertex: cycles have the vertex degree, here 3
     x = ident
     for _ in range(3):
-        x = d.rot[x]
+        x = rot[x]
     assert np.array_equal(x, ident)
 
 
@@ -48,13 +50,13 @@ def test_polygon_digraph_is_directed_cycle():
     l = 6
     g = polygon(l)
     d = oriented_digraph(g, orientation(g))
-    assert d.black_count == l
-    assert d.t_adj.shape == (0, l)
+    assert d.flag_count == l
+    assert d.rank == 2  # no t classes, only rot and rot^-1
     seen = set()
     f = 0
     for _ in range(l):
         seen.add(f)
-        f = int(d.rot[f])
+        f = int(d.adj[0, f])
     assert f == 0 and len(seen) == l
 
 
@@ -142,20 +144,18 @@ def test_oriented_two_orbit_class():
 def test_enantiomorph_involution():
     g = torus44(1, 2)
     d = oriented_digraph(g, orientation(g))
-    twice = enantiomorph(enantiomorph(d))
-    assert np.array_equal(twice.rot, d.rot)
-    assert np.array_equal(twice.t_adj, d.t_adj)
+    assert enantiomorph(enantiomorph(d)) == d
 
 
 def test_enantiomorph_mirror_maps():
     d12 = oriented_digraph(torus44(1, 2), orientation(torus44(1, 2)))
     d21 = oriented_digraph(torus44(2, 1), orientation(torus44(2, 1)))
-    assert oriented_are_isomorphic(enantiomorph(d12), d21) is not None
-    assert oriented_are_isomorphic(d12, d21) is None
+    assert are_isomorphic(enantiomorph(d12), d21) is not None
+    assert are_isomorphic(d12, d21) is None
 
     g = cube()
     d = oriented_digraph(g, orientation(g))
-    assert oriented_are_isomorphic(enantiomorph(d), d) is not None
+    assert are_isomorphic(enantiomorph(d), d) is not None
 
 
 def test_vertex_count_theorem(corpus):
@@ -196,7 +196,7 @@ def test_chiral_orbit_count_doubles(corpus):
         ap = aut_plus(g, o, aut=a)
         if is_chiral_a_la_conway(g, o, aut=a, a_plus=ap, stg=t):
             seen_chiral += 1
-            assert not t.has_semi_edges(), label
+            assert not has_semi_edges(t), label
             assert a.orbit_count == 2 * black_orbit_count(ap, o), label
     assert seen_chiral > 0
 
@@ -207,16 +207,20 @@ def test_digraph_classes_agree_with_flag_actions(corpus):
         g = corpus.graph(label)
         o = orientation(g)
         d = oriented_digraph(g, o)
+        black = o.black_flags
         n = g.rank
-        ident = np.arange(d.black_count)
+        assert d.rank == n
+        ident = np.arange(d.flag_count)
         for i in range(n - 2):
-            assert np.all(d.t_adj[i] != ident)
-            assert np.array_equal(d.t_adj[i][d.t_adj[i]], ident)
-            composed = g.adj[i][g.adj[n - 1][d.black_flags]]
-            assert np.array_equal(d.black_flags[d.t_adj[i]], composed)
-        assert np.all(d.rot != ident)
-        composed = g.adj[n - 2][g.adj[n - 1][d.black_flags]]
-        assert np.array_equal(d.black_flags[d.rot], composed)
+            assert np.all(d.adj[i] != ident)
+            assert np.array_equal(d.adj[i][d.adj[i]], ident)
+            composed = g.adj[i][g.adj[n - 1][black]]
+            assert np.array_equal(black[d.adj[i]], composed)
+        rot, rot_inv = d.adj[n - 2], d.adj[n - 1]
+        assert np.all(rot != ident)
+        composed = g.adj[n - 2][g.adj[n - 1][black]]
+        assert np.array_equal(black[rot], composed)
+        assert np.array_equal(rot_inv[rot], ident)
 
 
 def test_index_two_iff_orientation_reversing(corpus):

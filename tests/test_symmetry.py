@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 
 from maniplex.constructions import cube, polygon, pyramid, simplex, torus44
-from maniplex.symmetry import (are_isomorphic, aut_group, compose,
-                               extend_automorphism, identity, invert)
+from maniplex.symmetry import (are_isomorphic, aut_group, extend_automorphism, identity,
+                               invert)
+from oracles import compose
 
 
 def all_automorphisms_brute(g):
