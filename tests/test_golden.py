@@ -2,8 +2,8 @@
 
 The digests in ``golden_analyze.json`` are sha256 sums of stdout for the
 JSON and the text report of every corpus label, of the benchmark's
-larger labels and of two seeded 2,400-flag random maps, whose symmetry
-type graphs have 1,200 and 2,400 vertices, and of
+larger labels and `hypercube:6`, and of two seeded 2,400-flag random
+maps, whose symmetry type graphs have 1,200 and 2,400 vertices, and of
 `scripts/corpus_table.py`'s stdout.  Those in ``golden_census.json`` are sha256 sums of the
 stdout and the CSV file of `maniplex enumerate` at the census grid
 points, of `scripts/run_census.py`'s stdout, and of the ordered
@@ -35,7 +35,8 @@ GOLDEN_CENSUS = Path(__file__).with_name("golden_census.json")
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 RUN_CENSUS = SCRIPTS / "run_census.py"
 CORPUS_TABLE = SCRIPTS / "corpus_table.py"
-LABELS = CORPUS + ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6")
+LABELS = CORPUS + ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6", "torus44:20,0",
+                   "torus44:12,12", "hypercube:6")
 FORMS = {"json": ["--json"], "text": []}
 # name -> (seed, base edges, sheets, orientable); 2,400 flags each
 RANDOM_MAPS = {"map-o1": (7, 600, 1, True), "map-n2": (8, 300, 2, False)}
