@@ -7,7 +7,7 @@ builder returns a :class:`FlagGraph` that passes ``validate``.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -107,14 +107,29 @@ def polygon(l: int) -> FlagGraph:
     """The l-gon as a rank-2 flag graph on 2l flags."""
     if l < 2:
         raise ValueError("polygon needs l >= 2")
-    r0 = np.empty(2 * l, dtype=np.int32)
-    r1 = np.empty(2 * l, dtype=np.int32)
-    for k in range(l):
-        r0[2 * k] = 2 * k + 1
-        r0[2 * k + 1] = 2 * k
-        r1[2 * k + 1] = (2 * k + 2) % (2 * l)
-        r1[(2 * k + 2) % (2 * l)] = 2 * k + 1
-    return FlagGraph([r0, r1])
+    f = np.arange(2 * l, dtype=np.int32)
+    # r0 joins flags 2k and 2k+1, r1 joins 2k+1 and 2k+2 (mod 2l)
+    return FlagGraph([f ^ 1, (f - 1 + 2 * (f & 1)) % (2 * l)])
+
+
+def _adjacent_swaps(n: int) -> np.ndarray:
+    """Row i: the lexicographic index of each permutation of n points,
+    indexed lexicographically, with its entries i and i+1 exchanged.
+
+    A permutation's index is its Lehmer code, digit j (the number of
+    later entries smaller than entry j) of weight (n-1-j)!.  The swap
+    changes digits i and i+1 only: at an ascent, which is exactly where
+    digit i <= digit i+1, (a, b) becomes (b+1, a); at a descent,
+    (b, a-1).
+    """
+    t = np.arange(math.factorial(n), dtype=np.int32)
+    out = np.empty((n - 1, t.size), dtype=np.int32)
+    for i in range(n - 1):
+        w0, w1 = math.factorial(n - 1 - i), math.factorial(n - 2 - i)
+        a, b = t // w0 % (n - i), t // w1 % (n - 1 - i)
+        up = (a <= b).astype(np.int32)
+        out[i] = t + (b - a + up) * w0 + (a - b - 1 + up) * w1
+    return out
 
 
 def simplex(d: int) -> FlagGraph:
@@ -126,15 +141,7 @@ def simplex(d: int) -> FlagGraph:
     """
     if d < 1:
         raise ValueError("simplex needs d >= 1")
-    perms = list(itertools.permutations(range(d + 1)))
-    index = {p: t for t, p in enumerate(perms)}
-    adj = np.empty((d, len(perms)), dtype=np.int32)
-    for t, p in enumerate(perms):
-        for i in range(d):
-            q = list(p)
-            q[i], q[i + 1] = q[i + 1], q[i]
-            adj[i, t] = index[tuple(q)]
-    return FlagGraph(adj)
+    return FlagGraph(_adjacent_swaps(d + 1))
 
 
 def hypercube(d: int) -> FlagGraph:
@@ -142,26 +149,16 @@ def hypercube(d: int) -> FlagGraph:
 
     A flag is (corner, direction order): the chain grows the subcube at
     the corner one coordinate direction at a time.  Colour 0 flips the
-    corner along the first direction; colour i >= 1 swaps directions at
-    positions i-1 and i.  Flags are indexed lexicographically by
-    (corner bits, direction order).
+    corner along the first direction, which is the first Lehmer digit of
+    the order; colour i >= 1 swaps directions at positions i-1 and i.
+    Flags are indexed lexicographically by (corner bits, direction order).
     """
     if d < 1:
         raise ValueError("hypercube needs d >= 1")
-    perms = list(itertools.permutations(range(d)))
-    pindex = {p: t for t, p in enumerate(perms)}
-    nperm = len(perms)
-    total = (1 << d) * nperm
-    adj = np.empty((d, total), dtype=np.int32)
-    for v in range(1 << d):
-        for t, p in enumerate(perms):
-            f = v * nperm + t
-            adj[0, f] = (v ^ (1 << p[0])) * nperm + t
-            for i in range(1, d):
-                q = list(p)
-                q[i - 1], q[i] = q[i], q[i - 1]
-                adj[i, f] = v * nperm + pindex[tuple(q)]
-    return FlagGraph(adj)
+    nperm = math.factorial(d)
+    corner, t = np.divmod(np.arange(nperm << d, dtype=np.int32), nperm)
+    flip = (corner ^ (1 << (t // (nperm // d)))) * nperm + t
+    return FlagGraph(np.vstack([flip, corner * nperm + _adjacent_swaps(d)[:, t]]))
 
 
 def prism(l: int) -> FlagGraph:
@@ -196,61 +193,37 @@ def torus44(b: int, c: int) -> FlagGraph:
         raise ValueError("(b, c) must not be (0, 0)")
     n = b * b + c * c
 
-    def canon(x: int, y: int) -> tuple[int, int]:
+    def canon(x, y):
         # nearest-lattice-point reduction; the tie rule is translation
         # invariant, so equivalent points share one representative
-        u = x * b + y * c
-        v = y * b - x * c
-        s = (2 * u + n) // (2 * n)
-        t = (2 * v + n) // (2 * n)
-        return (x - s * b + t * c, y - s * c - t * b)
+        (s, t), _ = np.divmod([2 * (x * b + y * c) + n, 2 * (y * b - x * c) + n], 2 * n)
+        return x - s * b + t * c, y - s * c - t * b
 
-    cells = set()
-    frontier = [canon(0, 0)]
-    cells.add(frontier[0])
-    while frontier:
-        x, y = frontier.pop()
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            p = canon(x + dx, y + dy)
-            if p not in cells:
-                cells.add(p)
-                frontier.append(p)
-    order = sorted(cells)
-    cell_index = {p: t for t, p in enumerate(order)}
-    assert len(order) == n
+    # a box of side |b| + |c| holds a point of every lattice class, and
+    # representatives lie within reach of the origin
+    reach = abs(b) + abs(c)
 
-    def fid(cell: tuple[int, int], k: int, h: int) -> int:
-        return cell_index[canon(*cell)] * 8 + 2 * k + h
+    def code(x, y):
+        # increasing in (x, y) lexicographically
+        return (x + reach) * (2 * reach + 1) + y + reach
 
-    # r2 crosses the cell edge holding each (corner, half) triangle:
-    # (corner, half) -> (cell offset, corner', half')
-    across = {
-        (0, 0): ((0, -1), 3, 1),
-        (1, 1): ((0, -1), 2, 0),
-        (3, 1): ((0, 1), 0, 0),
-        (2, 0): ((0, 1), 1, 1),
-        (1, 0): ((1, 0), 0, 1),
-        (2, 1): ((1, 0), 3, 0),
-        (0, 1): ((-1, 0), 1, 0),
-        (3, 0): ((-1, 0), 2, 1),
-    }
+    box = np.divmod(np.arange(reach * reach), reach)
+    occupied = np.bincount(code(*canon(*box))) > 0
+    cells = np.flatnonzero(occupied)
+    assert cells.size == n
+    x, y = np.divmod(cells[:, None], 2 * reach + 1)
 
-    total = 8 * n
-    r0 = np.empty(total, dtype=np.int32)
-    r1 = np.empty(total, dtype=np.int32)
-    r2 = np.empty(total, dtype=np.int32)
-    for cell in order:
-        for k in range(4):
-            a = fid(cell, k, 0)
-            bflag = fid(cell, (k + 1) % 4, 1)
-            r0[a] = bflag
-            r0[bflag] = a
-            r1[fid(cell, k, 0)] = fid(cell, k, 1)
-            r1[fid(cell, k, 1)] = fid(cell, k, 0)
-            for h in (0, 1):
-                (dx, dy), k2, h2 = across[(k, h)]
-                r2[fid(cell, k, h)] = fid((cell[0] + dx, cell[1] + dy), k2, h2)
-    return FlagGraph([r0, r1, r2])
+    # per (corner, half) slot 2k+h: r0 pairs the two halves leaning on the
+    # edge from corner k to k+1, r1 swaps halves, and r2 crosses the cell
+    # edge of each slot to (cell offset, slot') of the neighbour
+    r0 = np.array([3, 6, 5, 0, 7, 2, 1, 4], dtype=np.int32)
+    r1 = np.array([1, 0, 3, 2, 5, 4, 7, 6], dtype=np.int32)
+    dx = np.array([0, -1, 1, 0, 0, 1, -1, 0], dtype=np.int32)
+    dy = np.array([-1, 0, 0, -1, 1, 0, 0, 1], dtype=np.int32)
+    r2 = np.array([7, 2, 1, 4, 3, 6, 5, 0], dtype=np.int32)
+    base = 8 * np.arange(n, dtype=np.int32)[:, None]
+    across = 8 * (np.cumsum(occupied) - 1)[code(*canon(x - reach + dx, y - reach + dy))]
+    return FlagGraph([(base + r0).ravel(), (base + r1).ravel(), (across + r2).ravel()])
 
 
 def _load_map_spec(name: str) -> MapSpec:

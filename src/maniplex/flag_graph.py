@@ -57,6 +57,32 @@ def components(tables, count: int | None = None) -> list[list[int]]:
             for start in range(len(seen)) if not seen[start]]
 
 
+def component_labels(tables, count: int) -> np.ndarray:
+    """The least point of each point's component along the tables, which
+    are permutations of ``count`` points, as an int32 array.
+
+    Hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 3,
+    1982): every label is a root pointing to itself; each round hooks
+    the larger root of each edge joining two roots to the smaller one
+    (any one of them, where several compete), then jumps pointers until
+    every point points at a root.  Pointers only decrease, so a round
+    that changes nothing leaves one label per component, its least point.
+    """
+    label = np.arange(count, dtype=np.int32)
+    while True:
+        root = label.copy()
+        for m in tables:
+            across = label[m]
+            down, up = across < label, across > label
+            root[label[down]] = across[down]
+            root[across[up]] = label[up]
+        while not np.array_equal(nxt := root[root], root):
+            root = nxt
+        if np.array_equal(root, label):
+            return label
+        label = root
+
+
 def two_colouring(tables) -> list[int] | None:
     """Sides 0/1 with every component's least vertex on side 0, or None
     when some edge (a semi-edge included) joins two vertices of one side."""
@@ -249,13 +275,12 @@ def i_faces(g: FlagGraph, i: int) -> FacePartition:
     """
     if not 0 <= i < g.rank:
         raise ValueError(f"colour {i} out of range for rank {g.rank}")
-    tables = [g.adj[c].tolist() for c in range(g.rank) if c != i]
-    faces = components(tables, g.flag_count)
-    face_of = np.empty(g.flag_count, dtype=np.int32)
-    for face, flags in enumerate(faces):
-        face_of[flags] = face
+    label = component_labels(np.delete(g.adj, i, axis=0), g.flag_count)
+    least = label == np.arange(g.flag_count)
+    face_of = (np.cumsum(least) - 1).astype(np.int32)[label]
     face_of.setflags(write=False)
-    return FacePartition(colour_removed=i, face_of=face_of, face_count=len(faces))
+    return FacePartition(colour_removed=i, face_of=face_of,
+                         face_count=int(np.count_nonzero(least)))
 
 
 def face_component(g: FlagGraph, i: int, face: int) -> np.ndarray:
@@ -269,8 +294,8 @@ def face_component(g: FlagGraph, i: int, face: int) -> np.ndarray:
     part = i_faces(g, i)
     if not 0 <= face < part.face_count:
         raise ValueError(f"face id {face} out of range")
-    seed = int(part.flags_of(face)[0])
-    return np.array(component(g.adj[:i].tolist(), seed), dtype=np.int32)
+    label = component_labels(g.adj[:i], g.flag_count)
+    return np.flatnonzero(label == part.flags_of(face)[0]).astype(np.int32)
 
 
 def face_maniplex(g: FlagGraph, i: int, face: int) -> FlagGraph:

@@ -20,6 +20,7 @@ from .constructions import MapSpec
 from .flag_graph import FlagGraph
 from .oriented import OrientedSTG
 from .stg import SEMI, SymmetryTypeGraph
+from .symmetry import invert
 
 JSON_SCHEMA_VERSION = 1
 
@@ -156,23 +157,27 @@ def oriented_stg_to_dot(ot: OrientedSTG, name: str = "oriented_stg") -> str:
 
 
 def cycle_string(perm: np.ndarray) -> str:
-    """Permutation in cycle notation, fixed points omitted ('()' if identity)."""
-    perm = perm.tolist()
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            seen[nxt] = True
-            cycle.append(nxt)
-            nxt = perm[nxt]
-        if len(cycle) > 1:
-            parts.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(parts) or "()"
+    """Permutation in cycle notation, fixed points omitted ('()' if identity).
+
+    Cycles start at their least points, in order of least point.  Pointer
+    doubling along the inverse: after k rounds ``least[f]`` is the least
+    of the 2^k points up to f in its cycle and ``back[f]`` the steps from
+    it to f; once no minimum changes, each window covers its cycle.  The
+    moved points, sorted by (least, back), fill one format string.
+    """
+    perm = np.asarray(perm)
+    least = np.arange(perm.size, dtype=perm.dtype)
+    step, back, span = invert(perm), np.zeros_like(least), 1
+    while (better := least[step] < least).any():
+        least, back = (np.where(better, least[step], least),
+                       np.where(better, back[step] + span, back))
+        step, span = step[step], 2 * span
+    moved = np.flatnonzero(perm != np.arange(perm.size))
+    moved = moved[np.lexsort((back[moved], least[moved]))]
+    # a cycle opens at its least point and closes where perm returns to it
+    kind = (moved == least[moved]) + 2 * (perm[moved] == least[moved])
+    cells = map((" %d", "(%d", " %d)").__getitem__, kind.tolist())
+    return "".join(cells) % tuple(moved.tolist()) or "()"
 
 
 def _vertex_names(count: int) -> list[str]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError, component, components
+from .flag_graph import FlagGraph, InternalCheckError, component_labels
 
 
 def invert(a: np.ndarray) -> np.ndarray:
@@ -140,37 +140,33 @@ def search_group(g: FlagGraph, candidates) -> AutGroup:
     0 grown so far, and outside the orbit, under the subgroup found so
     far, of each failed target (no automorphism reaches those either).
     Each success at least doubles the subgroup, so there are at most
-    log2(F) generators.  F = |G| * orbit_count holds because the action
-    is free; it is checked.
+    log2(F) generators.  The orbits are the components of the
+    generators, labelled by their least flags once per generator found.
+    F = |G| * orbit_count holds because the action is free; it is checked.
     """
     generators: list[np.ndarray] = []
-    tables: list[list[int]] = []
-    orbit = [0]
-    skip = np.zeros(g.flag_count, dtype=bool)
-    skip[0] = True
-    for target in candidates.tolist():
-        if skip[target]:
-            continue
+    label = component_labels(generators, g.flag_count)
+    skip = label == 0
+    while (candidates := candidates[~skip[candidates]]).size:
+        target = int(candidates[0])
         img = _extend(g, g, 0, target)
         if img is None:
-            skip[component(tables, target, g.flag_count)] = True
+            skip |= label == label[target]
             continue
         generators.append(img)
-        tables.append(img.tolist())
-        orbit = component(tables, 0)
-        skip[orbit] = True
-    targets = np.array(orbit, dtype=np.int32)
-    orbits = components(tables, g.flag_count)
-    if g.flag_count != targets.size * len(orbits):
+        label = component_labels(generators, g.flag_count)
+        skip |= label == 0
+    targets = np.flatnonzero(label == 0).astype(np.int32)
+    least = label == np.arange(g.flag_count)
+    orbit_count = int(np.count_nonzero(least))
+    if g.flag_count != targets.size * orbit_count:
         raise InternalCheckError(
-            f"{g.flag_count} flags != group order {targets.size} x {len(orbits)} orbits")
-    orbit_of = np.empty(g.flag_count, dtype=np.int32)
-    for idx, flags in enumerate(orbits):
-        orbit_of[flags] = idx
+            f"{g.flag_count} flags != group order {targets.size} x {orbit_count} orbits")
+    orbit_of = (np.cumsum(least) - 1).astype(np.int32)[label]
     for arr in (targets, orbit_of):
         arr.setflags(write=False)
     return AutGroup(graph=g, generators=generators, targets=targets,
-                    orbit_of=orbit_of, orbit_count=len(orbits))
+                    orbit_of=orbit_of, orbit_count=orbit_count)
 
 
 def aut_group(g: FlagGraph) -> AutGroup:

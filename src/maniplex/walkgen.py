@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError, component
+from .flag_graph import FlagGraph, InternalCheckError, component_labels
 from .stg import SymmetryTypeGraph
 from .symmetry import AutGroup, extend_automorphism, identity
 
@@ -132,5 +132,5 @@ def generates_full_group(s: GeneratorSet, a: AutGroup) -> bool:
     they generate has as many elements as that orbit has flags; equal
     orbits therefore mean equal groups.
     """
-    tables = [p.tolist() for p in s.automorphisms]
-    return component(tables, 0, a.orbit_of.size) == a.targets.tolist()
+    label = component_labels(s.automorphisms, a.orbit_of.size)
+    return np.array_equal(np.flatnonzero(label == 0), a.targets)

@@ -13,12 +13,12 @@ from itertools import permutations
 import numpy as np
 
 from maniplex.enumeration import canonical_code, involutions
-from maniplex.flag_graph import (FlagGraph, commute_defect, component, components,
-                                 i_faces, validate)
+from maniplex.flag_graph import (FlagGraph, InternalCheckError, commute_defect, component,
+                                 components, i_faces, validate)
 from maniplex.formats import PALETTE
 from maniplex.oriented import OrientedSTG, Orientation, oriented_digraph, orientation
 from maniplex.stg import SEMI, SymmetryTypeGraph
-from maniplex.symmetry import AutGroup, extend_automorphism, identity
+from maniplex.symmetry import AutGroup, _extend, extend_automorphism, identity
 
 
 def tables_from_slots(slots, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -526,3 +526,200 @@ def exhaustive_stg(n_colours: int, k: int,
             t = SymmetryTypeGraph(ms)
             found.setdefault(canonical_code(t), t)
     return [found[code] for code in sorted(found)]
+
+
+# The per-flag loops that the index arithmetic of constructions, the
+# pointer-doubled formats.cycle_string and the component labels of
+# symmetry.search_group replaced.
+
+
+def loop_polygon(l: int) -> FlagGraph:
+    """The l-gon as a rank-2 flag graph on 2l flags."""
+    if l < 2:
+        raise ValueError("polygon needs l >= 2")
+    r0 = np.empty(2 * l, dtype=np.int32)
+    r1 = np.empty(2 * l, dtype=np.int32)
+    for k in range(l):
+        r0[2 * k] = 2 * k + 1
+        r0[2 * k + 1] = 2 * k
+        r1[2 * k + 1] = (2 * k + 2) % (2 * l)
+        r1[(2 * k + 2) % (2 * l)] = 2 * k + 1
+    return FlagGraph([r0, r1])
+
+
+def loop_simplex(d: int) -> FlagGraph:
+    """Flag graph of the d-simplex: (d+1)! flags, colour i swaps chain steps.
+
+    A flag is an ordering of the d+1 vertices (the chain adds one vertex
+    per rank); colour i exchanges the entries in positions i and i+1.
+    Orderings are indexed lexicographically.
+    """
+    if d < 1:
+        raise ValueError("simplex needs d >= 1")
+    perms = list(permutations(range(d + 1)))
+    index = {p: t for t, p in enumerate(perms)}
+    adj = np.empty((d, len(perms)), dtype=np.int32)
+    for t, p in enumerate(perms):
+        for i in range(d):
+            q = list(p)
+            q[i], q[i + 1] = q[i + 1], q[i]
+            adj[i, t] = index[tuple(q)]
+    return FlagGraph(adj)
+
+
+def loop_hypercube(d: int) -> FlagGraph:
+    """Flag graph of the d-cube: 2^d * d! flags.
+
+    A flag is (corner, direction order): the chain grows the subcube at
+    the corner one coordinate direction at a time.  Colour 0 flips the
+    corner along the first direction; colour i >= 1 swaps directions at
+    positions i-1 and i.  Flags are indexed lexicographically by
+    (corner bits, direction order).
+    """
+    if d < 1:
+        raise ValueError("hypercube needs d >= 1")
+    perms = list(permutations(range(d)))
+    pindex = {p: t for t, p in enumerate(perms)}
+    nperm = len(perms)
+    total = (1 << d) * nperm
+    adj = np.empty((d, total), dtype=np.int32)
+    for v in range(1 << d):
+        for t, p in enumerate(perms):
+            f = v * nperm + t
+            adj[0, f] = (v ^ (1 << p[0])) * nperm + t
+            for i in range(1, d):
+                q = list(p)
+                q[i - 1], q[i] = q[i], q[i - 1]
+                adj[i, f] = v * nperm + pindex[tuple(q)]
+    return FlagGraph(adj)
+
+
+def loop_torus44(b: int, c: int) -> FlagGraph:
+    """The torus quadrangulation {4,4}_(b,c) on 8(b^2+c^2) flags.
+
+    Quotient of the unit square grid by the lattice spanned by (b, c)
+    and (-c, b).  Flags are indexed lexicographically by (cell x, cell y,
+    corner, triangle half); corner k of the cell at (x, y) is the k-th
+    point of ((x,y), (x+1,y), (x+1,y+1), (x,y+1)), half 0 leans on the
+    edge towards corner k+1 and half 1 on the edge towards corner k-1.
+    """
+    if (b, c) == (0, 0):
+        raise ValueError("(b, c) must not be (0, 0)")
+    n = b * b + c * c
+
+    def canon(x: int, y: int) -> tuple[int, int]:
+        # nearest-lattice-point reduction; the tie rule is translation
+        # invariant, so equivalent points share one representative
+        u = x * b + y * c
+        v = y * b - x * c
+        s = (2 * u + n) // (2 * n)
+        t = (2 * v + n) // (2 * n)
+        return (x - s * b + t * c, y - s * c - t * b)
+
+    cells = set()
+    frontier = [canon(0, 0)]
+    cells.add(frontier[0])
+    while frontier:
+        x, y = frontier.pop()
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            p = canon(x + dx, y + dy)
+            if p not in cells:
+                cells.add(p)
+                frontier.append(p)
+    order = sorted(cells)
+    cell_index = {p: t for t, p in enumerate(order)}
+    assert len(order) == n
+
+    def fid(cell: tuple[int, int], k: int, h: int) -> int:
+        return cell_index[canon(*cell)] * 8 + 2 * k + h
+
+    # r2 crosses the cell edge holding each (corner, half) triangle:
+    # (corner, half) -> (cell offset, corner', half')
+    across = {
+        (0, 0): ((0, -1), 3, 1),
+        (1, 1): ((0, -1), 2, 0),
+        (3, 1): ((0, 1), 0, 0),
+        (2, 0): ((0, 1), 1, 1),
+        (1, 0): ((1, 0), 0, 1),
+        (2, 1): ((1, 0), 3, 0),
+        (0, 1): ((-1, 0), 1, 0),
+        (3, 0): ((-1, 0), 2, 1),
+    }
+
+    total = 8 * n
+    r0 = np.empty(total, dtype=np.int32)
+    r1 = np.empty(total, dtype=np.int32)
+    r2 = np.empty(total, dtype=np.int32)
+    for cell in order:
+        for k in range(4):
+            a = fid(cell, k, 0)
+            bflag = fid(cell, (k + 1) % 4, 1)
+            r0[a] = bflag
+            r0[bflag] = a
+            r1[fid(cell, k, 0)] = fid(cell, k, 1)
+            r1[fid(cell, k, 1)] = fid(cell, k, 0)
+            for h in (0, 1):
+                (dx, dy), k2, h2 = across[(k, h)]
+                r2[fid(cell, k, h)] = fid((cell[0] + dx, cell[1] + dy), k2, h2)
+    return FlagGraph([r0, r1, r2])
+
+
+def loop_cycle_string(perm: np.ndarray) -> str:
+    """Permutation in cycle notation, fixed points omitted ('()' if identity)."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
+    parts = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            seen[nxt] = True
+            cycle.append(nxt)
+            nxt = perm[nxt]
+        if len(cycle) > 1:
+            parts.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(parts) or "()"
+
+
+def tree_search_group(g: FlagGraph, candidates) -> AutGroup:
+    """The group of the automorphisms of ``g`` sending flag 0 into
+    ``candidates``, an array of flags; they must form a group.
+
+    Flag 0 is trial-extended only to candidates outside the orbit of flag
+    0 grown so far, and outside the orbit, under the subgroup found so
+    far, of each failed target (no automorphism reaches those either).
+    Each success at least doubles the subgroup, so there are at most
+    log2(F) generators.  F = |G| * orbit_count holds because the action
+    is free; it is checked.
+    """
+    generators: list[np.ndarray] = []
+    tables: list[list[int]] = []
+    orbit = [0]
+    skip = np.zeros(g.flag_count, dtype=bool)
+    skip[0] = True
+    for target in candidates.tolist():
+        if skip[target]:
+            continue
+        img = _extend(g, g, 0, target)
+        if img is None:
+            skip[component(tables, target, g.flag_count)] = True
+            continue
+        generators.append(img)
+        tables.append(img.tolist())
+        orbit = component(tables, 0)
+        skip[orbit] = True
+    targets = np.array(orbit, dtype=np.int32)
+    orbits = components(tables, g.flag_count)
+    if g.flag_count != targets.size * len(orbits):
+        raise InternalCheckError(
+            f"{g.flag_count} flags != group order {targets.size} x {len(orbits)} orbits")
+    orbit_of = np.empty(g.flag_count, dtype=np.int32)
+    for idx, flags in enumerate(orbits):
+        orbit_of[flags] = idx
+    for arr in (targets, orbit_of):
+        arr.setflags(write=False)
+    return AutGroup(graph=g, generators=generators, targets=targets,
+                    orbit_of=orbit_of, orbit_count=len(orbits))
