@@ -42,10 +42,9 @@ def _tree(tables, start: int, seen: list[bool]):
 
 
 def component(tables, start: int, count: int | None = None) -> list[int]:
-    """Sorted vertices reachable from ``start`` along the partner tables.
-
-    ``count`` (the vertex count) is needed only when ``tables`` is empty.
-    """
+    """Sorted vertices reachable from ``start`` along partner tables held
+    as tuples (numpy flag tables go to :func:`component_labels`); ``count``
+    (the vertex count) is needed only when ``tables`` is empty."""
     seen = [False] * (len(tables[0]) if count is None else count)
     return sorted([start] + [v for _, v in _tree(tables, start, seen)])
 

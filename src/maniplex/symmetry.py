@@ -60,7 +60,8 @@ def _cycle_lengths(p: np.ndarray) -> np.ndarray:
 
     Pointer doubling: after k rounds ``least[f]`` is the least point among
     the 2^k first ones of f's cycle, and ``least`` stops changing exactly
-    when every window covers its whole cycle.
+    when every window covers its whole cycle.  Unlike the doubling in
+    ``formats.cycle_string`` it counts no steps, half the array work.
     """
     least = np.arange(p.size)
     step = p
