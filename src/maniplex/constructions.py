@@ -57,47 +57,33 @@ def map_from_faces(spec: MapSpec) -> FlagGraph:
     the cycle, side 1 at its head.
     """
     slots = _face_slots(spec)
-    seen_vertices = {u for cycle in spec.faces for u in cycle}
-    if seen_vertices != set(range(spec.vertex_count)):
+    if {u for cycle in spec.faces for u in cycle} != set(range(spec.vertex_count)):
         raise MapError("some vertices appear in no face")
     for edge, where in slots.items():
         if len(where) != 2:
             raise MapError(f"edge {edge} lies in {len(where)} face slots, expected 2")
 
-    base = []
-    total = 0
-    for cycle in spec.faces:
-        base.append(total)
-        total += 2 * len(cycle)
+    # slot s, the s-th (face, position) read face by face, holds flags
+    # 2s (side 0) and 2s + 1 (side 1); r0 = f ^ 1 swaps the sides
+    tail = np.array([u for cycle in spec.faces for u in cycle], dtype=np.int32)
+    sizes = np.array([len(cycle) for cycle in spec.faces], dtype=np.int32)
+    start = np.cumsum(sizes, dtype=np.int32) - sizes
+    following = np.arange(1, tail.size + 1, dtype=np.int32)
+    following[start + sizes - 1] = start
+    f = np.arange(2 * tail.size, dtype=np.int32)
+    r1 = np.empty_like(f)
+    r1[1::2] = 2 * following
+    r1[2 * following] = f[1::2]
+    # each edge's two slots; the sides cross where their tails differ
+    where = np.array(list(slots.values()), dtype=np.int32).reshape(-1, 2, 2)
+    a, b = (start[where[:, :, 0]] + where[:, :, 1]).T
+    flip = (tail[a] != tail[b]).astype(np.int32)
+    r2 = np.empty_like(f)
+    for side in (0, 1):
+        r2[2 * a + side] = 2 * b + (side ^ flip)
+        r2[2 * b + (side ^ flip)] = 2 * a + side
 
-    def fid(fi: int, p: int, side: int) -> int:
-        return base[fi] + 2 * p + side
-
-    r0 = np.empty(total, dtype=np.int32)
-    r1 = np.empty(total, dtype=np.int32)
-    r2 = np.empty(total, dtype=np.int32)
-    for fi, cycle in enumerate(spec.faces):
-        m = len(cycle)
-        for p in range(m):
-            r0[fid(fi, p, 0)] = fid(fi, p, 1)
-            r0[fid(fi, p, 1)] = fid(fi, p, 0)
-            r1[fid(fi, p, 1)] = fid(fi, (p + 1) % m, 0)
-            r1[fid(fi, (p + 1) % m, 0)] = fid(fi, p, 1)
-    for (u, v), ((fa, pa), (fb, pb)) in slots.items():
-        tail_a = spec.faces[fa][pa]
-        tail_b = spec.faces[fb][pb]
-        if tail_a == tail_b:
-            r2[fid(fa, pa, 0)] = fid(fb, pb, 0)
-            r2[fid(fb, pb, 0)] = fid(fa, pa, 0)
-            r2[fid(fa, pa, 1)] = fid(fb, pb, 1)
-            r2[fid(fb, pb, 1)] = fid(fa, pa, 1)
-        else:
-            r2[fid(fa, pa, 0)] = fid(fb, pb, 1)
-            r2[fid(fb, pb, 1)] = fid(fa, pa, 0)
-            r2[fid(fa, pa, 1)] = fid(fb, pb, 0)
-            r2[fid(fb, pb, 0)] = fid(fa, pa, 1)
-
-    g = FlagGraph([r0, r1, r2])
+    g = FlagGraph([f ^ 1, r1, r2])
     if not g.is_connected():
         raise MapError("map is disconnected")
     return g

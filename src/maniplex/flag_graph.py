@@ -109,24 +109,21 @@ def quotient_tables(tables, part_of) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, part[np.asarray(tables)[:, first]].tolist()))
 
 
-def commute_defect(mi, mj) -> int | None:
-    """Least vertex u with ``mi[mj[u]] != mj[mi[u]]``, or None when the two
-    tables commute.
-
-    Commutation is the admissibility rule of colours i, j at distance
-    >= 2: on involutions, the components of the (i, j) 2-factor are
-    quotients of an alternating 4-cycle exactly where the two commute.
-    """
-    mi, mj = np.asarray(mi), np.asarray(mj)
-    bad = np.flatnonzero(mi[mj] != mj[mi])
-    return int(bad[0]) if bad.size else None
-
-
 def non_commuting(tables) -> list[tuple[int, int, int]]:
     """``(i, j, u)`` for each colour pair i + 2 <= j whose tables do not
-    commute, u the least vertex where they fail to."""
-    return [(i, j, u) for i in range(len(tables)) for j in range(i + 2, len(tables))
-            if (u := commute_defect(tables[i], tables[j])) is not None]
+    commute, u the least vertex where ``m_i[m_j[u]] != m_j[m_i[u]]``.
+
+    Commutation is the admissibility rule of colours at distance >= 2:
+    on involutions, the components of the (i, j) 2-factor are quotients
+    of an alternating 4-cycle exactly where the two commute.  Table i is
+    compared with all the tables i + 2.. in one array pass.
+    """
+    tables, out = np.asarray(tables), []
+    for i in range(len(tables) - 2):
+        bad = tables[i][tables[i + 2:]] != tables[i + 2:, tables[i]]
+        if bad.any():
+            out += [(i, i + 2 + d, u) for d, u in enumerate(bad.argmax(1).tolist()) if bad[d, u]]
+    return out
 
 
 @dataclass(frozen=True)

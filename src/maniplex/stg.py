@@ -5,13 +5,14 @@ colour on its vertices, the flag orbits; a flag adjacency inside one
 orbit becomes a fixed point of its colour's table, a semi-edge.  For
 colours i, j with |i - j| >= 2 every component of the (i, j) 2-factor
 must be one of the five quotients of an alternating 4-cycle, which
-holds exactly when the tables of i and j commute.  The vertex-major
+holds exactly when the tables of i and j commute.  A graph's tables are
+checked once: ``stg_violations`` keeps what it found.  The vertex-major
 ``slots``, with SEMI for a semi-edge, are only the report's form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .flag_graph import (FlagGraph, InternalCheckError, component, components,
                          face_component, face_maniplex, i_faces, non_commuting,
@@ -34,6 +35,8 @@ class SymmetryTypeGraph:
     ``tables[i][u] == u`` a semi-edge at u."""
 
     tables: tuple[tuple[int, ...], ...]
+    # what the first stg_violations call found, kept for the later ones
+    _problems: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -58,7 +61,14 @@ class SymmetryTypeGraph:
 
 
 def stg_violations(t: SymmetryTypeGraph) -> list[str]:
-    """All structural defects: shape, symmetry, connectivity, 2-factors."""
+    """All structural defects: shape, symmetry, connectivity, 2-factors;
+    found on the first call only, a new list on every call."""
+    if t._problems is None:
+        object.__setattr__(t, "_problems", tuple(_violations(t)))
+    return list(t._problems)
+
+
+def _violations(t: SymmetryTypeGraph) -> list[str]:
     k = t.vertex_count
     for i, m in enumerate(t.tables):
         if len(m) != k:
@@ -87,8 +97,7 @@ def quotient(g: FlagGraph, a: AutGroup) -> SymmetryTypeGraph:
     """Symmetry type graph: one vertex per flag orbit, numbered like the
     orbits; Aut commutes with every colour, so orbits map to orbits."""
     t = SymmetryTypeGraph(quotient_tables(g.adj, a.orbit_of))
-    problems = stg_violations(t)
-    if problems:
+    if problems := stg_violations(t):
         raise InternalCheckError(f"quotient broke pregraph invariants: {problems}")
     return t
 
@@ -193,8 +202,7 @@ def classify(t: SymmetryTypeGraph) -> STGClass:
     three-vertex types by whether the middle vertex carries one or two
     edge colours; four-vertex types get the descriptive family record.
     """
-    problems = stg_violations(t)
-    if problems:
+    if problems := stg_violations(t):
         raise ValueError(f"not an admissible symmetry type graph: {problems}")
     k = t.vertex_count
     if k == 1:

@@ -5,12 +5,15 @@ automorphism is pinned down by the image of a single flag: propagate
 ``image(f^{r_i}) = image(f)^{r_i}`` along a breadth-first tree and check
 the result.  A group is therefore stored as a few generating image tables
 (int32 arrays) plus the orbit of flag 0, one target per element; any
-element is recomputed from its target on demand.
+element is recomputed from its target on demand.  Flag 0 is tried only
+against the flags of its colour under colour refinement, whose rows are
+hashed to one int64 each, so a round costs one gather and one sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -72,36 +75,42 @@ def _cycle_lengths(p: np.ndarray) -> np.ndarray:
         least, step = nxt, step[step]
 
 
-def invariant_colours(tables) -> np.ndarray:
-    """A colour per point that every colour-preserving isomorphism keeps.
+# splitmix64's constants as int64, whose array arithmetic wraps
+_GOLDEN, _M1, _M2 = -0x61C8864680B583EB, -0x40A7B892E31B1A47, -0x6B2FB644ECCEEE15
 
-    ``tables`` are permutations of the points.  The colours start from
-    the cycle lengths of each table and of each product of two tables,
-    then are refined on the tables (a point's colour together with its
-    neighbours' colours) until the class count stops growing.  Colours are ranks of sorted rows, so the points of
-    two graphs coloured in one call, on their disjoint union, get
-    comparable colours.
-    """
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser, a bijection of 64-bit words; the masks
+    make the right shifts of int64 logical."""
+    h = (h ^ ((h >> 30) & 0x3FFFFFFFF)) * _M1
+    h = (h ^ ((h >> 27) & 0x1FFFFFFFFF)) * _M2
+    return h ^ ((h >> 31) & 0x1FFFFFFFF)
+
+
+def invariant_colours(tables) -> np.ndarray:
+    """A colour per point that every colour-preserving isomorphism keeps:
+    the cycle lengths through it of each of the ``tables`` (permutations)
+    and of each product of two, refined on the tables (McKay) until the
+    class count stops growing.  Each row is hashed to one int64 as in
+    Weisfeiler-Lehman hashing: weighted per column, summed and mixed.  A
+    collision only merges classes, adding candidates that fail to extend.
+    Two graphs coloured in one call, on their disjoint union, get
+    comparable colours."""
     tables = np.asarray(tables)
     rank = len(tables)
-    columns = [_cycle_lengths(tables[i] if i == j else tables[i][tables[j]])
-               for i in range(rank) for j in range(i, rank)]
-    colour, count = _classes(columns)
+    weights = _mix(np.arange(1, (rank + 1) * (rank + 2) // 2 + 1, dtype=np.int64) * _GOLDEN)
+    h = np.zeros(tables.shape[1], dtype=np.int64)
+    for w, (i, j) in zip(weights[rank + 1:], combinations_with_replacement(range(rank), 2)):
+        h += _cycle_lengths(tables[i] if i == j else tables[i][tables[j]]) * w
+    classes = 0
     while True:
-        nxt, nxt_count = _classes([colour] + [colour[m] for m in tables])
-        if nxt_count == count:
+        colour = _mix(h)
+        ordered = np.sort(colour)
+        grown = int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
+        if grown == classes:
             return colour
-        colour, count = nxt, nxt_count
-
-
-def _classes(columns) -> tuple[np.ndarray, int]:
-    """Rank of each point's row of (non-negative) column values among the
-    distinct rows, in lexicographic order, and the number of distinct rows."""
-    rank = np.zeros(len(columns[0]), dtype=np.int64)
-    for col in columns:
-        col = np.asarray(col, dtype=np.int64)
-        _, rank = np.unique(rank * (int(col.max()) + 1) + col, return_inverse=True)
-    return rank, int(rank.max()) + 1
+        classes = grown
+        h = colour * weights[0] + weights[1:rank + 1] @ colour[tables]
 
 
 @dataclass

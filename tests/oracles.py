@@ -12,13 +12,15 @@ from itertools import permutations
 
 import numpy as np
 
+from maniplex.constructions import MapError, MapSpec, _face_slots
 from maniplex.enumeration import canonical_code, involutions
-from maniplex.flag_graph import (FlagGraph, InternalCheckError, commute_defect, component,
-                                 components, i_faces, validate)
+from maniplex.flag_graph import (FlagGraph, InternalCheckError, component, components,
+                                 i_faces, validate)
 from maniplex.formats import PALETTE
 from maniplex.oriented import OrientedSTG, Orientation, oriented_digraph, orientation
 from maniplex.stg import SEMI, SymmetryTypeGraph
-from maniplex.symmetry import AutGroup, _extend, extend_automorphism, identity
+from maniplex.symmetry import (AutGroup, _cycle_lengths, _extend, extend_automorphism,
+                               identity)
 
 
 def tables_from_slots(slots, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -723,3 +725,109 @@ def tree_search_group(g: FlagGraph, candidates) -> AutGroup:
         arr.setflags(write=False)
     return AutGroup(graph=g, generators=generators, targets=targets,
                     orbit_of=orbit_of, orbit_count=len(orbits))
+
+
+# The per-pair commutation test that flag_graph.non_commuting replaced.
+
+
+def commute_defect(mi, mj) -> int | None:
+    """Least vertex u with ``mi[mj[u]] != mj[mi[u]]``, or None when the two
+    tables commute."""
+    mi, mj = np.asarray(mi), np.asarray(mj)
+    bad = np.flatnonzero(mi[mj] != mj[mi])
+    return int(bad[0]) if bad.size else None
+
+
+def pair_non_commuting(tables) -> list[tuple[int, int, int]]:
+    """``(i, j, u)`` for each colour pair i + 2 <= j whose tables do not
+    commute, u the least vertex where they fail to."""
+    return [(i, j, u) for i in range(len(tables)) for j in range(i + 2, len(tables))
+            if (u := commute_defect(tables[i], tables[j])) is not None]
+
+
+# The rank-based colour refinement that the hashed rows of
+# symmetry.invariant_colours replaced.
+
+
+def rank_invariant_colours(tables) -> np.ndarray:
+    """Cycle lengths of each table and each product of two, refined on
+    the tables until the class count stops growing; a colour is the rank
+    of a point's row among the distinct rows."""
+    tables = np.asarray(tables)
+    rank = len(tables)
+    columns = [_cycle_lengths(tables[i] if i == j else tables[i][tables[j]])
+               for i in range(rank) for j in range(i, rank)]
+    colour, count = _classes(columns)
+    while True:
+        nxt, nxt_count = _classes([colour] + [colour[m] for m in tables])
+        if nxt_count == count:
+            return colour
+        colour, count = nxt, nxt_count
+
+
+def _classes(columns) -> tuple[np.ndarray, int]:
+    """Rank of each point's row of (non-negative) column values among the
+    distinct rows, in lexicographic order, and the number of distinct rows."""
+    rank = np.zeros(len(columns[0]), dtype=np.int64)
+    for col in columns:
+        col = np.asarray(col, dtype=np.int64)
+        _, rank = np.unique(rank * (int(col.max()) + 1) + col, return_inverse=True)
+    return rank, int(rank.max()) + 1
+
+
+# The per-flag loops that the slot arithmetic of
+# constructions.map_from_faces replaced.
+
+
+def loop_map_from_faces(spec: MapSpec) -> FlagGraph:
+    """Flag graph of a map: 4 flags per edge, colours (vertex, edge, face).
+
+    Flags are indexed lexicographically by (face index, position in
+    cycle, side): side 0 sits at the tail of the directed edge read from
+    the cycle, side 1 at its head.
+    """
+    slots = _face_slots(spec)
+    seen_vertices = {u for cycle in spec.faces for u in cycle}
+    if seen_vertices != set(range(spec.vertex_count)):
+        raise MapError("some vertices appear in no face")
+    for edge, where in slots.items():
+        if len(where) != 2:
+            raise MapError(f"edge {edge} lies in {len(where)} face slots, expected 2")
+
+    base = []
+    total = 0
+    for cycle in spec.faces:
+        base.append(total)
+        total += 2 * len(cycle)
+
+    def fid(fi: int, p: int, side: int) -> int:
+        return base[fi] + 2 * p + side
+
+    r0 = np.empty(total, dtype=np.int32)
+    r1 = np.empty(total, dtype=np.int32)
+    r2 = np.empty(total, dtype=np.int32)
+    for fi, cycle in enumerate(spec.faces):
+        m = len(cycle)
+        for p in range(m):
+            r0[fid(fi, p, 0)] = fid(fi, p, 1)
+            r0[fid(fi, p, 1)] = fid(fi, p, 0)
+            r1[fid(fi, p, 1)] = fid(fi, (p + 1) % m, 0)
+            r1[fid(fi, (p + 1) % m, 0)] = fid(fi, p, 1)
+    for (u, v), ((fa, pa), (fb, pb)) in slots.items():
+        tail_a = spec.faces[fa][pa]
+        tail_b = spec.faces[fb][pb]
+        if tail_a == tail_b:
+            r2[fid(fa, pa, 0)] = fid(fb, pb, 0)
+            r2[fid(fb, pb, 0)] = fid(fa, pa, 0)
+            r2[fid(fa, pa, 1)] = fid(fb, pb, 1)
+            r2[fid(fb, pb, 1)] = fid(fa, pa, 1)
+        else:
+            r2[fid(fa, pa, 0)] = fid(fb, pb, 1)
+            r2[fid(fb, pb, 1)] = fid(fa, pa, 0)
+            r2[fid(fa, pa, 1)] = fid(fb, pb, 0)
+            r2[fid(fb, pb, 0)] = fid(fa, pa, 1)
+
+    g = FlagGraph([r0, r1, r2])
+    if not g.is_connected():
+        raise MapError("map is disconnected")
+    return g

@@ -1,20 +1,31 @@
-"""The array routes of the builders, the cycle notation and the orbit
-labels against the per-flag loops they replaced (kept in oracles.py)."""
+"""The array routes of the builders, the cycle notation, the orbit
+labels, the commutation test and the colour refinement against the
+per-flag, per-pair and rank-based routes they replaced (kept in
+oracles.py)."""
 
 import random
+import warnings
+from importlib import resources
 from itertools import product
 
 import numpy as np
 import pytest
 
-from maniplex.constructions import CORPUS, hypercube, polygon, simplex, torus44
-from maniplex.flag_graph import component_labels, components
-from maniplex.formats import cycle_string
+from maniplex import symmetry
+from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
+                                    map_from_faces, polygon, prism, pyramid, simplex, torus44)
+from maniplex.flag_graph import FlagGraph, component_labels, components, non_commuting, validate
+from maniplex.formats import cycle_string, parse_map_text
 from maniplex.oriented import orientation
-from maniplex.symmetry import invariant_colours, search_group
+from maniplex.symmetry import are_isomorphic, aut_group, invariant_colours, search_group
 from maniplex.walkgen import realize_generators, reduce_generators
-from oracles import (loop_cycle_string, loop_hypercube, loop_polygon, loop_simplex,
-                     loop_torus44, random_map, relabel, tree_search_group)
+from oracles import (loop_cycle_string, loop_hypercube, loop_map_from_faces, loop_polygon,
+                     loop_simplex, loop_torus44, pair_non_commuting, random_map,
+                     rank_invariant_colours, relabel, tree_search_group)
+
+# the labels of the analyze benchmarks
+BENCHMARK_LABELS = ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6", "hypercube:5",
+                    "torus44:20,0", "torus44:16,0", "torus44:12,12", "torus44:9,9")
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -115,3 +126,181 @@ def test_search_group_matches_tree_route_on_random_maps():
         g = random_map(rng, 36 // sheets, sheets, orientable)
         check_search(g)
         check_search(relabel(g, rng))
+
+
+# flag_graph.non_commuting against one commute_defect per colour pair
+
+
+def random_tables(rng, rank, k):
+    """``rank`` tables on k points: involutions, mostly, or permutations."""
+    out = []
+    for _ in range(rank):
+        if rng.random() < 0.2:
+            out.append(tuple(rng.sample(range(k), k)))
+            continue
+        m = list(range(k))
+        points = rng.sample(range(k), 2 * rng.randrange(k // 2 + 1))
+        for u, v in zip(points[::2], points[1::2]):
+            m[u], m[v] = v, u
+        out.append(tuple(m))
+    return tuple(out)
+
+
+def test_non_commuting_matches_pairs_on_random_tuples():
+    rng = random.Random(13)
+    failing = 0
+    for _ in range(2000):
+        tables = random_tables(rng, rng.randrange(1, 7), rng.randrange(1, 10))
+        expected = pair_non_commuting(tables)
+        assert non_commuting(tables) == expected, tables
+        assert non_commuting(np.array(tables, dtype=np.int32)) == expected, tables
+        failing += bool(expected)
+    assert 500 < failing < 1900
+
+
+def rewired(g, rng, colour):
+    """g's tables with two edges of one colour swapped for two others."""
+    adj = g.adj.copy()
+    m = adj[colour]
+    u, v = rng.sample(range(g.flag_count), 2)
+    while v in (u, m[u]):
+        v = rng.randrange(g.flag_count)
+    pu, pv = int(m[u]), int(m[v])
+    m[u], m[v], m[pu], m[pv] = v, u, pv, pu
+    return adj
+
+
+def test_non_commuting_matches_pairs_on_flag_graphs_with_defects(corpus):
+    rng = random.Random(17)
+    for label in CORPUS:
+        g = corpus.graph(label)
+        assert non_commuting(g.adj) == pair_non_commuting(g.adj) == []
+        if g.rank < 3:
+            continue
+        for colour in range(g.rank):
+            adj = rewired(g, rng, colour)
+            expected = pair_non_commuting(adj)
+            assert non_commuting(adj) == expected, (label, colour)
+            found = [(v.colours[0], v.colours[1], v.flag) for v in validate(FlagGraph(adj))
+                     if v.kind == "commuting condition"]
+            assert found == expected, (label, colour)
+
+
+# constructions.map_from_faces against its per-flag loops
+
+
+MAP_ERRORS = [
+    MapSpec(3, ((0, 1, 2),)),                          # an edge in one slot
+    MapSpec(2, ((0, 1), (0, 1))),                      # a 2-gon
+    MapSpec(3, ((0, 0, 1), (0, 1, 2))),                # a repeated vertex
+    MapSpec(3, ((0, 1, 3), (0, 3, 1))),                # a vertex out of range
+    MapSpec(5, ((0, 1, 2), (0, 2, 1))),                # vertices in no face
+    MapSpec(3, ((0, 1, 2), (0, 2, 1), (0, 1, 2))),     # an edge in three slots
+    MapSpec(6, ((0, 1, 2), (0, 2, 1), (3, 4, 5), (3, 5, 4))),   # disconnected
+]
+
+
+def data_map_specs():
+    return [parse_map_text(path.read_text())
+            for path in sorted(resources.files("maniplex").joinpath("data").iterdir())
+            if path.name.endswith(".map")]
+
+
+def test_map_from_faces_matches_loop():
+    specs = data_map_specs()
+    assert len(specs) == 5
+    # one face around a tree, each edge read in both directions, and one
+    # face reading a triangle twice in the same direction
+    specs += [MapSpec(4, ((0, 1, 2, 3, 2, 1),)), MapSpec(3, ((0, 1, 2, 0, 1, 2),))]
+    for spec in specs:
+        assert map_from_faces(spec) == loop_map_from_faces(spec), spec
+    for l in range(3, 41):
+        squares = tuple((k, (k + 1) % l, l + (k + 1) % l, l + k) for k in range(l))
+        prism_spec = MapSpec(2 * l, (tuple(range(l)), tuple(range(l, 2 * l))) + squares)
+        triangles = tuple((k, (k + 1) % l, l) for k in range(l))
+        pyramid_spec = MapSpec(l + 1, (tuple(range(l)),) + triangles)
+        assert prism(l) == loop_map_from_faces(prism_spec), l
+        assert pyramid(l) == loop_map_from_faces(pyramid_spec), l
+
+
+@pytest.mark.parametrize("spec", MAP_ERRORS)
+def test_map_from_faces_errors_match_loop(spec):
+    with pytest.raises(MapError) as new:
+        map_from_faces(spec)
+    with pytest.raises(MapError) as old:
+        loop_map_from_faces(spec)
+    assert str(new.value) == str(old.value)
+
+
+# symmetry.invariant_colours against the rank-based refinement
+
+
+def same_partition(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return pairs == np.unique(a).size == np.unique(b).size
+
+
+def seeded_random_maps(base_edges):
+    """Six seeded random maps, trivial, Z_2 and Z_3 sheets, orientable or
+    not, each followed by a relabelling."""
+    rng = random.Random(23)
+    for sheets, orientable in product((1, 2, 3), (True, False)):
+        g = random_map(rng, base_edges // sheets, sheets, orientable)
+        yield g
+        yield relabel(g, rng)
+
+
+def test_hashed_colours_give_the_rank_partition(corpus):
+    graphs = [corpus.graph(label) for label in CORPUS]
+    graphs += [construction(label) for label in BENCHMARK_LABELS]
+    graphs += list(seeded_random_maps(600))
+    for g in graphs:
+        assert same_partition(invariant_colours(g.adj), rank_invariant_colours(g.adj)), g
+    # on a disjoint union, as are_isomorphic colours it
+    g, h = graphs[-2:]
+    union = np.concatenate([g.adj, h.adj + g.flag_count], axis=1)
+    assert same_partition(invariant_colours(union), rank_invariant_colours(union))
+
+
+COLOURINGS = {
+    "hashed": invariant_colours,
+    "rank": rank_invariant_colours,
+    "all equal": lambda tables: np.zeros(np.shape(tables)[1], dtype=np.int64),
+}
+
+
+def group_results(graphs, pairs):
+    out = []
+    for g in graphs:
+        a = aut_group(g)
+        out.append((a.targets.tolist(), [p.tolist() for p in a.generators],
+                    a.orbit_of.tolist(), a.orbit_count))
+    for g, h in pairs:
+        m = are_isomorphic(g, h)
+        out.append(None if m is None else m.tolist())
+    return out
+
+
+def test_search_results_do_not_depend_on_the_colouring(corpus, monkeypatch):
+    graphs = [corpus.graph(label) for label in CORPUS if corpus.graph(label).flag_count <= 1000]
+    graphs += [construction("prism:20"), construction("pyramid:20"), torus44(5, 2)]
+    graphs += list(seeded_random_maps(60))
+    pairs = list(zip(graphs[-12::2], graphs[-11::2]))          # each random map, relabelled
+    pairs += [(graphs[-12], graphs[-10]), (torus44(5, 0), torus44(4, 3)),
+              (torus44(1, 2), torus44(2, 1))]
+    results = {}
+    for name, colouring in COLOURINGS.items():
+        monkeypatch.setattr(symmetry, "invariant_colours", colouring)
+        results[name] = group_results(graphs, pairs)
+    assert results["hashed"] == results["rank"] == results["all equal"]
+    assert sum(r is not None for r in results["hashed"][len(graphs):]) == 7
+
+
+def test_invariant_colours_raise_no_overflow_warning(corpus):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label in CORPUS:
+            invariant_colours(corpus.graph(label).adj)
+        invariant_colours(hypercube(6).adj)
+

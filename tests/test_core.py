@@ -14,14 +14,14 @@ from maniplex import oriented, symmetry
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, cube, torus44
 from maniplex.enumeration import canonical_code, enumerate_stg, involutions
-from maniplex.flag_graph import (FlagGraph, InternalCheckError, commute_defect, component,
-                                 components, non_commuting, two_colouring)
+from maniplex.flag_graph import (FlagGraph, InternalCheckError, component, components,
+                                 non_commuting, two_colouring)
 from maniplex.oriented import oriented_digraph, orientation
 from maniplex.stg import SymmetryTypeGraph, quotient, stg_violations
 from maniplex.symmetry import are_isomorphic, aut_group
 from maniplex.walkgen import (GeneratorSet, generates_full_group, realize_generators,
                               reduce_generators)
-from oracles import closure, min_code
+from oracles import closure, commute_defect, min_code
 
 # The five quotients of an alternating (i, j) 4-cycle, as (m_i, m_j)
 # partner tables on local vertices 0..size-1.

@@ -10,11 +10,11 @@ from maniplex.enumeration import (canonical_code, enumerate_oriented_stg3,
                                   enumerate_stg, involutions, is_fully_transitive,
                                   oriented_canonical_code, oriented_stg3_families,
                                   oriented_stg3_via_quotient, verify_census)
-from maniplex.flag_graph import InternalCheckError, commute_defect
+from maniplex.flag_graph import InternalCheckError
 from maniplex.stg import (SEMI, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, classify,
                           is_admissible, transitivity_profile)
-from oracles import (exhaustive_stg, hand_oriented_stg3, min_code, oriented_min_code,
-                     stg_from_slots)
+from oracles import (commute_defect, exhaustive_stg, hand_oriented_stg3, min_code,
+                     oriented_min_code, stg_from_slots)
 
 
 def test_involution_counts():

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from maniplex import stg
+from maniplex.cli import main
 from maniplex.constructions import CORPUS, cube, cuboctahedron, prism, pyramid, torus44
 from maniplex.flag_graph import i_faces
 from maniplex.oriented import aut_plus, orientation, oriented_stg
@@ -207,3 +209,27 @@ def test_three_orbit_classes_have_reflexible_j_faces(corpus):
             part = i_faces(g, j)
             for face in range(part.face_count):
                 assert aut_group(face_maniplex(g, j, face)).orbit_count == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--generators", "--oriented"]])
+def test_analyze_checks_each_stg_once(monkeypatch, capsys, extra):
+    checked = []
+    check = stg._violations
+    monkeypatch.setattr(stg, "_violations", lambda t: checked.append(t) or check(t))
+    assert main(["analyze", "prism:5", "--json"] + extra) == 0
+    capsys.readouterr()
+    # the list keeps every checked graph alive, so ids are not reused
+    assert checked and len({id(t) for t in checked}) == len(checked)
+    if not extra:
+        assert len(checked) == 1
+
+
+def test_stg_violations_returns_a_new_list_each_call():
+    for slots in [((SEMI, SEMI, SEMI),), ((1, SEMI), (SEMI, SEMI))]:
+        t = stg_from_slots(slots)
+        first = stg_violations(t)
+        expected = list(first)
+        first.append("mutated")
+        assert stg_violations(t) == expected
+        assert stg_violations(t) is not stg_violations(t)
+
