@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .flag_graph import FlagGraph, InternalCheckError, validate
 from .oriented import (aut_plus, black_orbit_count, classify_oriented,
                        is_chiral_a_la_conway, orientation, oriented_stg,
                        stg_has_odd_closed_walk)
-from .stg import classify, quotient, transitivity_profile
+from .stg import check_all, classify, quotient, transitivity_profile
 from .symmetry import aut_group
 from .walkgen import generates_full_group, realize_generators, reduce_generators
 
@@ -145,7 +146,10 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     print(len(graphs))
-    labels = [classify(t).label() for t in graphs] if args.csv or not args.count_only else []
+    labels = []
+    if args.csv or not args.count_only:
+        check_all(graphs)  # one array pass, which classify then reads
+        labels = [classify(t).label() for t in graphs]
     if not args.count_only:
         for idx, (t, label) in enumerate(zip(graphs, labels)):
             print(f"-- {idx}: {label}")
@@ -180,7 +184,10 @@ def cmd_construct(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It holds no command functions:
+    ``main`` looks each up by name on every call, so a rebound one counts."""
     parser = argparse.ArgumentParser(
         prog="maniplex",
         description="Analyze flag graphs, enumerate symmetry type graphs, build examples.")
@@ -194,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="derive generators from a spanning tree of the quotient")
     analyze.add_argument("--oriented", action="store_true",
                          help="add orientability and oriented quotient data")
-    analyze.set_defaults(func=cmd_analyze)
 
     enum = sub.add_parser("enumerate", help="list admissible symmetry type graphs")
     enum.add_argument("--colors", type=int, required=True)
@@ -204,19 +210,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="keep only types without odd closed walks")
     enum.add_argument("--count-only", action="store_true")
     enum.add_argument("--csv", metavar="PATH")
-    enum.set_defaults(func=cmd_enumerate)
 
     construct = sub.add_parser("construct", help="write a construction as a flag graph file")
     construct.add_argument("name", help="e.g. hypercube:3, torus44:1,2, cube")
     construct.add_argument("--out", metavar="PATH")
-    construct.set_defaults(func=cmd_construct)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"analyze": cmd_analyze, "enumerate": cmd_enumerate, "construct": cmd_construct}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -9,9 +9,11 @@ those that commute with every earlier colour but the previous one.
 The search is orderly: it keeps a tuple only when it is
 lexicographically least, by position in the candidate lists, among its
 vertex relabellings, so each class is generated once, as the first
-labelled tuple an exhaustive search would meet.  A rooted canonical
-code sorts the classes.  Vertices are
-relabelled, colours never are, so the classes are colour-specific.
+labelled tuple an exhaustive search would meet.  Connectivity and the
+rooted canonical codes that sort the classes are computed once per
+search, for all its tuples in one array pass (``flag_graph.connected``
+and ``flag_graph.least_codes``).  Vertices are relabelled, colours
+never are, so the classes are colour-specific.
 
 The three-vertex oriented census is the same search on the six-point
 double covers of the oriented quotients.
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
-from .flag_graph import InternalCheckError, component, quotient_tables, two_colouring
+from .flag_graph import (CHUNK, InternalCheckError, connected, least_codes, quotient_tables,
+                         two_colouring)
 from .oriented import OrientedSTG, stg_has_odd_closed_walk
 from .stg import SymmetryTypeGraph, face_orbit_splits, transitivity_profile
 
@@ -54,51 +57,13 @@ def involutions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _rooted_code(tables, root: int, semi: int) -> bytes:
-    """Serialization of partner tables with ``root`` labelled 0.
-
-    Vertices are read in label order and, at each, the tables in colour
-    order; a vertex met for the first time takes the next free label.
-    In the first ``semi`` tables a fixed point is a semi-edge, written
-    255; in the others it is written as the vertex's label.
-    """
-    columns = [(m, c < semi) for c, m in enumerate(tables)]
-    label = {root: 0}
-    order = [root]
-    code = bytearray()
-    for u in order:
-        for m, marks_semi in columns:
-            v = m[u]
-            if v == u and marks_semi:
-                code.append(255)
-                continue
-            if v not in label:
-                label[v] = len(order)
-                order.append(v)
-            code.append(label[v])
-    if len(order) != len(tables[0]):
-        raise ValueError("a canonical code needs a connected input")
-    return bytes(code)
-
-
-def _least_code(tables, semi: int) -> bytes:
-    """The least rooted code over all roots.
-
-    On a connected input this is the least serialization over all k!
-    vertex relabellings: once the root is fixed, wherever a new vertex
-    is met the next free label is the only smallest byte, and the
-    vertex labelled j is met before vertex j's cells are read.
-    """
-    return min(_rooted_code(tables, root, semi) for root in range(len(tables[0])))
-
-
 def canonical_code(t: SymmetryTypeGraph) -> bytes:
     """Least serialization over all vertex relabellings.
 
     Vertices are permuted, colours are not; 255 marks a semi-edge.
-    Raises ValueError when ``t`` is disconnected.
+    Raises ValueError when ``t`` is disconnected or has over 255 vertices.
     """
-    return _least_code(t.tables, t.rank)
+    return least_codes([t.tables], t.rank)[0].tobytes()
 
 
 def _relabellings(k: int) -> list[tuple[int, ...]]:
@@ -126,11 +91,11 @@ def _images(tables, relabellings) -> np.ndarray:
     return out
 
 
-def _commuting_tuples(candidates, relabellings):
+def _commuting_tuples(tables, lists, relabellings):
     """The tuples of one table per colour, drawn from that colour's list
-    in ``candidates``, in which colours at distance >= 2 commute: one per
-    orbit of the group ``relabellings``, whose point permutations each
-    map every list onto itself.
+    of indices into ``tables``, in which colours at distance >= 2
+    commute: one per orbit of the group ``relabellings``, whose point
+    permutations each map every list onto itself.
 
     A tuple is kept when its positions in the lists are lexicographically
     least among its images.  At colour i the chosen table must be least
@@ -140,15 +105,12 @@ def _commuting_tuples(candidates, relabellings):
     kept from each orbit is the one an exhaustive search in list order
     meets first.
 
-    Tuples come in lexicographic order of the lists, colour 0 most
-    significant.
+    Each tuple comes as the indices of its tables, in lexicographic order
+    of the lists, colour 0 most significant.
     """
-    tables = list(dict.fromkeys(m for cands in candidates for m in cands))
     if not tables:
         return
     commutes = _commutation_masks(tables)
-    index = {m: a for a, m in enumerate(tables)}
-    lists = [[index[m] for m in cands] for cands in candidates]
     # one bitmask over the relabellings per table: those fixing it, and
     # per colour those moving it earlier in that colour's list
     images = _images(tables, relabellings)
@@ -165,7 +127,7 @@ def _commuting_tuples(candidates, relabellings):
         # stabiliser: the relabellings fixing every chosen table
         c = len(chosen)
         if c == len(lists):
-            yield tuple(tables[a] for a in chosen)
+            yield tuple(chosen)
             return
         after = allowed & commutes[chosen[-1]] if chosen else allowed
         for a in lists[c]:
@@ -175,6 +137,37 @@ def _commuting_tuples(candidates, relabellings):
                 chosen.pop()
 
     yield from grow((1 << len(tables)) - 1, (1 << len(relabellings)) - 1)
+
+
+def _connected_tuples(candidates, relabellings) -> tuple[np.ndarray, np.ndarray]:
+    """The tuples of ``_commuting_tuples`` over the per-colour lists
+    ``candidates`` that connect their points, as rows of indices into the
+    candidates without repeats and as a uint8 stack (tuples, colours,
+    points); the search is read in parts whose union has CHUNK bytes."""
+    tables = list(dict.fromkeys(m for cands in candidates for m in cands))
+    index = {m: a for a, m in enumerate(tables)}
+    lists = [[index[m] for m in cands] for cands in candidates]
+    search = _commuting_tuples(tables, lists, relabellings)
+    k, width = len(relabellings[0]), len(lists)
+    tables = np.array(tables, np.uint8).reshape(-1, k)
+    rows = [np.zeros((0, width), np.int16)]
+    while len(part := np.array(list(islice(search, max(1, CHUNK // (8 * width * k)))), np.int16)):
+        rows.append(part[connected(tables[part])])
+    rows = np.concatenate(rows)
+    return rows, tables[rows]
+
+
+def _code_order(codes: np.ndarray, first_of_each: bool = False) -> np.ndarray:
+    """Indices of the uint8 code rows in increasing order.  Each search
+    yields one tuple per class, so two equal rows raise InternalCheckError,
+    unless ``first_of_each`` asks to keep the first index of each code."""
+    keys = codes.view(f"V{codes.shape[1]}").ravel()
+    order = np.argsort(keys, kind="stable")
+    same = keys[order[1:]] == keys[order[:-1]]
+    if same.any() and not first_of_each:
+        code = codes[order[1:][same][0]].tobytes().hex()
+        raise InternalCheckError(f"the census met class {code} twice")
+    return np.concatenate([order[:1], order[1:][~same]])
 
 
 def _commutation_masks(tables) -> list[int]:
@@ -189,13 +182,6 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
     """Each row of a boolean array as an int, column j at bit j."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _keep_new(found: dict, code: bytes, item) -> None:
-    """Record ``item`` under ``code``; the search yields one per class."""
-    if code in found:
-        raise InternalCheckError(f"the census met class {code.hex()} twice")
-    found[code] = item
 
 
 def enumerate_stg(n_colours: int, k: int, filters=(),
@@ -214,12 +200,10 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
     choices = involutions(k)
     if fixed_point_free:
         choices = [m for m in choices if all(m[v] != v for v in range(k))]
-    found: dict[bytes, SymmetryTypeGraph] = {}
-    for ms in _commuting_tuples([choices] * n_colours, _relabellings(k)):
-        if len(component(ms, 0)) == k:
-            t = SymmetryTypeGraph(ms)
-            _keep_new(found, canonical_code(t), t)
-    graphs = [found[code] for code in sorted(found)]
+    rows, stack = _connected_tuples([choices] * n_colours, _relabellings(k))
+    columns = rows[_code_order(least_codes(stack, n_colours))].T.tolist()
+    graphs = [SymmetryTypeGraph(tables)
+              for tables in zip(*(map(choices.__getitem__, column) for column in columns))]
     for predicate in filters:
         graphs = [t for t in graphs if predicate(t)]
     return graphs
@@ -248,8 +232,14 @@ def oriented_canonical_code(ot: OrientedSTG) -> bytes:
     is one more table after the undirected classes, a loop written as
     the vertex itself.
     """
-    return min(_least_code(ot.tables + (dart,), len(ot.tables))
-               for dart in (ot.dart, _inverse(ot.dart)))
+    return _oriented_codes([ot])[0].tobytes()
+
+
+def _oriented_codes(ots) -> np.ndarray:
+    """``oriented_canonical_code`` of each of ``ots``, all with one colour
+    count, as uint8 rows: one array pass over both dart directions."""
+    stack = [[ot.tables + (dart,) for dart in (ot.dart, _inverse(ot.dart))] for ot in ots]
+    return least_codes(stack, len(ots[0].tables))
 
 
 def _dart_shape(dart: tuple[int, int, int]) -> str:
@@ -294,7 +284,7 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     if n_colours < 4:
         raise ValueError("three-vertex oriented quotients need n_colours >= 4")
     n = n_colours
-    classes = {_lift(t, t): t for t in _INVOLUTIONS3}
+    classes = [_lift(t, t) for t in _INVOLUTIONS3]
     top = _lift(range(3), range(3))
     # a relabelling p acts diagonally on black and white points; reversing
     # every dart swaps black u with white u
@@ -302,17 +292,16 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     group = diagonal + [d[3:] + d[:3] for d in diagonal]
     darts = [_lift(rot, _inverse(rot)) for rot in _DARTS3]
     dart_images = _images(darts, group)
-    found: dict[bytes, OrientedSTG] = {}
+    found: list[OrientedSTG] = []
     for r, rot in enumerate(_DARTS3):
         if dart_images[r].min() < r:
             continue
         stabiliser = [group[g] for g in np.flatnonzero(dart_images[r] == r)]
-        candidates = [list(classes)] * (n - 2) + [[darts[r]], [top]]
-        for ms in _commuting_tuples(candidates, stabiliser):
-            if len(component(ms, 0)) == 6:
-                ot = OrientedSTG(tables=tuple(classes[m] for m in ms[:-2]), dart=rot)
-                _keep_new(found, oriented_canonical_code(ot), ot)
-    return [found[code] for code in sorted(found)]
+        candidates = [classes] * (n - 2) + [[darts[r]], [top]]
+        # the classes lead the distinct candidates, so index p is _INVOLUTIONS3[p]
+        found += [OrientedSTG(tables=tuple(_INVOLUTIONS3[p] for p in row[:-2]), dart=rot)
+                  for row in _connected_tuples(candidates, stabiliser)[0].tolist()]
+    return [found[i] for i in _code_order(_oriented_codes(found)).tolist()]
 
 
 def _by_shape(census: list[OrientedSTG]) -> dict[str, list[OrientedSTG]]:
@@ -340,21 +329,20 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
     n_colours; a cross-check for small colour counts.
     """
     n = n_colours
-    found: dict[bytes, OrientedSTG] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         # no odd closed walks rules out semi-edges from the start
         sixes = enumerate_stg(n, 6, filters=(lambda t: not stg_has_odd_closed_walk(t),),
                               fixed_point_free=True)
+    found = []
     for t in sixes:
         m = np.array(t.tables)
         black = np.array(two_colouring(t.tables)) == 0
         rot = np.where(black, m[n - 2][m[n - 1]], m[n - 2])
         *tables, dart = quotient_tables(np.vstack([m[:n - 2], rot]),
                                         np.minimum(np.arange(6), m[n - 1]))
-        ot = OrientedSTG(tables=tuple(tables), dart=dart)
-        found.setdefault(oriented_canonical_code(ot), ot)
-    return [found[code] for code in sorted(found)]
+        found.append(OrientedSTG(tables=tuple(tables), dart=dart))
+    return [found[i] for i in _code_order(_oriented_codes(found), first_of_each=True).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +416,8 @@ def verify_census() -> list[CensusCheck]:
             len(groups["two_cycle_loop"])))
     checks.append(CensusCheck(
         "oriented 3-vertex, 4 colours: direct route matches 6-vertex quotient route",
-        [oriented_canonical_code(ot) for ot in oriented[4]],
-        [oriented_canonical_code(ot) for ot in oriented_stg3_via_quotient(4)]))
+        [code.tobytes() for code in _oriented_codes(oriented[4])],
+        [code.tobytes() for code in _oriented_codes(oriented_stg3_via_quotient(4))]))
     return checks
 
 

@@ -6,7 +6,9 @@ orbit becomes a fixed point of its colour's table, a semi-edge.  For
 colours i, j with |i - j| >= 2 every component of the (i, j) 2-factor
 must be one of the five quotients of an alternating 4-cycle, which
 holds exactly when the tables of i and j commute.  A graph's tables are
-checked once: ``stg_violations`` keeps what it found.  The vertex-major
+checked once, by array comparisons over a stack of graphs of one shape:
+``check_all`` checks a census list in one pass, ``stg_violations`` one
+graph, and both keep on each graph what they found.  The vertex-major
 ``slots``, with SEMI for a semi-edge, are only the report's form.
 """
 
@@ -14,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .flag_graph import (FlagGraph, InternalCheckError, component, components,
-                         face_component, face_maniplex, i_faces, non_commuting,
-                         quotient_tables)
+import numpy as np
+
+from .flag_graph import (CHUNK, FlagGraph, InternalCheckError, component, components,
+                         connected, face_component, face_maniplex, i_faces,
+                         non_commuting, quotient_tables)
 from .symmetry import AutGroup, aut_group
 
 SEMI = -1
@@ -64,28 +68,45 @@ def stg_violations(t: SymmetryTypeGraph) -> list[str]:
     """All structural defects: shape, symmetry, connectivity, 2-factors;
     found on the first call only, a new list on every call."""
     if t._problems is None:
-        object.__setattr__(t, "_problems", tuple(_violations(t)))
+        check_all([t])
     return list(t._problems)
 
 
-def _violations(t: SymmetryTypeGraph) -> list[str]:
-    k = t.vertex_count
-    for i, m in enumerate(t.tables):
-        if len(m) != k:
-            return [f"colour {i} has {len(m)} entries, expected {k}"]
-    out = []
-    for u in range(k):
-        for i, m in enumerate(t.tables):
-            v = m[u]
-            if not 0 <= v < k:
-                out.append(f"slot ({u}, {i}) out of range")
-            elif m[v] != u:
-                out.append(f"asymmetric edge ({u}, {v}) colour {i}")
-    if out:
-        return out
-    if len(component(t.tables, 0)) != k:
-        out.append("disconnected")
-    out += [f"bad ({i},{j}) 2-factor at vertex {u}" for i, j, u in non_commuting(t.tables)]
+def check_all(graphs) -> None:
+    """``stg_violations`` of every graph not checked yet, kept on each:
+    one int64 array pass per table shape, in CHUNK-byte parts."""
+    shapes: dict[tuple[int, ...], list[SymmetryTypeGraph]] = {}
+    for t in graphs:
+        if t._problems is None:
+            shapes.setdefault(tuple(map(len, t.tables)), []).append(t)
+    for shape, group in shapes.items():
+        step = max(1, CHUNK // (8 * sum(shape)))
+        for part in (group[i:i + step] for i in range(0, len(group), step)):
+            for t, problems in zip(part, _violations(part)):
+                object.__setattr__(t, "_problems", tuple(problems))
+
+
+def _violations(graphs) -> list[list[str]]:
+    """Per graph, all of one table shape: slots out of range or asymmetric,
+    by vertex and then colour; else disconnection and the colour pairs
+    that do not commute."""
+    shape = tuple(map(len, graphs[0].tables))
+    k = shape[0]
+    if (i := next((i for i, n in enumerate(shape) if n != k), None)) is not None:
+        return [[f"colour {i} has {shape[i]} entries, expected {k}"]] * len(graphs)
+    m = np.array([t.tables for t in graphs], dtype=np.int64)
+    out: list[list[str]] = [[] for _ in graphs]
+    inside = (m >= 0) & (m < k)
+    safe = np.where(inside, m, 0)
+    bad = ~inside | (np.take_along_axis(m, safe, 2) != np.arange(k))
+    for g, u, i in zip(*(a.tolist() for a in np.nonzero(bad.transpose(0, 2, 1)))):
+        out[g].append(f"asymmetric edge ({u}, {m[g, i, u]}) colour {i}" if inside[g, i, u]
+                      else f"slot ({u}, {i}) out of range")
+    good = np.flatnonzero(~bad.any(axis=(1, 2)))
+    for g in good[~connected(m[good])]:
+        out[g].append("disconnected")
+    for g, i, j, u in non_commuting(m[good]):
+        out[good[g]].append(f"bad ({i},{j}) 2-factor at vertex {u}")
     return out
 
 

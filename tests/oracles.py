@@ -13,7 +13,7 @@ from itertools import permutations
 import numpy as np
 
 from maniplex.constructions import MapError, MapSpec, _face_slots
-from maniplex.enumeration import canonical_code, involutions
+from maniplex.enumeration import involutions
 from maniplex.flag_graph import (FlagGraph, InternalCheckError, component, components,
                                  i_faces, validate)
 from maniplex.formats import PALETTE
@@ -525,9 +525,66 @@ def exhaustive_stg(n_colours: int, k: int,
     found: dict[bytes, SymmetryTypeGraph] = {}
     for ms in exhaustive_commuting_tuples([choices] * n_colours):
         if len(component(ms, 0)) == k:
-            t = SymmetryTypeGraph(ms)
-            found.setdefault(canonical_code(t), t)
+            found.setdefault(loop_least_code(ms, n_colours), SymmetryTypeGraph(ms))
     return [found[code] for code in sorted(found)]
+
+
+# The per-class codes and the per-graph check that flag_graph.least_codes
+# and stg._violations replaced.
+
+
+def loop_rooted_code(tables, root: int, semi: int) -> bytes:
+    """Serialization of partner tables with ``root`` labelled 0.
+
+    Vertices are read in label order and, at each, the tables in colour
+    order; a vertex met for the first time takes the next free label.
+    In the first ``semi`` tables a fixed point is a semi-edge, written
+    255; in the others it is written as the vertex's label.
+    """
+    columns = [(m, c < semi) for c, m in enumerate(tables)]
+    label = {root: 0}
+    order = [root]
+    code = bytearray()
+    for u in order:
+        for m, marks_semi in columns:
+            v = m[u]
+            if v == u and marks_semi:
+                code.append(255)
+                continue
+            if v not in label:
+                label[v] = len(order)
+                order.append(v)
+            code.append(label[v])
+    if len(order) != len(tables[0]):
+        raise ValueError("a canonical code needs a connected input")
+    return bytes(code)
+
+
+def loop_least_code(tables, semi: int) -> bytes:
+    """The least rooted code over all roots."""
+    return min(loop_rooted_code(tables, root, semi) for root in range(len(tables[0])))
+
+
+def loop_violations(t: SymmetryTypeGraph) -> list[str]:
+    """``stg_violations`` by a loop over vertices and colours."""
+    k = t.vertex_count
+    for i, m in enumerate(t.tables):
+        if len(m) != k:
+            return [f"colour {i} has {len(m)} entries, expected {k}"]
+    out = []
+    for u in range(k):
+        for i, m in enumerate(t.tables):
+            v = m[u]
+            if not 0 <= v < k:
+                out.append(f"slot ({u}, {i}) out of range")
+            elif m[v] != u:
+                out.append(f"asymmetric edge ({u}, {v}) colour {i}")
+    if out:
+        return out
+    if len(component(t.tables, 0)) != k:
+        out.append("disconnected")
+    out += [f"bad ({i},{j}) 2-factor at vertex {u}" for i, j, u in pair_non_commuting(t.tables)]
+    return out
 
 
 # The per-flag loops that the index arithmetic of constructions, the

@@ -1,6 +1,8 @@
+import random
 import warnings
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from maniplex import enumeration
@@ -10,11 +12,11 @@ from maniplex.enumeration import (canonical_code, enumerate_oriented_stg3,
                                   enumerate_stg, involutions, is_fully_transitive,
                                   oriented_canonical_code, oriented_stg3_families,
                                   oriented_stg3_via_quotient, verify_census)
-from maniplex.flag_graph import InternalCheckError
+from maniplex.flag_graph import InternalCheckError, component, least_codes
 from maniplex.stg import (SEMI, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, classify,
                           is_admissible, transitivity_profile)
-from oracles import (commute_defect, exhaustive_stg, hand_oriented_stg3, min_code,
-                     oriented_min_code, stg_from_slots)
+from oracles import (commute_defect, exhaustive_stg, hand_oriented_stg3, loop_least_code,
+                     min_code, oriented_min_code, stg_from_slots)
 
 
 def test_involution_counts():
@@ -233,3 +235,120 @@ def test_census_report_all_green():
     report = verify_census()
     failed = [str(check) for check in report if not check.passed]
     assert failed == []
+
+
+# flag_graph.least_codes against the per-class rooted codes and the k!
+# relabellings it replaced
+
+
+CODE_GRID = ([(n, 4) for n in range(3, 9)] + [(n, 5) for n in range(3, 7)]
+             + [(n, 6) for n in range(3, 6)] + [(3, 7)])
+
+
+@pytest.mark.parametrize("n_colours,k", CODE_GRID)
+def test_least_codes_match_the_loops_on_every_class(n_colours, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        graphs = enumerate_stg(n_colours, k)
+    codes = least_codes([t.tables for t in graphs], n_colours)
+    assert codes.dtype == np.uint8 and codes.shape == (len(graphs), n_colours * k)
+    for t, code in zip(graphs, codes):
+        assert code.tobytes() == loop_least_code(t.tables, n_colours) == min_code(t.slots), t
+
+
+def random_connected_tuple(rng, colours, k, semi):
+    """Random tables on k points connecting them: involutions in the first
+    ``semi`` colours (fixed points are semi-edges), permutations after."""
+    while True:
+        tables = []
+        for c in range(colours):
+            points = list(range(k))
+            rng.shuffle(points)
+            m = list(range(k))
+            if c < semi:
+                for u, v in zip(points[::2], points[1::2]):
+                    if rng.random() < 0.7:
+                        m[u], m[v] = v, u
+            else:
+                m = points
+            tables.append(tuple(m))
+        if len(component(tables, 0)) == k:
+            return tuple(tables)
+
+
+def test_least_codes_match_the_loop_on_random_tuples():
+    # one tuple at a time and in batches of one shape, with semi < colours
+    rng = random.Random(14)
+    batches = {}
+    for _ in range(2000):
+        colours, k = rng.randint(1, 5), rng.randint(1, 9)
+        semi = rng.randrange(colours)
+        tables = random_connected_tuple(rng, colours, k, semi)
+        expected = loop_least_code(tables, semi)
+        assert least_codes([tables], semi)[0].tobytes() == expected, tables
+        batches.setdefault((colours, k, semi), []).append((tables, expected))
+    for (colours, k, semi), batch in batches.items():
+        codes = least_codes([tables for tables, _ in batch], semi)
+        assert [code.tobytes() for code in codes] == [expected for _, expected in batch]
+
+
+def test_least_codes_raise_on_a_disconnected_tuple_in_a_batch():
+    graphs = enumerate_stg(4, 4)
+    tables = [t.tables for t in graphs]
+    split = ((1, 0, 3, 2),) * 4  # two components {0, 1} and {2, 3}
+    for position in (0, 1, len(tables) // 2, len(tables)):
+        with pytest.raises(ValueError, match="connected"):
+            least_codes(tables[:position] + [split] + tables[position:], 4)
+    with pytest.raises(ValueError, match="connected"):
+        least_codes([split], 4)
+
+
+def path(k):
+    """Two colours alternating along a path on k vertices, semi-edges at
+    its ends."""
+    def partner(u, odd):
+        v = u + 1 if u % 2 == odd else u - 1
+        return v if 0 <= v < k else u
+    return tuple(partner(u, 0) for u in range(k)), tuple(partner(u, 1) for u in range(k))
+
+
+@pytest.mark.parametrize("k", [255, 256, 257])
+def test_codes_label_at_most_255_vertices(k):
+    tables = path(k)
+    flipped = tuple(tuple(k - 1 - m[k - 1 - u] for u in range(k)) for m in tables)
+    t = enumeration.SymmetryTypeGraph(tables)
+    if k == 255:
+        code = canonical_code(t)
+        assert code == loop_least_code(tables, 2) and code.count(255) == 2
+        codes = least_codes([tables, flipped, tables], 2)
+        assert [c.tobytes() for c in codes] == [code] * 3
+        return
+    with pytest.raises(ValueError, match="255"):
+        canonical_code(t)
+    with pytest.raises(ValueError, match="255"):
+        least_codes([tables, flipped, tables], 2)
+
+
+def test_oriented_codes_match_all_relabellings_in_one_pass():
+    for n in range(4, 11):
+        census = enumerate_oriented_stg3(n)
+        codes = enumeration._oriented_codes(census)
+        assert [code.tobytes() for code in codes] == [oriented_min_code(ot) for ot in census], n
+
+
+def test_a_class_met_twice_fails_the_internal_check(monkeypatch, capsys):
+    search = enumeration._commuting_tuples
+
+    def twice(tables, lists, relabellings):
+        # every tuple, then the last connected one again
+        for row in search(tables, lists, relabellings):
+            if len(component([tables[a] for a in row], 0)) == len(tables[0]):
+                last = row
+            yield row
+        yield last
+
+    monkeypatch.setattr(enumeration, "_commuting_tuples", twice)
+    with pytest.raises(InternalCheckError, match="twice"):
+        enumerate_stg(3, 3)
+    assert main(["enumerate", "--colors", "4", "--vertices", "4", "--count-only"]) == 4
+    assert "internal check failed:" in capsys.readouterr().err

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from maniplex import formats
-from maniplex.cli import main
+from maniplex import cli, formats
+from maniplex.cli import build_parser, main
 from maniplex.constructions import CORPUS, cuboctahedron, map_from_faces
 from maniplex.formats import (ParseError, cycle_string, parse_maniplex_text,
                               parse_map_text, stg_to_dot, write_maniplex_text,
@@ -210,6 +210,32 @@ def test_cli_enumerate_listing_and_csv(tmp_path, capsys):
     rows = csv_path.read_text().strip().splitlines()
     assert len(rows) == 4  # header + 3 graphs
     assert rows[0] == "index,vertices,colours,class,slots"
+
+
+def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, monkeypatch, capsys):
+    # successive calls in one process print what each prints when run first
+    csv_path = tmp_path / "census.csv"
+    runs = [["analyze", "prism:3", "--json"], ["analyze", "prism:3"],
+            ["enumerate", "--colors", "4", "--vertices", "3"],
+            ["enumerate", "--colors", "4", "--vertices", "3", "--csv", str(csv_path)],
+            ["enumerate", "--colors", "4", "--vertices", "3"]]
+
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out, csv_path.read_text() if csv_path.exists() else None
+
+    first = []
+    for argv in runs:
+        build_parser.cache_clear()
+        csv_path.unlink(missing_ok=True)
+        first.append(run(argv))
+    assert build_parser() is build_parser()
+    assert [run(argv)[0] for argv in runs] == [out for out, _ in first]
+    assert csv_path.read_text() == first[3][1]
+    assert first[0][0] != first[1][0] and first[2][0] == first[4][0]
+    # the cached parser holds no command function: a rebound one is called
+    monkeypatch.setattr(cli, "cmd_construct", lambda args: 7)
+    assert main(["construct", "cube"]) == 7
 
 
 def test_cli_construct_round_trip(tmp_path, capsys):

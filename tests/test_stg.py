@@ -9,13 +9,13 @@ from maniplex.constructions import CORPUS, cube, cuboctahedron, prism, pyramid, 
 from maniplex.flag_graph import i_faces
 from maniplex.oriented import aut_plus, orientation, oriented_stg
 from maniplex.stg import (SEMI, FourOrbitFamily, Regular, SymmetryTypeGraph,
-                          ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, classify,
+                          ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, check_all, classify,
                           is_admissible, is_i_face_transitive, quotient,
                           stg_violations, transitivity_profile,
                           verify_face_projection)
 from maniplex.symmetry import aut_group
-from oracles import (orbit_loop_oriented_stg, orbit_loop_quotient, random_map, relabel,
-                     stg_from_slots)
+from oracles import (loop_violations, orbit_loop_oriented_stg, orbit_loop_quotient,
+                     random_map, relabel, stg_from_slots)
 
 
 def test_cube_quotient_is_one_vertex_all_semi():
@@ -233,3 +233,98 @@ def test_stg_violations_returns_a_new_list_each_call():
         assert stg_violations(t) == expected
         assert stg_violations(t) is not stg_violations(t)
 
+
+
+# the array check of stg._violations against the loop it replaced
+
+
+MALFORMED = [((1, 0), (0,)), ((1, 0), (0, 2)), ((1, 2, 0),), ((1, 0, 1),), ((1, 0), (-1, 1)),
+             ((1, 0, 2), (0, 1, 2), (0, 2, 1)), ((1, 0, 2), (0, 2, 1), (2, 1, 0)),
+             ((1, 0, 3, 2), (0, 1, 2, 3)), ((5, 0), (1, 0)), ((0,), (0, 1), (1, 0, 2))]
+
+
+def fresh(t):
+    """An unchecked copy of ``t``."""
+    return SymmetryTypeGraph(t.tables)
+
+
+def test_array_check_matches_the_loop_on_malformed_tables():
+    for tables in MALFORMED:
+        t = SymmetryTypeGraph(tables)
+        assert stg_violations(t) == loop_violations(t), tables
+        assert stg._violations([fresh(t)]) == [loop_violations(t)], tables
+
+
+def random_defective_tables(rng):
+    """Random involutions on up to eight points, with some of: entries out
+    of range, asymmetric entries, a second component, non-commuting
+    colours (which random involutions mostly are already)."""
+    k, colours = rng.randint(1, 8), rng.randint(1, 6)
+    tables = []
+    for _ in range(colours):
+        points = list(range(k))
+        rng.shuffle(points)
+        m = list(range(k))
+        for u, v in zip(points[::2], points[1::2]):
+            if rng.random() < 0.6:
+                m[u], m[v] = v, u
+        tables.append(m)
+    if rng.random() < 0.3:  # a second component: disjoint union with a copy
+        tables = [m + [v + k for v in m] for m in tables]
+        k *= 2
+    if rng.random() < 0.2:  # a commuting tuple: every colour the same table
+        tables = [list(tables[0]) for _ in tables]
+    for _ in range(rng.choice([0, 0, 1, 2])):  # an out-of-range entry
+        rng.choice(tables)[rng.randrange(k)] = rng.choice([-1, k, k + 3, -7])
+    for _ in range(rng.choice([0, 0, 1, 2])):  # an asymmetric entry
+        rng.choice(tables)[rng.randrange(k)] = rng.randrange(k)
+    return tuple(map(tuple, tables))
+
+
+def test_array_check_matches_the_loop_on_random_defects():
+    rng = random.Random(15)
+    graphs, kinds = [], set()
+    for _ in range(2000):
+        t = SymmetryTypeGraph(random_defective_tables(rng))
+        expected = loop_violations(t)
+        assert stg_violations(t) == expected, t.tables
+        graphs.append((fresh(t), expected))
+        words = {line.split()[0] for line in expected}
+        kinds |= words | {"admissible" if not words else "mixed" if len(words) > 1 else "single"}
+    assert kinds >= {"slot", "asymmetric", "disconnected", "bad", "admissible", "single", "mixed"}
+    # one check_all over every shape at once gives each graph its own result
+    check_all([t for t, _ in graphs])
+    assert [stg_violations(t) for t, _ in graphs] == [expected for _, expected in graphs]
+
+
+def test_array_check_matches_the_loop_on_quotients(corpus):
+    graphs = [corpus.stg(label) for label in CORPUS]
+    rng = random.Random(16)
+    for sheets, orientable in product((1, 2, 3), (True, False)):
+        g = random_map(rng, 60 // sheets, sheets, orientable)
+        graphs.append(quotient(g, aut_group(g)))
+    for t in graphs:
+        assert stg._violations([fresh(t)]) == [loop_violations(t)] == [[]]
+    # an asymmetric entry in each with two vertices or more: m[0] moved on by one
+    broken = []
+    for t in graphs:
+        k = t.vertex_count
+        for c in range(t.rank if k > 1 else 0):
+            m = list(t.tables[c])
+            m[0] = (m[0] + 1) % k
+            broken.append(SymmetryTypeGraph(t.tables[:c] + (tuple(m),) + t.tables[c + 1:]))
+    check_all(broken)
+    assert [stg_violations(t) for t in broken] == [loop_violations(t) for t in broken]
+    assert len(broken) > 80 and all(stg_violations(t) for t in broken)
+
+
+def test_check_all_keeps_each_result_and_skips_checked_graphs(monkeypatch):
+    graphs = [SymmetryTypeGraph(tables) for tables in MALFORMED]
+    check_all(graphs[:3])
+    calls = []
+    check = stg._violations
+    monkeypatch.setattr(stg, "_violations", lambda ts: calls.append(len(ts)) or check(ts))
+    check_all(graphs)
+    assert sum(calls) == len(graphs) - 3
+    assert [stg_violations(t) for t in graphs] == [loop_violations(t) for t in graphs]
+    assert sum(calls) == len(graphs) - 3  # stg_violations read what was kept
