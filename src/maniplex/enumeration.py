@@ -11,9 +11,8 @@ lexicographically least, by position in the candidate lists, among its
 vertex relabellings, so each class is generated once, as the first
 labelled tuple an exhaustive search would meet.  Connectivity and the
 rooted canonical codes that sort the classes are computed once per
-search, for all its tuples in one array pass (``flag_graph.connected``
-and ``flag_graph.least_codes``).  Vertices are relabelled, colours
-never are, so the classes are colour-specific.
+search, for all its tuples in one array pass.  Vertices are relabelled,
+colours never are, so the classes are colour-specific.
 
 The three-vertex oriented census is the same search on the six-point
 double covers of the oriented quotients.
@@ -27,8 +26,7 @@ from itertools import islice, permutations
 
 import numpy as np
 
-from .flag_graph import (CHUNK, InternalCheckError, connected, least_codes, quotient_tables,
-                         two_colouring)
+from .flag_graph import CHUNK, InternalCheckError, connected, quotient_tables, two_colouring
 from .oriented import OrientedSTG, stg_has_odd_closed_walk
 from .stg import SymmetryTypeGraph, face_orbit_splits, transitivity_profile
 
@@ -63,7 +61,53 @@ def canonical_code(t: SymmetryTypeGraph) -> bytes:
     Vertices are permuted, colours are not; 255 marks a semi-edge.
     Raises ValueError when ``t`` is disconnected or has over 255 vertices.
     """
-    return least_codes([t.tables], t.rank)[0].tobytes()
+    return _least_codes(np.array([[t.tables]]), t.rank)[0].tobytes()
+
+
+def _least_codes(stack: np.ndarray, semi: int) -> np.ndarray:
+    """The least rooted code of each entry of a stack (entries, variants,
+    colours, k) of partner tables, over its roots and variants, as uint8
+    rows of colours * k bytes; 255 marks a semi-edge of the first ``semi``
+    colours, so k is at most 255.
+
+    A rooted code labels its root 0, then reads the vertices in label
+    order and, at each, the tables in colour order; a vertex met for the
+    first time takes the next free label.  On a connected tuple the least
+    code over the roots is the least over all k! relabellings: with the
+    root fixed, wherever a new vertex is met the next free label is the
+    only smallest byte.  Every (tuple, root) row is read at once, one cell
+    per step, in passes of CHUNK code bytes; a disconnected tuple raises
+    ValueError.
+    """
+    n, variants, colours, k = stack.shape
+    if k > 255:
+        raise ValueError(f"a canonical code labels at most 255 vertices, not {k}")
+    tuples = stack.astype(np.uint8, copy=False).reshape(-1, colours, k)
+    copies, width = variants * k, colours * k  # code rows per entry, bytes per code
+    out = np.empty((n, width), np.uint8)
+    step = max(1, CHUNK // (copies * width))  # entries per pass
+    for first in range(0, n, step):
+        part = tuples[first * variants:(first + step) * variants]
+        rows = len(part) * k  # row t * k + r reads tuple t from root r
+        tuple_of, at = np.repeat(np.arange(len(part)), k), np.arange(0, rows * k, k)
+        label = np.full((rows, k), 255, np.uint8)  # 255: not met yet
+        label.reshape(-1, k, k)[:, np.arange(k), np.arange(k)] = 0
+        seen, count = label.reshape(-1), np.ones(rows, np.uint8)
+        code = np.empty((rows, width), np.uint8)
+        for p in range(k):
+            if (count <= p).any():
+                raise ValueError("a canonical code needs a connected input")
+            u = (label == p).argmax(axis=1)
+            partners = part[tuple_of, :, u]
+            for c in range(colours):
+                v, cell = partners[:, c], at + partners[:, c]
+                seen[cell] = code[:, p * colours + c] = lab = np.minimum(seen[cell], count)
+                count[lab == count] += 1
+                if c < semi:
+                    code[v == u, p * colours + c] = 255
+        least = np.sort(code.view(f"V{width}").reshape(-1, copies), axis=1)[:, 0]
+        out.view(f"V{width}")[first:first + step, 0] = least
+    return out
 
 
 def _relabellings(k: int) -> list[tuple[int, ...]]:
@@ -157,17 +201,16 @@ def _connected_tuples(candidates, relabellings) -> tuple[np.ndarray, np.ndarray]
     return rows, tables[rows]
 
 
-def _code_order(codes: np.ndarray, first_of_each: bool = False) -> np.ndarray:
-    """Indices of the uint8 code rows in increasing order.  Each search
-    yields one tuple per class, so two equal rows raise InternalCheckError,
-    unless ``first_of_each`` asks to keep the first index of each code."""
-    keys = codes.view(f"V{codes.shape[1]}").ravel()
-    order = np.argsort(keys, kind="stable")
-    same = keys[order[1:]] == keys[order[:-1]]
-    if same.any() and not first_of_each:
-        code = codes[order[1:][same][0]].tobytes().hex()
-        raise InternalCheckError(f"the census met class {code} twice")
-    return np.concatenate([order[:1], order[1:][~same]])
+def _code_order(codes: np.ndarray, first_of_each: bool = False) -> list[int]:
+    """Indices of the uint8 code rows in increasing order of code.  Each
+    search yields one tuple per class, so two equal rows raise
+    InternalCheckError, unless ``first_of_each`` asks to keep the first."""
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(codes):
+        code = row.tobytes()
+        if first.setdefault(code, i) != i and not first_of_each:
+            raise InternalCheckError(f"the census met class {code.hex()} twice")
+    return [first[code] for code in sorted(first)]
 
 
 def _commutation_masks(tables) -> list[int]:
@@ -201,7 +244,7 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
     if fixed_point_free:
         choices = [m for m in choices if all(m[v] != v for v in range(k))]
     rows, stack = _connected_tuples([choices] * n_colours, _relabellings(k))
-    columns = rows[_code_order(least_codes(stack, n_colours))].T.tolist()
+    columns = rows[_code_order(_least_codes(stack[:, None], n_colours))].T.tolist()
     graphs = [SymmetryTypeGraph(tables)
               for tables in zip(*(map(choices.__getitem__, column) for column in columns))]
     for predicate in filters:
@@ -239,7 +282,7 @@ def _oriented_codes(ots) -> np.ndarray:
     """``oriented_canonical_code`` of each of ``ots``, all with one colour
     count, as uint8 rows: one array pass over both dart directions."""
     stack = [[ot.tables + (dart,) for dart in (ot.dart, _inverse(ot.dart))] for ot in ots]
-    return least_codes(stack, len(ots[0].tables))
+    return _least_codes(np.array(stack), len(ots[0].tables))
 
 
 def _dart_shape(dart: tuple[int, int, int]) -> str:
@@ -301,7 +344,7 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
         # the classes lead the distinct candidates, so index p is _INVOLUTIONS3[p]
         found += [OrientedSTG(tables=tuple(_INVOLUTIONS3[p] for p in row[:-2]), dart=rot)
                   for row in _connected_tuples(candidates, stabiliser)[0].tolist()]
-    return [found[i] for i in _code_order(_oriented_codes(found)).tolist()]
+    return [found[i] for i in _code_order(_oriented_codes(found))]
 
 
 def _by_shape(census: list[OrientedSTG]) -> dict[str, list[OrientedSTG]]:
@@ -342,7 +385,7 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
         *tables, dart = quotient_tables(np.vstack([m[:n - 2], rot]),
                                         np.minimum(np.arange(6), m[n - 1]))
         found.append(OrientedSTG(tables=tuple(tables), dart=dart))
-    return [found[i] for i in _code_order(_oriented_codes(found), first_of_each=True).tolist()]
+    return [found[i] for i in _code_order(_oriented_codes(found), first_of_each=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ The same object, n involutions on k points, is also a symmetry type
 graph and every candidate the census enumerator tries.  The routines
 below work on that shared form: a *partner table* ``m`` per colour,
 where ``m[u]`` is u's neighbour and ``m[u] == u`` is a semi-edge.
-``connected``, ``non_commuting`` and ``least_codes`` also take a whole
-stack of such tuples, an array (tuples, colours, points), in one pass.
+``connected`` and ``non_commuting`` take a whole stack of such tuples,
+an array (tuples, colours, points), in one pass.
 """
 
 from __future__ import annotations
@@ -123,66 +123,17 @@ def connected(stack: np.ndarray) -> np.ndarray:
     return component_labels(union, n * k).reshape(n, k).max(axis=1) == start
 
 
-def least_codes(stack, semi: int) -> np.ndarray:
-    """The least rooted code of each entry of a stack of partner tables,
-    (entries, colours, k) or (entries, variants, colours, k), over its
-    roots and variants, as uint8 rows of colours * k bytes.
-
-    A rooted code labels its root 0, then reads the vertices in label
-    order and, at each, the tables in colour order; a vertex met for the
-    first time takes the next free label.  In the first ``semi`` tables a
-    fixed point is a semi-edge, written 255, so k is at most 255.  On a
-    connected tuple the least code over the roots is the least over all
-    k! relabellings: with the root fixed, wherever a new vertex is met
-    the next free label is the only smallest byte.  Every (tuple, root)
-    row is read at once, one cell per step, in passes whose code array
-    has CHUNK bytes; a disconnected tuple raises ValueError.
-    """
-    stack = np.asarray(stack)
-    n, (colours, k), variants = len(stack), stack.shape[-2:], int(np.prod(stack.shape[1:-2]))
-    if k > 255:
-        raise ValueError(f"a canonical code labels at most 255 vertices, not {k}")
-    tuples = stack.astype(np.uint8, copy=False).reshape(-1, colours, k)
-    copies, width = variants * k, colours * k  # code rows per entry, bytes per code
-    out = np.empty((n, width), np.uint8)
-    step = max(1, CHUNK // (copies * width))  # entries per pass
-    for first in range(0, n, step):
-        part = tuples[first * variants:(first + step) * variants]
-        rows = len(part) * k  # row t * k + r reads tuple t from root r
-        tuple_of, at = np.repeat(np.arange(len(part)), k), np.arange(0, rows * k, k)
-        label = np.full((rows, k), 255, np.uint8)  # 255: not met yet
-        label.reshape(-1, k, k)[:, np.arange(k), np.arange(k)] = 0
-        seen, count = label.reshape(-1), np.ones(rows, np.uint8)
-        code = np.empty((rows, width), np.uint8)
-        for p in range(k):
-            if (count <= p).any():
-                raise ValueError("a canonical code needs a connected input")
-            u = (label == p).argmax(axis=1)
-            partners = part[tuple_of, :, u]
-            for c in range(colours):
-                v, cell = partners[:, c], at + partners[:, c]
-                seen[cell] = code[:, p * colours + c] = lab = np.minimum(seen[cell], count)
-                count[lab == count] += 1
-                if c < semi:
-                    code[v == u, p * colours + c] = 255
-        least = np.sort(code.view(f"V{width}").reshape(-1, copies), axis=1)[:, 0]
-        out.view(f"V{width}")[first:first + step, 0] = least
-    return out
-
-
-def non_commuting(tables) -> list[tuple[int, ...]]:
-    """``(i, j, u)`` for each colour pair i + 2 <= j whose tables do not
-    commute, u the least vertex where ``m_i[m_j[u]] != m_j[m_i[u]]``; on
-    a stack (tuples, colours, points), ``(t, i, j, u)`` ordered by i, t, j.
+def non_commuting(stack) -> list[tuple[int, int, int, int]]:
+    """``(t, i, j, u)`` for each tuple t of a stack (tuples, colours,
+    points) and colour pair i + 2 <= j whose tables do not commute, u the
+    least vertex where ``m_i[m_j[u]] != m_j[m_i[u]]``; ordered by i, t, j.
 
     Commutation is the admissibility rule of colours at distance >= 2:
     on involutions, the components of the (i, j) 2-factor are quotients
     of an alternating 4-cycle exactly where the two commute.  Table i is
     compared with all the tables i + 2.. in one array pass.
     """
-    stack, out = np.asarray(tables), []
-    one = stack.ndim == 2
-    stack = stack[None] if one else stack
+    stack, out = np.asarray(stack), []
     for i in range(stack.shape[1] - 2):
         mi, rest = stack[:, i:i + 1], stack[:, i + 2:]
         bad = np.take_along_axis(mi, rest, 2) != np.take_along_axis(rest, mi, 2)
@@ -190,7 +141,7 @@ def non_commuting(tables) -> list[tuple[int, ...]]:
             t, d = np.nonzero(bad.any(axis=2))
             out += zip(t.tolist(), [i] * len(t), (d + i + 2).tolist(),
                        bad.argmax(axis=2)[t, d].tolist())
-    return [entry[1:] for entry in out] if one else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -315,7 +266,8 @@ def validate(g: FlagGraph) -> list[Violation]:
         for flags, _, _ in g.bfs_levels(0):
             reached[flags] = True
         out.append(Violation("disconnected", (), int(np.nonzero(~reached)[0][0])))
-    out += [Violation("commuting condition", (i, j), u) for i, j, u in non_commuting(g.adj)]
+    out += [Violation("commuting condition", (i, j), u)
+            for _, i, j, u in non_commuting(g.adj[None])]
     return out
 
 

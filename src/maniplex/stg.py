@@ -7,8 +7,8 @@ colours i, j with |i - j| >= 2 every component of the (i, j) 2-factor
 must be one of the five quotients of an alternating 4-cycle, which
 holds exactly when the tables of i and j commute.  A graph's tables are
 checked once, by array comparisons over a stack of graphs of one shape:
-``check_all`` checks a census list in one pass, ``stg_violations`` one
-graph, and both keep on each graph what they found.  The vertex-major
+``check_all`` checks a census list, ``stg_violations`` one graph, and
+both keep on each graph what they found.  The vertex-major
 ``slots``, with SEMI for a semi-edge, are only the report's form.
 """
 
@@ -73,23 +73,20 @@ def stg_violations(t: SymmetryTypeGraph) -> list[str]:
 
 
 def check_all(graphs) -> None:
-    """``stg_violations`` of every graph not checked yet, kept on each:
-    one int64 array pass per table shape, in CHUNK-byte parts."""
-    shapes: dict[tuple[int, ...], list[SymmetryTypeGraph]] = {}
-    for t in graphs:
-        if t._problems is None:
-            shapes.setdefault(tuple(map(len, t.tables)), []).append(t)
-    for shape, group in shapes.items():
-        step = max(1, CHUNK // (8 * sum(shape)))
-        for part in (group[i:i + step] for i in range(0, len(group), step)):
-            for t, problems in zip(part, _violations(part)):
-                object.__setattr__(t, "_problems", tuple(problems))
+    """``stg_violations`` of every graph not checked yet, all with tables
+    of one shape, kept on each: one int64 array pass per CHUNK bytes."""
+    todo = [t for t in graphs if t._problems is None]
+    step = max(1, CHUNK // (8 * sum(map(len, todo[0].tables)))) if todo else 1
+    for first in range(0, len(todo), step):
+        part = todo[first:first + step]
+        for t, problems in zip(part, _violations(part)):
+            object.__setattr__(t, "_problems", tuple(problems))
 
 
 def _violations(graphs) -> list[list[str]]:
-    """Per graph, all of one table shape: slots out of range or asymmetric,
-    by vertex and then colour; else disconnection and the colour pairs
-    that do not commute."""
+    """Per graph, all with tables of one shape: slots out of range or
+    asymmetric, by vertex and then colour; else disconnection and the
+    colour pairs that do not commute."""
     shape = tuple(map(len, graphs[0].tables))
     k = shape[0]
     if (i := next((i for i, n in enumerate(shape) if n != k), None)) is not None:

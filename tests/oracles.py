@@ -529,7 +529,7 @@ def exhaustive_stg(n_colours: int, k: int,
     return [found[code] for code in sorted(found)]
 
 
-# The per-class codes and the per-graph check that flag_graph.least_codes
+# The per-class codes and the per-graph check that enumeration._least_codes
 # and stg._violations replaced.
 
 

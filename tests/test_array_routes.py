@@ -152,8 +152,9 @@ def test_non_commuting_matches_pairs_on_random_tuples():
     for _ in range(2000):
         tables = random_tables(rng, rng.randrange(1, 7), rng.randrange(1, 10))
         expected = pair_non_commuting(tables)
-        assert non_commuting(tables) == expected, tables
-        assert non_commuting(np.array(tables, dtype=np.int32)) == expected, tables
+        in_stack = [(0, *entry) for entry in expected]
+        assert non_commuting([tables]) == in_stack, tables
+        assert non_commuting(np.array([tables], dtype=np.int32)) == in_stack, tables
         failing += bool(expected)
     assert 500 < failing < 1900
 
@@ -174,13 +175,13 @@ def test_non_commuting_matches_pairs_on_flag_graphs_with_defects(corpus):
     rng = random.Random(17)
     for label in CORPUS:
         g = corpus.graph(label)
-        assert non_commuting(g.adj) == pair_non_commuting(g.adj) == []
+        assert non_commuting(g.adj[None]) == pair_non_commuting(g.adj) == []
         if g.rank < 3:
             continue
         for colour in range(g.rank):
             adj = rewired(g, rng, colour)
             expected = pair_non_commuting(adj)
-            assert non_commuting(adj) == expected, (label, colour)
+            assert non_commuting(adj[None]) == [(0, *e) for e in expected], (label, colour)
             found = [(v.colours[0], v.colours[1], v.flag) for v in validate(FlagGraph(adj))
                      if v.kind == "commuting condition"]
             assert found == expected, (label, colour)

@@ -153,7 +153,7 @@ def test_five_quotient_check_on_each_quotient_and_near_misses():
                    ((1, 0, 3, 2, 5, 4), (5, 2, 1, 4, 3, 0))):
         assert _oracle_violations((mi, mi, mj))[1] == {(0, 2): [list(range(len(mi)))]}
         assert commute_defect(mi, mj) == 0
-        assert non_commuting((mi, mi, mj)) == [(0, 2, 0)]
+        assert non_commuting([(mi, mi, mj)]) == [(0, 0, 2, 0)]
 
 
 def test_canonical_code_on_random_tuples_against_all_relabellings():

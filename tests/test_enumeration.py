@@ -12,7 +12,7 @@ from maniplex.enumeration import (canonical_code, enumerate_oriented_stg3,
                                   enumerate_stg, involutions, is_fully_transitive,
                                   oriented_canonical_code, oriented_stg3_families,
                                   oriented_stg3_via_quotient, verify_census)
-from maniplex.flag_graph import InternalCheckError, component, least_codes
+from maniplex.flag_graph import InternalCheckError, component
 from maniplex.stg import (SEMI, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, classify,
                           is_admissible, transitivity_profile)
 from oracles import (commute_defect, exhaustive_stg, hand_oriented_stg3, loop_least_code,
@@ -237,8 +237,13 @@ def test_census_report_all_green():
     assert failed == []
 
 
-# flag_graph.least_codes against the per-class rooted codes and the k!
+# enumeration._least_codes against the per-class rooted codes and the k!
 # relabellings it replaced
+
+
+def least_codes(tuples, semi):
+    """``_least_codes`` of a list of tuples, each its only variant."""
+    return enumeration._least_codes(np.array(tuples)[:, None], semi)
 
 
 CODE_GRID = ([(n, 4) for n in range(3, 9)] + [(n, 5) for n in range(3, 7)]
