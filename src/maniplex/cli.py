@@ -21,7 +21,7 @@ from .flag_graph import FlagGraph, InternalCheckError, validate
 from .oriented import (aut_plus, black_orbit_count, classify_oriented,
                        is_chiral_a_la_conway, orientation, oriented_stg,
                        stg_has_odd_closed_walk)
-from .stg import check_all, classify, quotient, transitivity_profile
+from .stg import classify, quotient, transitivity_profile
 from .symmetry import aut_group
 from .walkgen import generates_full_group, realize_generators, reduce_generators
 
@@ -148,7 +148,6 @@ def cmd_enumerate(args) -> int:
     print(len(graphs))
     labels = []
     if args.csv or not args.count_only:
-        check_all(graphs)  # one array pass, which classify then reads
         labels = [classify(t).label() for t in graphs]
     if not args.count_only:
         for idx, (t, label) in enumerate(zip(graphs, labels)):

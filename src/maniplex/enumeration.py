@@ -9,10 +9,11 @@ those that commute with every earlier colour but the previous one.
 The search is orderly: it keeps a tuple only when it is
 lexicographically least, by position in the candidate lists, among its
 vertex relabellings, so each class is generated once, as the first
-labelled tuple an exhaustive search would meet.  Connectivity and the
-rooted canonical codes that sort the classes are computed once per
-search, for all its tuples in one array pass.  Vertices are relabelled,
-colours never are, so the classes are colour-specific.
+labelled tuple an exhaustive search would meet.  Connectivity, the
+rooted canonical codes that sort the classes and the STG check are
+computed once per search, each for all its tuples in one array pass.
+Vertices are relabelled, colours never are, so the classes are
+colour-specific.
 
 The three-vertex oriented census is the same search on the six-point
 double covers of the oriented quotients.
@@ -26,9 +27,10 @@ from itertools import islice, permutations
 
 import numpy as np
 
-from .flag_graph import CHUNK, InternalCheckError, connected, quotient_tables, two_colouring
+from .flag_graph import CHUNK, InternalCheckError, quotient_tables, stack_labels
 from .oriented import OrientedSTG, stg_has_odd_closed_walk
-from .stg import SymmetryTypeGraph, face_orbit_splits, transitivity_profile
+from .stg import (SymmetryTypeGraph, bipartition, check_all, face_orbit_splits, stg_violations,
+                  transitivity_profile)
 
 
 def involutions(k: int) -> list[tuple[int, ...]]:
@@ -196,7 +198,7 @@ def _connected_tuples(candidates, relabellings) -> tuple[np.ndarray, np.ndarray]
     tables = np.array(tables, np.uint8).reshape(-1, k)
     rows = [np.zeros((0, width), np.int16)]
     while len(part := np.array(list(islice(search, max(1, CHUNK // (8 * width * k)))), np.int16)):
-        rows.append(part[connected(tables[part])])
+        rows.append(part[~stack_labels(tables[part]).any(axis=1)])  # the connected ones
     rows = np.concatenate(rows)
     return rows, tables[rows]
 
@@ -233,7 +235,8 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
 
     One representative per class, the first one an exhaustive search
     over ``involutions(k)`` meets, sorted by canonical code; ``filters``
-    are predicates applied after generation.  ``fixed_point_free``
+    are predicates applied after the check, which raises
+    InternalCheckError on an inadmissible class.  ``fixed_point_free``
     restricts the search to types without semi-edges.
     """
     if n_colours < 1 or k < 1:
@@ -247,6 +250,9 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
     columns = rows[_code_order(_least_codes(stack[:, None], n_colours))].T.tolist()
     graphs = [SymmetryTypeGraph(tables)
               for tables in zip(*(map(choices.__getitem__, column) for column in columns))]
+    check_all(graphs)
+    if bad := next((t for t in graphs if stg_violations(t)), None):
+        raise InternalCheckError(f"inadmissible class {bad.tables}: {stg_violations(bad)}")
     for predicate in filters:
         graphs = [t for t in graphs if predicate(t)]
     return graphs
@@ -380,7 +386,7 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
     found = []
     for t in sixes:
         m = np.array(t.tables)
-        black = np.array(two_colouring(t.tables)) == 0
+        black = np.array(bipartition(t)) == 0
         rot = np.where(black, m[n - 2][m[n - 1]], m[n - 2])
         *tables, dart = quotient_tables(np.vstack([m[:n - 2], rot]),
                                         np.minimum(np.arange(6), m[n - 1]))

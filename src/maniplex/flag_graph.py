@@ -10,8 +10,9 @@ The same object, n involutions on k points, is also a symmetry type
 graph and every candidate the census enumerator tries.  The routines
 below work on that shared form: a *partner table* ``m`` per colour,
 where ``m[u]`` is u's neighbour and ``m[u] == u`` is a semi-edge.
-``connected`` and ``non_commuting`` take a whole stack of such tuples,
-an array (tuples, colours, points), in one pass.
+``component_labels`` is the one routine that finds components, and
+``stack_labels`` and ``non_commuting`` take a whole stack of tuples, an
+array (tuples, colours, points), in one pass.
 """
 
 from __future__ import annotations
@@ -28,39 +29,6 @@ class InternalCheckError(AssertionError):
     """A cross-checked identity failed; indicates a bug, not bad input."""
 
 
-def _tree(tables, start: int, seen: list[bool]):
-    """Depth-first spanning tree of the component of ``start``.
-
-    Yields ``(parent, child)`` for every vertex first reached, marking it
-    in ``seen``; ``start`` is marked but not yielded.
-    """
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for m in tables:
-            v = m[u]
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-                yield u, v
-
-
-def component(tables, start: int, count: int | None = None) -> list[int]:
-    """Sorted vertices reachable from ``start`` along partner tables held
-    as tuples (numpy flag tables go to :func:`component_labels`); ``count``
-    (the vertex count) is needed only when ``tables`` is empty."""
-    seen = [False] * (len(tables[0]) if count is None else count)
-    return sorted([start] + [v for _, v in _tree(tables, start, seen)])
-
-
-def components(tables, count: int | None = None) -> list[list[int]]:
-    """All components as sorted vertex lists, in order of least vertex."""
-    seen = [False] * (len(tables[0]) if count is None else count)
-    return [sorted([start] + [v for _, v in _tree(tables, start, seen)])
-            for start in range(len(seen)) if not seen[start]]
-
-
 def component_labels(tables, count: int) -> np.ndarray:
     """The least point of each point's component along the tables, which
     are permutations of ``count`` points, as an int32 array.
@@ -71,34 +39,22 @@ def component_labels(tables, count: int) -> np.ndarray:
     (any one of them, where several compete), then jumps pointers until
     every point points at a root.  Pointers only decrease, so a round
     that changes nothing leaves one label per component, its least point.
+    Labels are held as intp, the index type, so that the pointer jumps
+    convert no indices.
     """
-    label = np.arange(count, dtype=np.int32)
+    label = np.arange(count)
     while True:
         root = label.copy()
         for m in tables:
             across = label[m]
-            high, low = np.maximum(across, label), np.minimum(across, label)
-            joins = high != low
-            root[high[joins]] = low[joins]
+            joins = across != label
+            across, near = across[joins], label[joins]
+            root[np.maximum(across, near)] = np.minimum(across, near)
         while not np.array_equal(nxt := root[root], root):
             root = nxt
         if np.array_equal(root, label):
-            return label
+            return label.astype(np.int32)
         label = root
-
-
-def two_colouring(tables) -> list[int] | None:
-    """Sides 0/1 with every component's least vertex on side 0, or None
-    when some edge (a semi-edge included) joins two vertices of one side."""
-    side = [0] * len(tables[0])
-    seen = [False] * len(side)
-    for start in range(len(side)):
-        if not seen[start]:
-            for u, v in _tree(tables, start, seen):
-                side[v] = 1 - side[u]
-    if any(side[m[u]] == side[u] for m in tables for u in range(len(side))):
-        return None
-    return side
 
 
 def quotient_tables(tables, part_of) -> tuple[tuple[int, ...], ...]:
@@ -114,13 +70,14 @@ def quotient_tables(tables, part_of) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, part[np.asarray(tables)[:, first]].tolist()))
 
 
-def connected(stack: np.ndarray) -> np.ndarray:
-    """Whether each tuple of partner tables in a stack (tuples, colours,
-    points) connects its points: the labels of the disjoint union."""
+def stack_labels(stack: np.ndarray) -> np.ndarray:
+    """The component labels of each tuple of partner tables in a stack
+    (tuples, colours, points), on the tuple's own points: one
+    ``component_labels`` call on the disjoint union of the tuples."""
     n, colours, k = stack.shape
-    start = np.arange(0, n * k, k)
-    union = (stack + start[:, None, None]).transpose(1, 0, 2).reshape(colours, -1)
-    return component_labels(union, n * k).reshape(n, k).max(axis=1) == start
+    start = np.arange(0, n * k, k, dtype=np.int32)[:, None]
+    union = np.add(stack.transpose(1, 0, 2), start, order="C").reshape(colours, -1)
+    return component_labels(union, n * k).reshape(n, k) - start
 
 
 def non_commuting(stack) -> list[tuple[int, int, int, int]]:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError, quotient_tables, two_colouring
-from .stg import SymmetryTypeGraph, quotient, slot_rows
+from .flag_graph import FlagGraph, InternalCheckError, quotient_tables
+from .stg import SymmetryTypeGraph, bipartition, quotient, slot_rows
 from .symmetry import AutGroup, aut_group, invert, search_group
 
 
@@ -83,7 +83,7 @@ def stg_has_odd_closed_walk(t: SymmetryTypeGraph) -> bool:
     A semi-edge joins two flags of opposite parts inside one orbit, which
     forces a part-swapping automorphism, so it behaves as an odd cycle.
     """
-    return two_colouring(t.tables) is None
+    return bipartition(t) is None
 
 
 def is_chiral_a_la_conway(g: FlagGraph, o: Orientation, aut: AutGroup | None = None,

@@ -6,21 +6,24 @@ orbit becomes a fixed point of its colour's table, a semi-edge.  For
 colours i, j with |i - j| >= 2 every component of the (i, j) 2-factor
 must be one of the five quotients of an alternating 4-cycle, which
 holds exactly when the tables of i and j commute.  A graph's tables are
-checked once, by array comparisons over a stack of graphs of one shape:
-``check_all`` checks a census list, ``stg_violations`` one graph, and
-both keep on each graph what they found.  The vertex-major
+checked once, by array comparisons over a stack of graphs of one shape
+(``check_all`` on a census list, ``stg_violations`` on one graph), in a
+pass that also labels the components of each graph's copies with one
+colour deleted and of its double cover.  What the pass finds is kept on
+the graph, and connectivity, the face transitivities, the face-orbit
+splits and the bipartition are read off it.  The vertex-major
 ``slots``, with SEMI for a semi-edge, are only the report's form.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flag_graph import (CHUNK, FlagGraph, InternalCheckError, component, components,
-                         connected, face_component, face_maniplex, i_faces,
-                         non_commuting, quotient_tables)
+from .flag_graph import (CHUNK, FlagGraph, InternalCheckError, face_component, face_maniplex,
+                         i_faces, non_commuting, quotient_tables, stack_labels)
 from .symmetry import AutGroup, aut_group
 
 SEMI = -1
@@ -39,8 +42,9 @@ class SymmetryTypeGraph:
     ``tables[i][u] == u`` a semi-edge at u."""
 
     tables: tuple[tuple[int, ...], ...]
-    # what the first stg_violations call found, kept for the later ones
-    _problems: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # what the check found: (problems, labels without each colour, sides),
+    # the last two None where the tables are not well formed
+    _facts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -67,30 +71,61 @@ class SymmetryTypeGraph:
 def stg_violations(t: SymmetryTypeGraph) -> list[str]:
     """All structural defects: shape, symmetry, connectivity, 2-factors;
     found on the first call only, a new list on every call."""
-    if t._problems is None:
+    if t._facts is None:
         check_all([t])
-    return list(t._problems)
+    return list(t._facts[0])
+
+
+def _well_formed(t: SymmetryTypeGraph) -> tuple:
+    """The labels without each colour and the sides that the check found;
+    ValueError when the tables are not well formed."""
+    if (problems := stg_violations(t)) and t._facts[1] is None:
+        raise ValueError(f"not a well-formed symmetry type graph: {problems}")
+    return t._facts[1:]
+
+
+def _without(t: SymmetryTypeGraph, i: int) -> tuple[int, ...]:
+    """The least vertex of each vertex's component once colour i is deleted."""
+    if not 0 <= i < t.rank:
+        raise ValueError(f"colour {i} out of range for rank {t.rank}")
+    return _well_formed(t)[0][i]
+
+
+def bipartition(t: SymmetryTypeGraph) -> tuple[int, ...] | None:
+    """Sides 0/1 with every component's least vertex on side 0, or None
+    when some edge (a semi-edge included) joins two vertices of one side."""
+    return _well_formed(t)[1]
 
 
 def check_all(graphs) -> None:
-    """``stg_violations`` of every graph not checked yet, all with tables
-    of one shape, kept on each: one int64 array pass per CHUNK bytes."""
-    todo = [t for t in graphs if t._problems is None]
-    step = max(1, CHUNK // (8 * sum(map(len, todo[0].tables)))) if todo else 1
+    """Check every graph not checked yet, all with tables of one shape,
+    and keep what was found on each, equal facts once: one pass per
+    CHUNK bytes of int32 tables, of which a graph of rank r takes r + 2
+    copies."""
+    todo, kept = [t for t in graphs if t._facts is None], {}
+    step = max(1, CHUNK // (4 * (todo[0].rank + 2) * sum(map(len, todo[0].tables)))) if todo else 1
     for first in range(0, len(todo), step):
         part = todo[first:first + step]
-        for t, problems in zip(part, _violations(part)):
-            object.__setattr__(t, "_problems", tuple(problems))
+        for t, facts in zip(part, _check(part, kept)):
+            object.__setattr__(t, "_facts", facts)
 
 
-def _violations(graphs) -> list[list[str]]:
-    """Per graph, all with tables of one shape: slots out of range or
-    asymmetric, by vertex and then colour; else disconnection and the
-    colour pairs that do not commute."""
+def _check(graphs, kept: dict) -> list[tuple]:
+    """The facts of each graph, all with tables of one shape.  Problems:
+    slots out of range or asymmetric, by vertex and then colour; else
+    disconnection and the colour pairs that do not commute.  Well-formed
+    tables are labelled in one stack: per graph, a copy per colour with
+    that colour's table the identity (a fixed point adds no edge), and
+    the double cover, where u goes to m(u) + k and u + k to m(u).  The
+    cover's component of 0 holds u or u + k for each u of 0's component,
+    so the graph is connected where one of each pair is labelled 0, and
+    bipartite where the two are labelled apart; side 1 is where u's
+    label is the larger.  Admissible graphs with equal labels share one
+    facts tuple, kept in ``kept`` under the bytes of the labels."""
     shape = tuple(map(len, graphs[0].tables))
-    k = shape[0]
+    rank, k = len(shape), shape[0]
     if (i := next((i for i, n in enumerate(shape) if n != k), None)) is not None:
-        return [[f"colour {i} has {shape[i]} entries, expected {k}"]] * len(graphs)
+        return [((f"colour {i} has {shape[i]} entries, expected {k}",), None, None)] * len(graphs)
     m = np.array([t.tables for t in graphs], dtype=np.int64)
     out: list[list[str]] = [[] for _ in graphs]
     inside = (m >= 0) & (m < k)
@@ -100,11 +135,25 @@ def _violations(graphs) -> list[list[str]]:
         out[g].append(f"asymmetric edge ({u}, {m[g, i, u]}) colour {i}" if inside[g, i, u]
                       else f"slot ({u}, {i}) out of range")
     good = np.flatnonzero(~bad.any(axis=(1, 2)))
-    for g in good[~connected(m[good])]:
+    # block b of a graph's (rank + 2) * k points sends its edges into block into[b]
+    into = np.array([*range(rank), rank + 1, rank], np.int32) * k
+    copies = m[good, :, None].astype(np.int32) + into[:, None]
+    copies[:, range(rank), range(rank)] = np.arange(rank * k).reshape(rank, k)
+    labels = stack_labels(copies.reshape(len(good), rank, (rank + 2) * k))
+    low, high = labels[:, rank * k:-k] - rank * k, labels[:, -k:] - rank * k
+    for g in good[np.minimum(low, high).any(axis=1)]:
         out[g].append("disconnected")
     for g, i, j, u in non_commuting(m[good]):
         out[good[g]].append(f"bad ({i},{j}) 2-factor at vertex {u}")
-    return out
+    sides = np.where((low != high).all(axis=1, keepdims=True), low > high, -1)
+    rows = np.hstack([labels[:, :rank * k] - np.repeat(into[:rank], k), sides])
+    facts: list[tuple | None] = [None] * len(graphs)
+    for g, row in zip(good.tolist(), rows):
+        if (shared := kept.get(key := row.tobytes())) is None:
+            without = tuple(map(tuple, row[:-k].reshape(rank, k).tolist()))
+            shared = kept[key] = ((), without, tuple(row[-k:].tolist()) if row[-1] >= 0 else None)
+        facts[g] = (tuple(out[g]),) + shared[1:] if out[g] else shared
+    return [f or (tuple(problems), None, None) for f, problems in zip(facts, out)]
 
 
 def is_admissible(t: SymmetryTypeGraph) -> bool:
@@ -120,32 +169,19 @@ def quotient(g: FlagGraph, a: AutGroup) -> SymmetryTypeGraph:
     return t
 
 
-def _without(tables, i: int):
-    return tables[:i] + tables[i + 1:]
-
-
-def _connected_without(tables, i: int) -> bool:
-    """True when the tables of every colour but i connect all vertices."""
-    k = len(tables[0])
-    return len(component(_without(tables, i), 0, k)) == k
-
-
 def is_i_face_transitive(t: SymmetryTypeGraph, i: int) -> bool:
     """True when deleting colour-i edges leaves the pregraph connected."""
-    if not 0 <= i < t.rank:
-        raise ValueError(f"colour {i} out of range for rank {t.rank}")
-    return _connected_without(t.tables, i)
+    return not any(_without(t, i))
 
 
 def transitivity_profile(t: SymmetryTypeGraph) -> frozenset[int]:
     """Colours i for which the structure is NOT i-face-transitive."""
-    return frozenset(i for i in range(t.rank) if not _connected_without(t.tables, i))
+    return frozenset(i for i, labels in enumerate(_well_formed(t)[0]) if any(labels))
 
 
 def face_orbit_splits(t: SymmetryTypeGraph, i: int) -> tuple[int, ...]:
     """Sorted component sizes of the pregraph with colour i deleted."""
-    comps = components(_without(t.tables, i), t.vertex_count)
-    return tuple(sorted(len(comp) for comp in comps))
+    return tuple(sorted(Counter(_without(t, i)).values()))
 
 
 @dataclass(frozen=True)
@@ -299,9 +335,9 @@ def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None
             return False
 
     component_vertices = set(pi)
-    reached = component(_without(stg.tables, i), min(component_vertices),
-                        stg.vertex_count)
-    if set(reached) != component_vertices:
+    labels = _without(stg, i)
+    root = labels[min(component_vertices)]
+    if {u for u, label in enumerate(labels) if label == root} != component_vertices:
         return False
     if set(pi.values()) != set(range(sub_aut.orbit_count)):
         return False

@@ -14,13 +14,78 @@ import numpy as np
 
 from maniplex.constructions import MapError, MapSpec, _face_slots
 from maniplex.enumeration import involutions
-from maniplex.flag_graph import (FlagGraph, InternalCheckError, component, components,
-                                 i_faces, validate)
+from maniplex.flag_graph import FlagGraph, InternalCheckError, i_faces, validate
 from maniplex.formats import PALETTE
 from maniplex.oriented import OrientedSTG, Orientation, oriented_digraph, orientation
 from maniplex.stg import SEMI, SymmetryTypeGraph
 from maniplex.symmetry import (AutGroup, _cycle_lengths, _extend, extend_automorphism,
                                identity)
+
+
+# The depth-first walk that the STG check's single component_labels pass
+# replaced for the per-graph questions: connectivity, the colour-deleted
+# components and the bipartition.
+
+
+def _tree(tables, start: int, seen: list[bool]):
+    """Depth-first spanning tree of the component of ``start``.
+
+    Yields ``(parent, child)`` for every vertex first reached, marking it
+    in ``seen``; ``start`` is marked but not yielded.
+    """
+    seen[start] = True
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for m in tables:
+            v = m[u]
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+                yield u, v
+
+
+def component(tables, start: int, count: int | None = None) -> list[int]:
+    """Sorted vertices reachable from ``start`` along partner tables;
+    ``count`` (the vertex count) is needed only when ``tables`` is empty."""
+    seen = [False] * (len(tables[0]) if count is None else count)
+    return sorted([start] + [v for _, v in _tree(tables, start, seen)])
+
+
+def components(tables, count: int | None = None) -> list[list[int]]:
+    """All components as sorted vertex lists, in order of least vertex."""
+    seen = [False] * (len(tables[0]) if count is None else count)
+    return [sorted([start] + [v for _, v in _tree(tables, start, seen)])
+            for start in range(len(seen)) if not seen[start]]
+
+
+def two_colouring(tables) -> list[int] | None:
+    """Sides 0/1 with every component's least vertex on side 0, or None
+    when some edge (a semi-edge included) joins two vertices of one side."""
+    side = [0] * len(tables[0])
+    seen = [False] * len(side)
+    for start in range(len(side)):
+        if not seen[start]:
+            for u, v in _tree(tables, start, seen):
+                side[v] = 1 - side[u]
+    if any(side[m[u]] == side[u] for m in tables for u in range(len(side))):
+        return None
+    return side
+
+
+def walk_facts(t: SymmetryTypeGraph):
+    """What the STG check keeps on a well-formed graph, by the walk: per
+    colour i the least vertex of each vertex's component without colour
+    i, and the sides of ``two_colouring`` (None when there are none)."""
+    without = []
+    for i in range(t.rank):
+        label = [0] * t.vertex_count
+        for comp in components(t.tables[:i] + t.tables[i + 1:], t.vertex_count):
+            for u in comp:
+                label[u] = comp[0]
+        without.append(tuple(label))
+    side = two_colouring(t.tables)
+    return tuple(without), None if side is None else tuple(side)
 
 
 def tables_from_slots(slots, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -530,7 +595,7 @@ def exhaustive_stg(n_colours: int, k: int,
 
 
 # The per-class codes and the per-graph check that enumeration._least_codes
-# and stg._violations replaced.
+# and stg._check replaced.
 
 
 def loop_rooted_code(tables, root: int, semi: int) -> bytes:

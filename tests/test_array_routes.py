@@ -14,13 +14,13 @@ import pytest
 from maniplex import symmetry
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
-from maniplex.flag_graph import FlagGraph, component_labels, components, non_commuting, validate
+from maniplex.flag_graph import FlagGraph, component_labels, non_commuting, validate
 from maniplex.formats import cycle_string, parse_map_text
 from maniplex.oriented import orientation
 from maniplex.symmetry import are_isomorphic, aut_group, invariant_colours, search_group
 from maniplex.walkgen import realize_generators, reduce_generators
-from oracles import (loop_cycle_string, loop_hypercube, loop_map_from_faces, loop_polygon,
-                     loop_simplex, loop_torus44, pair_non_commuting, random_map,
+from oracles import (components, loop_cycle_string, loop_hypercube, loop_map_from_faces,
+                     loop_polygon, loop_simplex, loop_torus44, pair_non_commuting, random_map,
                      rank_invariant_colours, relabel, tree_search_group)
 
 # the labels of the analyze benchmarks

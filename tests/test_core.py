@@ -14,14 +14,13 @@ from maniplex import oriented, symmetry
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, cube, torus44
 from maniplex.enumeration import canonical_code, enumerate_stg, involutions
-from maniplex.flag_graph import (FlagGraph, InternalCheckError, component, components,
-                                 non_commuting, two_colouring)
+from maniplex.flag_graph import FlagGraph, InternalCheckError, non_commuting
 from maniplex.oriented import oriented_digraph, orientation
-from maniplex.stg import SymmetryTypeGraph, quotient, stg_violations
+from maniplex.stg import SymmetryTypeGraph, bipartition, quotient, stg_violations
 from maniplex.symmetry import are_isomorphic, aut_group
 from maniplex.walkgen import (GeneratorSet, generates_full_group, realize_generators,
                               reduce_generators)
-from oracles import closure, commute_defect, min_code
+from oracles import closure, commute_defect, component, components, min_code, two_colouring
 
 # The five quotients of an alternating (i, j) 4-cycle, as (m_i, m_j)
 # partner tables on local vertices 0..size-1.
@@ -119,6 +118,7 @@ def test_two_colouring_against_odd_closed_walks():
         odd = any(np.trace(np.linalg.matrix_power(adj, l)) for l in range(1, k + 1, 2))
         side = two_colouring(tables)
         assert (side is None) == odd
+        assert bipartition(_stg(tables)) == (None if side is None else tuple(side))
         if side is not None:
             assert all(side[g[0]] == 0 for g in _oracle_groups(tables, k))
             assert all(side[u] != side[m[u]] for m in tables for u in range(k))

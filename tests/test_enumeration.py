@@ -12,11 +12,11 @@ from maniplex.enumeration import (canonical_code, enumerate_oriented_stg3,
                                   enumerate_stg, involutions, is_fully_transitive,
                                   oriented_canonical_code, oriented_stg3_families,
                                   oriented_stg3_via_quotient, verify_census)
-from maniplex.flag_graph import InternalCheckError, component
+from maniplex.flag_graph import InternalCheckError
 from maniplex.stg import (SEMI, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, classify,
                           is_admissible, transitivity_profile)
-from oracles import (commute_defect, exhaustive_stg, hand_oriented_stg3, loop_least_code,
-                     min_code, oriented_min_code, stg_from_slots)
+from oracles import (commute_defect, component, exhaustive_stg, hand_oriented_stg3,
+                     loop_least_code, min_code, oriented_min_code, stg_from_slots)
 
 
 def test_involution_counts():
@@ -235,6 +235,16 @@ def test_census_report_all_green():
     report = verify_census()
     failed = [str(check) for check in report if not check.passed]
     assert failed == []
+
+
+def test_enumerate_raises_on_an_inadmissible_class(monkeypatch):
+    # the search itself keeps only commuting tuples; one that does not
+    # commute must be caught by the check of the class list
+    inv = involutions(3)
+    a, b = inv.index((1, 0, 2)), inv.index((0, 2, 1))
+    monkeypatch.setattr(enumeration, "_commuting_tuples", lambda *args: iter([(a, a, b)]))
+    with pytest.raises(InternalCheckError, match=r"bad \(0,2\) 2-factor at vertex 0"):
+        enumerate_stg(3, 3)
 
 
 # enumeration._least_codes against the per-class rooted codes and the k!

@@ -1,4 +1,6 @@
 import random
+import warnings
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -6,16 +8,18 @@ import pytest
 from maniplex import stg
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, cube, cuboctahedron, prism, pyramid, torus44
+from maniplex.enumeration import enumerate_stg
 from maniplex.flag_graph import i_faces
-from maniplex.oriented import aut_plus, orientation, oriented_stg
+from maniplex.oriented import aut_plus, orientation, oriented_stg, stg_has_odd_closed_walk
 from maniplex.stg import (SEMI, FourOrbitFamily, Regular, SymmetryTypeGraph,
-                          ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, check_all, classify,
-                          is_admissible, is_i_face_transitive, quotient,
-                          stg_violations, transitivity_profile,
+                          ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, bipartition, check_all,
+                          classify, face_orbit_splits, is_admissible, is_i_face_transitive,
+                          quotient, stg_violations, transitivity_profile,
                           verify_face_projection)
 from maniplex.symmetry import aut_group
 from oracles import (loop_violations, orbit_loop_oriented_stg, orbit_loop_quotient,
-                     random_map, relabel, stg_from_slots)
+                     random_map, relabel, stg_from_slots, walk_facts)
+from test_enumeration import CODE_GRID
 
 
 def test_cube_quotient_is_one_vertex_all_semi():
@@ -75,10 +79,13 @@ def test_profiles():
         assert transitivity_profile(t) == expected, name
 
 
-def test_colour_out_of_range():
-    t = quotient(cube(), aut_group(cube()))
-    with pytest.raises(ValueError):
-        is_i_face_transitive(t, 3)
+def test_colour_out_of_range(corpus):
+    for label, colours in [("cube", (-1, 3)), ("prism:5", (-1, 3, 7))]:
+        t = corpus.stg(label)
+        for i in colours:
+            for question in (is_i_face_transitive, face_orbit_splits):
+                with pytest.raises(ValueError, match=f"colour {i} out of range for rank 3"):
+                    question(t, i)
 
 
 def test_classify_corpus():
@@ -211,17 +218,16 @@ def test_three_orbit_classes_have_reflexible_j_faces(corpus):
                 assert aut_group(face_maniplex(g, j, face)).orbit_count == 1
 
 
-@pytest.mark.parametrize("extra", [[], ["--generators", "--oriented"]])
+@pytest.mark.parametrize("extra", [[], ["--generators", "--oriented"], ["--oriented"]])
 def test_analyze_checks_each_stg_once(monkeypatch, capsys, extra):
     checked = []
-    check = stg._violations
-    monkeypatch.setattr(stg, "_violations", lambda ts: checked.extend(ts) or check(ts))
+    check = stg._check
+    monkeypatch.setattr(stg, "_check", lambda ts, kept: checked.extend(ts) or check(ts, kept))
     assert main(["analyze", "prism:5", "--json"] + extra) == 0
     capsys.readouterr()
-    # the list keeps every checked graph alive, so ids are not reused
-    assert checked and len({id(t) for t in checked}) == len(checked)
-    if not extra:
-        assert len(checked) == 1
+    # one pass over the one STG: the profile, the class and, under
+    # --oriented, the bipartition are read off what it kept
+    assert len(checked) == 1
 
 
 def test_stg_violations_returns_a_new_list_each_call():
@@ -235,7 +241,7 @@ def test_stg_violations_returns_a_new_list_each_call():
 
 
 
-# the array check of stg._violations against the loop it replaced
+# the array check of stg._check against the loop it replaced
 
 
 MALFORMED = [((1, 0), (0,)), ((1, 0), (0, 2)), ((1, 2, 0),), ((1, 0, 1),), ((1, 0), (-1, 1)),
@@ -261,7 +267,8 @@ def test_array_check_matches_the_loop_on_malformed_tables():
     for tables in MALFORMED:
         t = SymmetryTypeGraph(tables)
         assert stg_violations(t) == loop_violations(t), tables
-        assert stg._violations([fresh(t)]) == [loop_violations(t)], tables
+        assert [list(problems) for problems, _, _ in stg._check([fresh(t)], {})] == [
+            loop_violations(t)], tables
 
 
 def random_defective_tables(rng):
@@ -313,7 +320,8 @@ def test_array_check_matches_the_loop_on_quotients(corpus):
         g = random_map(rng, 60 // sheets, sheets, orientable)
         graphs.append(quotient(g, aut_group(g)))
     for t in graphs:
-        assert stg._violations([fresh(t)]) == [loop_violations(t)] == [[]]
+        assert [list(problems) for problems, _, _ in stg._check([fresh(t)], {})] == [
+            loop_violations(t)] == [[]]
     # an asymmetric entry in each with two vertices or more: m[0] moved on by one
     broken = []
     for t in graphs:
@@ -331,9 +339,74 @@ def test_check_all_keeps_each_result_and_skips_checked_graphs(monkeypatch):
     graphs = [SymmetryTypeGraph(tables) for tables in MALFORMED]
     check_by_shape(graphs[:3])
     calls = []
-    check = stg._violations
-    monkeypatch.setattr(stg, "_violations", lambda ts: calls.append(len(ts)) or check(ts))
+    check = stg._check
+    monkeypatch.setattr(stg, "_check", lambda ts, kept: calls.append(len(ts)) or check(ts, kept))
     check_by_shape(graphs)
     assert sum(calls) == len(graphs) - 3
     assert [stg_violations(t) for t in graphs] == [loop_violations(t) for t in graphs]
     assert sum(calls) == len(graphs) - 3  # stg_violations read what was kept
+
+
+# the facts the check keeps against the depth-first walk it replaced
+
+
+def check_facts(graphs):
+    """Each graph's kept facts, found in one batch per table shape and
+    alone, equal the walk's; so do the answers read off them."""
+    check_by_shape(graphs)
+    for t in graphs:
+        without, side = expected = walk_facts(t)
+        assert stg._well_formed(t) == stg._check([t], {})[0][1:] == expected, t.tables
+        assert bipartition(t) == side and stg_has_odd_closed_walk(t) == (side is None)
+        assert transitivity_profile(t) == {i for i, labels in enumerate(without) if any(labels)}
+        for i, labels in enumerate(without):
+            sizes = tuple(sorted(Counter(labels).values()))
+            assert face_orbit_splits(t, i) == sizes
+            assert is_i_face_transitive(t, i) == (sizes == (t.vertex_count,))
+
+
+def test_facts_match_the_walk_on_random_tables():
+    # the defect-free draws of random_defective_tables
+    rng, graphs = random.Random(17), []
+    while len(graphs) < 2000:
+        t = SymmetryTypeGraph(random_defective_tables(rng))
+        if not any(line.split()[0] in ("slot", "asymmetric") for line in loop_violations(t)):
+            graphs.append(t)
+    check_facts(graphs)
+    kinds = {word for t in graphs for word in [line.split()[0] for line in stg_violations(t)]
+             or ["admissible"]}
+    assert kinds == {"disconnected", "bad", "admissible"}
+    assert any(m[u] == u for t in graphs for m in t.tables for u in range(len(m)))
+    assert any(bipartition(t) for t in graphs)
+
+
+@pytest.mark.parametrize("n_colours,k", CODE_GRID)
+def test_facts_match_the_walk_on_every_class(n_colours, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        check_facts(enumerate_stg(n_colours, k))
+
+
+def test_facts_match_the_walk_on_quotients(corpus):
+    graphs = [corpus.stg(label) for label in CORPUS]
+    rng = random.Random(18)
+    for sheets, orientable in product((1, 2, 3), (True, False)):
+        g = random_map(rng, 60 // sheets, sheets, orientable)
+        graphs.append(quotient(g, aut_group(g)))
+    check_facts(graphs)
+
+
+MALFORMED_QUESTIONS = [transitivity_profile, lambda t: is_i_face_transitive(t, 0),
+                       lambda t: face_orbit_splits(t, 0), stg_has_odd_closed_walk]
+
+
+@pytest.mark.parametrize("tables", [((1, 0, 2), (0, 2, 1), (3, 1, 0)),
+                                    ((1, 1, 2), (0, 2, 1), (1, 0, 2))])
+def test_questions_on_malformed_tables_raise_value_error(tables):
+    for question in MALFORMED_QUESTIONS:
+        t = SymmetryTypeGraph(tables)
+        problems = loop_violations(t)
+        assert problems and "disconnected" not in problems
+        with pytest.raises(ValueError) as info:
+            question(t)
+        assert str(info.value) == f"not a well-formed symmetry type graph: {problems}"
