@@ -88,16 +88,18 @@ def non_commuting(stack) -> list[tuple[int, int, int, int]]:
     Commutation is the admissibility rule of colours at distance >= 2:
     on involutions, the components of the (i, j) 2-factor are quotients
     of an alternating 4-cycle exactly where the two commute.  Table i is
-    compared with all the tables i + 2.. in one array pass.
+    compared with all the tables i + 2.. on the tuples' disjoint union.
     """
-    stack, out = np.asarray(stack), []
-    for i in range(stack.shape[1] - 2):
-        mi, rest = stack[:, i:i + 1], stack[:, i + 2:]
-        bad = np.take_along_axis(mi, rest, 2) != np.take_along_axis(rest, mi, 2)
+    n, colours, k = np.shape(stack)
+    m = np.transpose(stack, (1, 0, 2))  # a lone tuple, as validate's, is read in place
+    m = (m + np.arange(0, n * k, k, dtype=np.int32)[:, None] if n > 1 else m).reshape(colours, -1)
+    out = []
+    for i in range(colours - 2):
+        bad = (m[i][m[i + 2:]] != m[i + 2:, m[i]]).reshape(colours - i - 2, n, k)
         if bad.any():
-            t, d = np.nonzero(bad.any(axis=2))
+            t, d = np.nonzero(bad.any(axis=2).T)
             out += zip(t.tolist(), [i] * len(t), (d + i + 2).tolist(),
-                       bad.argmax(axis=2)[t, d].tolist())
+                       bad.argmax(axis=2)[d, t].tolist())
     return out
 
 

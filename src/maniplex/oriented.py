@@ -6,11 +6,11 @@ compositions t_i = r_{n-1} r_i are involutions for i <= n-3 (undirected
 classes) while rot = r_{n-1} r_{n-2} is a genuine permutation (the
 directed class).  The oriented flag di-graph is a ``FlagGraph`` on the
 black flags whose colours are these moves, t_0..t_{n-3}, then rot, then
-rot^-1, so the trial extension and the isomorphism test of flag graphs
-apply to it unchanged.  Its quotient by the orientation-preserving
-orbits is found the same way as the symmetry type graph: a partner
-table per undirected class, where a fixed point is a semi-edge, plus
-the dart permutation.
+rot^-1, so the isomorphism test of flag graphs applies to it unchanged.
+The orientation-preserving group Aut+ needs no search of its own: its
+generators are products of Aut's.  The quotient by its orbits is found
+the same way as the symmetry type graph: a partner table per undirected
+class, where a fixed point is a semi-edge, plus the dart permutation.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError, quotient_tables
+from .flag_graph import FlagGraph, InternalCheckError, component_labels, quotient_tables
 from .stg import SymmetryTypeGraph, bipartition, quotient, slot_rows
-from .symmetry import AutGroup, aut_group, invert, search_group
+from .symmetry import AutGroup, _group, aut_group, invert
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,26 @@ def oriented_digraph(g: FlagGraph, o: Orientation) -> FlagGraph:
 
 
 def aut_plus(g: FlagGraph, o: Orientation, aut: AutGroup | None = None) -> AutGroup:
-    """Orientation-preserving subgroup, with its own orbit partition.
+    """Orientation-preserving subgroup Aut+, with its own orbit partition.
 
-    An automorphism preserves the parts as soon as it preserves the part
-    of flag 0, so the candidates are the targets of Aut in flag 0's part,
-    all of which extend.
-    """
+    An automorphism keeps the parts when it keeps flag 0's part, so Aut+
+    is Aut or of index 2, generated by Schreier's lemma with the
+    transversal {1, s}, s Aut's first part-swapping generator: p and
+    s p s^-1 for each keeping p, p s^-1 and s p for each swapping p
+    (Seress, Permutation Group Algorithms, 2003).  2 |Aut+| = |Aut| is
+    checked."""
     full = aut_group(g) if aut is None else aut
-    return search_group(g, full.targets[o.colour_of[full.targets] == o.colour_of[0]])
+    swaps = [o.colour_of[p[0]] != o.colour_of[0] for p in full.generators]
+    if not any(swaps):
+        return full
+    s = full.generators[swaps.index(True)]
+    s_inv = invert(s)
+    generators = [q for p, swap in zip(full.generators, swaps)
+                  for q in ((p[s_inv], s[p]) if swap else (p, s[p[s_inv]]))]
+    plus = _group(g, generators, component_labels(generators, g.flag_count))
+    if 2 * plus.order != full.order:
+        raise InternalCheckError(f"|Aut+| = {plus.order} is not half of |Aut| = {full.order}")
+    return plus
 
 
 def black_orbit_count(a_plus: AutGroup, o: Orientation) -> int:
@@ -95,12 +107,9 @@ def is_chiral_a_la_conway(g: FlagGraph, o: Orientation, aut: AutGroup | None = N
     the quotient-graph test (no odd closed walks); a mismatch raises
     InternalCheckError.
     """
-    if aut is None:
-        aut = aut_group(g)
-    if a_plus is None:
-        a_plus = aut_plus(g, o, aut=aut)
-    if stg is None:
-        stg = quotient(g, aut)
+    aut = aut_group(g) if aut is None else aut
+    a_plus = aut_plus(g, o, aut=aut) if a_plus is None else a_plus
+    stg = quotient(g, aut) if stg is None else stg
     group_test = a_plus.order == aut.order
     graph_test = not stg_has_odd_closed_walk(stg)
     if group_test != graph_test:
@@ -146,8 +155,7 @@ def oriented_stg(g: FlagGraph, o: Orientation, a_plus: AutGroup | None = None) -
     """Quotient the oriented di-graph's t_0..t_{n-3} and rot by the Aut+
     orbits of black flags, numbered in order of orbit id."""
     d = oriented_digraph(g, o)
-    if a_plus is None:
-        a_plus = aut_plus(g, o)
+    a_plus = aut_plus(g, o) if a_plus is None else a_plus
     *tables, dart = quotient_tables(d.adj[:-1], a_plus.orbit_of[o.black_flags])
     return OrientedSTG(tables=tuple(tables), dart=dart)
 

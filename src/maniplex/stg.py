@@ -298,10 +298,8 @@ def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None
     surjective, carry j-edges (j < i) to the j-action downstairs, and
     collapse j-edges with j > i.
     """
-    if aut is None:
-        aut = aut_group(g)
-    if stg is None:
-        stg = quotient(g, aut)
+    aut = aut_group(g) if aut is None else aut
+    stg = quotient(g, aut) if stg is None else stg
     part = i_faces(g, i)
     face_flags = part.flags_of(face)
     comp = face_component(g, i, face)

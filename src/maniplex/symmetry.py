@@ -3,11 +3,11 @@
 Because the colour-preserving automorphism group acts freely on flags, an
 automorphism is pinned down by the image of a single flag: propagate
 ``image(f^{r_i}) = image(f)^{r_i}`` along a breadth-first tree and check
-the result.  A group is therefore stored as a few generating image tables
-(int32 arrays) plus the orbit of flag 0, one target per element; any
-element is recomputed from its target on demand.  Flag 0 is tried only
-against the flags of its colour under colour refinement, whose rows are
-hashed to one int64 each, so a round costs one gather and one sort.
+the result.  A group is stored as a few generating image tables plus the
+orbit of flag 0, one target per element.  ``aut_group`` is the one group
+search: it tries flag 0 only against the flags of its colour under colour
+refinement, whose rows are hashed to one int64 each; ``oriented.aut_plus``
+builds the orientation-preserving subgroup from its tables.
 """
 
 from __future__ import annotations
@@ -142,30 +142,9 @@ class AutGroup:
         return _extend(self.graph, self.graph, 0, int(target))
 
 
-def search_group(g: FlagGraph, candidates) -> AutGroup:
-    """The group of the automorphisms of ``g`` sending flag 0 into
-    ``candidates``, an array of flags; they must form a group.
-
-    Flag 0 is trial-extended only to candidates outside the orbit of flag
-    0 grown so far, and outside the orbit, under the subgroup found so
-    far, of each failed target (no automorphism reaches those either).
-    Each success at least doubles the subgroup, so there are at most
-    log2(F) generators.  The orbits are the components of the
-    generators, labelled by their least flags once per generator found.
-    F = |G| * orbit_count holds because the action is free; it is checked.
-    """
-    generators: list[np.ndarray] = []
-    label = component_labels(generators, g.flag_count)
-    skip = label == 0
-    while (candidates := candidates[~skip[candidates]]).size:
-        target = int(candidates[0])
-        img = _extend(g, g, 0, target)
-        if img is None:
-            skip |= label == label[target]
-            continue
-        generators.append(img)
-        label = component_labels(generators, g.flag_count)
-        skip |= label == 0
+def _group(g: FlagGraph, generators: list[np.ndarray], label: np.ndarray) -> AutGroup:
+    """The group of ``generators``, ``label`` their components: flag 0's is
+    the targets.  F = |G| * orbit_count (the action is free) is checked."""
     targets = np.flatnonzero(label == 0).astype(np.int32)
     least = label == np.arange(g.flag_count)
     orbit_count = int(np.count_nonzero(least))
@@ -180,9 +159,27 @@ def search_group(g: FlagGraph, candidates) -> AutGroup:
 
 
 def aut_group(g: FlagGraph) -> AutGroup:
-    """Compute Aut(g); the candidates are the flags coloured like flag 0."""
+    """Compute Aut(g) by trial extension of flag 0 to the flags coloured
+    like it, skipping the orbit of flag 0 grown so far and the orbit,
+    under the subgroup found so far, of each failed target.  Each success
+    at least doubles the subgroup, so there are at most log2(F)
+    generators; the orbits are their components, labelled once per
+    generator found."""
     colour = invariant_colours(g.adj)
-    return search_group(g, np.flatnonzero(colour == colour[0]))
+    candidates = np.flatnonzero(colour == colour[0])
+    generators: list[np.ndarray] = []
+    label = component_labels(generators, g.flag_count)
+    skip = label == 0
+    while (candidates := candidates[~skip[candidates]]).size:
+        target = int(candidates[0])
+        img = _extend(g, g, 0, target)
+        if img is None:
+            skip |= label == label[target]
+            continue
+        generators.append(img)
+        label = component_labels(generators, g.flag_count)
+        skip |= label == 0
+    return _group(g, generators, label)
 
 
 def are_isomorphic(g1: FlagGraph, g2: FlagGraph):

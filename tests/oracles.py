@@ -654,7 +654,7 @@ def loop_violations(t: SymmetryTypeGraph) -> list[str]:
 
 # The per-flag loops that the index arithmetic of constructions, the
 # pointer-doubled formats.cycle_string and the component labels of
-# symmetry.search_group replaced.
+# symmetry.aut_group replaced.
 
 
 def loop_polygon(l: int) -> FlagGraph:

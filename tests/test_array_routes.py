@@ -1,7 +1,7 @@
 """The array routes of the builders, the cycle notation, the orbit
-labels, the commutation test and the colour refinement against the
-per-flag, per-pair and rank-based routes they replaced (kept in
-oracles.py)."""
+labels, the group search, Aut+ by Schreier generators, the commutation
+test and the colour refinement against the per-flag, per-pair, tree and
+rank-based routes they replaced (kept in oracles.py)."""
 
 import random
 import warnings
@@ -16,8 +16,8 @@ from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hyp
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
 from maniplex.flag_graph import FlagGraph, component_labels, non_commuting, validate
 from maniplex.formats import cycle_string, parse_map_text
-from maniplex.oriented import orientation
-from maniplex.symmetry import are_isomorphic, aut_group, invariant_colours, search_group
+from maniplex.oriented import aut_plus, orientation
+from maniplex.symmetry import are_isomorphic, aut_group, invariant_colours
 from maniplex.walkgen import realize_generators, reduce_generators
 from oracles import (components, loop_cycle_string, loop_hypercube, loop_map_from_faces,
                      loop_polygon, loop_simplex, loop_torus44, pair_non_commuting, random_map,
@@ -100,27 +100,36 @@ def test_component_labels_match_components():
         assert label.tolist() == expected.tolist()
 
 
+def same_group(new, old):
+    assert np.array_equal(new.targets, old.targets)
+    assert np.array_equal(new.orbit_of, old.orbit_of)
+    assert new.orbit_count == old.orbit_count
+
+
 def check_search(g):
+    """aut_group against the tree route over the colour candidates, and
+    aut_plus against it over Aut's targets of flag 0's colour."""
     colour = invariant_colours(g.adj)
-    candidates = [np.flatnonzero(colour == colour[0])]
-    a = search_group(g, candidates[0])
+    a, old = aut_group(g), tree_search_group(g, np.flatnonzero(colour == colour[0]))
+    same_group(a, old)
+    assert [p.tolist() for p in a.generators] == [p.tolist() for p in old.generators]
     o = orientation(g)
-    if o is not None:
-        candidates.append(a.targets[o.colour_of[a.targets] == o.colour_of[0]])
-    for cands in candidates:
-        new, old = search_group(g, cands), tree_search_group(g, cands)
-        assert np.array_equal(new.targets, old.targets)
-        assert np.array_equal(new.orbit_of, old.orbit_of)
-        assert new.orbit_count == old.orbit_count
-        assert [p.tolist() for p in new.generators] == [p.tolist() for p in old.generators]
+    if o is None:
+        return
+    ap = aut_plus(g, o, aut=a)
+    same_group(ap, tree_search_group(g, a.targets[o.colour_of[a.targets] == o.colour_of[0]]))
+    for p in ap.generators:     # each keeps flag 0's colour, and every other flag's
+        assert np.array_equal(o.colour_of[p], o.colour_of)
+    assert np.array_equal(np.flatnonzero(component_labels(ap.generators, g.flag_count) == 0),
+                          ap.targets)
 
 
-def test_search_group_matches_tree_route_on_corpus(corpus):
+def test_aut_group_and_aut_plus_match_tree_route_on_corpus(corpus):
     for label in CORPUS:
         check_search(corpus.graph(label))
 
 
-def test_search_group_matches_tree_route_on_random_maps():
+def test_aut_group_and_aut_plus_match_tree_route_on_random_maps():
     rng = random.Random(31)
     for sheets, orientable in product((1, 2, 3), (True, False)):
         g = random_map(rng, 36 // sheets, sheets, orientable)

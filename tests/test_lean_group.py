@@ -12,9 +12,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from maniplex import symmetry
+from maniplex import oriented, symmetry
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, torus44
+from maniplex.flag_graph import InternalCheckError
 from maniplex.formats import write_maniplex_text
 from maniplex.oriented import aut_plus, orientation
 from maniplex.stg import quotient
@@ -91,6 +92,36 @@ def test_regular_search_needs_at_most_log2_extensions(label, monkeypatch):
     a = aut_group(g)
     assert a.orbit_count == 1
     assert len(a.generators) == len(calls) <= math.log2(g.flag_count)
+
+
+@pytest.mark.parametrize("label", ["cube", "hypercube:4", "torus44:1,2", "random"])
+def test_aut_plus_makes_no_trial_extension(label, monkeypatch):
+    g = random_map(random.Random(3), 15, 2, True) if label == "random" else construction(label)
+    a, o = aut_group(g), orientation(g)
+    calls = []
+    real = symmetry._extend
+    monkeypatch.setattr(symmetry, "_extend", lambda *args: calls.append(1) or real(*args))
+    ap = aut_plus(g, o, aut=a)
+    assert calls == []
+    assert ap.targets.tolist() == [t for t in a.targets.tolist()
+                                   if o.colour_of[t] == o.colour_of[0]]
+
+
+def test_a_wrong_schreier_set_is_caught(monkeypatch):
+    g = construction("hypercube:4")
+    a, o = aut_group(g), orientation(g)
+    real = oriented.component_labels
+
+    def without_last(tables, count):
+        # aut_plus labels two products per generator of Aut; without the
+        # last generator's pair they generate a proper subgroup of Aut+,
+        # since each generator found grows the group
+        assert len(tables) == 2 * len(a.generators)
+        return real(tables[:-2], count)
+
+    monkeypatch.setattr(oriented, "component_labels", without_last)
+    with pytest.raises(InternalCheckError, match="not half"):
+        aut_plus(g, o, aut=a)
 
 
 def test_generates_full_group_rejects_a_proper_subgroup():
