@@ -40,7 +40,8 @@ LABELS = CORPUS + ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6", "tor
 FORMS = {"json": ["--json"], "text": []}
 # name -> (seed, base edges, sheets, orientable); 2,400 flags each
 RANDOM_MAPS = {"map-o1": (7, 600, 1, True), "map-n2": (8, 300, 2, False)}
-GRID = ((3, 5), (4, 5), (5, 4), (6, 4), (5, 5), (3, 6), (4, 6), (5, 6), (3, 7))
+GRID = ((3, 5), (4, 5), (5, 4), (6, 4), (5, 5), (3, 6), (4, 6), (5, 6), (3, 7),
+        (4, 1), (5, 2), (7, 3), (8, 4))
 FILTERS = ("--bipartite", "--fully-transitive")
 
 
