@@ -16,12 +16,12 @@ import sys
 from pathlib import Path
 
 from . import constructions, formats
-from .enumeration import enumerate_stg, is_fully_transitive
+from .enumeration import census, is_fully_transitive
 from .flag_graph import FlagGraph, InternalCheckError, validate
 from .oriented import (aut_plus, black_orbit_count, classify_oriented,
                        is_chiral_a_la_conway, orientation, oriented_stg,
                        stg_has_odd_closed_walk)
-from .stg import classify, quotient, transitivity_profile
+from .stg import class_labels, classify, quotient, transitivity_profile
 from .symmetry import aut_group
 from .walkgen import generates_full_group, realize_generators, reduce_generators
 
@@ -142,13 +142,11 @@ def cmd_enumerate(args) -> int:
     if args.bipartite:
         filters.append(lambda t: not stg_has_odd_closed_walk(t))
     try:
-        graphs = enumerate_stg(args.colors, args.vertices, filters=tuple(filters))
+        graphs, stack = census(args.colors, args.vertices, filters=tuple(filters))
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     print(len(graphs))
-    labels = []
-    if args.csv or not args.count_only:
-        labels = [classify(t).label() for t in graphs]
+    labels = class_labels(graphs) if args.csv or not args.count_only else []
     if not args.count_only:
         for idx, (t, label) in enumerate(zip(graphs, labels)):
             print(f"-- {idx}: {label}")
@@ -156,16 +154,10 @@ def cmd_enumerate(args) -> int:
                 print("   " + line)
     if args.csv:
         buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=["index", "vertices", "colours", "class", "slots"])
-        writer.writeheader()
-        writer.writerows({
-            "index": idx,
-            "vertices": t.vertex_count,
-            "colours": t.rank,
-            "class": label,
-            "slots": ";".join(" ".join(str(s) for s in row) for row in t.slots),
-        } for idx, (t, label) in enumerate(zip(graphs, labels)))
+        writer = csv.writer(buffer)
+        writer.writerow(["index", "vertices", "colours", "class", "slots"])
+        writer.writerows((idx, args.vertices, args.colors, label, text)
+                         for idx, (label, text) in enumerate(zip(labels, formats.slot_text(stack))))
         _write(args.csv, buffer.getvalue())
     return 0
 

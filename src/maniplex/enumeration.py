@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import compress, islice, permutations
 
 import numpy as np
 
@@ -239,6 +239,13 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
     InternalCheckError on an inadmissible class.  ``fixed_point_free``
     restricts the search to types without semi-edges.
     """
+    return census(n_colours, k, filters, fixed_point_free)[0]
+
+
+def census(n_colours: int, k: int, filters=(),
+           fixed_point_free: bool = False) -> tuple[list[SymmetryTypeGraph], np.ndarray]:
+    """``enumerate_stg``'s classes, and their tables as one uint8 stack
+    (classes, colours, k), which the check and the CSV read."""
     if n_colours < 1 or k < 1:
         raise ValueError("need at least one colour and one vertex")
     if k > 5:
@@ -247,15 +254,17 @@ def enumerate_stg(n_colours: int, k: int, filters=(),
     if fixed_point_free:
         choices = [m for m in choices if all(m[v] != v for v in range(k))]
     rows, stack = _connected_tuples([choices] * n_colours, _relabellings(k))
-    columns = rows[_code_order(_least_codes(stack[:, None], n_colours))].T.tolist()
+    order = _code_order(_least_codes(stack[:, None], n_colours))
+    stack, columns = stack[order], rows[order].T.tolist()
     graphs = [SymmetryTypeGraph(tables)
               for tables in zip(*(map(choices.__getitem__, column) for column in columns))]
-    check_all(graphs)
+    check_all(graphs, stack)
     if bad := next((t for t in graphs if stg_violations(t)), None):
         raise InternalCheckError(f"inadmissible class {bad.tables}: {stg_violations(bad)}")
-    for predicate in filters:
-        graphs = [t for t in graphs if predicate(t)]
-    return graphs
+    if filters:
+        keep = [all(predicate(t) for predicate in filters) for t in graphs]
+        graphs, stack = list(compress(graphs, keep)), stack[np.array(keep, bool)]
+    return graphs, stack
 
 
 def is_fully_transitive(t: SymmetryTypeGraph) -> bool:

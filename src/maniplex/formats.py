@@ -200,6 +200,19 @@ def stg_table(slots) -> list[str]:
     return _table([f"{i}:%s" for i in range(len(columns))], columns, len(slots))
 
 
+def slot_text(stack: np.ndarray) -> list[str]:
+    """The CSV text of the slots of each tuple of a stack (tuples,
+    colours, k): a vertex's partners, SEMI at a fixed point, joined by
+    " ", the vertices by ";".  Each entry is its separator and number,
+    zero-padded in one byte buffer; dropping the zeros leaves the text."""
+    k = stack.shape[2]
+    names = np.array([f" {v}" for v in [*range(k), SEMI]], "S")
+    slots = np.where(stack == np.arange(k), k, stack).transpose(0, 2, 1).copy()
+    cells = names[slots].view(np.uint8).reshape(*slots.shape, names.itemsize)
+    cells[:, :, 0, 0], cells[:, 0, 0, 0] = ord(";"), ord("\n")
+    return cells.tobytes().replace(b"\0", b"").decode().split("\n")[1:]
+
+
 def oriented_stg_table(undirected, dart) -> list[str]:
     """The directed class t_{n-2} is numbered after the n-2 undirected ones."""
     names = _vertex_names(len(dart))

@@ -68,16 +68,17 @@ def aut_plus(g: FlagGraph, o: Orientation, aut: AutGroup | None = None) -> AutGr
     is Aut or of index 2, generated by Schreier's lemma with the
     transversal {1, s}, s Aut's first part-swapping generator: p and
     s p s^-1 for each keeping p, p s^-1 and s p for each swapping p
-    (Seress, Permutation Group Algorithms, 2003).  2 |Aut+| = |Aut| is
-    checked."""
+    (Seress, Permutation Group Algorithms, 2003).  The action is free,
+    so flag 0's image names each product: the identity (p s^-1 at p = s)
+    and repeats are left out.  2 |Aut+| = |Aut| is checked."""
     full = aut_group(g) if aut is None else aut
     swaps = [o.colour_of[p[0]] != o.colour_of[0] for p in full.generators]
     if not any(swaps):
         return full
     s = full.generators[swaps.index(True)]
     s_inv = invert(s)
-    generators = [q for p, swap in zip(full.generators, swaps)
-                  for q in ((p[s_inv], s[p]) if swap else (p, s[p[s_inv]]))]
+    generators = list({int(q[0]): q for p, swap in zip(full.generators, swaps)
+                       for q in ((p[s_inv], s[p]) if swap else (p, s[p[s_inv]])) if q[0]}.values())
     plus = _group(g, generators, component_labels(generators, g.flag_count))
     if 2 * plus.order != full.order:
         raise InternalCheckError(f"|Aut+| = {plus.order} is not half of |Aut| = {full.order}")

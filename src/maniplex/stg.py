@@ -97,20 +97,23 @@ def bipartition(t: SymmetryTypeGraph) -> tuple[int, ...] | None:
     return _well_formed(t)[1]
 
 
-def check_all(graphs) -> None:
+def check_all(graphs, stack: np.ndarray | None = None) -> None:
     """Check every graph not checked yet, all with tables of one shape,
     and keep what was found on each, equal facts once: one pass per
     CHUNK bytes of int32 tables, of which a graph of rank r takes r + 2
-    copies."""
-    todo, kept = [t for t in graphs if t._facts is None], {}
-    step = max(1, CHUNK // (4 * (todo[0].rank + 2) * sum(map(len, todo[0].tables)))) if todo else 1
+    copies.  ``stack``, where the caller holds it, is the list's tables
+    as one array (graphs, colours, k), read in place of the tuples."""
+    todo, kept = [g for g, t in enumerate(graphs) if t._facts is None], {}
+    tables = graphs[todo[0]].tables if todo else ()
+    step = max(1, CHUNK // (4 * (len(tables) + 2) * max(1, sum(map(len, tables)))))
     for first in range(0, len(todo), step):
         part = todo[first:first + step]
-        for t, facts in zip(part, _check(part, kept)):
+        ts = [graphs[g] for g in part]
+        for t, facts in zip(ts, _check(ts, kept, None if stack is None else stack[part])):
             object.__setattr__(t, "_facts", facts)
 
 
-def _check(graphs, kept: dict) -> list[tuple]:
+def _check(graphs, kept: dict, m: np.ndarray | None = None) -> list[tuple]:
     """The facts of each graph, all with tables of one shape.  Problems:
     slots out of range or asymmetric, by vertex and then colour; else
     disconnection and the colour pairs that do not commute.  Well-formed
@@ -121,12 +124,13 @@ def _check(graphs, kept: dict) -> list[tuple]:
     so the graph is connected where one of each pair is labelled 0, and
     bipartite where the two are labelled apart; side 1 is where u's
     label is the larger.  Admissible graphs with equal labels share one
-    facts tuple, kept in ``kept`` under the bytes of the labels."""
+    facts tuple, kept in ``kept`` under the bytes of the labels.  ``m``,
+    where given, holds the tables as one array."""
     shape = tuple(map(len, graphs[0].tables))
     rank, k = len(shape), shape[0]
     if (i := next((i for i, n in enumerate(shape) if n != k), None)) is not None:
         return [((f"colour {i} has {shape[i]} entries, expected {k}",), None, None)] * len(graphs)
-    m = np.array([t.tables for t in graphs], dtype=np.int64)
+    m = np.array([t.tables for t in graphs], dtype=np.int64) if m is None else m
     out: list[list[str]] = [[] for _ in graphs]
     inside = (m >= 0) & (m < k)
     safe = np.where(inside, m, 0)
@@ -283,9 +287,19 @@ def classify(t: SymmetryTypeGraph) -> STGClass:
     if k == 4:
         profile = transitivity_profile(t)
         splits = tuple((i, face_orbit_splits(t, i)) for i in sorted(profile))
-        semis = frozenset(i for i, m in enumerate(t.tables) if any(m[u] == u for u in range(k)))
-        return FourOrbitFamily(profile=profile, splits=splits, semi_colours=semis)
+        semis = np.flatnonzero((np.array(t.tables) == np.arange(k)).any(axis=1)).tolist()
+        return FourOrbitFamily(profile=profile, splits=splits, semi_colours=frozenset(semis))
     return OtherClass(k)
+
+
+def class_labels(graphs) -> list[str]:
+    """``classify(t).label()`` for each graph, all with tables of one
+    shape; from four vertices on a label reads only the check's facts,
+    so it is found once per facts tuple, which equal facts share."""
+    check_all(graphs)
+    found: dict = {}
+    return [found.get(key := id(t._facts) if t.vertex_count >= 4 else t)
+            or found.setdefault(key, classify(t).label()) for t in graphs]
 
 
 def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None = None,

@@ -137,6 +137,24 @@ def test_aut_group_and_aut_plus_match_tree_route_on_random_maps():
         check_search(relabel(g, rng))
 
 
+def test_aut_plus_stores_no_identity_and_no_repeated_generator(corpus):
+    # the action is free, so an element is known by its image of flag 0
+    rng = random.Random(31)
+    graphs = [corpus.graph(label) for label in CORPUS]
+    graphs += [random_map(rng, 36 // sheets, sheets, orientable)
+               for sheets, orientable in product((1, 2, 3), (True, False))]
+    swapped = 0
+    for g in graphs:
+        if (o := orientation(g)) is None:
+            continue
+        a = aut_group(g)
+        ap = aut_plus(g, o, aut=a)
+        images = [int(p[0]) for p in ap.generators]
+        assert 0 not in images and len(set(images)) == len(images)
+        swapped += ap.order < a.order
+    assert swapped >= 5  # Schreier products were formed, not Aut returned as it is
+
+
 # flag_graph.non_commuting against one commute_defect per colour pair
 
 

@@ -8,13 +8,14 @@ import pytest
 from maniplex import enumeration
 from maniplex.cli import main
 from maniplex.constructions import CORPUS
-from maniplex.enumeration import (canonical_code, enumerate_oriented_stg3,
+from maniplex.enumeration import (canonical_code, census, enumerate_oriented_stg3,
                                   enumerate_stg, involutions, is_fully_transitive,
                                   oriented_canonical_code, oriented_stg3_families,
                                   oriented_stg3_via_quotient, verify_census)
 from maniplex.flag_graph import InternalCheckError
-from maniplex.stg import (SEMI, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, classify,
-                          is_admissible, transitivity_profile)
+from maniplex.formats import slot_text
+from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit,
+                          class_labels, classify, is_admissible, transitivity_profile)
 from oracles import (commute_defect, component, exhaustive_stg, hand_oriented_stg3,
                      loop_least_code, min_code, oriented_min_code, stg_from_slots)
 
@@ -367,3 +368,46 @@ def test_a_class_met_twice_fails_the_internal_check(monkeypatch, capsys):
         enumerate_stg(3, 3)
     assert main(["enumerate", "--colors", "4", "--vertices", "4", "--count-only"]) == 4
     assert "internal check failed:" in capsys.readouterr().err
+
+
+# the census CSV's array routes against classify and the slots, class by class
+
+
+def slots_line(t) -> str:
+    return ";".join(" ".join(map(str, row)) for row in t.slots)
+
+
+@pytest.mark.parametrize("n_colours, k",
+                         [(n, k) for n in range(1, 8) for k in range(1, 5)] + [(4, 5), (3, 6)])
+def test_labels_and_slot_text_match_classify_and_the_slots(n_colours, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        graphs, stack = census(n_colours, k)
+    assert stack.tolist() == [list(map(list, t.tables)) for t in graphs]
+    # each label against classify on an unchecked copy, which shares no facts
+    assert class_labels(graphs) == [classify(SymmetryTypeGraph(t.tables)).label()
+                                    for t in graphs]
+    assert slot_text(stack) == [slots_line(t) for t in graphs]
+
+
+def test_filtered_census_keeps_the_stack_in_step():
+    for filters in [(is_fully_transitive,), (lambda t: not is_fully_transitive(t),),
+                    (is_fully_transitive, lambda t: 2 in t.tables[0])]:
+        graphs, stack = census(5, 4, filters)
+        assert graphs == [t for t in enumerate_stg(5, 4) if all(p(t) for p in filters)]
+        assert stack.tolist() == [list(map(list, t.tables)) for t in graphs]
+
+
+def test_slot_text_writes_two_digit_vertices_and_semi_edges():
+    rng, graphs = random.Random(18), []
+    for _ in range(60):  # five random involutions on 12 points, fixed points included
+        tables = []
+        for _ in range(5):
+            points, m = rng.sample(range(12), 12), list(range(12))
+            for u, v in zip(points[:rng.randint(0, 6)], points[6:]):
+                m[u], m[v] = v, u
+            tables.append(tuple(m))
+        graphs.append(SymmetryTypeGraph(tuple(tables)))
+    text = slot_text(np.array([t.tables for t in graphs], np.uint8))
+    assert text == [slots_line(t) for t in graphs]
+    assert any("-1" in line for line in text) and any("11" in line for line in text)

@@ -212,6 +212,13 @@ def test_cli_enumerate_listing_and_csv(tmp_path, capsys):
     assert rows[0] == "index,vertices,colours,class,slots"
 
 
+def test_cli_enumerate_empty_census_writes_the_header_only(tmp_path, capsys):
+    csv_path = tmp_path / "census.csv"
+    assert main(["enumerate", "--colors", "1", "--vertices", "3", "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert csv_path.read_bytes() == b"index,vertices,colours,class,slots\r\n"
+
+
 def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, monkeypatch, capsys):
     # successive calls in one process print what each prints when run first
     csv_path = tmp_path / "census.csv"

@@ -222,7 +222,7 @@ def test_three_orbit_classes_have_reflexible_j_faces(corpus):
 def test_analyze_checks_each_stg_once(monkeypatch, capsys, extra):
     checked = []
     check = stg._check
-    monkeypatch.setattr(stg, "_check", lambda ts, kept: checked.extend(ts) or check(ts, kept))
+    monkeypatch.setattr(stg, "_check", lambda ts, *rest: checked.extend(ts) or check(ts, *rest))
     assert main(["analyze", "prism:5", "--json"] + extra) == 0
     capsys.readouterr()
     # one pass over the one STG: the profile, the class and, under
@@ -340,7 +340,7 @@ def test_check_all_keeps_each_result_and_skips_checked_graphs(monkeypatch):
     check_by_shape(graphs[:3])
     calls = []
     check = stg._check
-    monkeypatch.setattr(stg, "_check", lambda ts, kept: calls.append(len(ts)) or check(ts, kept))
+    monkeypatch.setattr(stg, "_check", lambda ts, *rest: calls.append(len(ts)) or check(ts, *rest))
     check_by_shape(graphs)
     assert sum(calls) == len(graphs) - 3
     assert [stg_violations(t) for t in graphs] == [loop_violations(t) for t in graphs]
