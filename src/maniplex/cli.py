@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end.  ``enumerate --csv`` writes its rows from the
+census's one array: labels once per shared facts tuple, slots in one pass.
 
 Exit codes: 0 success, 2 parse error (also an input that is both a file
 and a construction label, and an output file that cannot be written),
