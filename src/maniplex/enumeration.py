@@ -275,13 +275,6 @@ def is_fully_transitive(t: SymmetryTypeGraph) -> bool:
 # three-vertex oriented quotients
 
 
-def _inverse(p) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for u, v in enumerate(p):
-        inv[v] = u
-    return tuple(inv)
-
-
 def oriented_canonical_code(ot: OrientedSTG) -> bytes:
     """Least serialization over relabellings and dart reversal.
 
@@ -296,7 +289,7 @@ def oriented_canonical_code(ot: OrientedSTG) -> bytes:
 def _oriented_codes(ots) -> np.ndarray:
     """``oriented_canonical_code`` of each of ``ots``, all with one colour
     count, as uint8 rows: one array pass over both dart directions."""
-    stack = [[ot.tables + (dart,) for dart in (ot.dart, _inverse(ot.dart))] for ot in ots]
+    stack = [[ot.tables + (dart,) for dart in (ot.dart, np.argsort(ot.dart))] for ot in ots]
     return _least_codes(np.array(stack), len(ots[0].tables))
 
 
@@ -348,7 +341,7 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     # every dart swaps black u with white u
     diagonal = [p + tuple(v + 3 for v in p) for p in _relabellings(3)]
     group = diagonal + [d[3:] + d[:3] for d in diagonal]
-    darts = [_lift(rot, _inverse(rot)) for rot in _DARTS3]
+    darts = [_lift(rot, np.argsort(rot).tolist()) for rot in _DARTS3]
     dart_images = _images(darts, group)
     found: list[OrientedSTG] = []
     for r, rot in enumerate(_DARTS3):

@@ -12,7 +12,10 @@ below work on that shared form: a *partner table* ``m`` per colour,
 where ``m[u]`` is u's neighbour and ``m[u] == u`` is a semi-edge.
 ``component_labels`` is the one routine that finds components, and
 ``stack_labels`` and ``non_commuting`` take a whole stack of tuples, an
-array (tuples, colours, points), in one pass.
+array (tuples, colours, points), in one pass.  A flag graph caches its
+breadth-first tree from flag 0 with each flag's depth in it: the trial
+extension replays the tree, and connectivity, ``validate``'s witness of
+disconnection and the orientation's parts read the depths.
 """
 
 from __future__ import annotations
@@ -167,12 +170,13 @@ class FlagGraph:
 
         Each level is a triple ``(flags, parents, colours)`` meaning flag
         ``flags[t]`` was first reached from ``parents[t]`` along colour
-        ``colours[t]``.  The tree from flag 0 is cached.
+        ``colours[t]``.  The tree from flag 0 is cached, with each
+        flag's depth in it (see ``depths``).
         """
         if source == 0 and self._bfs0 is not None:
-            return self._bfs0
-        seen = np.zeros(self.flag_count, dtype=bool)
-        seen[source] = True
+            return self._bfs0[0]
+        depth = np.full(self.flag_count, -1, dtype=np.int32)
+        depth[source] = 0
         frontier = np.array([source], dtype=np.int32)
         all_colours = np.arange(self.rank, dtype=np.int32)
         levels = []
@@ -180,21 +184,27 @@ class FlagGraph:
             cand_f = self.adj[:, frontier].reshape(-1)
             cand_p = np.tile(frontier, self.rank)
             cand_c = np.repeat(all_colours, frontier.size)
-            fresh = ~seen[cand_f]
+            fresh = depth[cand_f] < 0
             cand_f, cand_p, cand_c = cand_f[fresh], cand_p[fresh], cand_c[fresh]
             if cand_f.size == 0:
                 break
             uniq, first = np.unique(cand_f, return_index=True)
             levels.append((uniq, cand_p[first], cand_c[first]))
-            seen[uniq] = True
+            depth[uniq] = len(levels)
             frontier = uniq
         if source == 0:
-            self._bfs0 = levels
+            depth.setflags(write=False)
+            self._bfs0 = (levels, depth)
         return levels
 
+    def depths(self) -> np.ndarray:
+        """Each flag's depth in the tree from flag 0, -1 where the tree
+        does not reach it; a tree edge joins depths d and d + 1."""
+        self.bfs_levels(0)
+        return self._bfs0[1]
+
     def is_connected(self) -> bool:
-        reached = 1 + sum(level[0].size for level in self.bfs_levels(0))
-        return reached == self.flag_count
+        return bool(self.depths().min() >= 0)
 
 
 def validate(g: FlagGraph) -> list[Violation]:
@@ -220,11 +230,7 @@ def validate(g: FlagGraph) -> list[Violation]:
             if clash.size:
                 out.append(Violation("overlapping matchings", (i, j), int(clash[0])))
     if not g.is_connected():
-        reached = np.zeros(g.flag_count, dtype=bool)
-        reached[0] = True
-        for flags, _, _ in g.bfs_levels(0):
-            reached[flags] = True
-        out.append(Violation("disconnected", (), int(np.nonzero(~reached)[0][0])))
+        out.append(Violation("disconnected", (), int(np.argmin(g.depths()))))
     out += [Violation("commuting condition", (i, j), u)
             for _, i, j, u in non_commuting(g.adj[None])]
     return out

@@ -1,16 +1,18 @@
 """Orientations, the oriented flag di-graph, and its quotients.
 
-A flag graph is orientable when bipartite; fixing the two parts as black
-and white, the black flags carry the structure of the even walks: the
-compositions t_i = r_{n-1} r_i are involutions for i <= n-3 (undirected
-classes) while rot = r_{n-1} r_{n-2} is a genuine permutation (the
-directed class).  The oriented flag di-graph is a ``FlagGraph`` on the
-black flags whose colours are these moves, t_0..t_{n-3}, then rot, then
-rot^-1, so the isomorphism test of flag graphs applies to it unchanged.
-The orientation-preserving group Aut+ needs no search of its own: its
-generators are products of Aut's.  The quotient by its orbits is found
-the same way as the symmetry type graph: a partner table per undirected
-class, where a fixed point is a semi-edge, plus the dart permutation.
+A flag graph is orientable when bipartite, its parts then the flags of
+even and of odd depth in the breadth-first tree from flag 0.  Fixing
+them as black and white, the black flags carry the structure of the even
+walks: the compositions t_i = r_{n-1} r_i are involutions for i <= n-3
+(undirected classes) while rot = r_{n-1} r_{n-2} is a genuine
+permutation (the directed class).  The oriented flag di-graph is a
+``FlagGraph`` on the black flags whose colours are these moves,
+t_0..t_{n-3}, then rot, then rot^-1, so the isomorphism test of flag
+graphs applies to it unchanged.  The orientation-preserving group Aut+
+needs no search of its own: its generators are products of Aut's.  The
+quotient by its orbits is found the same way as the symmetry type graph:
+a partner table per undirected class, where a fixed point is a
+semi-edge, plus the dart permutation.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ class Orientation:
 
 
 def orientation(g: FlagGraph):
-    """The 2-colouring with flag 0 black, or None when not bipartite."""
-    colour = np.full(g.flag_count, -1, dtype=np.int8)
-    colour[0] = 0
-    for flags, parents, _ in g.bfs_levels(0):
-        colour[flags] = 1 - colour[parents]
+    """The 2-colouring with flag 0 black, or None when not bipartite:
+    each flag's colour is the parity of its depth from flag 0, so only
+    the edges off the tree can join one colour (a flag off it is white)."""
+    colour = (g.depths() & 1).astype(np.int8)
     for i in range(g.rank):
         if np.any(colour[g.adj[i]] == colour):
             return None

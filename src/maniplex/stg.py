@@ -11,8 +11,10 @@ checked once, by array comparisons over a stack of graphs of one shape
 pass that also labels the components of each graph's copies with one
 colour deleted and of its double cover.  What the pass finds is kept on
 the graph, and connectivity, the face transitivities, the face-orbit
-splits and the bipartition are read off it.  The vertex-major
-``slots``, with SEMI for a semi-edge, are only the report's form.
+splits and the bipartition are read off it.  The face projection check
+labels a flag graph's flags by the colours above i once, to find each
+face flag's induced flag.  The vertex-major ``slots``, with SEMI for a
+semi-edge, are only the report's form.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flag_graph import (CHUNK, FlagGraph, InternalCheckError, face_component, face_maniplex,
-                         i_faces, non_commuting, quotient_tables, stack_labels)
+from .flag_graph import (CHUNK, FlagGraph, InternalCheckError, component_labels, face_component,
+                         non_commuting, quotient_tables, stack_labels)
 from .symmetry import AutGroup, aut_group
 
 SEMI = -1
@@ -310,60 +312,39 @@ def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None
     deleted quotient.  Mapping each such orbit to the orbit of its
     induced flag in the face's rank-i structure must be well defined,
     surjective, carry j-edges (j < i) to the j-action downstairs, and
-    collapse j-edges with j > i.
+    collapse j-edges with j > i.  A face flag's induced flags are the
+    flags of the structure (``face_maniplex``) that words in the colours
+    above i reach from it.  Those words commute with the colours below
+    i, so these flags lie in one orbit of the structure's group and any
+    one will do: one labelling by the colours above i finds them, and
+    the face's flags are those whose label a flag of the structure has.
+    ValueError when ``stg`` and ``aut`` differ in orbit count.
     """
     aut = aut_group(g) if aut is None else aut
     stg = quotient(g, aut) if stg is None else stg
-    part = i_faces(g, i)
-    face_flags = part.flags_of(face)
+    if stg.vertex_count != aut.orbit_count:
+        raise ValueError(f"the symmetry type graph's vertex count {stg.vertex_count} "
+                         f"is not the group's orbit count {aut.orbit_count}")
     comp = face_component(g, i, face)
-    local = {int(f): t for t, f in enumerate(comp)}
-    sub = face_maniplex(g, i, face)
+    sub = FlagGraph(np.searchsorted(comp, g.adj[:i, comp]))
     sub_aut = aut_group(sub)
-
-    # induced flag: walk colours > i inside the face until hitting the
-    # component used to build the sub-structure
-    high = list(range(i + 1, g.rank))
-
-    def induced(flag: int) -> int:
-        seen = {flag}
-        queue = [flag]
-        while queue:
-            f = queue.pop()
-            if f in local:
-                return local[f]
-            for c in high:
-                nxt = int(g.adj[c, f])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        raise AssertionError("face component unreachable through high colours")
-
-    pi: dict[int, int] = {}
-    for f in face_flags:
-        u = int(aut.orbit_of[f])
-        image = int(sub_aut.orbit_of[induced(int(f))])
-        if pi.setdefault(u, image) != image:
-            return False
-
-    component_vertices = set(pi)
-    labels = _without(stg, i)
-    root = labels[min(component_vertices)]
-    if {u for u, label in enumerate(labels) if label == root} != component_vertices:
+    upper = component_labels(g.adj[i + 1:], g.flag_count)
+    local = np.full(g.flag_count, -1)
+    local[upper[comp]] = np.arange(comp.size)
+    induced = local[upper]
+    flags = np.flatnonzero(induced >= 0)
+    # the (Aut orbit, face orbit) pair of each face flag, and pi its map
+    u, image = aut.orbit_of[flags], sub_aut.orbit_of[induced[flags]]
+    pi = np.full(aut.orbit_count, -1)
+    pi[u] = image
+    if not np.array_equal(pi[u], image):
         return False
-    if set(pi.values()) != set(range(sub_aut.orbit_count)):
+    labels = np.array(_without(stg, i))
+    if not np.array_equal(labels == labels[u.min()], pi >= 0):  # C, all of it
         return False
-
-    sub_stg = quotient(sub, sub_aut)
-    for u in component_vertices:
-        for j in range(g.rank):
-            if j == i:
-                continue
-            v = stg.tables[j][u]
-            if j < i:
-                if sub_stg.tables[j][pi[u]] != pi[v]:
-                    return False
-            else:
-                if pi[v] != pi[u]:
-                    return False
-    return True
+    if np.unique(image).size != sub_aut.orbit_count:
+        return False
+    down, tables = np.array(quotient(sub, sub_aut).tables), np.array(stg.tables)
+    vertices = np.flatnonzero(pi >= 0)
+    return (np.array_equal(down[:, pi[vertices]], pi[tables[:i, vertices]])
+            and bool((pi[tables[i + 1:, vertices]] == pi[vertices]).all()))

@@ -26,10 +26,6 @@ def invert(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def identity(flag_count: int) -> np.ndarray:
-    return np.arange(flag_count, dtype=np.int32)
-
-
 def _extend(g1: FlagGraph, g2: FlagGraph, source: int, target: int):
     """The unique colour-preserving map g1 -> g2 sending source to target.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .flag_graph import FlagGraph, InternalCheckError, component_labels
 from .stg import SymmetryTypeGraph
-from .symmetry import AutGroup, extend_automorphism, identity
+from .symmetry import AutGroup, extend_automorphism
 
 
 def spanning_tree(t: SymmetryTypeGraph) -> dict[int, tuple[int, ...]]:
@@ -108,16 +108,15 @@ def realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> Gener
 
 
 def reduce_generators(s: GeneratorSet) -> GeneratorSet:
-    """Drop identity and duplicate automorphisms, keeping first occurrences."""
-    ident = identity(s.automorphisms[0].size).tobytes() if s.automorphisms else b""
-    seen = set()
-    keep = []
+    """Drop identity and duplicate automorphisms, keeping first occurrences.
+
+    Aut acts freely, so an automorphism is named by its image of flag 0,
+    which is 0 for the identity alone."""
+    first: dict[int, int] = {}
     for idx, auto in enumerate(s.automorphisms):
-        key = auto.tobytes()
-        if key == ident or key in seen:
-            continue
-        seen.add(key)
-        keep.append(idx)
+        if auto[0]:
+            first.setdefault(int(auto[0]), idx)
+    keep = list(first.values())
     return GeneratorSet(
         base_flag=s.base_flag,
         words=[s.words[i] for i in keep],

@@ -14,12 +14,13 @@ import numpy as np
 
 from maniplex.constructions import MapError, MapSpec, _face_slots
 from maniplex.enumeration import involutions
-from maniplex.flag_graph import FlagGraph, InternalCheckError, i_faces, validate
+from maniplex.flag_graph import (FlagGraph, InternalCheckError, face_component, face_maniplex,
+                                 i_faces, validate)
 from maniplex.formats import PALETTE
 from maniplex.oriented import OrientedSTG, Orientation, oriented_digraph, orientation
-from maniplex.stg import SEMI, SymmetryTypeGraph
-from maniplex.symmetry import (AutGroup, _cycle_lengths, _extend, extend_automorphism,
-                               identity)
+from maniplex.stg import SEMI, SymmetryTypeGraph, _without, quotient
+from maniplex.symmetry import AutGroup, _cycle_lengths, _extend, aut_group, extend_automorphism
+from maniplex.walkgen import GeneratorSet
 
 
 # The depth-first walk that the STG check's single component_labels pass
@@ -204,6 +205,10 @@ def check_facets_against_faces(g: FlagGraph, o: Orientation) -> bool:
 
 def has_semi_edges(t: SymmetryTypeGraph) -> bool:
     return any(m[u] == u for m in t.tables for u in range(len(m)))
+
+
+def identity(flag_count: int) -> np.ndarray:
+    return np.arange(flag_count, dtype=np.int32)
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -953,3 +958,94 @@ def loop_map_from_faces(spec: MapSpec) -> FlagGraph:
     if not g.is_connected():
         raise MapError("map is disconnected")
     return g
+
+
+# The routes that the per-flag depth array and the upper-colour labels
+# replaced: oriented.orientation's level-by-level replay of the tree,
+# stg.verify_face_projection's depth-first search for each face flag's
+# induced flag, and walkgen.reduce_generators' whole-table keys.
+
+
+def level_orientation(g: FlagGraph):
+    """The 2-colouring with flag 0 black, one tree level at a time, or
+    None when not bipartite."""
+    colour = np.full(g.flag_count, -1, dtype=np.int8)
+    colour[0] = 0
+    for flags, parents, _ in g.bfs_levels(0):
+        colour[flags] = 1 - colour[parents]
+    for i in range(g.rank):
+        if np.any(colour[g.adj[i]] == colour):
+            return None
+    colour.setflags(write=False)
+    return Orientation(colour_of=colour)
+
+
+def walk_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None = None,
+                         stg: SymmetryTypeGraph | None = None) -> bool:
+    """The face-quotient projection property for one i-face, with a
+    search over the colours above i from each face flag to the face's
+    rank-i component, and the orbit map as a dict."""
+    aut = aut_group(g) if aut is None else aut
+    stg = quotient(g, aut) if stg is None else stg
+    face_flags = i_faces(g, i).flags_of(face)
+    comp = face_component(g, i, face)
+    local = {int(f): t for t, f in enumerate(comp)}
+    sub = face_maniplex(g, i, face)
+    sub_aut = aut_group(sub)
+    high = list(range(i + 1, g.rank))
+
+    def induced(flag: int) -> int:
+        seen = {flag}
+        queue = [flag]
+        while queue:
+            f = queue.pop()
+            if f in local:
+                return local[f]
+            for c in high:
+                nxt = int(g.adj[c, f])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        raise AssertionError("face component unreachable through high colours")
+
+    pi: dict[int, int] = {}
+    for f in face_flags:
+        u = int(aut.orbit_of[f])
+        image = int(sub_aut.orbit_of[induced(int(f))])
+        if pi.setdefault(u, image) != image:
+            return False
+    component_vertices = set(pi)
+    labels = _without(stg, i)
+    root = labels[min(component_vertices)]
+    if {u for u, label in enumerate(labels) if label == root} != component_vertices:
+        return False
+    if set(pi.values()) != set(range(sub_aut.orbit_count)):
+        return False
+    sub_stg = quotient(sub, sub_aut)
+    for u in component_vertices:
+        for j in range(g.rank):
+            if j == i:
+                continue
+            v = stg.tables[j][u]
+            if j < i:
+                if sub_stg.tables[j][pi[u]] != pi[v]:
+                    return False
+            elif pi[v] != pi[u]:
+                return False
+    return True
+
+
+def bytes_reduce_generators(s: GeneratorSet) -> GeneratorSet:
+    """Drop identity and duplicate automorphisms, keeping first
+    occurrences, keyed by the bytes of each whole image table."""
+    ident = identity(s.automorphisms[0].size).tobytes() if s.automorphisms else b""
+    seen = set()
+    keep = []
+    for idx, auto in enumerate(s.automorphisms):
+        key = auto.tobytes()
+        if key == ident or key in seen:
+            continue
+        seen.add(key)
+        keep.append(idx)
+    return GeneratorSet(base_flag=s.base_flag, words=[s.words[i] for i in keep],
+                        automorphisms=[s.automorphisms[i] for i in keep])

@@ -1,10 +1,12 @@
 """The array routes of the builders, the cycle notation, the orbit
 labels, the group search, Aut+ by Schreier generators, the commutation
-test and the colour refinement against the per-flag, per-pair, tree and
-rank-based routes they replaced (kept in oracles.py)."""
+test, the colour refinement, the orientation, the face projection and
+the generator reduction against the per-flag, per-pair, tree, rank-based
+and per-level routes they replaced (kept in oracles.py)."""
 
 import random
 import warnings
+from collections import Counter
 from importlib import resources
 from itertools import product
 
@@ -14,14 +16,16 @@ import pytest
 from maniplex import symmetry
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
-from maniplex.flag_graph import FlagGraph, component_labels, non_commuting, validate
+from maniplex.flag_graph import FlagGraph, component_labels, i_faces, non_commuting, validate
 from maniplex.formats import cycle_string, parse_map_text
 from maniplex.oriented import aut_plus, orientation
+from maniplex.stg import quotient, verify_face_projection
 from maniplex.symmetry import are_isomorphic, aut_group, invariant_colours
-from maniplex.walkgen import realize_generators, reduce_generators
-from oracles import (components, loop_cycle_string, loop_hypercube, loop_map_from_faces,
-                     loop_polygon, loop_simplex, loop_torus44, pair_non_commuting, random_map,
-                     rank_invariant_colours, relabel, tree_search_group)
+from maniplex.walkgen import GeneratorSet, realize_generators, reduce_generators
+from oracles import (bytes_reduce_generators, components, level_orientation, loop_cycle_string,
+                     loop_hypercube, loop_map_from_faces, loop_polygon, loop_simplex,
+                     loop_torus44, pair_non_commuting, random_map, rank_invariant_colours,
+                     relabel, tree_search_group, walk_face_projection)
 
 # the labels of the analyze benchmarks
 BENCHMARK_LABELS = ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6", "hypercube:5",
@@ -332,3 +336,85 @@ def test_invariant_colours_raise_no_overflow_warning(corpus):
             invariant_colours(corpus.graph(label).adj)
         invariant_colours(hypercube(6).adj)
 
+
+
+# oriented.orientation, stg.verify_face_projection and
+# walkgen.reduce_generators against the level replay, the per-flag search
+# and the whole-table keys they replaced
+
+
+def test_orientation_matches_the_level_replay(corpus):
+    graphs = [corpus.graph(label) for label in CORPUS]
+    graphs += [construction(label) for label in BENCHMARK_LABELS + ("prism:10000",)]
+    graphs += list(seeded_random_maps(600))
+    square = [1, 0, 3, 2], [3, 2, 1, 0]           # two squares: bipartite, disconnected
+    graphs.append(FlagGraph([m + [v + 4 for v in m] for m in square]))
+    found = []
+    for g in graphs:
+        new, old = orientation(g), level_orientation(g)
+        found.append(new is not None)
+        assert (new is None) == (old is None), g
+        if new is not None:
+            assert new.colour_of.dtype == np.int8 and not new.colour_of.flags.writeable
+            assert np.array_equal(new.colour_of, old.colour_of), g
+    assert 0 < sum(found) < len(found) and not found[-1]
+
+
+def face_projection_cases(corpus):
+    """(name of the group, graph, group, STG) under Aut, the trivial
+    group and Aut+ (where it is not Aut) on the corpus maps of rank >= 3
+    and at most 64 flags, prism:9 and pyramid:9, then under Aut on four
+    larger maps."""
+    for label in [label for label in CORPUS if corpus.graph(label).rank >= 3
+                  and corpus.graph(label).flag_count <= 64] + ["prism:9", "pyramid:9"]:
+        g, a = corpus.graph(label), corpus.aut(label)
+        groups = {"Aut": a, "trivial": symmetry._group(g, [], component_labels([], g.flag_count))}
+        if (o := orientation(g)) is not None and (plus := aut_plus(g, o, aut=a)).order < a.order:
+            groups["Aut+"] = plus
+        yield from ((name, g, group, quotient(g, group)) for name, group in groups.items())
+    for label in ("prism:40", "pyramid:30", "hypercube:4", "simplex:4"):
+        yield "Aut", corpus.graph(label), corpus.aut(label), corpus.stg(label)
+
+
+def test_face_projection_holds_and_matches_the_walk(corpus):
+    faces = Counter()
+    for name, g, a, t in face_projection_cases(corpus):
+        for i in range(1, g.rank):
+            for face in range(i_faces(g, i).face_count):
+                assert verify_face_projection(g, i, face, a, t), (name, g, i, face)
+                assert walk_face_projection(g, i, face, a, t), (name, g, i, face)
+                faces[name] += 1
+    assert min(faces.values()) > 300 and set(faces) == {"Aut", "Aut+", "trivial"}
+
+
+def test_face_projection_matches_the_walk_on_a_quotient_of_another_map(corpus):
+    # a quotient of another map with as many vertices as the group has
+    # orbits: both routes find the orbits meeting some faces not closed
+    # in it, and answer alike
+    answers = Counter()
+    for label, other in [("cuboctahedron", "torus44:1,2"), ("torus44:1,2", "cuboctahedron"),
+                         ("prism:5", "prism:3"), ("pyramid:4", "pyramid:6")]:
+        g, a, t = corpus.graph(label), corpus.aut(label), corpus.stg(other)
+        assert t.vertex_count == a.orbit_count
+        for i in range(1, g.rank):
+            for face in range(i_faces(g, i).face_count):
+                answer = verify_face_projection(g, i, face, a, t)
+                assert answer == walk_face_projection(g, i, face, a, t), (label, other, i, face)
+                answers[answer] += 1
+    assert answers[False] and answers[True]
+
+
+def test_reduce_generators_matches_whole_table_keys(corpus):
+    cases = [(corpus.graph(label), corpus.aut(label), corpus.stg(label)) for label in CORPUS]
+    for g in seeded_random_maps(120):
+        a = aut_group(g)
+        cases.append((g, a, quotient(g, a)))
+    for g, a, t in cases:
+        s = realize_generators(g, a, t)
+        # the identity, then the whole list again, as duplicates to drop
+        padded = GeneratorSet(s.base_flag, [()] + s.words * 2,
+                              [np.arange(g.flag_count, dtype=np.int32)] + s.automorphisms * 2)
+        for given in (s, padded):
+            new, old = reduce_generators(given), bytes_reduce_generators(given)
+            assert new.words == old.words
+            assert [p.tolist() for p in new.automorphisms] == [p.tolist() for p in old.automorphisms]

@@ -194,7 +194,7 @@ def test_commutation_masks_match_pairwise_defects():
     # the one-array commutation table against one commute_defect per pair,
     # on every involution list up to six points and on the oriented lifts
     lifts = [enumeration._lift(t, t) for t in enumeration._INVOLUTIONS3]
-    lifts += [enumeration._lift(rot, enumeration._inverse(rot))
+    lifts += [enumeration._lift(rot, np.argsort(rot).tolist())
               for rot in enumeration._DARTS3]
     for tables in [involutions(k) for k in range(1, 7)] + [list(dict.fromkeys(lifts))]:
         expected = [sum(1 << b for b, mb in enumerate(tables)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maniplex.constructions import MapSpec, cube, map_from_faces, polygon, prism, tetrahedron
-from maniplex.flag_graph import (FlagGraph, face_maniplex, i_faces, recolour_dual,
+from maniplex.flag_graph import (FlagGraph, Violation, face_maniplex, i_faces, recolour_dual,
                                  validate)
 from maniplex.symmetry import are_isomorphic
 
@@ -58,6 +58,32 @@ def test_disconnected_reported():
     report = validate(g)
     kinds = {v.kind for v in report}
     assert "disconnected" in kinds
+
+
+def test_disconnected_witness_is_the_least_flag_off_the_tree():
+    # two squares, 0-1-2-3 and 4-5-6-7, joined to nothing: the tree from
+    # flag 0 reaches flags 0..3 at depths 0, 1, 2, 1
+    square = [1, 0, 3, 2], [3, 2, 1, 0]
+    g = FlagGraph([m + [v + 4 for v in m] for m in square])
+    assert g.depths().tolist() == [0, 1, 2, 1, -1, -1, -1, -1]
+    assert not g.is_connected()
+    assert [str(v) for v in validate(g)] == ["disconnected, flag 4"]
+
+
+def test_depths_follow_the_tree_levels():
+    g = prism(5)
+    depth = g.depths()
+    assert depth[0] == 0 and g.is_connected()
+    for d, (flags, parents, _) in enumerate(g.bfs_levels(0), start=1):
+        assert (depth[flags] == d).all() and (depth[parents] == d - 1).all()
+
+
+def test_three_cycle_is_not_an_involution():
+    g = FlagGraph([[1, 2, 0], [1, 0, 2]])
+    report = validate(g)
+    assert report[0] == Violation("not an involution", (0,), 0)
+    assert str(report[0]) == "not an involution, colour 0, flag 0"
+    assert [v.kind for v in report] == ["not an involution", "fixed point", "overlapping matchings"]
 
 
 def test_cube_face_counts():

@@ -130,6 +130,9 @@ def test_admissibility_rejects_bad_two_factor():
     ))
     assert not is_admissible(t)
     assert any("2-factor" in line for line in stg_violations(t))
+    with pytest.raises(ValueError) as info:
+        classify(t)
+    assert str(info.value) == f"not an admissible symmetry type graph: {stg_violations(t)}"
 
 
 def test_admissibility_rejects_asymmetry():
@@ -198,6 +201,18 @@ def test_face_projection_prism_triangle_and_cubocta_square(corpus):
     for face in range(part.face_count):
         assert verify_face_projection(g, 2, face, aut=corpus.aut("cuboctahedron"),
                                       stg=corpus.stg("cuboctahedron"))
+
+
+@pytest.mark.parametrize("label, other, counts", [
+    ("cuboctahedron", "prism:4", "vertex count 1 is not the group's orbit count 2"),
+    ("pyramid:4", "prism:4", "vertex count 1 is not the group's orbit count 4"),
+    ("prism:5", "pyramid:5", "vertex count 4 is not the group's orbit count 3")])
+def test_face_projection_rejects_a_quotient_of_another_orbit_count(corpus, label, other, counts):
+    g = corpus.graph(label)
+    for i in range(1, g.rank):
+        for face in range(i_faces(g, i).face_count):
+            with pytest.raises(ValueError, match=counts):
+                verify_face_projection(g, i, face, aut=corpus.aut(label), stg=corpus.stg(other))
 
 
 def test_three_orbit_classes_have_reflexible_j_faces(corpus):

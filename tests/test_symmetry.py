@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 
 from maniplex.constructions import cube, polygon, pyramid, simplex, torus44
-from maniplex.symmetry import (are_isomorphic, aut_group, extend_automorphism, identity,
-                               invert)
-from oracles import compose
+from maniplex.symmetry import are_isomorphic, aut_group, extend_automorphism, invert
+from oracles import compose, identity
 
 
 def all_automorphisms_brute(g):

@@ -11,10 +11,10 @@ from maniplex.constructions import construction, cube, cuboctahedron, prism
 from maniplex.enumeration import enumerate_stg
 from maniplex.formats import write_maniplex_text
 from maniplex.stg import SEMI, quotient
-from maniplex.symmetry import aut_group, identity
+from maniplex.symmetry import aut_group
 from maniplex.walkgen import (GeneratorSet, generates_full_group, generating_walks,
                               realize_generators, reduce_generators, spanning_tree)
-from oracles import (Walk, check_walk, closure, min_spanning_walk, random_map, relabel,
+from oracles import (Walk, check_walk, closure, identity, min_spanning_walk, random_map, relabel,
                      spanning_walk_words, stg_from_slots, walk_from_word)
 
 
