@@ -56,8 +56,8 @@ def map_from_faces(spec: MapSpec) -> FlagGraph:
     cycle, side): side 0 sits at the tail of the directed edge read from
     the cycle, side 1 at its head.
     """
-    slots = _face_slots(spec)
-    if {u for cycle in spec.faces for u in cycle} != set(range(spec.vertex_count)):
+    slots = _face_slots(spec)  # every vertex lies in 0..vertex_count - 1
+    if len({u for cycle in spec.faces for u in cycle}) != spec.vertex_count:
         raise MapError("some vertices appear in no face")
     for edge, where in slots.items():
         if len(where) != 2:

@@ -15,7 +15,8 @@ where ``m[u]`` is u's neighbour and ``m[u] == u`` is a semi-edge.
 array (tuples, colours, points), in one pass.  A flag graph caches its
 breadth-first tree from flag 0 with each flag's depth in it: the trial
 extension replays the tree, and connectivity, ``validate``'s witness of
-disconnection and the orientation's parts read the depths.
+disconnection and the orientation's parts read the depths.  The tree is
+built a level at a time, with no sort (see ``FlagGraph.bfs_levels``).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class InternalCheckError(AssertionError):
 
 
 def component_labels(tables, count: int) -> np.ndarray:
-    """The least point of each point's component along the tables, which
-    are permutations of ``count`` points, as an int32 array.
+    """The least point of each point's component along the tables (maps
+    of ``count`` points, each point joined to its image), as int32.
 
     Hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 3,
     1982): every label is a root pointing to itself; each round hooks
@@ -133,7 +134,10 @@ class FlagGraph:
     __slots__ = ("rank", "flag_count", "adj", "_bfs0")
 
     def __init__(self, adj) -> None:
-        tables = np.array(adj, dtype=np.int32)
+        try:
+            tables = np.asarray(adj, dtype=np.int64)
+        except OverflowError as exc:  # a Python int beyond int64
+            raise ValueError("flag image out of range") from exc
         if tables.ndim != 2:
             raise ValueError("adjacency must be a rank x flag_count table")
         rank, count = tables.shape
@@ -143,11 +147,9 @@ class FlagGraph:
             raise ValueError("at least two flags are required")
         if tables.min() < 0 or tables.max() >= count:
             raise ValueError("flag image out of range")
-        tables.setflags(write=False)
-        self.rank = rank
-        self.flag_count = count
-        self.adj = tables
-        self._bfs0 = None
+        self.rank, self.flag_count, self._bfs0 = rank, count, None
+        self.adj = tables.astype(np.int32)
+        self.adj.setflags(write=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlagGraph):
@@ -171,27 +173,29 @@ class FlagGraph:
         Each level is a triple ``(flags, parents, colours)`` meaning flag
         ``flags[t]`` was first reached from ``parents[t]`` along colour
         ``colours[t]``.  The tree from flag 0 is cached, with each
-        flag's depth in it (see ``depths``).
+        flag's depth in it (see ``depths``).  A level's new candidates
+        scatter their positions (colour * |frontier| + t) into one index
+        array, and a flag keeps the one it reads back: no sort, and its
+        parent is any of the candidates that reached it.
         """
         if source == 0 and self._bfs0 is not None:
             return self._bfs0[0]
         depth = np.full(self.flag_count, -1, dtype=np.int32)
         depth[source] = 0
+        slot = np.empty(self.flag_count, dtype=np.intp)
         frontier = np.array([source], dtype=np.int32)
-        all_colours = np.arange(self.rank, dtype=np.int32)
         levels = []
-        while frontier.size:
-            cand_f = self.adj[:, frontier].reshape(-1)
-            cand_p = np.tile(frontier, self.rank)
-            cand_c = np.repeat(all_colours, frontier.size)
-            fresh = depth[cand_f] < 0
-            cand_f, cand_p, cand_c = cand_f[fresh], cand_p[fresh], cand_c[fresh]
-            if cand_f.size == 0:
-                break
-            uniq, first = np.unique(cand_f, return_index=True)
-            levels.append((uniq, cand_p[first], cand_c[first]))
-            depth[uniq] = len(levels)
-            frontier = uniq
+        while frontier.size:  # take and put: the cheapest gathers and scatters
+            cand = self.adj.take(frontier, axis=1).ravel()
+            pos = np.flatnonzero(depth.take(cand) < 0)
+            cand = cand.take(pos)
+            slot.put(cand, pos)
+            kept = slot.take(cand) == pos
+            colours, at = np.divmod(pos[kept], frontier.size)
+            levels.append((cand[kept], frontier.take(at), colours))
+            frontier = levels[-1][0]
+            depth.put(frontier, len(levels))
+        levels.pop()  # the empty level that ends the search
         if source == 0:
             depth.setflags(write=False)
             self._bfs0 = (levels, depth)

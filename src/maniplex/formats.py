@@ -3,7 +3,8 @@
 Flag graph files: a header ``maniplex rank=<n> flags=<F>`` followed by
 one line per colour, ``r<i>: <F images>``.  Map files: a header
 ``map vertices=<V>`` followed by one face cycle per line.  ``#`` starts
-a comment; blank lines are ignored.  All indices are 0-based.
+a comment; blank lines are ignored.  All indices are 0-based.  A colour
+line of ASCII digits and blanks is read by one numpy parse.
 
 ``analyze`` renders its one payload with ``text_report`` or with
 ``json_report``, which writes the bytes of ``json.dumps(indent=2)``.
@@ -56,6 +57,20 @@ def _header_fields(line: str, kind: str, keys: tuple[str, ...]) -> list[int]:
     return values
 
 
+def _colour_row(rest: str):
+    """A colour line's flag indices, after its tag: where it holds only
+    ASCII digits and blanks, one numpy parse (saturating beyond int64,
+    still out of range) if that read one number per digit run; else
+    ``int`` per token."""
+    b = np.frombuffer(rest.encode("ascii", "replace"), dtype=np.uint8)
+    digit = b - 48 < 10  # uint8 arithmetic wraps, so only b"0".."9"
+    if (digit | (b == 32)).all():
+        row = np.fromstring(rest, dtype=np.int64, sep=" ")
+        if row.size == np.count_nonzero(digit[1:] > digit[:-1]) + digit[:1].sum():
+            return row
+    return [int(tok) for tok in rest.split()]
+
+
 def parse_maniplex_text(text: str) -> FlagGraph:
     lines = _content_lines(text)
     if not lines:
@@ -69,7 +84,7 @@ def parse_maniplex_text(text: str) -> FlagGraph:
         if tag.strip() != f"r{i}":
             raise ParseError(f"expected line 'r{i}: ...', found {tag!r}")
         try:
-            row = [int(tok) for tok in rest.split()]
+            row = _colour_row(rest)
         except ValueError as exc:
             raise ParseError(f"bad flag index on line r{i}") from exc
         if len(row) != flags:

@@ -6,14 +6,14 @@ automorphism is pinned down by the image of a single flag: propagate
 the result.  A group is stored as a few generating image tables plus the
 orbit of flag 0, one target per element.  ``aut_group`` is the one group
 search: it tries flag 0 only against the flags of its colour under colour
-refinement, whose rows are hashed to one int64 each; ``oriented.aut_plus``
-builds the orientation-preserving subgroup from its tables.
+refinement from the cycle lengths of the products r_i r_{i+1}, rows
+hashed to one int64 each; ``oriented.aut_plus`` builds the
+orientation-preserving subgroup from its tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -37,11 +37,11 @@ def _extend(g1: FlagGraph, g2: FlagGraph, source: int, target: int):
     img = np.full(count, -1, dtype=np.int32)
     img[source] = target
     for flags, parents, colours in g1.bfs_levels(source):
-        img[flags] = g2.adj[colours, img[parents]]
+        img.put(flags, g2.adj[colours, img.take(parents)])
     if img.min() < 0:
         return None
     for i in range(g1.rank):
-        if not np.array_equal(img[g1.adj[i]], g2.adj[i][img]):
+        if not np.array_equal(img.take(g1.adj[i]), g2.adj[i].take(img)):
             return None
     if np.bincount(img, minlength=count).max() > 1:
         return None
@@ -65,10 +65,10 @@ def _cycle_lengths(p: np.ndarray) -> np.ndarray:
     least = np.arange(p.size)
     step = p
     while True:
-        nxt = np.minimum(least, least[step])
+        nxt = np.minimum(least, least.take(step))
         if np.array_equal(nxt, least):
-            return np.bincount(least, minlength=p.size)[least]
-        least, step = nxt, step[step]
+            return np.bincount(least, minlength=p.size).take(least)
+        least, step = nxt, step.take(step)
 
 
 # splitmix64's constants as int64, whose array arithmetic wraps
@@ -85,19 +85,20 @@ def _mix(h: np.ndarray) -> np.ndarray:
 
 def invariant_colours(tables) -> np.ndarray:
     """A colour per point that every colour-preserving isomorphism keeps:
-    the cycle lengths through it of each of the ``tables`` (permutations)
-    and of each product of two, refined on the tables (McKay) until the
-    class count stops growing.  Each row is hashed to one int64 as in
-    Weisfeiler-Lehman hashing: weighted per column, summed and mixed.  A
-    collision only merges classes, adding candidates that fail to extend.
-    Two graphs coloured in one call, on their disjoint union, get
-    comparable colours."""
+    the cycle lengths through it of each product r_i r_{i+1} of adjacent
+    ``tables`` (permutations), refined on the tables (McKay) until the
+    class count stops growing.  On a maniplex, each table and each product
+    at distance >= 2 is a fixed-point-free involution: its column would be
+    constant.  Rows are hashed to one int64 as in Weisfeiler-Lehman
+    hashing: weighted per column, summed and mixed.  A collision only
+    merges classes, adding candidates that fail to extend.  Two graphs
+    coloured in one call, on their disjoint union, get comparable colours."""
     tables = np.asarray(tables)
     rank = len(tables)
-    weights = _mix(np.arange(1, (rank + 1) * (rank + 2) // 2 + 1, dtype=np.int64) * _GOLDEN)
+    weights = _mix(np.arange(1, 2 * rank + 1, dtype=np.int64) * _GOLDEN)
     h = np.zeros(tables.shape[1], dtype=np.int64)
-    for w, (i, j) in zip(weights[rank + 1:], combinations_with_replacement(range(rank), 2)):
-        h += _cycle_lengths(tables[i] if i == j else tables[i][tables[j]]) * w
+    for i, w in enumerate(weights[rank + 1:]):
+        h += _cycle_lengths(tables[i].take(tables[i + 1])) * w
     classes = 0
     while True:
         colour = _mix(h)
@@ -106,7 +107,7 @@ def invariant_colours(tables) -> np.ndarray:
         if grown == classes:
             return colour
         classes = grown
-        h = colour * weights[0] + weights[1:rank + 1] @ colour[tables]
+        h = colour * weights[0] + weights[1:rank + 1] @ colour.take(tables)
 
 
 @dataclass
@@ -159,8 +160,8 @@ def aut_group(g: FlagGraph) -> AutGroup:
     like it, skipping the orbit of flag 0 grown so far and the orbit,
     under the subgroup found so far, of each failed target.  Each success
     at least doubles the subgroup, so there are at most log2(F)
-    generators; the orbits are their components, labelled once per
-    generator found."""
+    generators; the orbits are their components, the labels so far joined
+    along each new generator."""
     colour = invariant_colours(g.adj)
     candidates = np.flatnonzero(colour == colour[0])
     generators: list[np.ndarray] = []
@@ -173,7 +174,7 @@ def aut_group(g: FlagGraph) -> AutGroup:
             skip |= label == label[target]
             continue
         generators.append(img)
-        label = component_labels(generators, g.flag_count)
+        label = component_labels([label, img], g.flag_count)
         skip |= label == 0
     return _group(g, generators, label)
 

@@ -8,18 +8,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from maniplex.constructions import MapError, MapSpec, _face_slots
 from maniplex.enumeration import involutions
-from maniplex.flag_graph import (FlagGraph, InternalCheckError, face_component, face_maniplex,
-                                 i_faces, validate)
-from maniplex.formats import PALETTE
+from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, face_component,
+                                 face_maniplex, i_faces, validate)
+from maniplex.formats import PALETTE, ParseError, _content_lines, _header_fields
 from maniplex.oriented import OrientedSTG, Orientation, oriented_digraph, orientation
 from maniplex.stg import SEMI, SymmetryTypeGraph, _without, quotient
-from maniplex.symmetry import AutGroup, _cycle_lengths, _extend, aut_group, extend_automorphism
+from maniplex.symmetry import (_GOLDEN, AutGroup, _cycle_lengths, _extend, _group, _mix, aut_group,
+                               extend_automorphism, invariant_colours)
 from maniplex.walkgen import GeneratorSet
 
 
@@ -1049,3 +1050,100 @@ def bytes_reduce_generators(s: GeneratorSet) -> GeneratorSet:
         keep.append(idx)
     return GeneratorSet(base_flag=s.base_flag, words=[s.words[i] for i in keep],
                         automorphisms=[s.automorphisms[i] for i in keep])
+
+
+# The routes that the digit-run parse of formats.parse_maniplex_text, the
+# scatter-and-read-back levels of FlagGraph.bfs_levels, the adjacent
+# products of symmetry.invariant_colours and the incremental orbit labels
+# of symmetry.aut_group replaced.
+
+
+def token_parse_maniplex_text(text: str) -> FlagGraph:
+    """A flag graph file read token by token with ``int``, the colour
+    lines as lists of lists."""
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("empty maniplex file")
+    rank, flags = _header_fields(lines[0], "maniplex", ("rank", "flags"))
+    if len(lines) != 1 + rank:
+        raise ParseError(f"expected {rank} colour lines, found {len(lines) - 1}")
+    adj = []
+    for i, line in enumerate(lines[1:]):
+        tag, _, rest = line.partition(":")
+        if tag.strip() != f"r{i}":
+            raise ParseError(f"expected line 'r{i}: ...', found {tag!r}")
+        try:
+            row = [int(tok) for tok in rest.split()]
+        except ValueError as exc:
+            raise ParseError(f"bad flag index on line r{i}") from exc
+        if len(row) != flags:
+            raise ParseError(f"line r{i} lists {len(row)} flags, expected {flags}")
+        adj.append(row)
+    try:
+        return FlagGraph(adj)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def sorted_bfs_levels(g: FlagGraph, source: int = 0):
+    """The breadth-first levels from ``source``, each level's flags
+    sorted by ``np.unique`` with the parent and colour of each flag's
+    first candidate; and each flag's depth, -1 off the tree."""
+    depth = np.full(g.flag_count, -1, dtype=np.int32)
+    depth[source] = 0
+    frontier = np.array([source], dtype=np.int32)
+    all_colours = np.arange(g.rank, dtype=np.int32)
+    levels = []
+    while frontier.size:
+        cand_f = g.adj[:, frontier].reshape(-1)
+        cand_p = np.tile(frontier, g.rank)
+        cand_c = np.repeat(all_colours, frontier.size)
+        fresh = depth[cand_f] < 0
+        cand_f, cand_p, cand_c = cand_f[fresh], cand_p[fresh], cand_c[fresh]
+        if cand_f.size == 0:
+            break
+        uniq, first = np.unique(cand_f, return_index=True)
+        levels.append((uniq, cand_p[first], cand_c[first]))
+        depth[uniq] = len(levels)
+        frontier = uniq
+    return levels, depth
+
+
+def all_products_invariant_colours(tables) -> np.ndarray:
+    """``symmetry.invariant_colours`` with the cycle lengths of every
+    table and of every product of two in the starting rows."""
+    tables = np.asarray(tables)
+    rank = len(tables)
+    weights = _mix(np.arange(1, (rank + 1) * (rank + 2) // 2 + 1, dtype=np.int64) * _GOLDEN)
+    h = np.zeros(tables.shape[1], dtype=np.int64)
+    for w, (i, j) in zip(weights[rank + 1:], combinations_with_replacement(range(rank), 2)):
+        h += _cycle_lengths(tables[i] if i == j else tables[i][tables[j]]) * w
+    classes = 0
+    while True:
+        colour = _mix(h)
+        ordered = np.sort(colour)
+        grown = int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
+        if grown == classes:
+            return colour
+        classes = grown
+        h = colour * weights[0] + weights[1:rank + 1] @ colour[tables]
+
+
+def relabel_aut_group(g: FlagGraph) -> AutGroup:
+    """``symmetry.aut_group`` with the orbit labels recomputed from all
+    the generators found so far after each success."""
+    colour = invariant_colours(g.adj)
+    candidates = np.flatnonzero(colour == colour[0])
+    generators: list[np.ndarray] = []
+    label = component_labels(generators, g.flag_count)
+    skip = label == 0
+    while (candidates := candidates[~skip[candidates]]).size:
+        target = int(candidates[0])
+        img = _extend(g, g, 0, target)
+        if img is None:
+            skip |= label == label[target]
+            continue
+        generators.append(img)
+        label = component_labels(generators, g.flag_count)
+        skip |= label == 0
+    return _group(g, generators, label)

@@ -1,8 +1,9 @@
 """The array routes of the builders, the cycle notation, the orbit
 labels, the group search, Aut+ by Schreier generators, the commutation
-test, the colour refinement, the orientation, the face projection and
-the generator reduction against the per-flag, per-pair, tree, rank-based
-and per-level routes they replaced (kept in oracles.py)."""
+test, the colour refinement, the orientation, the face projection, the
+generator reduction, the file parse and the breadth-first tree against
+the per-flag, per-pair, tree, rank-based, per-level, per-token and
+sorting routes they replaced (kept in oracles.py)."""
 
 import random
 import warnings
@@ -17,15 +18,17 @@ from maniplex import symmetry
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
 from maniplex.flag_graph import FlagGraph, component_labels, i_faces, non_commuting, validate
-from maniplex.formats import cycle_string, parse_map_text
-from maniplex.oriented import aut_plus, orientation
+from maniplex.formats import (ParseError, _colour_row, cycle_string, parse_maniplex_text,
+                              parse_map_text, write_maniplex_text)
+from maniplex.oriented import aut_plus, orientation, oriented_digraph
 from maniplex.stg import quotient, verify_face_projection
 from maniplex.symmetry import are_isomorphic, aut_group, invariant_colours
 from maniplex.walkgen import GeneratorSet, realize_generators, reduce_generators
-from oracles import (bytes_reduce_generators, components, level_orientation, loop_cycle_string,
-                     loop_hypercube, loop_map_from_faces, loop_polygon, loop_simplex,
-                     loop_torus44, pair_non_commuting, random_map, rank_invariant_colours,
-                     relabel, tree_search_group, walk_face_projection)
+from oracles import (all_products_invariant_colours, bytes_reduce_generators, components,
+                     level_orientation, loop_cycle_string, loop_hypercube, loop_map_from_faces,
+                     loop_polygon, loop_simplex, loop_torus44, pair_non_commuting, random_map,
+                     rank_invariant_colours, relabel, relabel_aut_group, sorted_bfs_levels,
+                     token_parse_maniplex_text, tree_search_group, walk_face_projection)
 
 # the labels of the analyze benchmarks
 BENCHMARK_LABELS = ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6", "hypercube:5",
@@ -297,6 +300,7 @@ def test_hashed_colours_give_the_rank_partition(corpus):
 
 COLOURINGS = {
     "hashed": invariant_colours,
+    "all products": all_products_invariant_colours,
     "rank": rank_invariant_colours,
     "all equal": lambda tables: np.zeros(np.shape(tables)[1], dtype=np.int64),
 }
@@ -321,12 +325,24 @@ def test_search_results_do_not_depend_on_the_colouring(corpus, monkeypatch):
     pairs = list(zip(graphs[-12::2], graphs[-11::2]))          # each random map, relabelled
     pairs += [(graphs[-12], graphs[-10]), (torus44(5, 0), torus44(4, 3)),
               (torus44(1, 2), torus44(2, 1))]
+    # move graphs, whose tables rot and rot^-1 are not involutions; the
+    # last six are those of the orientable random maps and relabellings
+    moves = [oriented_digraph(g, o) for g in graphs
+             if g.rank >= 2 and (o := orientation(g)) is not None]
+    move_pairs = list(zip(moves[-6::2], moves[-5::2]))
+    move_pairs += [tuple(oriented_digraph(g, orientation(g)) for g in (torus44(1, 2), torus44(2, 1)))]
     results = {}
     for name, colouring in COLOURINGS.items():
         monkeypatch.setattr(symmetry, "invariant_colours", colouring)
-        results[name] = group_results(graphs, pairs)
-    assert results["hashed"] == results["rank"] == results["all equal"]
-    assert sum(r is not None for r in results["hashed"][len(graphs):]) == 7
+        results[name] = group_results(graphs + moves, pairs + move_pairs)
+    assert (results["hashed"] == results["all products"] == results["rank"]
+            == results["all equal"])
+    found = results["hashed"][len(graphs) + len(moves):]
+    assert sum(r is not None for r in found[:len(pairs)]) == 7
+    # a map's move graph and its relabelling's are isomorphic where some
+    # isomorphism of the maps sends flag 0 to a black flag, as for two of
+    # the three; the chiral torus's two move graphs are mirror images
+    assert len(moves) > 40 and [r is not None for r in found[len(pairs):]] == [True, True, False, False]
 
 
 def test_invariant_colours_raise_no_overflow_warning(corpus):
@@ -418,3 +434,87 @@ def test_reduce_generators_matches_whole_table_keys(corpus):
             new, old = reduce_generators(given), bytes_reduce_generators(given)
             assert new.words == old.words
             assert [p.tolist() for p in new.automorphisms] == [p.tolist() for p in old.automorphisms]
+
+
+# formats.parse_maniplex_text, FlagGraph.bfs_levels and aut_group's orbit
+# labels against the per-token parse, the sorted levels and the relabelling
+# of every generator they replaced
+
+
+# each replaces line r1 of a digon file, "r1: 3 2 1 0"
+COLOUR_LINES = ["3 2 1 0", "3  2   1 0", "+3 2 1 0", "3 2 1_0 0", "3 2 1 \u0660", "\uff13 2 1 0",
+                "3\t2\t1\t0", "3 2 1 x", "3 2 1", "3 2 1 0 0", "", "3 2 1 -1", "3 2 1 -0",
+                "3 2 1 4294967296", "3 2 1 9223372036854775807", "3 2 1 " + "9" * 19,
+                "3 2 1 " + "9" * 25, "0 2 1 " + "9" * 25 + " x"]
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text).adj.tolist()
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_parse_matches_the_token_route(corpus):
+    texts = [write_maniplex_text(corpus.graph(label)) for label in CORPUS]
+    texts += [write_maniplex_text(g) for g in seeded_random_maps(600)]
+    texts += [f"maniplex rank=2 flags=4\nr0: 1 0 3 2\nr1: {line}\n" for line in COLOUR_LINES]
+    # a later line's bad token is reported before an earlier line's range
+    texts.append("maniplex rank=2 flags=4\nr0: 1 0 3 " + "9" * 25 + "\nr1: 3 2 1 x\n")
+    outcomes = [parse_outcome(parse_maniplex_text, text) for text in texts]
+    assert outcomes == [parse_outcome(token_parse_maniplex_text, text) for text in texts]
+    digon = [[1, 0, 3, 2], [3, 2, 1, 0]]
+    assert outcomes[-len(COLOUR_LINES) - 1:] == [
+        digon, digon, digon, "flag image out of range", digon, digon, digon,
+        "bad flag index on line r1", "line r1 lists 3 flags, expected 4",
+        "line r1 lists 5 flags, expected 4", "line r1 lists 0 flags, expected 4",
+        "flag image out of range", digon] + ["flag image out of range"] * 4 + [
+        "bad flag index on line r1"] * 2
+
+
+def test_parse_reads_digit_lines_in_one_pass(monkeypatch):
+    row = _colour_row(" 3 2  1 " + "9" * 25)
+    assert isinstance(row, np.ndarray) and row.tolist() == [3, 2, 1, 2**63 - 1]
+    for rest in (" 3\t2", " +3 2", " \u0663 2"):
+        assert isinstance(_colour_row(rest), list), rest
+    with pytest.raises(ValueError):
+        _colour_row(" 3 2 x")
+    # a parse that stops short of the line's digit runs is not kept
+    monkeypatch.setattr(np, "fromstring", lambda text, dtype, sep: np.zeros(2, dtype))
+    assert _colour_row(" 3 2 1") == [3, 2, 1]
+
+
+def test_bfs_levels_match_the_sorted_levels(corpus):
+    graphs = [corpus.graph(label) for label in CORPUS]
+    graphs += [construction(label) for label in BENCHMARK_LABELS]
+    graphs += list(seeded_random_maps(600))
+    square = [1, 0, 3, 2], [3, 2, 1, 0]           # two squares: disconnected
+    graphs.append(FlagGraph([m + [v + 4 for v in m] for m in square]))
+    for g in graphs:
+        for source in (0, g.flag_count - 1):
+            levels = g.bfs_levels(source)
+            old_levels, old_depth = sorted_bfs_levels(g, source)
+            assert len(levels) == len(old_levels), (g, source)
+            depth = np.full(g.flag_count, -1, dtype=np.int32)
+            depth[source] = 0
+            for d, ((flags, parents, colours), (old_flags, _, _)) in enumerate(
+                    zip(levels, old_levels), start=1):
+                assert (depth[flags] == -1).all() and np.unique(flags).size == flags.size
+                assert (depth[parents] == d - 1).all()
+                assert np.array_equal(flags, g.adj[colours, parents])
+                assert np.array_equal(np.sort(flags), old_flags)
+                depth[flags] = d
+            assert np.array_equal(depth, old_depth), (g, source)
+        assert np.array_equal(g.depths(), sorted_bfs_levels(g)[1])
+    assert not graphs[-1].is_connected()
+
+
+def test_incremental_orbit_labels_match_the_full_relabel(corpus):
+    graphs = [corpus.graph(label) for label in CORPUS if corpus.graph(label).flag_count <= 1000]
+    graphs += [construction(label) for label in ("simplex:6", "torus44:20,0", "prism:200")]
+    graphs += list(seeded_random_maps(120))
+    for g in graphs:
+        new, old = aut_group(g), relabel_aut_group(g)
+        assert new.targets.tolist() == old.targets.tolist(), g
+        assert [p.tolist() for p in new.generators] == [p.tolist() for p in old.generators], g
+        assert new.orbit_of.tolist() == old.orbit_of.tolist() and new.orbit_count == old.orbit_count

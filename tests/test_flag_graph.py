@@ -116,6 +116,14 @@ def test_face_ids_ordered_by_least_flag():
     assert firsts == sorted(firsts)
 
 
+def test_images_beyond_the_index_type_are_out_of_range():
+    for big in (2**31, 2**40, 2**63, 10**24):
+        with pytest.raises(ValueError, match="flag image out of range"):
+            FlagGraph([[1, big]])
+    with pytest.raises(ValueError, match="flag image out of range"):
+        FlagGraph(np.array([[1, 2**32]], dtype=np.int64))
+
+
 def test_colour_out_of_range():
     with pytest.raises(ValueError):
         i_faces(polygon(3), 2)

@@ -1,6 +1,11 @@
 import itertools
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +137,31 @@ def test_cli_analyze_map_file(tmp_path, capsys):
     path.write_text("map vertices=4\n0 1 2\n0 3 1\n1 3 2\n2 3 0\n")
     assert main(["analyze", str(path)]) == 0
     assert "flags: 24" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("image", ["4294967296", "9" * 19, "9" * 25])
+def test_cli_oversized_flag_index_exits_2(tmp_path, capsys, image):
+    path = tmp_path / "big.mnpx"
+    path.write_text(f"maniplex rank=1 flags=2\nr0: 1 {image}\n")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot parse {path}: flag image out of range\n"
+
+
+def test_cli_huge_vertex_count_exits_2_in_little_memory(tmp_path):
+    # a check that built the set of all vertex ids would run out of the
+    # 1.5 GB of address space the child gets, with a traceback
+    path = tmp_path / "huge.map"
+    path.write_text("map vertices=1000000000000\n0 1 2\n0 2 1\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+
+    run = subprocess.run([sys.executable, "-m", "maniplex.cli", "analyze", str(path)],
+                         capture_output=True, text=True, timeout=60, preexec_fn=limit,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                              "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == f"error: cannot parse {path}: some vertices appear in no face\n"
 
 
 def test_cli_unknown_input(capsys):
