@@ -16,7 +16,8 @@ Vertices are relabelled, colours never are, so the classes are
 colour-specific.
 
 The three-vertex oriented census is the same search on the six-point
-double covers of the oriented quotients.
+double covers of the oriented quotients, its darts and classes drawn
+from one ordering of the permutations of the three vertices.
 """
 
 from __future__ import annotations
@@ -274,6 +275,8 @@ def is_fully_transitive(t: SymmetryTypeGraph) -> bool:
 # ---------------------------------------------------------------------------
 # three-vertex oriented quotients
 
+_K = 3  # vertices of the oriented quotients; their double covers have 2 * _K points
+
 
 def oriented_canonical_code(ot: OrientedSTG) -> bytes:
     """Least serialization over relabellings and dart reversal.
@@ -293,39 +296,36 @@ def _oriented_codes(ots) -> np.ndarray:
     return _least_codes(np.array(stack), len(ots[0].tables))
 
 
-def _dart_shape(dart: tuple[int, int, int]) -> str:
-    loops = sum(1 for u in range(3) if dart[u] == u)
-    if loops == 3:
-        return "three_loops"
-    if loops == 1:
-        return "two_cycle_loop"
-    return "three_cycle"
+def _dart_order(p) -> tuple[int, list[list[int]]]:
+    """A permutation's number of moved points, then its cycle notation,
+    each cycle opened at its least point: the order of the darts."""
+    cycles: list[list[int]] = []
+    for u in range(len(p)):
+        if p[u] != u and not any(u in cycle for cycle in cycles):
+            cycles.append([u])
+            while (v := p[cycles[-1][-1]]) != u:
+                cycles[-1].append(v)
+    return sum(map(len, cycles)), cycles
 
 
 def _lift(black, white) -> tuple[int, ...]:
-    """Six-point table sending black u (point u) to white ``black[u]``
-    (point black[u] + 3), and white v back to black ``white[v]``."""
-    return tuple(v + 3 for v in black) + tuple(white)
-
-
-# The involutions of three points: the identity, then the transpositions
-# (0 1), (0 2), (1 2).  Followed by the two 3-cycles they are the dart
-# permutations.  In this order the search meets first the same
-# representative of each class as the hand-derived search it replaced.
-_INVOLUTIONS3 = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1))
-_DARTS3 = _INVOLUTIONS3 + ((1, 2, 0), (2, 0, 1))
+    """Table on 2k points sending black u (point u) to white ``black[u]``
+    (point black[u] + k), and white v back to black ``white[v]``."""
+    return tuple(v + len(black) for v in black) + tuple(white)
 
 
 def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     """All three-vertex oriented quotient di-graphs with n_colours colours.
 
-    Each is read off its double cover, the six-point type with black u
-    at point u and white u at point u + 3: colour i <= n-3 sends black u
-    to white t_i(u) for the undirected class t_i (an involution on three
-    points), colour n-2 sends black u to white rot(u) for the dart
-    permutation rot, and colour n-1 joins black u to white u.  A rot
-    that relabelling or dart reversal maps to an earlier one in
-    ``_DARTS3`` is skipped; for each other rot the commuting-tuple
+    Each is read off its double cover, the 2k-point type (k = ``_K``) with
+    black u at point u and white u at point u + k: colour i <= n-3 sends
+    black u to white t_i(u) for the undirected class t_i, colour n-2
+    sends black u to white rot(u) for the dart rot, and colour n-1 joins
+    black u to white u.  The darts are the permutations of k points in
+    ``_dart_order``, the classes the involutions among them; in this
+    order the search keeps the representatives that the tests' hand
+    derivation (``hand_oriented_stg3``) finds.  A rot that relabelling or dart reversal maps to an
+    earlier dart is skipped; for each other rot the commuting-tuple
     search runs over these lifts, up to the relabellings and reversals
     that fix rot, and the connected results are kept.
 
@@ -334,32 +334,35 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     """
     if n_colours < 4:
         raise ValueError("three-vertex oriented quotients need n_colours >= 4")
-    n = n_colours
-    classes = [_lift(t, t) for t in _INVOLUTIONS3]
-    top = _lift(range(3), range(3))
+    n, k = n_colours, _K
+    rots = sorted(permutations(range(k)), key=_dart_order)
+    undirected = [t for t in rots if all(t[v] == u for u, v in enumerate(t))]
+    classes = [_lift(t, t) for t in undirected]
+    top = _lift(range(k), range(k))
     # a relabelling p acts diagonally on black and white points; reversing
     # every dart swaps black u with white u
-    diagonal = [p + tuple(v + 3 for v in p) for p in _relabellings(3)]
-    group = diagonal + [d[3:] + d[:3] for d in diagonal]
-    darts = [_lift(rot, np.argsort(rot).tolist()) for rot in _DARTS3]
+    diagonal = [p + tuple(v + k for v in p) for p in _relabellings(k)]
+    group = diagonal + [d[k:] + d[:k] for d in diagonal]
+    darts = [_lift(rot, np.argsort(rot).tolist()) for rot in rots]
     dart_images = _images(darts, group)
     found: list[OrientedSTG] = []
-    for r, rot in enumerate(_DARTS3):
+    for r, rot in enumerate(rots):
         if dart_images[r].min() < r:
             continue
         stabiliser = [group[g] for g in np.flatnonzero(dart_images[r] == r)]
         candidates = [classes] * (n - 2) + [[darts[r]], [top]]
-        # the classes lead the distinct candidates, so index p is _INVOLUTIONS3[p]
-        found += [OrientedSTG(tables=tuple(_INVOLUTIONS3[p] for p in row[:-2]), dart=rot)
+        # the classes lead the distinct candidates, so index p is class p
+        found += [OrientedSTG(tables=tuple(undirected[p] for p in row[:-2]), dart=rot)
                   for row in _connected_tuples(candidates, stabiliser)[0].tolist()]
     return [found[i] for i in _code_order(_oriented_codes(found))]
 
 
 def _by_shape(census: list[OrientedSTG]) -> dict[str, list[OrientedSTG]]:
-    groups: dict[str, list[OrientedSTG]] = {
-        "three_loops": [], "two_cycle_loop": [], "three_cycle": []}
+    """The census grouped by dart shape: three, one or no loops."""
+    groups = {name: [] for name in ("three_loops", "two_cycle_loop", "three_cycle")}
+    shape = dict(zip((3, 1, 0), groups.values()))
     for ot in census:
-        groups[_dart_shape(ot.dart)].append(ot)
+        shape[sum(v == u for u, v in enumerate(ot.dart))].append(ot)
     return groups
 
 
@@ -369,9 +372,9 @@ def oriented_stg3_families(n_colours: int) -> dict[str, list[OrientedSTG]]:
 
 
 def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
-    """Cross-check route: quotient six-vertex semi-edge-free types.
+    """Cross-check route: quotient 2k-vertex semi-edge-free types, k = ``_K``.
 
-    Enumerates admissible six-vertex types without semi-edges or odd
+    Enumerates admissible 2k-vertex types without semi-edges or odd
     cycles and quotients each by its top-colour pairs, and deduplicates.
     The classes t_i, i <= n-3, commute with the top colour, so both
     points of a pair reach the same pair.  The dart of a pair is read
@@ -379,19 +382,19 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
     r_{n-1} there, which is r_{n-2} at the other point.  Exponential in
     n_colours; a cross-check for small colour counts.
     """
-    n = n_colours
+    n, points = n_colours, 2 * _K
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         # no odd closed walks rules out semi-edges from the start
-        sixes = enumerate_stg(n, 6, filters=(lambda t: not stg_has_odd_closed_walk(t),),
-                              fixed_point_free=True)
+        covers = enumerate_stg(n, points, filters=(lambda t: not stg_has_odd_closed_walk(t),),
+                               fixed_point_free=True)
     found = []
-    for t in sixes:
+    for t in covers:
         m = np.array(t.tables)
         black = np.array(bipartition(t)) == 0
         rot = np.where(black, m[n - 2][m[n - 1]], m[n - 2])
         *tables, dart = quotient_tables(np.vstack([m[:n - 2], rot]),
-                                        np.minimum(np.arange(6), m[n - 1]))
+                                        np.minimum(np.arange(points), m[n - 1]))
         found.append(OrientedSTG(tables=tuple(tables), dart=dart))
     return [found[i] for i in _code_order(_oriented_codes(found), first_of_each=True)]
 

@@ -148,7 +148,8 @@ class FlagGraph:
         if tables.min() < 0 or tables.max() >= count:
             raise ValueError("flag image out of range")
         self.rank, self.flag_count, self._bfs0 = rank, count, None
-        self.adj = tables.astype(np.int32)
+        # C order: bfs_levels would copy an F-order table at every level
+        self.adj = tables.astype(np.int32, order="C")
         self.adj.setflags(write=False)
 
     def __eq__(self, other) -> bool:

@@ -11,10 +11,11 @@ checked once, by array comparisons over a stack of graphs of one shape
 pass that also labels the components of each graph's copies with one
 colour deleted and of its double cover.  What the pass finds is kept on
 the graph, and connectivity, the face transitivities, the face-orbit
-splits and the bipartition are read off it.  The face projection check
-labels a flag graph's flags by the colours above i once, to find each
-face flag's induced flag.  The vertex-major ``slots``, with SEMI for a
-semi-edge, are only the report's form.
+splits, the bipartition and, from three vertices on, the class names
+are read off it.  The face projection check labels a flag graph's
+flags by the colours above i once, to find each face flag's induced
+flag.  The vertex-major ``slots``, with SEMI for a semi-edge, are only
+the report's form.
 """
 
 from __future__ import annotations
@@ -256,11 +257,12 @@ STGClass = Regular | TwoOrbit | ThreeOrbitJ | ThreeOrbitJJ1 | FourOrbitFamily | 
 
 
 def classify(t: SymmetryTypeGraph) -> STGClass:
-    """Name the type: by vertex count and edge pattern.
+    """Name the type: by vertex count and face transitivities.
 
-    Two-vertex types are determined by their semi-edge colour set; the
-    three-vertex types by whether the middle vertex carries one or two
-    edge colours; four-vertex types get the descriptive family record.
+    Two-vertex types are determined by their semi-edge colour set; a
+    three-vertex type 3^{J} by the colours J at which it is not
+    face-transitive, {j} or {j, j+1} (another J raises
+    InternalCheckError); four-vertex types get the family record.
     """
     if problems := stg_violations(t):
         raise ValueError(f"not an admissible symmetry type graph: {problems}")
@@ -270,22 +272,12 @@ def classify(t: SymmetryTypeGraph) -> STGClass:
     if k == 2:
         return TwoOrbit(t.semi_colours(0))
     if k == 3:
-        edges = t.edges()
-        if len(edges) == 2:
-            (u1, v1, c1), (u2, v2, c2) = edges
-            shared = {u1, v1} & {u2, v2}
-            if len(shared) == 1 and abs(c1 - c2) == 1:
-                return ThreeOrbitJJ1(min(c1, c2))
-        elif len(edges) == 3:
-            pairs: dict[tuple[int, int], list[int]] = {}
-            for u, v, c in edges:
-                pairs.setdefault((u, v), []).append(c)
-            by_size = sorted(pairs.items(), key=lambda kv: len(kv[1]))
-            if len(by_size) == 2 and len(by_size[0][1]) == 1 and len(by_size[1][1]) == 2:
-                (single_pair, (j,)), (double_pair, doubles) = by_size
-                if sorted(doubles) == [j - 1, j + 1] and len(set(single_pair) & set(double_pair)) == 1:
-                    return ThreeOrbitJ(j)
-        return OtherClass(3)
+        profile = sorted(transitivity_profile(t))
+        if len(profile) == 1:
+            return ThreeOrbitJ(profile[0])
+        if len(profile) == 2 and profile[1] == profile[0] + 1:
+            return ThreeOrbitJJ1(profile[0])
+        raise InternalCheckError(f"three-vertex type {t.tables} has profile {profile}")
     if k == 4:
         profile = transitivity_profile(t)
         splits = tuple((i, face_orbit_splits(t, i)) for i in sorted(profile))
@@ -296,11 +288,11 @@ def classify(t: SymmetryTypeGraph) -> STGClass:
 
 def class_labels(graphs) -> list[str]:
     """``classify(t).label()`` for each graph, all with tables of one
-    shape; from four vertices on a label reads only the check's facts,
+    shape; from three vertices on a label reads only the check's facts,
     so it is found once per facts tuple, which equal facts share."""
     check_all(graphs)
     found: dict = {}
-    return [found.get(key := id(t._facts) if t.vertex_count >= 4 else t)
+    return [found.get(key := id(t._facts) if t.vertex_count >= 3 else t)
             or found.setdefault(key, classify(t).label()) for t in graphs]
 
 

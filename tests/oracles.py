@@ -18,7 +18,8 @@ from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels
                                  face_maniplex, i_faces, validate)
 from maniplex.formats import PALETTE, ParseError, _content_lines, _header_fields
 from maniplex.oriented import OrientedSTG, Orientation, oriented_digraph, orientation
-from maniplex.stg import SEMI, SymmetryTypeGraph, _without, quotient
+from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, _without,
+                          quotient)
 from maniplex.symmetry import (_GOLDEN, AutGroup, _cycle_lengths, _extend, _group, _mix, aut_group,
                                extend_automorphism, invariant_colours)
 from maniplex.walkgen import GeneratorSet
@@ -1147,3 +1148,29 @@ def relabel_aut_group(g: FlagGraph) -> AutGroup:
         label = component_labels(generators, g.flag_count)
         skip |= label == 0
     return _group(g, generators, label)
+
+
+# The edge-pattern match that named the three-vertex types before
+# classify read them off the face-transitivity profile.
+
+
+def edge_pattern_three_orbit(t: SymmetryTypeGraph) -> ThreeOrbitJ | ThreeOrbitJJ1 | None:
+    """The three-orbit type of an admissible three-vertex graph from its
+    edges: a j-edge meeting a (j+1)-edge is 3^{j,j+1}; a j-edge meeting a
+    parallel pair of (j-1)- and (j+1)-edges is 3^{j}; None otherwise."""
+    edges = t.edges()
+    if len(edges) == 2:
+        (u1, v1, c1), (u2, v2, c2) = edges
+        shared = {u1, v1} & {u2, v2}
+        if len(shared) == 1 and abs(c1 - c2) == 1:
+            return ThreeOrbitJJ1(min(c1, c2))
+    elif len(edges) == 3:
+        pairs: dict[tuple[int, int], list[int]] = {}
+        for u, v, c in edges:
+            pairs.setdefault((u, v), []).append(c)
+        by_size = sorted(pairs.items(), key=lambda kv: len(kv[1]))
+        if len(by_size) == 2 and len(by_size[0][1]) == 1 and len(by_size[1][1]) == 2:
+            (single_pair, (j,)), (double_pair, doubles) = by_size
+            if sorted(doubles) == [j - 1, j + 1] and len(set(single_pair) & set(double_pair)) == 1:
+                return ThreeOrbitJ(j)
+    return None

@@ -17,7 +17,8 @@ import pytest
 from maniplex import symmetry
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
-from maniplex.flag_graph import FlagGraph, component_labels, i_faces, non_commuting, validate
+from maniplex.flag_graph import (FlagGraph, component_labels, face_maniplex, i_faces,
+                                 non_commuting, recolour_dual, validate)
 from maniplex.formats import (ParseError, _colour_row, cycle_string, parse_maniplex_text,
                               parse_map_text, write_maniplex_text)
 from maniplex.oriented import aut_plus, orientation, oriented_digraph
@@ -507,6 +508,18 @@ def test_bfs_levels_match_the_sorted_levels(corpus):
             assert np.array_equal(depth, old_depth), (g, source)
         assert np.array_equal(g.depths(), sorted_bfs_levels(g)[1])
     assert not graphs[-1].is_connected()
+
+
+def test_flag_tables_are_c_contiguous(corpus):
+    # bfs_levels takes whole columns at every level, which copies an F-order table
+    graphs = [corpus.graph(label) for label in CORPUS] + [hypercube(6)]
+    graphs.append(parse_maniplex_text(write_maniplex_text(hypercube(4))))
+    spec = parse_map_text(resources.files("maniplex").joinpath("data/cube.map").read_text())
+    graphs.append(map_from_faces(spec))
+    g = hypercube(4)
+    graphs += [face_maniplex(g, 3, 0), oriented_digraph(g, orientation(g)), recolour_dual(g)]
+    for g in graphs:
+        assert g.adj.flags.c_contiguous, g
 
 
 def test_incremental_orbit_labels_match_the_full_relabel(corpus):

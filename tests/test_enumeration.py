@@ -193,13 +193,22 @@ def test_representatives_are_least_among_relabellings(n_colours, k):
 def test_commutation_masks_match_pairwise_defects():
     # the one-array commutation table against one commute_defect per pair,
     # on every involution list up to six points and on the oriented lifts
-    lifts = [enumeration._lift(t, t) for t in enumeration._INVOLUTIONS3]
-    lifts += [enumeration._lift(rot, np.argsort(rot).tolist())
-              for rot in enumeration._DARTS3]
+    rots = sorted(permutations(range(3)), key=enumeration._dart_order)
+    lifts = [enumeration._lift(t, t) for t in rots if t in involutions(3)]
+    lifts += [enumeration._lift(rot, np.argsort(rot).tolist()) for rot in rots]
     for tables in [involutions(k) for k in range(1, 7)] + [list(dict.fromkeys(lifts))]:
         expected = [sum(1 << b for b, mb in enumerate(tables)
                         if commute_defect(ma, mb) is None) for ma in tables]
         assert enumeration._commutation_masks(tables) == expected
+
+
+def test_dart_order_is_moved_points_then_cycle_notation():
+    # at three points: the identity, (0 1), (0 2), (1 2), (0 1 2), (0 2 1),
+    # the order the oriented census's representatives rest on
+    rots = sorted(permutations(range(3)), key=enumeration._dart_order)
+    assert rots == [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+    assert [enumeration._dart_order(p)[0] for p in permutations(range(4))].count(4) == 9
+    assert enumeration._dart_order((1, 2, 3, 0, 5, 4)) == (6, [[0, 1, 2, 3], [4, 5]])
 
 
 def test_labelled_copies_fail_the_internal_check(monkeypatch, capsys):

@@ -9,16 +9,16 @@ from maniplex import stg
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, cube, cuboctahedron, prism, pyramid, torus44
 from maniplex.enumeration import enumerate_stg
-from maniplex.flag_graph import i_faces
+from maniplex.flag_graph import InternalCheckError, i_faces
 from maniplex.oriented import aut_plus, orientation, oriented_stg, stg_has_odd_closed_walk
 from maniplex.stg import (SEMI, FourOrbitFamily, Regular, SymmetryTypeGraph,
                           ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, bipartition, check_all,
-                          classify, face_orbit_splits, is_admissible, is_i_face_transitive,
-                          quotient, stg_violations, transitivity_profile,
+                          class_labels, classify, face_orbit_splits, is_admissible,
+                          is_i_face_transitive, quotient, stg_violations, transitivity_profile,
                           verify_face_projection)
 from maniplex.symmetry import aut_group
-from oracles import (loop_violations, orbit_loop_oriented_stg, orbit_loop_quotient,
-                     random_map, relabel, stg_from_slots, walk_facts)
+from oracles import (edge_pattern_three_orbit, loop_violations, orbit_loop_oriented_stg,
+                     orbit_loop_quotient, random_map, relabel, stg_from_slots, walk_facts)
 from test_enumeration import CODE_GRID
 
 
@@ -111,6 +111,28 @@ def test_classify_three_orbit_with_parallel_edges():
     ))
     assert is_admissible(t)
     assert classify(t) == ThreeOrbitJ(1)
+
+
+def test_classify_matches_the_edge_pattern_on_three_vertices(corpus):
+    # the profile-based names against the edge-pattern match they replaced,
+    # on every three-vertex class up to ten colours and every 3-orbit item
+    classes = [t for n in range(2, 11) for t in enumerate_stg(n, 3)]
+    items = [t for label in CORPUS if (t := corpus.stg(label)).vertex_count == 3]
+    assert (len(classes), len(items)) == (81, 5)  # prism:3 and prism:5-8
+    for t in classes + items:
+        expected = edge_pattern_three_orbit(t)
+        assert expected is not None and classify(t) == expected, t.tables
+    assert class_labels(classes) == [classify(t).label() for t in classes]
+
+
+def test_classify_raises_on_a_three_vertex_profile_outside_the_paper(monkeypatch, capsys):
+    # the paper leaves {j} and {j, j+1} only; another profile is a bug
+    t = quotient(prism(3), aut_group(prism(3)))
+    monkeypatch.setattr(stg, "transitivity_profile", lambda t: frozenset({0, 2}))
+    with pytest.raises(InternalCheckError):
+        classify(t)
+    assert main(["analyze", "prism:3"]) == 4
+    assert "internal check failed:" in capsys.readouterr().err
 
 
 def test_labels():
