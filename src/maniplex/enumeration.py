@@ -3,28 +3,27 @@
 Each colour contributes an involution on the k vertices, a partner
 table whose fixed points are semi-edges, and admissibility asks the
 involutions of colours at distance >= 2 to commute; a tuple of such
-tables is a ``SymmetryTypeGraph`` as it stands.  One backtracking
-search picks a table per colour from that colour's candidates, keeping
-those that commute with every earlier colour but the previous one.
-The search is orderly: it keeps a tuple only when it is
-lexicographically least, by position in the candidate lists, among its
-vertex relabellings, so each class is generated once, as the first
-labelled tuple an exhaustive search would meet.  Connectivity, the
-rooted canonical codes that sort the classes and the STG check are
-computed once per search, each for all its tuples in one array pass.
+tables is a ``SymmetryTypeGraph`` as it stands.  The search runs level
+by level, each adding to every tuple a table from that colour's
+candidates that commutes with every earlier colour but the previous
+one.  It is orderly: it keeps a tuple only when it is lexicographically
+least, by position in the candidate lists, among its vertex
+relabellings, so each class is generated once, as the first labelled
+tuple an exhaustive search would meet.  Neither rule looks ahead, so
+level n is the census at n colours: one search per vertex count is read
+at every colour count.  Connectivity, the rooted canonical codes that
+sort the classes and the STG check take a level in array passes.
 Vertices are relabelled, colours never are, so the classes are
-colour-specific.
-
-The three-vertex oriented census is the same search on the six-point
-double covers of the oriented quotients, its darts and classes drawn
-from one ordering of the permutations of the three vertices.
+colour-specific.  The three-vertex oriented census is the same search,
+one per dart, on the six-point double covers of the oriented quotients,
+darts and classes drawn from one ordering of the permutations.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import compress, islice, permutations
+from itertools import compress, permutations
 
 import numpy as np
 
@@ -138,70 +137,47 @@ def _images(tables, relabellings) -> np.ndarray:
     return out
 
 
-def _commuting_tuples(tables, lists, relabellings):
-    """The tuples of one table per colour, drawn from that colour's list
-    of indices into ``tables``, in which colours at distance >= 2
-    commute: one per orbit of the group ``relabellings``, whose point
-    permutations each map every list onto itself.
+def _commuting_tuples(tables: np.ndarray, lists, relabellings):
+    """The orderly search, a level per colour: level d holds the tuples of
+    a table per colour 0..d-1, from that colour's list of indices into
+    ``tables``, whose colours at distance >= 2 commute, one per orbit of
+    the group ``relabellings`` (which maps every list onto itself), as
+    int16 rows in lexicographic order of the lists; and per row, as bool,
+    the tables colour d may take, those commuting with colours 0..d-2.
 
-    A tuple is kept when its positions in the lists are lexicographically
-    least among its images.  At colour i the chosen table must be least
-    among its images under the relabellings fixing colours 0..i-1, which
-    then narrow to those fixing it too; a prefix that fails has no
-    extension that passes, so the whole subtree is skipped.  The tuple
-    kept from each orbit is the one an exhaustive search in list order
-    meets first.
-
-    Each tuple comes as the indices of its tables, in lexicographic order
-    of the lists, colour 0 most significant.
-    """
-    if not tables:
-        return
-    commutes = _commutation_masks(tables)
-    # one bitmask over the relabellings per table: those fixing it, and
-    # per colour those moving it earlier in that colour's list
-    images = _images(tables, relabellings)
+    A tuple is kept when its positions in the lists are least among its
+    images: at colour i the table is least among its images under the
+    prefix's stabiliser, a bitmask over the relabellings interned as an
+    id.  Neither test looks ahead, so level d is the search over d colours.
+    Each (stabiliser, candidate) pair is tested once per level, and one
+    np.nonzero, read row-major, extends a level."""
+    commutes, images = _commutes(tables), _images(tables, relabellings)
     fixes = _bitmasks(images == np.arange(len(tables))[:, None])
-    earlier = []
-    for lst in lists:
+    ids = {(1 << len(relabellings)) - 1: 0}  # stabiliser bitmask -> id
+    rows, allowed = np.zeros((1, 0), np.int16), np.ones((1, len(tables)), bool)
+    stab = np.zeros(1, np.int32)
+    for lst in map(list, lists):
         position = np.full(len(tables), len(tables))
         position[lst] = np.arange(len(lst))
-        earlier.append(_bitmasks(position[images] < position[:, None]))
-    chosen: list[int] = []
-
-    def grow(allowed: int, stabiliser: int):
-        # allowed: the tables commuting with every chosen colour but the last;
-        # stabiliser: the relabellings fixing every chosen table
-        c = len(chosen)
-        if c == len(lists):
-            yield tuple(chosen)
-            return
-        after = allowed & commutes[chosen[-1]] if chosen else allowed
-        for a in lists[c]:
-            if allowed >> a & 1 and not stabiliser & earlier[c][a]:
-                chosen.append(a)
-                yield from grow(after, stabiliser & fixes[a])
-                chosen.pop()
-
-    yield from grow((1 << len(tables)) - 1, (1 << len(relabellings)) - 1)
+        moved = _bitmasks(position[images] < position[:, None])  # those moving a earlier
+        masks, step = list(ids), np.full((len(ids), len(lst)), -1, np.int32)
+        for s in np.flatnonzero(np.bincount(stab)).tolist():  # step[s, j]: the id after lst[j]
+            m = masks[s]
+            step[s] = [-1 if m & moved[a] else ids.setdefault(m & fixes[a], len(ids)) for a in lst]
+        parent, j = np.nonzero(allowed[:, lst] & (step[stab] >= 0))
+        after = allowed & commutes[rows[:, -1]] if rows.shape[1] else allowed
+        stab, rows = step[stab[parent], j], np.column_stack((rows[parent], np.int16(lst)[j]))
+        allowed = after[parent]
+        yield rows, allowed
 
 
-def _connected_tuples(candidates, relabellings) -> tuple[np.ndarray, np.ndarray]:
-    """The tuples of ``_commuting_tuples`` over the per-colour lists
-    ``candidates`` that connect their points, as rows of indices into the
-    candidates without repeats and as a uint8 stack (tuples, colours,
-    points); the search is read in parts whose union has CHUNK bytes."""
-    tables = list(dict.fromkeys(m for cands in candidates for m in cands))
-    index = {m: a for a, m in enumerate(tables)}
-    lists = [[index[m] for m in cands] for cands in candidates]
-    search = _commuting_tuples(tables, lists, relabellings)
-    k, width = len(relabellings[0]), len(lists)
-    tables = np.array(tables, np.uint8).reshape(-1, k)
-    rows = [np.zeros((0, width), np.int16)]
-    while len(part := np.array(list(islice(search, max(1, CHUNK // (8 * width * k)))), np.int16)):
-        rows.append(part[~stack_labels(tables[part]).any(axis=1)])  # the connected ones
-    rows = np.concatenate(rows)
-    return rows, tables[rows]
+def _connected(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows of indices into ``tables`` whose tables connect their
+    points, labelled in passes whose union has CHUNK bytes."""
+    step = max(1, CHUNK // (8 * rows.shape[1] * tables.shape[1]))
+    parts = (rows[first:first + step] for first in range(0, len(rows), step))
+    return np.concatenate([rows[:0]] + [part[~stack_labels(tables[part]).any(axis=1)]
+                                        for part in parts])
 
 
 def _code_order(codes: np.ndarray, first_of_each: bool = False) -> list[int]:
@@ -216,12 +192,11 @@ def _code_order(codes: np.ndarray, first_of_each: bool = False) -> list[int]:
     return [first[code] for code in sorted(first)]
 
 
-def _commutation_masks(tables) -> list[int]:
-    """Per table a, a bitmask with bit b set when tables a and b commute,
-    from one array of every product: ``ab[a, b]`` is a after b."""
-    t = np.array(tables, dtype=np.int8)
-    ab = t[:, t]
-    return _bitmasks((ab == ab.transpose(1, 0, 2)).all(axis=2))
+def _commutes(tables: np.ndarray) -> np.ndarray:
+    """``out[a, b]``: whether tables a and b commute, from one array of
+    every product: ``ab[a, b]`` is a after b."""
+    ab = tables[:, tables]
+    return (ab == ab.transpose(1, 0, 2)).all(axis=2)
 
 
 def _bitmasks(rows: np.ndarray) -> list[int]:
@@ -247,25 +222,37 @@ def census(n_colours: int, k: int, filters=(),
            fixed_point_free: bool = False) -> tuple[list[SymmetryTypeGraph], np.ndarray]:
     """``enumerate_stg``'s classes, and their tables as one uint8 stack
     (classes, colours, k), which the check and the CSV read."""
-    if n_colours < 1 or k < 1:
+    return _census((n_colours,), k, filters, fixed_point_free)[n_colours]
+
+
+def _census(counts, k: int, filters=(), fixed_point_free: bool = False) -> dict:
+    """``census`` at every colour count in ``counts``, each read off one
+    level of a single search over max(counts) colours."""
+    if min(counts) < 1 or k < 1:
         raise ValueError("need at least one colour and one vertex")
     if k > 5:
-        warnings.warn(f"enumeration over {k} vertices may be slow", stacklevel=2)
+        warnings.warn(f"enumeration over {k} vertices may be slow", stacklevel=3)
     choices = involutions(k)
     if fixed_point_free:
         choices = [m for m in choices if all(m[v] != v for v in range(k))]
-    rows, stack = _connected_tuples([choices] * n_colours, _relabellings(k))
-    order = _code_order(_least_codes(stack[:, None], n_colours))
-    stack, columns = stack[order], rows[order].T.tolist()
-    graphs = [SymmetryTypeGraph(tables)
-              for tables in zip(*(map(choices.__getitem__, column) for column in columns))]
-    check_all(graphs, stack)
-    if bad := next((t for t in graphs if stg_violations(t)), None):
-        raise InternalCheckError(f"inadmissible class {bad.tables}: {stg_violations(bad)}")
-    if filters:
-        keep = [all(predicate(t) for predicate in filters) for t in graphs]
-        graphs, stack = list(compress(graphs, keep)), stack[np.array(keep, bool)]
-    return graphs, stack
+    tables = np.array(choices, np.uint8).reshape(-1, k)
+    levels = _commuting_tuples(tables, [range(len(choices))] * max(counts), _relabellings(k))
+    # the search has ended, and freed its levels, before the classes are built
+    found = {n: _connected(tables, rows) for n, (rows, _) in enumerate(levels, 1) if n in counts}
+    for n, rows in found.items():
+        stack = tables[rows]
+        order = _code_order(_least_codes(stack[:, None], n))
+        stack, columns = stack[order], rows[order].T.tolist()
+        graphs = [SymmetryTypeGraph(ts)
+                  for ts in zip(*(map(choices.__getitem__, column) for column in columns))]
+        check_all(graphs, stack)
+        if bad := next((t for t in graphs if stg_violations(t)), None):
+            raise InternalCheckError(f"inadmissible class {bad.tables}: {stg_violations(bad)}")
+        if filters:
+            keep = [all(predicate(t) for predicate in filters) for t in graphs]
+            graphs, stack = list(compress(graphs, keep)), stack[np.array(keep, bool)]
+        found[n] = graphs, stack
+    return found
 
 
 def is_fully_transitive(t: SymmetryTypeGraph) -> bool:
@@ -324,17 +311,26 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     black u to white u.  The darts are the permutations of k points in
     ``_dart_order``, the classes the involutions among them; in this
     order the search keeps the representatives that the tests' hand
-    derivation (``hand_oriented_stg3``) finds.  A rot that relabelling or dart reversal maps to an
-    earlier dart is skipped; for each other rot the commuting-tuple
-    search runs over these lifts, up to the relabellings and reversals
-    that fix rot, and the connected results are kept.
+    derivation (``hand_oriented_stg3``) finds.  A rot that relabelling or
+    dart reversal maps to an earlier dart is skipped; for each other rot
+    the commuting-tuple search runs over these lifts, up to the
+    relabellings and reversals that fix rot, and the connected results
+    are kept.
 
     One class per orbit under vertex relabelling and dart reversal,
     sorted by oriented canonical code.
     """
     if n_colours < 4:
         raise ValueError("three-vertex oriented quotients need n_colours >= 4")
-    n, k = n_colours, _K
+    return _oriented_census((n_colours,))[n_colours]
+
+
+def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
+    """``enumerate_oriented_stg3`` at each colour count in ``counts``, from
+    one search per dart over the classes: level d gives n = d + 2 where the
+    dart commutes with classes 0..d-2.  The top table commutes with every
+    class; the dart's stabiliser fixes both, so they pass the orderly test."""
+    k = _K
     rots = sorted(permutations(range(k)), key=_dart_order)
     undirected = [t for t in rots if all(t[v] == u for u, v in enumerate(t))]
     classes = [_lift(t, t) for t in undirected]
@@ -345,16 +341,22 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     group = diagonal + [d[k:] + d[:k] for d in diagonal]
     darts = [_lift(rot, np.argsort(rot).tolist()) for rot in rots]
     dart_images = _images(darts, group)
-    found: list[OrientedSTG] = []
+    found: dict[int, list[OrientedSTG]] = {n: [] for n in counts}
     for r, rot in enumerate(rots):
         if dart_images[r].min() < r:
             continue
         stabiliser = [group[g] for g in np.flatnonzero(dart_images[r] == r)]
-        candidates = [classes] * (n - 2) + [[darts[r]], [top]]
-        # the classes lead the distinct candidates, so index p is class p
-        found += [OrientedSTG(tables=tuple(undirected[p] for p in row[:-2]), dart=rot)
-                  for row in _connected_tuples(candidates, stabiliser)[0].tolist()]
-    return [found[i] for i in _code_order(_oriented_codes(found))]
+        # the classes lead the distinct tables, so index p is class p
+        tables = list(dict.fromkeys(classes + [darts[r], top]))
+        tail = tables.index(darts[r]), tables.index(top)
+        tables = np.array(tables, np.uint8)
+        levels = _commuting_tuples(tables, [range(len(classes))] * (max(counts) - 2), stabiliser)
+        for n, (rows, allowed) in enumerate(levels, 3):
+            if n in counts:
+                rows = np.column_stack((rows, np.full((len(rows), 2), tail, np.int16)))
+                found[n] += [OrientedSTG(tables=tuple(undirected[p] for p in row[:-2]), dart=rot)
+                             for row in _connected(tables, rows[allowed[:, tail[0]]]).tolist()]
+    return {n: [ots[i] for i in _code_order(_oriented_codes(ots))] for n, ots in found.items()}
 
 
 def _by_shape(census: list[OrientedSTG]) -> dict[str, list[OrientedSTG]]:
@@ -426,22 +428,19 @@ def verify_census() -> list[CensusCheck]:
     10 at 4, 5, 6 colours and 2n-3 from 7 colours on.
     """
     checks: list[CensusCheck] = []
-    three = {n: enumerate_stg(n, 3) for n in range(3, 7)}
-    four = enumerate_stg(4, 4)
-    for n in range(3, 7):
-        checks.append(CensusCheck(f"k=1 types, {n} colours", 1, len(enumerate_stg(n, 1))))
-    for n in (3, 4, 5):
-        checks.append(CensusCheck(
-            f"k=2 types, {n} colours", 2 ** n - 1, len(enumerate_stg(n, 2))))
-    for n in range(3, 7):
-        checks.append(CensusCheck(f"k=3 types, {n} colours", 2 * n - 3, len(three[n])))
+    three, four = _census(range(3, 7), 3), enumerate_stg(4, 4)
+    for k, found, expected in ((1, _census(range(3, 7), 1), lambda n: 1),
+                               (2, _census(range(3, 6), 2), lambda n: 2 ** n - 1),
+                               (3, three, lambda n: 2 * n - 3)):
+        checks += [CensusCheck(f"k={k} types, {n} colours", expected(n), len(graphs))
+                   for n, (graphs, _) in found.items()]
     checks.append(CensusCheck(
         "k=4 fully-transitive types, 4 colours", 20,
         sum(map(is_fully_transitive, four))))
     for n in range(3, 7):
         checks.append(CensusCheck(
             f"k=3 fully-transitive types, {n} colours", 0,
-            sum(map(is_fully_transitive, three[n]))))
+            sum(map(is_fully_transitive, three[n][0]))))
     checks.append(CensusCheck(
         "k=5 fully-transitive types, 4 colours", 0,
         len(enumerate_stg(4, 5, filters=(is_fully_transitive,)))))
@@ -455,7 +454,7 @@ def verify_census() -> list[CensusCheck]:
         True, profiles_ok))
 
     expected_totals = {4: 6, 5: 9, 6: 10}
-    oriented = {n: enumerate_oriented_stg3(n) for n in range(4, 11)}
+    oriented = _oriented_census(range(4, 11))
     for n, census in oriented.items():
         expected = expected_totals.get(n, 2 * n - 3)
         checks.append(CensusCheck(

@@ -34,30 +34,31 @@ class InternalCheckError(AssertionError):
 
 
 def component_labels(tables, count: int) -> np.ndarray:
-    """The least point of each point's component along the tables (maps
-    of ``count`` points, each point joined to its image), as int32.
+    """The least point of each point's component along the tables
+    (permutations of ``count`` points, each point joined to its image),
+    as int32: ``_hook`` from every point its own root."""
+    return _hook(tables, np.arange(count)).astype(np.int32)
 
-    Hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 3,
-    1982): every label is a root pointing to itself; each round hooks
-    the larger root of each edge joining two roots to the smaller one
-    (any one of them, where several compete), then jumps pointers until
-    every point points at a root.  Pointers only decrease, so a round
-    that changes nothing leaves one label per component, its least point.
-    Labels are held as intp, the index type, so that the pointer jumps
-    convert no indices.
-    """
-    label = np.arange(count)
+
+def _hook(tables, label: np.ndarray) -> np.ndarray:
+    """The least point of each component of the permutations ``tables``
+    joined with the trees of ``label``, a forest of intp pointers, each
+    to a root no larger than its point.  Hooking and pointer jumping
+    (Shiloach and Vishkin, J. Algorithms 3, 1982): each round hooks every
+    root to the least label next to its tree, ``low`` holding each
+    point's least label one step along a table (a ``take`` per table),
+    then jumps pointers until each points at a root.  Pointers only
+    decrease, and a tree that permutations map into itself is a union of
+    components, so a round that changes nothing leaves their least points."""
     while True:
-        root = label.copy()
+        low, root = label, label.copy()
         for m in tables:
-            across = label[m]
-            joins = across != label
-            across, near = across[joins], label[joins]
-            root[np.maximum(across, near)] = np.minimum(across, near)
-        while not np.array_equal(nxt := root[root], root):
+            low = np.minimum(low, label.take(m))
+        np.minimum.at(root, label, low)
+        while not np.array_equal(nxt := root.take(root), root):
             root = nxt
         if np.array_equal(root, label):
-            return label.astype(np.int32)
+            return label
         label = root
 
 

@@ -334,7 +334,7 @@ def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None
     labels = np.array(_without(stg, i))
     if not np.array_equal(labels == labels[u.min()], pi >= 0):  # C, all of it
         return False
-    if np.unique(image).size != sub_aut.orbit_count:
+    if np.count_nonzero(np.bincount(image)) != sub_aut.orbit_count:
         return False
     down, tables = np.array(quotient(sub, sub_aut).tables), np.array(stg.tables)
     vertices = np.flatnonzero(pi >= 0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError, component_labels
+from .flag_graph import FlagGraph, InternalCheckError, _hook
 
 
 def invert(a: np.ndarray) -> np.ndarray:
@@ -165,7 +165,7 @@ def aut_group(g: FlagGraph) -> AutGroup:
     colour = invariant_colours(g.adj)
     candidates = np.flatnonzero(colour == colour[0])
     generators: list[np.ndarray] = []
-    label = component_labels(generators, g.flag_count)
+    label = np.arange(g.flag_count)
     skip = label == 0
     while (candidates := candidates[~skip[candidates]]).size:
         target = int(candidates[0])
@@ -174,7 +174,7 @@ def aut_group(g: FlagGraph) -> AutGroup:
             skip |= label == label[target]
             continue
         generators.append(img)
-        label = component_labels([label, img], g.flag_count)
+        label = _hook([img], label)
         skip |= label == 0
     return _group(g, generators, label)
 

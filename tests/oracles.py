@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from maniplex.constructions import MapError, MapSpec, _face_slots
-from maniplex.enumeration import involutions
+from maniplex.enumeration import _bitmasks, _images, involutions
 from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, face_component,
                                  face_maniplex, i_faces, validate)
 from maniplex.formats import PALETTE, ParseError, _content_lines, _header_fields
@@ -60,6 +60,26 @@ def components(tables, count: int | None = None) -> list[list[int]]:
     seen = [False] * (len(tables[0]) if count is None else count)
     return [sorted([start] + [v for _, v in _tree(tables, start, seen)])
             for start in range(len(seen)) if not seen[start]]
+
+
+def hook_and_jump_labels(tables, count: int) -> np.ndarray:
+    """``component_labels`` by the rounds it replaced: each round hooks
+    the larger root of each edge joining two roots to the smaller one
+    (any one of them, where several compete), then jumps pointers until
+    every point points at a root."""
+    label = np.arange(count)
+    while True:
+        root = label.copy()
+        for m in tables:
+            across = label[m]
+            joins = across != label
+            across, near = across[joins], label[joins]
+            root[np.maximum(across, near)] = np.minimum(across, near)
+        while not np.array_equal(nxt := root[root], root):
+            root = nxt
+        if np.array_equal(root, label):
+            return label.astype(np.int32)
+        label = root
 
 
 def two_colouring(tables) -> list[int] | None:
@@ -556,6 +576,52 @@ def hand_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
 
             place(0, [])
     return [found[code] for code in sorted(found)]
+
+
+# The recursive orderly search that the level-at-a-time one replaced: one
+# Python generator frame per node, the orderly test made at every node.
+
+
+def recursive_commuting_tuples(tables, lists, relabellings):
+    """The tuples of one table per colour, drawn from that colour's list
+    of indices into ``tables``, in which colours at distance >= 2
+    commute: one per orbit of the group ``relabellings``, the one whose
+    positions in the lists are lexicographically least among its images,
+    in lexicographic order of the lists, colour 0 most significant.
+
+    At colour i the chosen table must be least among its images under
+    the relabellings fixing colours 0..i-1, which then narrow to those
+    fixing it too; a prefix that fails has no extension that passes."""
+    if not tables:
+        return
+    commutes = [sum(1 << b for b, mb in enumerate(tables) if commute_defect(ma, mb) is None)
+                for ma in tables]
+    # one bitmask over the relabellings per table: those fixing it, and
+    # per colour those moving it earlier in that colour's list
+    images = _images(tables, relabellings)
+    fixes = _bitmasks(images == np.arange(len(tables))[:, None])
+    earlier = []
+    for lst in lists:
+        position = np.full(len(tables), len(tables))
+        position[lst] = np.arange(len(lst))
+        earlier.append(_bitmasks(position[images] < position[:, None]))
+    chosen: list[int] = []
+
+    def grow(allowed: int, stabiliser: int):
+        # allowed: the tables commuting with every chosen colour but the last;
+        # stabiliser: the relabellings fixing every chosen table
+        c = len(chosen)
+        if c == len(lists):
+            yield tuple(chosen)
+            return
+        after = allowed & commutes[chosen[-1]] if chosen else allowed
+        for a in lists[c]:
+            if allowed >> a & 1 and not stabiliser & earlier[c][a]:
+                chosen.append(a)
+                yield from grow(after, stabiliser & fixes[a])
+                chosen.pop()
+
+    yield from grow((1 << len(tables)) - 1, (1 << len(relabellings)) - 1)
 
 
 # The exhaustive search that the orderly one replaced: every labelled

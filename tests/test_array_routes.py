@@ -13,23 +13,27 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from maniplex import symmetry
+from maniplex import flag_graph, symmetry
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
+from maniplex.enumeration import enumerate_stg
 from maniplex.flag_graph import (FlagGraph, component_labels, face_maniplex, i_faces,
                                  non_commuting, recolour_dual, validate)
 from maniplex.formats import (ParseError, _colour_row, cycle_string, parse_maniplex_text,
                               parse_map_text, write_maniplex_text)
 from maniplex.oriented import aut_plus, orientation, oriented_digraph
-from maniplex.stg import quotient, verify_face_projection
+from maniplex.stg import SymmetryTypeGraph, check_all, quotient, verify_face_projection
 from maniplex.symmetry import are_isomorphic, aut_group, invariant_colours
 from maniplex.walkgen import GeneratorSet, realize_generators, reduce_generators
 from oracles import (all_products_invariant_colours, bytes_reduce_generators, components,
-                     level_orientation, loop_cycle_string, loop_hypercube, loop_map_from_faces,
-                     loop_polygon, loop_simplex, loop_torus44, pair_non_commuting, random_map,
-                     rank_invariant_colours, relabel, relabel_aut_group, sorted_bfs_levels,
-                     token_parse_maniplex_text, tree_search_group, walk_face_projection)
+                     hook_and_jump_labels, level_orientation, loop_cycle_string, loop_hypercube,
+                     loop_map_from_faces, loop_polygon, loop_simplex, loop_torus44,
+                     pair_non_commuting, random_map, rank_invariant_colours, relabel,
+                     relabel_aut_group, sorted_bfs_levels, token_parse_maniplex_text,
+                     tree_search_group, walk_face_projection)
 
 # the labels of the analyze benchmarks
 BENCHMARK_LABELS = ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6", "hypercube:5",
@@ -106,6 +110,65 @@ def test_component_labels_match_components():
             expected[comp] = comp[0]
         assert label.dtype == np.int32
         assert label.tolist() == expected.tolist()
+
+
+def test_component_labels_match_hook_and_jump_on_edge_cases():
+    assert component_labels([], 0).tolist() == hook_and_jump_labels([], 0).tolist() == []
+    assert component_labels([], 4).tolist() == hook_and_jump_labels([], 4).tolist()
+    for m in ([0], [1, 0, 2], [3, 2, 1, 0, 4], [1, 2, 3, 4, 0]):
+        assert component_labels([m], len(m)).tolist() == hook_and_jump_labels([m], len(m)).tolist()
+
+
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=5), st.data())
+def test_component_labels_match_hook_and_jump_on_random_involutions(n, colours, data):
+    tables = []
+    for _ in range(colours):
+        points = data.draw(st.permutations(range(n)))
+        pairs = data.draw(st.integers(min_value=0, max_value=n // 2))
+        m = np.arange(n)
+        m[points[:pairs]], m[points[pairs:2 * pairs]] = points[pairs:2 * pairs], points[:pairs]
+        tables.append(m)
+    assert component_labels(tables, n).tolist() == hook_and_jump_labels(tables, n).tolist()
+
+
+def test_component_labels_match_hook_and_jump_without_each_colour(corpus):
+    for label in CORPUS:
+        g = corpus.graph(label)
+        for i in range(g.rank):
+            tables = np.delete(g.adj, i, axis=0)
+            assert np.array_equal(component_labels(tables, g.flag_count),
+                                  hook_and_jump_labels(tables, g.flag_count)), (label, i)
+
+
+def test_component_labels_match_hook_and_jump_on_the_check_stacks(corpus, monkeypatch):
+    # every stack the STG check labels, on census classes and corpus quotients
+    seen = []
+
+    def both(tables, count):
+        label = component_labels(tables, count)
+        assert np.array_equal(label, hook_and_jump_labels(tables, count))
+        seen.append(count)
+        return label
+
+    monkeypatch.setattr(flag_graph, "component_labels", both)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n, k in [(3, 3), (4, 4), (5, 4), (3, 6)]:
+            check_all([SymmetryTypeGraph(t.tables) for t in enumerate_stg(n, k)])
+    for label in CORPUS:  # one shape per check
+        check_all([SymmetryTypeGraph(corpus.stg(label).tables)])
+    assert len(seen) >= 5
+
+
+@given(st.integers(min_value=1, max_value=60), st.data())
+def test_hook_from_a_forest_matches_hook_and_jump(n, data):
+    # the orbits so far as a forest, joined along a further permutation,
+    # as aut_group grows them: a forest table is no permutation, so the
+    # oracle hooks it both ways
+    perms = [np.array(data.draw(st.permutations(range(n)))) for _ in range(3)]
+    start = component_labels(perms[:2], n).astype(np.intp)
+    expected = hook_and_jump_labels([start, perms[2]], n)
+    assert flag_graph._hook([perms[2]], start).tolist() == expected.tolist()
 
 
 def same_group(new, old):
@@ -524,6 +587,8 @@ def test_flag_tables_are_c_contiguous(corpus):
 
 def test_incremental_orbit_labels_match_the_full_relabel(corpus):
     graphs = [corpus.graph(label) for label in CORPUS if corpus.graph(label).flag_count <= 1000]
+    # relabelled, the orbits so far meet the new generator out of flag order
+    graphs += [relabel(g, random.Random(seed)) for g in list(graphs) for seed in range(3)]
     graphs += [construction(label) for label in ("simplex:6", "torus44:20,0", "prism:200")]
     graphs += list(seeded_random_maps(120))
     for g in graphs:

@@ -17,7 +17,8 @@ from maniplex.formats import slot_text
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit,
                           class_labels, classify, is_admissible, transitivity_profile)
 from oracles import (commute_defect, component, exhaustive_stg, hand_oriented_stg3,
-                     loop_least_code, min_code, oriented_min_code, stg_from_slots)
+                     loop_least_code, min_code, oriented_min_code, recursive_commuting_tuples,
+                     stg_from_slots)
 
 
 def test_involution_counts():
@@ -193,13 +194,83 @@ def test_representatives_are_least_among_relabellings(n_colours, k):
 def test_commutation_masks_match_pairwise_defects():
     # the one-array commutation table against one commute_defect per pair,
     # on every involution list up to six points and on the oriented lifts
+    for tables in [involutions(k) for k in range(1, 7)] + [oriented_tables()]:
+        expected = [[commute_defect(ma, mb) is None for mb in tables] for ma in tables]
+        assert enumeration._commutes(np.array(tables, np.uint8)).tolist() == expected
+
+
+def oriented_tables():
+    """The distinct lifts of the three-vertex oriented census: classes, then darts."""
     rots = sorted(permutations(range(3)), key=enumeration._dart_order)
     lifts = [enumeration._lift(t, t) for t in rots if t in involutions(3)]
     lifts += [enumeration._lift(rot, np.argsort(rot).tolist()) for rot in rots]
-    for tables in [involutions(k) for k in range(1, 7)] + [list(dict.fromkeys(lifts))]:
-        expected = [sum(1 << b for b, mb in enumerate(tables)
-                        if commute_defect(ma, mb) is None) for ma in tables]
-        assert enumeration._commutation_masks(tables) == expected
+    return list(dict.fromkeys(lifts))
+
+
+def check_levels(tables, lists, relabellings):
+    """Every level of the array search against the recursive oracle run
+    to that depth, and each row's allowed tables against the pairs."""
+    commutes = np.array([[commute_defect(ma, mb) is None for mb in tables] for ma in tables])
+    levels = enumeration._commuting_tuples(np.array(tables, np.uint8), lists, relabellings)
+    depth = 0
+    for depth, (rows, allowed) in enumerate(levels, 1):
+        expected = list(recursive_commuting_tuples(tables, lists[:depth], relabellings))
+        assert rows.dtype == np.int16 and rows.shape == (len(expected), depth)
+        assert list(map(tuple, rows.tolist())) == expected, depth
+        assert np.array_equal(allowed, commutes[rows[:, :-1]].all(axis=1)), depth
+    assert depth == len(lists)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_every_level_matches_the_recursive_search(k):
+    choices = involutions(k)
+    check_levels(choices, [list(range(len(choices)))] * 6, enumeration._relabellings(k))
+
+
+def test_levels_match_the_recursive_search_without_fixed_points():
+    choices = [m for m in involutions(6) if all(m[v] != v for v in range(6))]
+    check_levels(choices, [list(range(len(choices)))] * 6, enumeration._relabellings(6))
+    for n in range(1, 4):  # no candidate at all on an odd number of points
+        assert enumerate_stg(n, 3, fixed_point_free=True) == []
+
+
+def test_oriented_levels_match_the_recursive_search_under_each_dart():
+    # the class lifts under each dart's stabiliser of relabellings and
+    # reversal, with the dart and top tables among the candidates
+    tables, k = oriented_tables(), 3
+    classes = tables[:len(involutions(3))]  # oriented_tables puts the classes first
+    diagonal = [p + tuple(v + k for v in p) for p in enumeration._relabellings(k)]
+    group = diagonal + [d[k:] + d[:k] for d in diagonal]
+    top = enumeration._lift(range(k), range(k))
+    for dart in tables[len(classes):]:
+        stabiliser = [g for g in group if all(dart[g[u]] == g[dart[u]] for u in range(2 * k))]
+        lifts = list(dict.fromkeys(classes + [dart, top]))
+        check_levels(lifts, [list(range(len(classes)))] * 7, stabiliser)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_one_search_gives_every_colour_count(k):
+    shared = enumeration._census(range(1, 8), k)
+    assert sorted(shared) == list(range(1, 8))
+    for n, (graphs, stack) in shared.items():
+        alone = enumerate_stg(n, k)
+        assert [t.tables for t in graphs] == [t.tables for t in alone], n
+        assert stack.tolist() == [list(map(list, t.tables)) for t in alone], n
+
+
+def test_one_search_gives_every_colour_count_without_fixed_points():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shared = enumeration._census(range(1, 6), 6, fixed_point_free=True)
+        for n in range(1, 6):
+            alone = enumerate_stg(n, 6, fixed_point_free=True)
+            assert [t.tables for t in shared[n][0]] == [t.tables for t in alone], n
+
+
+def test_one_search_per_dart_gives_every_oriented_colour_count():
+    shared = enumeration._oriented_census(range(4, 13))
+    for n in range(4, 13):
+        assert shared[n] == enumerate_oriented_stg3(n), n
 
 
 def test_dart_order_is_moved_points_then_cycle_notation():
@@ -252,7 +323,12 @@ def test_enumerate_raises_on_an_inadmissible_class(monkeypatch):
     # commute must be caught by the check of the class list
     inv = involutions(3)
     a, b = inv.index((1, 0, 2)), inv.index((0, 2, 1))
-    monkeypatch.setattr(enumeration, "_commuting_tuples", lambda *args: iter([(a, a, b)]))
+
+    def levels(tables, lists, relabellings):
+        for depth in range(1, 4):
+            yield np.array([[a, a, b][:depth]], np.int16), np.ones((1, len(tables)), bool)
+
+    monkeypatch.setattr(enumeration, "_commuting_tuples", levels)
     with pytest.raises(InternalCheckError, match=r"bad \(0,2\) 2-factor at vertex 0"):
         enumerate_stg(3, 3)
 
@@ -365,12 +441,11 @@ def test_a_class_met_twice_fails_the_internal_check(monkeypatch, capsys):
     search = enumeration._commuting_tuples
 
     def twice(tables, lists, relabellings):
-        # every tuple, then the last connected one again
-        for row in search(tables, lists, relabellings):
-            if len(component([tables[a] for a in row], 0)) == len(tables[0]):
-                last = row
-            yield row
-        yield last
+        # each level's tuples, then its last connected one again
+        for rows, allowed in search(tables, lists, relabellings):
+            last = [t for t, row in enumerate(rows.tolist())
+                    if len(component(tables[row].tolist(), 0)) == tables.shape[1]][-1:]
+            yield np.vstack([rows, rows[last]]), np.vstack([allowed, allowed[last]])
 
     monkeypatch.setattr(enumeration, "_commuting_tuples", twice)
     with pytest.raises(InternalCheckError, match="twice"):

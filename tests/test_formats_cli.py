@@ -359,3 +359,38 @@ def test_analyze_text_encodes_no_json(monkeypatch, capsys):
     monkeypatch.setattr(json, "dumps", _fail)
     assert main(["analyze", "cuboctahedron", "--generators", "--oriented"]) == 0
     assert "flag orbits: 2" in capsys.readouterr().out
+
+
+MASKED_ARRAY_STEPS = r"""
+import contextlib, io, sys
+from maniplex.cli import main
+from maniplex.constructions import construction
+from maniplex.enumeration import verify_census
+from maniplex.stg import verify_face_projection
+
+steps = {
+    "analyze": lambda: main(["analyze", "prism:5", "--json", "--generators", "--oriented"]),
+    "enumerate": lambda: main(["enumerate", "--colors", "4", "--vertices", "4", "--csv",
+                               sys.argv[1]]),
+    "verify_census": verify_census,
+    "verify_face_projection": lambda: verify_face_projection(construction("prism:5"), 1, 0),
+}
+for name, step in steps.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        step()
+    print(name, "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_path_imports_numpy_masked_arrays(tmp_path):
+    # numpy 2.4's plain np.unique imports numpy.ma, about 1.7 MB of peak
+    # memory that no path of the program needs; each step runs in turn in
+    # a fresh process and reports whether numpy.ma has been imported yet
+    run = subprocess.run([sys.executable, "-c", MASKED_ARRAY_STEPS, str(tmp_path / "out.csv")],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                              "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:-1] == [f"{name} False" for name in
+                                           ("analyze", "enumerate", "verify_census",
+                                            "verify_face_projection")]
