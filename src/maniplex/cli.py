@@ -146,20 +146,20 @@ def cmd_enumerate(args) -> int:
         graphs, stack = census(args.colors, args.vertices, filters=tuple(filters))
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    print(len(graphs))
     labels = class_labels(graphs) if args.csv or not args.count_only else []
-    if not args.count_only:
-        for idx, (t, label) in enumerate(zip(graphs, labels)):
-            print(f"-- {idx}: {label}")
-            for line in formats.stg_table(t.slots):
-                print("   " + line)
-    if args.csv:
+    if args.csv:  # first, so that a failed write prints nothing
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(["index", "vertices", "colours", "class", "slots"])
         writer.writerows((idx, args.vertices, args.colors, label, text)
                          for idx, (label, text) in enumerate(zip(labels, formats.slot_text(stack))))
         _write(args.csv, buffer.getvalue())
+    print(len(graphs))
+    if not args.count_only:
+        for idx, (t, label) in enumerate(zip(graphs, labels)):
+            print(f"-- {idx}: {label}")
+            for line in formats.stg_table(t.slots):
+                print("   " + line)
     return 0
 
 

@@ -155,11 +155,14 @@ def _commuting_tuples(tables: np.ndarray, lists, relabellings):
     fixes = _bitmasks(images == np.arange(len(tables))[:, None])
     ids = {(1 << len(relabellings)) - 1: 0}  # stabiliser bitmask -> id
     rows, allowed = np.zeros((1, 0), np.int16), np.ones((1, len(tables)), bool)
-    stab = np.zeros(1, np.int32)
+    stab, moved_by_list = np.zeros(1, np.int32), {}
     for lst in map(list, lists):
-        position = np.full(len(tables), len(tables))
-        position[lst] = np.arange(len(lst))
-        moved = _bitmasks(position[images] < position[:, None])  # those moving a earlier
+        if tuple(lst) not in moved_by_list:  # callers repeat one list
+            position = np.full(len(tables), len(tables))
+            position[lst] = np.arange(len(lst))
+            # per table a, the relabellings moving a earlier in the list
+            moved_by_list[tuple(lst)] = _bitmasks(position[images] < position[:, None])
+        moved = moved_by_list[tuple(lst)]
         masks, step = list(ids), np.full((len(ids), len(lst)), -1, np.int32)
         for s in np.flatnonzero(np.bincount(stab)).tolist():  # step[s, j]: the id after lst[j]
             m = masks[s]

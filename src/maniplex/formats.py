@@ -7,7 +7,8 @@ a comment; blank lines are ignored.  All indices are 0-based.  A colour
 line of ASCII digits and blanks is read by one numpy parse.
 
 ``analyze`` renders its one payload with ``text_report`` or with
-``json_report``, which writes the bytes of ``json.dumps(indent=2)``.
+``json_report``, which writes the bytes of ``json.dumps(indent=2)``;
+cycle notation is one byte array of cells, digits from one table.
 """
 
 from __future__ import annotations
@@ -171,28 +172,45 @@ def oriented_stg_to_dot(ot: OrientedSTG, name: str = "oriented_stg") -> str:
 # JSON / text report helpers
 
 
+def _digits(count: int) -> np.ndarray:
+    """The digits of 0..count-1 as right-aligned uint8 rows: column j
+    cycles through each digit 10^(width-1-j) times, leading zeros 0 bytes."""
+    width = len(str(count - 1))
+    table = np.empty((count, width), np.uint8)
+    for j in range(width):
+        run = 10 ** (width - 1 - j)
+        table[:, j] = np.tile(np.repeat(np.arange(48, 58, dtype=np.uint8), run),
+                              -(-count // (10 * run)))[:count]
+        table[:run * (j < width - 1), j] = 0  # the numbers below run; 0 keeps its one digit
+    return table
+
+
 def cycle_string(perm: np.ndarray) -> str:
     """Permutation in cycle notation, fixed points omitted ('()' if identity).
 
     Cycles start at their least points, in order of least point.  Pointer
     doubling along the inverse: after k rounds ``least[f]`` is the least
     of the 2^k points up to f in its cycle and ``back[f]`` the steps from
-    it to f; once no minimum changes, each window covers its cycle.  The
-    moved points, sorted by (least, back), fill one format string.
+    it to f; once no minimum changes, each window covers its cycle.  A
+    moved point's row, at the sizes of the earlier cycles plus its ``back``,
+    holds "(" or " ", its digits, then ")" or 0 bytes, which are dropped.
     """
     perm = np.asarray(perm)
     least = np.arange(perm.size, dtype=perm.dtype)
     step, back, span = invert(perm), np.zeros_like(least), 1
-    while (better := least[step] < least).any():
-        least, back = (np.where(better, least[step], least),
-                       np.where(better, back[step] + span, back))
-        step, span = step[step], 2 * span
+    while (better := (ahead := least.take(step)) < least).any():
+        least, back = np.where(better, ahead, least), np.where(better, back.take(step) + span, back)
+        step, span = step.take(step), 2 * span
     moved = np.flatnonzero(perm != np.arange(perm.size))
-    moved = moved[np.lexsort((back[moved], least[moved]))]
+    sizes = np.bincount(first := least.take(moved), minlength=perm.size)
+    order = np.empty_like(moved)
+    order[(np.cumsum(sizes) - sizes).take(first) + back.take(moved)] = moved
     # a cycle opens at its least point and closes where perm returns to it
-    kind = (moved == least[moved]) + 2 * (perm[moved] == least[moved])
-    cells = map((" %d", "(%d", " %d)").__getitem__, kind.tolist())
-    return "".join(cells) % tuple(moved.tolist()) or "()"
+    cells = np.zeros((moved.size, len(str(perm.size - 1)) + 2), np.uint8)
+    cells[:, 0] = np.where(back.take(order) == 0, ord("("), ord(" "))
+    cells[:, 1:-1] = _digits(perm.size).take(order, axis=0)
+    cells[:, -1] = np.where(perm.take(order) == least.take(order), ord(")"), 0)
+    return cells.tobytes().replace(b"\0", b"").decode() or "()"
 
 
 def _vertex_names(count: int) -> list[str]:

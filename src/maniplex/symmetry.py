@@ -7,8 +7,9 @@ the result.  A group is stored as a few generating image tables plus the
 orbit of flag 0, one target per element.  ``aut_group`` is the one group
 search: it tries flag 0 only against the flags of its colour under colour
 refinement from the cycle lengths of the products r_i r_{i+1}, rows
-hashed to one int64 each; ``oriented.aut_plus`` builds the
-orientation-preserving subgroup from its tables.
+hashed to one int64 each, flag 0's own neighbours first, so that the
+generator report can reuse its tables; ``oriented.aut_plus`` builds the
+orientation-preserving subgroup from them.
 """
 
 from __future__ import annotations
@@ -157,16 +158,17 @@ def _group(g: FlagGraph, generators: list[np.ndarray], label: np.ndarray) -> Aut
 
 def aut_group(g: FlagGraph) -> AutGroup:
     """Compute Aut(g) by trial extension of flag 0 to the flags coloured
-    like it, skipping the orbit of flag 0 grown so far and the orbit,
-    under the subgroup found so far, of each failed target.  Each success
-    at least doubles the subgroup, so there are at most log2(F)
-    generators; the orbits are their components, the labels so far joined
-    along each new generator."""
+    like it, its neighbours first (on a regular maniplex they give the
+    rho_c) and then by index, skipping the orbit of flag 0 grown so far
+    and the orbit, under the subgroup found so far, of each failed target.
+    Each success at least doubles the subgroup, so there are at most
+    log2(F) generators; the orbits are their components, the labels so
+    far joined along each new generator."""
     colour = invariant_colours(g.adj)
-    candidates = np.flatnonzero(colour == colour[0])
     generators: list[np.ndarray] = []
     label = np.arange(g.flag_count)
-    skip = label == 0
+    skip = (label == 0) | (colour != colour[0])
+    candidates = np.concatenate([g.adj[:, 0], label])
     while (candidates := candidates[~skip[candidates]]).size:
         target = int(candidates[0])
         img = _extend(g, g, 0, target)

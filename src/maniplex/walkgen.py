@@ -5,8 +5,9 @@ colour word; applying the word to the base flag lands in the same orbit,
 so each closed walk realizes an automorphism.  Given a spanning tree, the
 closed walks through one edge left out of the tree, and those through
 one semi-edge, generate the whole group.  The tree is the depth-first
-tree from vertex 0 that tries colours in increasing order; the words
-cost time linear in their total length, whatever the orbit count.
+tree from vertex 0 that tries colours in increasing order.  The words'
+ends are read off one lift of the tree to the flags; the group search's
+own generators realize the ends they reach, on one vertex the rho_c.
 """
 
 from __future__ import annotations
@@ -42,6 +43,21 @@ def spanning_tree(t: SymmetryTypeGraph) -> dict[int, tuple[int, ...]]:
     return paths
 
 
+def _crossings(t: SymmetryTypeGraph):
+    """The tree paths, and (u, c, v) per (semi-)edge missing from the
+    tree, colour c from u, reached first, to v, in ``generating_walks``' order."""
+    paths = spanning_tree(t)
+    verts = list(paths)
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), colour)
+                   for u, v, colour in t.edges())
+    # v was reached after u, so the edge is in the tree exactly when it
+    # is the last step of the tree path to v
+    crossings = [(verts[i], colour, verts[j]) for i, j, colour in edges
+                 if paths[verts[j]][-1] != colour]
+    return paths, crossings + [(u, colour, u) for u in verts for colour in sorted(t.semi_colours(u))]
+
+
 def generating_walks(t: SymmetryTypeGraph) -> list[tuple[int, ...]]:
     """Colour words of closed walks at vertex 0, one per (semi-)edge
     missing from the spanning tree.
@@ -52,22 +68,8 @@ def generating_walks(t: SymmetryTypeGraph) -> list[tuple[int, ...]]:
     come first, ordered by (order of u, order of v, c); semi-edge walks
     follow, ordered by (order of u, c).
     """
-    paths = spanning_tree(t)
-    verts = list(paths)
-    pos = {v: i for i, v in enumerate(verts)}
-    words = []
-    edges = sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), colour)
-                   for u, v, colour in t.edges())
-    for i, j, colour in edges:
-        u, v = verts[i], verts[j]
-        # v was reached after u, so the edge is in the tree exactly when
-        # it is the last step of the tree path to v
-        if paths[v][-1] != colour:
-            words.append(paths[u] + (colour,) + paths[v][::-1])
-    for u in verts:
-        for colour in sorted(t.semi_colours(u)):
-            words.append(paths[u] + (colour,) + paths[u][::-1])
-    return words
+    paths, crossings = _crossings(t)
+    return [paths[u] + (c,) + paths[v][::-1] for u, c, v in crossings]
 
 
 @dataclass
@@ -81,29 +83,37 @@ def realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> Gener
     """Automorphisms realizing the closed walks from the base flag.
 
     The base flag is flag 0, whose orbit is vertex 0 of the quotient, so
-    the spanning tree is already rooted correctly.  Words are followed
-    once, on quotient and flags together; each target is extended once.
+    the spanning tree is already rooted correctly.  ``lift[v]`` is the
+    flag that flag 0 reaches along path(v) and ``back[x]``, x in orbit v,
+    the one x reaches along path(v) reversed, by pointer doubling of the
+    tree step; a walk through (u, c, v) ends at ``back[adj[c, lift[u]]]``.
+    Each end that none of ``a``'s generators reaches is extended once.
     """
     if a.orbit_of[0] != 0:
         raise InternalCheckError("orbit ids must start at the base flag")
-    words = generating_walks(t)
-    adj = g.adj.tolist()
-    by_target: dict[int, np.ndarray] = {}
-    autos = []
-    for word in words:
-        end = target = 0
-        for colour in word:
-            end = t.tables[colour][end]
-            target = adj[colour][target]
-        if end != 0:
-            raise InternalCheckError(f"generating walk is not closed: {word}")
-        if target not in by_target:
-            if a.orbit_of[target] != a.orbit_of[0]:
-                raise InternalCheckError("closed walk left the base orbit")
-            by_target[target] = extend_automorphism(g, 0, target)
-            if by_target[target] is None:
-                raise InternalCheckError("no automorphism realizes a closed walk word")
-        autos.append(by_target[target])
+    paths, crossings = _crossings(t)
+    lift, tree_colour = np.zeros(t.vertex_count, np.intp), np.zeros(t.vertex_count, np.intp)
+    for v, path in paths.items():  # tree order: a vertex after its parent
+        if path:
+            tree_colour[v], lift[v] = path[-1], g.adj[path[-1], lift[t.tables[path[-1]][v]]]
+    if not np.array_equal(a.orbit_of.take(lift), np.arange(t.vertex_count)):
+        raise InternalCheckError("a spanning tree step left its vertex's orbit")
+    flags = np.arange(g.flag_count)
+    back = np.where(a.orbit_of == 0, flags, g.adj[tree_colour.take(a.orbit_of), flags])
+    for _ in range((t.vertex_count - 1).bit_length()):  # 2^rounds > the tree's depth
+        back = back.take(back)
+    starts, colours, stops = np.array(crossings, np.intp).reshape(-1, 3).T
+    across = g.adj[colours, lift.take(starts)]
+    ends = back.take(across)
+    if a.orbit_of.take(ends).any() or not np.array_equal(a.orbit_of.take(across), stops):
+        raise InternalCheckError("closed walk left the base orbit")
+    by_target = {int(p[0]): p for p in a.generators}
+    for target in set(ends.tolist()) - by_target.keys():
+        by_target[target] = extend_automorphism(g, 0, target)
+        if by_target[target] is None:
+            raise InternalCheckError("no automorphism realizes a closed walk word")
+    autos = [by_target[target] for target in ends.tolist()]
+    words = [paths[u] + (c,) + paths[v][::-1] for u, c, v in crossings]
     return GeneratorSet(base_flag=0, words=words, automorphisms=autos)
 
 

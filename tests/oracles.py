@@ -21,8 +21,8 @@ from maniplex.oriented import OrientedSTG, Orientation, oriented_digraph, orient
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, _without,
                           quotient)
 from maniplex.symmetry import (_GOLDEN, AutGroup, _cycle_lengths, _extend, _group, _mix, aut_group,
-                               extend_automorphism, invariant_colours)
-from maniplex.walkgen import GeneratorSet
+                               extend_automorphism, invariant_colours, invert)
+from maniplex.walkgen import GeneratorSet, generating_walks
 
 
 # The depth-first walk that the STG check's single component_labels pass
@@ -1196,11 +1196,19 @@ def all_products_invariant_colours(tables) -> np.ndarray:
         h = colour * weights[0] + weights[1:rank + 1] @ colour[tables]
 
 
+def trial_order(g: FlagGraph) -> np.ndarray:
+    """The flags ``symmetry.aut_group`` tries flag 0 against, in order:
+    flag 0's neighbours of its invariant colour, in colour order, then
+    every flag of that colour in index order (repeats included)."""
+    colour = invariant_colours(g.adj)
+    near = [int(f) for f in g.adj[:, 0] if colour[f] == colour[0]]
+    return np.array(near + np.flatnonzero(colour == colour[0]).tolist())
+
+
 def relabel_aut_group(g: FlagGraph) -> AutGroup:
     """``symmetry.aut_group`` with the orbit labels recomputed from all
     the generators found so far after each success."""
-    colour = invariant_colours(g.adj)
-    candidates = np.flatnonzero(colour == colour[0])
+    candidates = trial_order(g)
     generators: list[np.ndarray] = []
     label = component_labels(generators, g.flag_count)
     skip = label == 0
@@ -1240,3 +1248,53 @@ def edge_pattern_three_orbit(t: SymmetryTypeGraph) -> ThreeOrbitJ | ThreeOrbitJJ
             if sorted(doubles) == [j - 1, j + 1] and len(set(single_pair) & set(double_pair)) == 1:
                 return ThreeOrbitJ(j)
     return None
+
+
+# The per-integer format of formats.cycle_string and the per-word walk of
+# walkgen.realize_generators that the digit table and the tree lift
+# replaced.
+
+
+def format_cycle_string(perm: np.ndarray) -> str:
+    """``formats.cycle_string`` with the moved points sorted by (least,
+    back) and written by one ``%`` format string, a cell per point."""
+    perm = np.asarray(perm)
+    least = np.arange(perm.size, dtype=perm.dtype)
+    step, back, span = invert(perm), np.zeros_like(least), 1
+    while (better := least[step] < least).any():
+        least, back = (np.where(better, least[step], least),
+                       np.where(better, back[step] + span, back))
+        step, span = step[step], 2 * span
+    moved = np.flatnonzero(perm != np.arange(perm.size))
+    moved = moved[np.lexsort((back[moved], least[moved]))]
+    # a cycle opens at its least point and closes where perm returns to it
+    kind = (moved == least[moved]) + 2 * (perm[moved] == least[moved])
+    cells = map((" %d", "(%d", " %d)").__getitem__, kind.tolist())
+    return "".join(cells) % tuple(moved.tolist()) or "()"
+
+
+def walk_realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> GeneratorSet:
+    """``walkgen.realize_generators`` by following each word on the
+    quotient and on the flag tables (as Python lists) together, extending
+    every distinct end flag once."""
+    if a.orbit_of[0] != 0:
+        raise InternalCheckError("orbit ids must start at the base flag")
+    words = generating_walks(t)
+    adj = g.adj.tolist()
+    by_target: dict[int, np.ndarray] = {}
+    autos = []
+    for word in words:
+        end = target = 0
+        for colour in word:
+            end = t.tables[colour][end]
+            target = adj[colour][target]
+        if end != 0:
+            raise InternalCheckError(f"generating walk is not closed: {word}")
+        if target not in by_target:
+            if a.orbit_of[target] != a.orbit_of[0]:
+                raise InternalCheckError("closed walk left the base orbit")
+            by_target[target] = extend_automorphism(g, 0, target)
+            if by_target[target] is None:
+                raise InternalCheckError("no automorphism realizes a closed walk word")
+        autos.append(by_target[target])
+    return GeneratorSet(base_flag=0, words=words, automorphisms=autos)

@@ -5,6 +5,7 @@ generator reduction, the file parse and the breadth-first tree against
 the per-flag, per-pair, tree, rank-based, per-level, per-token and
 sorting routes they replaced (kept in oracles.py)."""
 
+import dataclasses
 import random
 import warnings
 from collections import Counter
@@ -20,8 +21,8 @@ from maniplex import flag_graph, symmetry
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
 from maniplex.enumeration import enumerate_stg
-from maniplex.flag_graph import (FlagGraph, component_labels, face_maniplex, i_faces,
-                                 non_commuting, recolour_dual, validate)
+from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, face_maniplex,
+                                 i_faces, non_commuting, recolour_dual, validate)
 from maniplex.formats import (ParseError, _colour_row, cycle_string, parse_maniplex_text,
                               parse_map_text, write_maniplex_text)
 from maniplex.oriented import aut_plus, orientation, oriented_digraph
@@ -29,11 +30,13 @@ from maniplex.stg import SymmetryTypeGraph, check_all, quotient, verify_face_pro
 from maniplex.symmetry import are_isomorphic, aut_group, invariant_colours
 from maniplex.walkgen import GeneratorSet, realize_generators, reduce_generators
 from oracles import (all_products_invariant_colours, bytes_reduce_generators, components,
-                     hook_and_jump_labels, level_orientation, loop_cycle_string, loop_hypercube,
-                     loop_map_from_faces, loop_polygon, loop_simplex, loop_torus44,
+                     format_cycle_string, hook_and_jump_labels, level_orientation,
+                     loop_cycle_string, loop_hypercube, loop_map_from_faces, loop_polygon,
+                     loop_simplex, loop_torus44,
                      pair_non_commuting, random_map, rank_invariant_colours, relabel,
                      relabel_aut_group, sorted_bfs_levels, token_parse_maniplex_text,
-                     tree_search_group, walk_face_projection)
+                     trial_order, tree_search_group, walk_face_projection,
+                     walk_realize_generators)
 
 # the labels of the analyze benchmarks
 BENCHMARK_LABELS = ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6", "hypercube:5",
@@ -62,23 +65,27 @@ def test_torus44_matches_loop():
 
 
 def seeded_permutations():
+    """int32 permutations, with point counts at each digit-count
+    boundary, then an int64 array and a Python list."""
     rng = np.random.default_rng(5)
-    yield np.arange(7)
-    yield np.roll(np.arange(1000), 1)
-    yield np.roll(np.arange(1000), -1)
-    for n in (1, 2, 3, 10, 257):
-        yield rng.permutation(n)
+    yield np.arange(7, dtype=np.int32)
+    yield np.roll(np.arange(1000, dtype=np.int32), 1)
+    yield np.roll(np.arange(1000, dtype=np.int32), -1)
+    for n in (1, 2, 3, 10, 11, 100, 101, 257, 1001, 100000):
+        yield rng.permutation(n).astype(np.int32)
         # an involution with fixed points
-        inv = np.arange(n)
+        inv = np.arange(n, dtype=np.int32)
         pairs = rng.permutation(n)[: 2 * (n // 3)].reshape(-1, 2)
         inv[pairs[:, 0]], inv[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
         yield inv
+    yield rng.permutation(101).astype(np.int64)
+    yield rng.permutation(12).tolist()
 
 
 def test_cycle_string_matches_loop():
     for perm in seeded_permutations():
-        perm = perm.astype(np.int32)
-        assert cycle_string(perm) == loop_cycle_string(perm), perm
+        text = cycle_string(perm)
+        assert text == loop_cycle_string(np.asarray(perm)) == format_cycle_string(perm), perm
 
 
 def test_cycle_string_matches_loop_on_corpus_generators(corpus):
@@ -86,6 +93,37 @@ def test_cycle_string_matches_loop_on_corpus_generators(corpus):
         g, a = corpus.graph(label), corpus.aut(label)
         for perm in reduce_generators(realize_generators(g, a, corpus.stg(label))).automorphisms:
             assert cycle_string(perm) == loop_cycle_string(perm), label
+
+
+def generator_cases(corpus):
+    """(graph, group, STG) on every corpus label, prism:20, pyramid:20 and
+    torus44:5,2, a seeded relabelling of each, and the seeded random maps."""
+    graphs = [corpus.graph(label) for label in CORPUS]
+    graphs += [construction("prism:20"), construction("pyramid:20"), torus44(5, 2)]
+    rng = random.Random(11)
+    graphs += [relabel(g, rng) for g in list(graphs)]
+    graphs += list(seeded_random_maps(120))
+    for g in graphs:
+        a = aut_group(g)
+        yield g, a, quotient(g, a)
+
+
+def test_realized_generators_and_their_text_match_the_word_walk_and_the_format(corpus):
+    for g, a, t in generator_cases(corpus):
+        new, old = realize_generators(g, a, t), walk_realize_generators(g, a, t)
+        assert new.words == old.words, g
+        assert [p.tolist() for p in new.automorphisms] == [p.tolist() for p in old.automorphisms]
+        for perm in reduce_generators(new).automorphisms:
+            assert cycle_string(perm) == format_cycle_string(perm), g
+
+
+def test_a_tree_step_leaving_its_orbit_is_caught(corpus):
+    g, a, t = corpus.graph("pyramid:4"), corpus.aut("pyramid:4"), corpus.stg("pyramid:4")
+    assert a.orbit_count >= 3
+    swap = np.arange(a.orbit_count)
+    swap[[1, 2]] = 2, 1          # orbit ids still start at the base flag
+    with pytest.raises(InternalCheckError, match="spanning tree step"):
+        realize_generators(g, dataclasses.replace(a, orbit_of=swap[a.orbit_of]), t)
 
 
 def few_moved(rng, n):
@@ -178,10 +216,10 @@ def same_group(new, old):
 
 
 def check_search(g):
-    """aut_group against the tree route over the colour candidates, and
-    aut_plus against it over Aut's targets of flag 0's colour."""
-    colour = invariant_colours(g.adj)
-    a, old = aut_group(g), tree_search_group(g, np.flatnonzero(colour == colour[0]))
+    """aut_group against the tree route over the colour candidates, flag
+    0's neighbours first, and aut_plus against it over Aut's targets of
+    flag 0's colour."""
+    a, old = aut_group(g), tree_search_group(g, trial_order(g))
     same_group(a, old)
     assert [p.tolist() for p in a.generators] == [p.tolist() for p in old.generators]
     o = orientation(g)

@@ -310,6 +310,15 @@ def test_cli_write_error_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--count-only"]])
+def test_cli_enumerate_failed_csv_write_prints_nothing(tmp_path, capsys, extra):
+    # the CSV path is a directory: no count and no listing before the error
+    assert main(["enumerate", "--colors", "1", "--vertices", "1", *extra,
+                 "--csv", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {tmp_path}")
+
+
 def _analyze_payloads(monkeypatch, capsys, argvs) -> list[dict]:
     """The payload each ``analyze --json`` run hands to ``json_report``."""
     seen = []

@@ -15,7 +15,7 @@ import pytest
 from maniplex import oriented, symmetry
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, torus44
-from maniplex.flag_graph import InternalCheckError
+from maniplex.flag_graph import InternalCheckError, component_labels
 from maniplex.formats import write_maniplex_text
 from maniplex.oriented import aut_plus, orientation
 from maniplex.stg import quotient
@@ -169,3 +169,39 @@ def test_generators_on_2400_flag_random_map(tmp_path):
     assert time.perf_counter() - start < 5
     assert report["orbit_count"] == 2400 == g.flag_count
     assert report["generators"]["matches_aut"] is True
+
+
+REGULAR_EXTRA = ("simplex:6", "hypercube:5", "torus44:20,0")
+
+
+def test_regular_generators_are_the_neighbour_trials(corpus, monkeypatch):
+    # on one orbit the group's generators are the rho_c that send flag 0
+    # to its colour-c neighbour, each tried in colour order unless the
+    # group so far already reaches it; every semi-edge word ends at one of
+    # those neighbours, so the report extends none of them again
+    labels = [label for label in CORPUS if corpus.aut(label).orbit_count == 1]
+    labels += list(REGULAR_EXTRA)
+    assert len(labels) > 20 and all(corpus.aut(label).orbit_count == 1 for label in labels)
+    calls = []
+    real = symmetry._extend
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(symmetry, "_extend", counted)
+    extended = {}
+    for label in labels:
+        g, a, t = corpus.graph(label), corpus.aut(label), corpus.stg(label)
+        found = []
+        for target in g.adj[:, 0].tolist():
+            if component_labels(a.generators[:len(found)], g.flag_count)[target] != 0:
+                found.append(target)
+        assert [int(p[0]) for p in a.generators] == found, label
+        calls.clear()
+        realize_generators(g, a, t)
+        if calls:
+            extended[label] = calls[:]
+    # on the degenerate tori {4,4}_(1,0) and (0,1), rho_2 lies in the
+    # group of rho_0 and rho_1, so its word alone needs an extension
+    assert extended == {"torus44:0,1": [7], "torus44:1,0": [7]}
