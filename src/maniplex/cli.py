@@ -48,7 +48,7 @@ def _load_input(label: str) -> tuple[str, FlagGraph]:
             raise CliError(f"{label!r} is both a file and a construction label; "
                            f"./{label} selects the file", EXIT_PARSE)
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read {label}: {exc}", EXIT_PARSE) from exc
         head = text.lstrip().split(None, 1)[0] if text.strip() else ""

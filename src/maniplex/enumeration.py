@@ -16,7 +16,9 @@ sort the classes and the STG check take a level in array passes.
 Vertices are relabelled, colours never are, so the classes are
 colour-specific.  The three-vertex oriented census is the same search,
 one per dart, on the six-point double covers of the oriented quotients,
-darts and classes drawn from one ordering of the permutations.
+darts and classes drawn from one ordering of the permutations.  Its
+cross-check quotients the six-point types through the oriented di-graph
+that ``oriented_stg`` builds.
 """
 
 from __future__ import annotations
@@ -27,34 +29,15 @@ from itertools import compress, permutations
 
 import numpy as np
 
-from .flag_graph import CHUNK, InternalCheckError, quotient_tables, stack_labels
-from .oriented import OrientedSTG, stg_has_odd_closed_walk
+from .flag_graph import CHUNK, FlagGraph, InternalCheckError, quotient_tables, stack_labels
+from .oriented import Orientation, OrientedSTG, oriented_digraph, stg_has_odd_closed_walk
 from .stg import (SymmetryTypeGraph, bipartition, check_all, face_orbit_splits, stg_violations,
                   transitivity_profile)
 
 
 def involutions(k: int) -> list[tuple[int, ...]]:
-    """All involutions on 0..k-1 (partner table; fixed point = semi-edge)."""
-    out: list[tuple[int, ...]] = []
-
-    def grow(assigned: dict[int, int]) -> None:
-        free = [v for v in range(k) if v not in assigned]
-        if not free:
-            out.append(tuple(assigned[v] for v in range(k)))
-            return
-        v = free[0]
-        assigned[v] = v
-        grow(assigned)
-        del assigned[v]
-        for w in free[1:]:
-            assigned[v] = w
-            assigned[w] = v
-            grow(assigned)
-            del assigned[v]
-            del assigned[w]
-
-    grow({})
-    return out
+    """All involutions on 0..k-1 in lexicographic order; a fixed point is a semi-edge."""
+    return [p for p in permutations(range(k)) if all(p[v] == u for u, v in enumerate(p))]
 
 
 def canonical_code(t: SymmetryTypeGraph) -> bytes:
@@ -183,14 +166,14 @@ def _connected(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
                                         for part in parts])
 
 
-def _code_order(codes: np.ndarray, first_of_each: bool = False) -> list[int]:
+def _code_order(codes: np.ndarray) -> list[int]:
     """Indices of the uint8 code rows in increasing order of code.  Each
     search yields one tuple per class, so two equal rows raise
-    InternalCheckError, unless ``first_of_each`` asks to keep the first."""
+    InternalCheckError."""
     first: dict[bytes, int] = {}
     for i, row in enumerate(codes):
         code = row.tobytes()
-        if first.setdefault(code, i) != i and not first_of_each:
+        if first.setdefault(code, i) != i:
             raise InternalCheckError(f"the census met class {code.hex()} twice")
     return [first[code] for code in sorted(first)]
 
@@ -225,6 +208,8 @@ def census(n_colours: int, k: int, filters=(),
            fixed_point_free: bool = False) -> tuple[list[SymmetryTypeGraph], np.ndarray]:
     """``enumerate_stg``'s classes, and their tables as one uint8 stack
     (classes, colours, k), which the check and the CSV read."""
+    if k > 5:
+        warnings.warn(f"enumeration over {k} vertices may be slow", stacklevel=2)
     return _census((n_colours,), k, filters, fixed_point_free)[n_colours]
 
 
@@ -233,8 +218,6 @@ def _census(counts, k: int, filters=(), fixed_point_free: bool = False) -> dict:
     level of a single search over max(counts) colours."""
     if min(counts) < 1 or k < 1:
         raise ValueError("need at least one colour and one vertex")
-    if k > 5:
-        warnings.warn(f"enumeration over {k} vertices may be slow", stacklevel=3)
     choices = involutions(k)
     if fixed_point_free:
         choices = [m for m in choices if all(m[v] != v for v in range(k))]
@@ -335,7 +318,7 @@ def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
     class; the dart's stabiliser fixes both, so they pass the orderly test."""
     k = _K
     rots = sorted(permutations(range(k)), key=_dart_order)
-    undirected = [t for t in rots if all(t[v] == u for u, v in enumerate(t))]
+    undirected = sorted(involutions(k), key=_dart_order)
     classes = [_lift(t, t) for t in undirected]
     top = _lift(range(k), range(k))
     # a relabelling p acts diagonally on black and white points; reversing
@@ -380,28 +363,26 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
     """Cross-check route: quotient 2k-vertex semi-edge-free types, k = ``_K``.
 
     Enumerates admissible 2k-vertex types without semi-edges or odd
-    cycles and quotients each by its top-colour pairs, and deduplicates.
-    The classes t_i, i <= n-3, commute with the top colour, so both
-    points of a pair reach the same pair.  The dart of a pair is read
-    from its point on vertex 0's side of the bipartition: r_{n-2} after
-    r_{n-1} there, which is r_{n-2} at the other point.  Exponential in
-    n_colours; a cross-check for small colour counts.
+    cycles and reads each as a flag graph oriented by its census sides,
+    vertex 0 black.  Its oriented di-graph, the one ``oriented_stg``
+    builds, is quotiented by the top-colour pairs, each named by its
+    least point, and the types are deduplicated, the first of each kept.
+    Exponential in n_colours; a cross-check for small colour counts.
     """
-    n, points = n_colours, 2 * _K
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        # no odd closed walks rules out semi-edges from the start
-        covers = enumerate_stg(n, points, filters=(lambda t: not stg_has_odd_closed_walk(t),),
-                               fixed_point_free=True)
+    n = n_colours
+    # no odd closed walks rules out semi-edges from the start
+    covers, _ = _census((n,), 2 * _K, (lambda t: not stg_has_odd_closed_walk(t),), True)[n]
     found = []
     for t in covers:
-        m = np.array(t.tables)
-        black = np.array(bipartition(t)) == 0
-        rot = np.where(black, m[n - 2][m[n - 1]], m[n - 2])
-        *tables, dart = quotient_tables(np.vstack([m[:n - 2], rot]),
-                                        np.minimum(np.arange(points), m[n - 1]))
+        g, o = FlagGraph(t.tables), Orientation(np.array(bipartition(t), np.int8))
+        black = o.black_flags
+        *tables, dart = quotient_tables(oriented_digraph(g, o).adj[:-1],
+                                        np.minimum(black, g.adj[-1, black]))
         found.append(OrientedSTG(tables=tuple(tables), dart=dart))
-    return [found[i] for i in _code_order(_oriented_codes(found), first_of_each=True)]
+    first: dict[bytes, OrientedSTG] = {}
+    for code, ot in zip(_oriented_codes(found), found):
+        first.setdefault(code.tobytes(), ot)
+    return [first[code] for code in sorted(first)]
 
 
 # ---------------------------------------------------------------------------

@@ -91,9 +91,10 @@ def invariant_colours(tables) -> np.ndarray:
     class count stops growing.  On a maniplex, each table and each product
     at distance >= 2 is a fixed-point-free involution: its column would be
     constant.  Rows are hashed to one int64 as in Weisfeiler-Lehman
-    hashing: weighted per column, summed and mixed.  A collision only
-    merges classes, adding candidates that fail to extend.  Two graphs
-    coloured in one call, on their disjoint union, get comparable colours."""
+    hashing: weighted per column, summed a column at a time (no (rank, F)
+    array) and mixed.  A collision only merges classes, adding candidates
+    that fail to extend.  Two graphs coloured in one call, on their
+    disjoint union, get comparable colours."""
     tables = np.asarray(tables)
     rank = len(tables)
     weights = _mix(np.arange(1, 2 * rank + 1, dtype=np.int64) * _GOLDEN)
@@ -108,7 +109,9 @@ def invariant_colours(tables) -> np.ndarray:
         if grown == classes:
             return colour
         classes = grown
-        h = colour * weights[0] + weights[1:rank + 1] @ colour.take(tables)
+        h = colour * weights[0]
+        for w, table in zip(weights[1:rank + 1], tables):
+            h += w * colour.take(table)
 
 
 @dataclass

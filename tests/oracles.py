@@ -13,13 +13,14 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from maniplex.constructions import MapError, MapSpec, _face_slots
-from maniplex.enumeration import _bitmasks, _images, involutions
+from maniplex.enumeration import _bitmasks, _census, _images, _oriented_codes, involutions
 from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, face_component,
-                                 face_maniplex, i_faces, validate)
+                                 face_maniplex, i_faces, quotient_tables, validate)
 from maniplex.formats import PALETTE, ParseError, _content_lines, _header_fields
-from maniplex.oriented import OrientedSTG, Orientation, oriented_digraph, orientation
+from maniplex.oriented import (OrientedSTG, Orientation, oriented_digraph, orientation,
+                               stg_has_odd_closed_walk)
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, _without,
-                          quotient)
+                          bipartition, quotient)
 from maniplex.symmetry import (_GOLDEN, AutGroup, _cycle_lengths, _extend, _group, _mix, aut_group,
                                extend_automorphism, invariant_colours, invert)
 from maniplex.walkgen import GeneratorSet, generating_walks
@@ -576,6 +577,58 @@ def hand_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
 
             place(0, [])
     return [found[code] for code in sorted(found)]
+
+
+def hand_quotient_route(n_colours: int) -> list[OrientedSTG]:
+    """``enumeration.oriented_stg3_via_quotient`` with the dart read by a
+    hand formula on the six-point covers instead of from the oriented
+    di-graph.  Each cover is quotiented by its top-colour pairs; the
+    classes t_i, i <= n-3, commute with the top colour, so both points of
+    a pair reach the same pair.  The dart of a pair is read from its point
+    on vertex 0's side of the bipartition: r_{n-2} after r_{n-1} there,
+    which is r_{n-2} at the other point.  The first cover of each oriented
+    code is kept, in order of code."""
+    n, points = n_colours, 6
+    covers, _ = _census((n,), points, (lambda t: not stg_has_odd_closed_walk(t),), True)[n]
+    found: dict[bytes, OrientedSTG] = {}
+    for t in covers:
+        m = np.array(t.tables)
+        black = np.array(bipartition(t)) == 0
+        rot = np.where(black, m[n - 2][m[n - 1]], m[n - 2])
+        *tables, dart = quotient_tables(np.vstack([m[:n - 2], rot]),
+                                        np.minimum(np.arange(points), m[n - 1]))
+        ot = OrientedSTG(tables=tuple(tables), dart=dart)
+        found.setdefault(_oriented_codes([ot])[0].tobytes(), ot)
+    return [found[code] for code in sorted(found)]
+
+
+# The recursion that enumeration.involutions' filter over the permutations
+# replaced: it fixes the least free point, then pairs it with each larger
+# free point in turn, so it too lists the involutions in lexicographic order.
+
+
+def recursive_involutions(k: int) -> list[tuple[int, ...]]:
+    """All involutions on 0..k-1, one recursion step per point placed."""
+    out: list[tuple[int, ...]] = []
+
+    def grow(assigned: dict[int, int]) -> None:
+        free = [v for v in range(k) if v not in assigned]
+        if not free:
+            out.append(tuple(assigned[v] for v in range(k)))
+            return
+        v = free[0]
+        assigned[v] = v
+        grow(assigned)
+        del assigned[v]
+        for w in free[1:]:
+            assigned[v] = w
+            assigned[w] = v
+            grow(assigned)
+            del assigned[v]
+            del assigned[w]
+
+    grow({})
+    return out
 
 
 # The recursive orderly search that the level-at-a-time one replaced: one
@@ -1194,6 +1247,27 @@ def all_products_invariant_colours(tables) -> np.ndarray:
             return colour
         classes = grown
         h = colour * weights[0] + weights[1:rank + 1] @ colour[tables]
+
+
+def matmul_invariant_colours(tables) -> np.ndarray:
+    """``symmetry.invariant_colours`` with each refinement row summed in
+    one product of the weights and a (rank, F) array of the neighbours'
+    colours, as it was before the sum went a column at a time."""
+    tables = np.asarray(tables)
+    rank = len(tables)
+    weights = _mix(np.arange(1, 2 * rank + 1, dtype=np.int64) * _GOLDEN)
+    h = np.zeros(tables.shape[1], dtype=np.int64)
+    for i, w in enumerate(weights[rank + 1:]):
+        h += _cycle_lengths(tables[i].take(tables[i + 1])) * w
+    classes = 0
+    while True:
+        colour = _mix(h)
+        ordered = np.sort(colour)
+        grown = int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
+        if grown == classes:
+            return colour
+        classes = grown
+        h = colour * weights[0] + weights[1:rank + 1] @ colour.take(tables)
 
 
 def trial_order(g: FlagGraph) -> np.ndarray:

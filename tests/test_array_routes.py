@@ -32,7 +32,7 @@ from maniplex.walkgen import GeneratorSet, realize_generators, reduce_generators
 from oracles import (all_products_invariant_colours, bytes_reduce_generators, components,
                      format_cycle_string, hook_and_jump_labels, level_orientation,
                      loop_cycle_string, loop_hypercube, loop_map_from_faces, loop_polygon,
-                     loop_simplex, loop_torus44,
+                     loop_simplex, loop_torus44, matmul_invariant_colours,
                      pair_non_commuting, random_map, rank_invariant_colours, relabel,
                      relabel_aut_group, sorted_bfs_levels, token_parse_maniplex_text,
                      trial_order, tree_search_group, walk_face_projection,
@@ -398,6 +398,19 @@ def test_hashed_colours_give_the_rank_partition(corpus):
     g, h = graphs[-2:]
     union = np.concatenate([g.adj, h.adj + g.flag_count], axis=1)
     assert same_partition(invariant_colours(union), rank_invariant_colours(union))
+
+
+def test_column_sums_give_the_matmul_colours(corpus):
+    # int64 sums wrap alike in any order, so the colours are equal, not
+    # merely the same partition
+    graphs = [corpus.graph(label) for label in CORPUS]
+    graphs += [construction(label) for label in BENCHMARK_LABELS + ("hypercube:6",)]
+    graphs += list(seeded_random_maps(600))
+    for g in graphs:
+        assert np.array_equal(invariant_colours(g.adj), matmul_invariant_colours(g.adj)), g
+    g, h = graphs[-2:]
+    union = np.concatenate([g.adj, h.adj + g.flag_count], axis=1)
+    assert np.array_equal(invariant_colours(union), matmul_invariant_colours(union))
 
 
 COLOURINGS = {

@@ -1,3 +1,4 @@
+import inspect
 import random
 import warnings
 from itertools import permutations
@@ -17,13 +18,20 @@ from maniplex.formats import slot_text
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit,
                           class_labels, classify, is_admissible, transitivity_profile)
 from oracles import (commute_defect, component, exhaustive_stg, hand_oriented_stg3,
-                     loop_least_code, min_code, oriented_min_code, recursive_commuting_tuples,
-                     stg_from_slots)
+                     hand_quotient_route, loop_least_code, min_code, oriented_min_code,
+                     recursive_commuting_tuples, recursive_involutions, stg_from_slots)
 
 
 def test_involution_counts():
     # 1, 2, 4, 10, 26 involutions on 1..5 points
     assert [len(involutions(k)) for k in range(1, 6)] == [1, 2, 4, 10, 26]
+
+
+def test_involutions_match_the_recursion_in_increasing_order():
+    for k in range(1, 9):
+        found = involutions(k)
+        assert found == recursive_involutions(k), k
+        assert all(a < b for a, b in zip(found, found[1:])), k
 
 
 def test_one_vertex_count():
@@ -141,10 +149,18 @@ def test_oriented_small_rank_specials_present():
 
 
 def test_oriented_direct_route_matches_quotient_route():
-    for n in range(4, 9):
+    # every colour count verify_census reports
+    for n in range(4, 11):
         direct = [oriented_canonical_code(ot) for ot in enumerate_oriented_stg3(n)]
         via = [oriented_canonical_code(ot) for ot in oriented_stg3_via_quotient(n)]
         assert direct == via, n
+
+
+def test_quotient_route_matches_the_hand_formula():
+    # the oriented di-graph on the census's sides gives the quotients the
+    # hand-read dart gave: the same representatives in the same order
+    for n in range(4, 11):
+        assert oriented_stg3_via_quotient(n) == hand_quotient_route(n), n
 
 
 def test_oriented_census_matches_hand_derived_search():
@@ -305,6 +321,21 @@ def test_large_vertex_count_warns():
     assert graphs == []  # one matching cannot connect six vertices
 
 
+def test_large_vertex_count_warns_at_the_calling_line():
+    with pytest.warns(UserWarning, match="may be slow") as record:
+        line = inspect.currentframe().f_lineno + 1
+        graphs, _ = census(1, 6)
+    assert graphs == []
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+
+
+def test_code_order_raises_on_a_repeated_row():
+    codes = np.array([[1, 2], [0, 3], [1, 2]], np.uint8)
+    assert enumeration._code_order(codes[:2]) == [1, 0]
+    with pytest.raises(InternalCheckError, match="twice"):
+        enumeration._code_order(codes)
+
+
 def test_degenerate_parameters():
     assert len(enumerate_stg(1, 1)) == 1
     assert len(enumerate_stg(1, 2)) == 1  # a single edge
@@ -313,7 +344,11 @@ def test_degenerate_parameters():
 
 
 def test_census_report_all_green():
-    report = verify_census()
+    # the report and its cross-check route raise no warning at all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_census()
+        assert oriented_stg3_via_quotient(4)
     failed = [str(check) for check in report if not check.passed]
     assert failed == []
 

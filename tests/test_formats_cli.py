@@ -139,6 +139,22 @@ def test_cli_analyze_map_file(tmp_path, capsys):
     assert "flags: 24" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, text", [
+    ("tetra.map", "map vertices=4\n0 1 2\n0 3 1\n1 3 2\n2 3 0\n"),
+    ("digon.mnpx", "maniplex rank=2 flags=4\nr0: 1 0 3 2\nr1: 3 2 1 0\n"),
+], ids=["map", "mnpx"])
+def test_cli_reads_a_file_with_a_byte_order_mark(tmp_path, capsys, name, text):
+    # an editor may save UTF-8 with a BOM; the report is the one without
+    reports = []
+    for folder, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / folder / name
+        path.parent.mkdir()
+        path.write_bytes(prefix + text.encode())
+        assert main(["analyze", str(path), "--json", "--oriented"]) == 0, folder
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("image", ["4294967296", "9" * 19, "9" * 25])
 def test_cli_oversized_flag_index_exits_2(tmp_path, capsys, image):
     path = tmp_path / "big.mnpx"
