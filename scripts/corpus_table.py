@@ -20,17 +20,17 @@ def main() -> None:
     for label in CORPUS:
         g = construction(label)
         a = aut_group(g)
-        t = quotient(g, a)
+        t = quotient(a)
         cls = classify(t).label()
         broken = ",".join(map(str, sorted(transitivity_profile(t)))) or "-"
         o = orientation(g)
         if o is None:
             orient, plus, chiral = "no", "-", "-"
         else:
-            ap = aut_plus(g, o)
+            ap = aut_plus(a, o)
             orient = "yes"
             plus = str(ap.order)
-            chiral = "yes" if is_chiral_a_la_conway(g, o, aut=a, a_plus=ap, stg=t) else "no"
+            chiral = "yes" if is_chiral_a_la_conway(a, ap, t) else "no"
         print(f"{label:<14} {g.flag_count:>5} {a.order:>5} {a.orbit_count:>2} "
               f"{cls:<22} {broken:<9} {orient:<6} {plus:>6} {chiral}")
 

@@ -81,7 +81,7 @@ def cmd_analyze(args) -> int:
         return EXIT_VALIDATE
 
     aut = aut_group(g)
-    t = quotient(g, aut)
+    t = quotient(aut)
     payload: dict = {
         "input": name,
         "rank": g.rank,
@@ -94,7 +94,7 @@ def cmd_analyze(args) -> int:
     }
 
     if args.generators:
-        gens = reduce_generators(realize_generators(g, aut, t))
+        gens = reduce_generators(realize_generators(aut, t))
         if not generates_full_group(gens, aut):
             raise InternalCheckError("generator closure does not match the automorphism group")
         payload["generators"] = {
@@ -110,16 +110,16 @@ def cmd_analyze(args) -> int:
         if o is None:
             payload["oriented"] = {"orientable": False}
         else:
-            ap = aut_plus(g, o, aut=aut)
+            ap = aut_plus(aut, o)
             block: dict = {
                 "orientable": True,
                 "aut_plus_order": ap.order,
                 "index": aut.order // ap.order,
-                "chiral_a_la_conway": is_chiral_a_la_conway(g, o, aut=aut, a_plus=ap, stg=t),
+                "chiral_a_la_conway": is_chiral_a_la_conway(aut, ap, t),
                 "black_orbit_count": black_orbit_count(ap, o),
             }
             if g.rank >= 2:
-                ot = oriented_stg(g, o, a_plus=ap)
+                ot = oriented_stg(ap, o)
                 block["class"] = classify_oriented(ot).label()
                 block["stg"] = {"vertices": ot.vertex_count, "undirected": ot.undirected,
                                 "dart": ot.dart}
@@ -127,7 +127,7 @@ def cmd_analyze(args) -> int:
 
     if args.dot:
         out = Path(args.dot)
-        _write(out, formats.stg_to_dot(t, name="stg"))
+        _write(out, formats.stg_to_dot(t))
         if ot is not None:
             extra = out.with_name(out.stem + ".oriented" + (out.suffix or ".dot"))
             _write(extra, formats.oriented_stg_to_dot(ot))

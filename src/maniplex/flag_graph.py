@@ -34,9 +34,9 @@ class InternalCheckError(AssertionError):
 
 
 def component_labels(tables, count: int) -> np.ndarray:
-    """The least point of each point's component along the tables
-    (permutations of ``count`` points, each point joined to its image),
-    as int32: ``_hook`` from every point its own root."""
+    """The least point of each point's component along the tables, as
+    int32: ``_hook`` from every point its own root.  The tables permute
+    ``count`` points, each joined to its image; see ``_hook`` on inverses."""
     return _hook(tables, np.arange(count)).astype(np.int32)
 
 
@@ -49,7 +49,9 @@ def _hook(tables, label: np.ndarray) -> np.ndarray:
     point's least label one step along a table (a ``take`` per table),
     then jumps pointers until each points at a root.  Pointers only
     decrease, and a tree that permutations map into itself is a union of
-    components, so a round that changes nothing leaves their least points."""
+    components, so a round that changes nothing leaves their least points.
+    A root looks forward only: the rounds are logarithmic in number only
+    when each table's inverse, an involution's being itself, is a table."""
     while True:
         low, root = label, label.copy()
         for m in tables:

@@ -131,8 +131,8 @@ def write_map_text(spec: MapSpec) -> str:
 # DOT
 
 
-def stg_to_dot(t: SymmetryTypeGraph, name: str = "stg") -> str:
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+def stg_to_dot(t: SymmetryTypeGraph) -> str:
+    lines = ["graph stg {", "  node [shape=circle];"]
     for u in range(t.vertex_count):
         lines.append(f'  v{u} [label="{u}"];')
     for u, v, colour in t.edges():
@@ -147,8 +147,8 @@ def stg_to_dot(t: SymmetryTypeGraph, name: str = "stg") -> str:
     return "\n".join(lines) + "\n"
 
 
-def oriented_stg_to_dot(ot: OrientedSTG, name: str = "oriented_stg") -> str:
-    lines = [f"digraph {name} {{", "  node [shape=circle];"]
+def oriented_stg_to_dot(ot: OrientedSTG) -> str:
+    lines = ["digraph oriented_stg {", "  node [shape=circle];"]
     for u in range(ot.vertex_count):
         lines.append(f'  v{u} [label="{u}"];')
     for u, row in enumerate(ot.undirected):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flag_graph import FlagGraph, InternalCheckError, component_labels, quotient_tables
-from .stg import SymmetryTypeGraph, bipartition, quotient, slot_rows
-from .symmetry import AutGroup, _group, aut_group, invert
+from .stg import SymmetryTypeGraph, bipartition, slot_rows
+from .symmetry import AutGroup, _both_ways, _group, invert
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ def oriented_digraph(g: FlagGraph, o: Orientation) -> FlagGraph:
     return FlagGraph(np.vstack([moves, invert(moves[-1])]))
 
 
-def aut_plus(g: FlagGraph, o: Orientation, aut: AutGroup | None = None) -> AutGroup:
-    """Orientation-preserving subgroup Aut+, with its own orbit partition.
+def aut_plus(aut: AutGroup, o: Orientation) -> AutGroup:
+    """Orientation-preserving subgroup Aut+ of ``aut``, with its own orbit partition.
 
     An automorphism keeps the parts when it keeps flag 0's part, so Aut+
     is Aut or of index 2, generated by Schreier's lemma with the
@@ -72,17 +72,17 @@ def aut_plus(g: FlagGraph, o: Orientation, aut: AutGroup | None = None) -> AutGr
     (Seress, Permutation Group Algorithms, 2003).  The action is free,
     so flag 0's image names each product: the identity (p s^-1 at p = s)
     and repeats are left out.  2 |Aut+| = |Aut| is checked."""
-    full = aut_group(g) if aut is None else aut
-    swaps = [o.colour_of[p[0]] != o.colour_of[0] for p in full.generators]
+    swaps = [o.colour_of[p[0]] != o.colour_of[0] for p in aut.generators]
     if not any(swaps):
-        return full
-    s = full.generators[swaps.index(True)]
+        return aut
+    s = aut.generators[swaps.index(True)]
     s_inv = invert(s)
-    generators = list({int(q[0]): q for p, swap in zip(full.generators, swaps)
+    generators = list({int(q[0]): q for p, swap in zip(aut.generators, swaps)
                        for q in ((p[s_inv], s[p]) if swap else (p, s[p[s_inv]])) if q[0]}.values())
-    plus = _group(g, generators, component_labels(generators, g.flag_count))
-    if 2 * plus.order != full.order:
-        raise InternalCheckError(f"|Aut+| = {plus.order} is not half of |Aut| = {full.order}")
+    label = component_labels(_both_ways(generators), aut.graph.flag_count)
+    plus = _group(aut.graph, generators, label)
+    if 2 * plus.order != aut.order:
+        raise InternalCheckError(f"|Aut+| = {plus.order} is not half of |Aut| = {aut.order}")
     return plus
 
 
@@ -100,18 +100,13 @@ def stg_has_odd_closed_walk(t: SymmetryTypeGraph) -> bool:
     return bipartition(t) is None
 
 
-def is_chiral_a_la_conway(g: FlagGraph, o: Orientation, aut: AutGroup | None = None,
-                          a_plus: AutGroup | None = None,
-                          stg: SymmetryTypeGraph | None = None) -> bool:
+def is_chiral_a_la_conway(aut: AutGroup, a_plus: AutGroup, stg: SymmetryTypeGraph) -> bool:
     """True when every automorphism preserves the parts.
 
     Computed group-theoretically (Aut+ = Aut) and cross-checked against
     the quotient-graph test (no odd closed walks); a mismatch raises
     InternalCheckError.
     """
-    aut = aut_group(g) if aut is None else aut
-    a_plus = aut_plus(g, o, aut=aut) if a_plus is None else a_plus
-    stg = quotient(g, aut) if stg is None else stg
     group_test = a_plus.order == aut.order
     graph_test = not stg_has_odd_closed_walk(stg)
     if group_test != graph_test:
@@ -153,11 +148,10 @@ class OrientedSTG:
         return frozenset(out)
 
 
-def oriented_stg(g: FlagGraph, o: Orientation, a_plus: AutGroup | None = None) -> OrientedSTG:
+def oriented_stg(a_plus: AutGroup, o: Orientation) -> OrientedSTG:
     """Quotient the oriented di-graph's t_0..t_{n-3} and rot by the Aut+
     orbits of black flags, numbered in order of orbit id."""
-    d = oriented_digraph(g, o)
-    a_plus = aut_plus(g, o) if a_plus is None else a_plus
+    d = oriented_digraph(a_plus.graph, o)
     *tables, dart = quotient_tables(d.adj[:-1], a_plus.orbit_of[o.black_flags])
     return OrientedSTG(tables=tuple(tables), dart=dart)
 

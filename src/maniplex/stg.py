@@ -167,10 +167,10 @@ def is_admissible(t: SymmetryTypeGraph) -> bool:
     return not stg_violations(t)
 
 
-def quotient(g: FlagGraph, a: AutGroup) -> SymmetryTypeGraph:
+def quotient(a: AutGroup) -> SymmetryTypeGraph:
     """Symmetry type graph: one vertex per flag orbit, numbered like the
     orbits; Aut commutes with every colour, so orbits map to orbits."""
-    t = SymmetryTypeGraph(quotient_tables(g.adj, a.orbit_of))
+    t = SymmetryTypeGraph(quotient_tables(a.graph.adj, a.orbit_of))
     if problems := stg_violations(t):
         raise InternalCheckError(f"quotient broke pregraph invariants: {problems}")
     return t
@@ -296,9 +296,8 @@ def class_labels(graphs) -> list[str]:
             or found.setdefault(key, classify(t).label()) for t in graphs]
 
 
-def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None = None,
-                           stg: SymmetryTypeGraph | None = None) -> bool:
-    """Check the face-quotient projection property for one i-face.
+def verify_face_projection(aut: AutGroup, stg: SymmetryTypeGraph, i: int, face: int) -> bool:
+    """Check the face-quotient projection property for one i-face of ``aut.graph``.
 
     The orbits meeting the face form one component C of the colour-i
     deleted quotient.  Mapping each such orbit to the orbit of its
@@ -312,11 +311,10 @@ def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None
     the face's flags are those whose label a flag of the structure has.
     ValueError when ``stg`` and ``aut`` differ in orbit count.
     """
-    aut = aut_group(g) if aut is None else aut
-    stg = quotient(g, aut) if stg is None else stg
     if stg.vertex_count != aut.orbit_count:
         raise ValueError(f"the symmetry type graph's vertex count {stg.vertex_count} "
                          f"is not the group's orbit count {aut.orbit_count}")
+    g = aut.graph
     comp = face_component(g, i, face)
     sub = FlagGraph(np.searchsorted(comp, g.adj[:i, comp]))
     sub_aut = aut_group(sub)
@@ -336,7 +334,7 @@ def verify_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None
         return False
     if np.count_nonzero(np.bincount(image)) != sub_aut.orbit_count:
         return False
-    down, tables = np.array(quotient(sub, sub_aut).tables), np.array(stg.tables)
+    down, tables = np.array(quotient(sub_aut).tables), np.array(stg.tables)
     vertices = np.flatnonzero(pi >= 0)
     return (np.array_equal(down[:, pi[vertices]], pi[tables[:i, vertices]])
             and bool((pi[tables[i + 1:, vertices]] == pi[vertices]).all()))

@@ -27,6 +27,11 @@ def invert(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _both_ways(autos) -> list[np.ndarray]:
+    """``autos`` and the inverse of each that is no involution (p[p[0]] != 0, Aut being free)."""
+    return [q for p in autos for q in ((p,) if p[p[0]] == 0 else (p, invert(p)))]
+
+
 def _extend(g1: FlagGraph, g2: FlagGraph, source: int, target: int):
     """The unique colour-preserving map g1 -> g2 sending source to target.
 
@@ -179,7 +184,7 @@ def aut_group(g: FlagGraph) -> AutGroup:
             skip |= label == label[target]
             continue
         generators.append(img)
-        label = _hook([img], label)
+        label = _hook(_both_ways([img]), label)
         skip |= label == 0
     return _group(g, generators, label)
 

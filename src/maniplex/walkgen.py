@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError, component_labels
+from .flag_graph import InternalCheckError, component_labels
 from .stg import SymmetryTypeGraph
-from .symmetry import AutGroup, extend_automorphism
+from .symmetry import AutGroup, _both_ways, extend_automorphism
 
 
 def spanning_tree(t: SymmetryTypeGraph) -> dict[int, tuple[int, ...]]:
@@ -79,8 +79,8 @@ class GeneratorSet:
     automorphisms: list[np.ndarray]
 
 
-def realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> GeneratorSet:
-    """Automorphisms realizing the closed walks from the base flag.
+def realize_generators(a: AutGroup, t: SymmetryTypeGraph) -> GeneratorSet:
+    """Automorphisms of ``a.graph`` realizing the closed walks from the base flag.
 
     The base flag is flag 0, whose orbit is vertex 0 of the quotient, so
     the spanning tree is already rooted correctly.  ``lift[v]`` is the
@@ -91,6 +91,7 @@ def realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> Gener
     """
     if a.orbit_of[0] != 0:
         raise InternalCheckError("orbit ids must start at the base flag")
+    g = a.graph
     paths, crossings = _crossings(t)
     lift, tree_colour = np.zeros(t.vertex_count, np.intp), np.zeros(t.vertex_count, np.intp)
     for v, path in paths.items():  # tree order: a vertex after its parent
@@ -141,5 +142,5 @@ def generates_full_group(s: GeneratorSet, a: AutGroup) -> bool:
     they generate has as many elements as that orbit has flags; equal
     orbits therefore mean equal groups.
     """
-    label = component_labels(s.automorphisms, a.orbit_of.size)
+    label = component_labels(_both_ways(s.automorphisms), a.orbit_of.size)
     return np.array_equal(np.flatnonzero(label == 0), a.targets)

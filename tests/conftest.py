@@ -31,7 +31,7 @@ class CorpusCache:
 
     def stg(self, label):
         if label not in self._stgs:
-            self._stgs[label] = quotient(self.graph(label), self.aut(label))
+            self._stgs[label] = quotient(self.aut(label))
         return self._stgs[label]
 
 

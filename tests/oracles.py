@@ -1107,7 +1107,7 @@ def walk_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None =
     search over the colours above i from each face flag to the face's
     rank-i component, and the orbit map as a dict."""
     aut = aut_group(g) if aut is None else aut
-    stg = quotient(g, aut) if stg is None else stg
+    stg = quotient(aut) if stg is None else stg
     face_flags = i_faces(g, i).flags_of(face)
     comp = face_component(g, i, face)
     local = {int(f): t for t, f in enumerate(comp)}
@@ -1142,7 +1142,7 @@ def walk_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None =
         return False
     if set(pi.values()) != set(range(sub_aut.orbit_count)):
         return False
-    sub_stg = quotient(sub, sub_aut)
+    sub_stg = quotient(sub_aut)
     for u in component_vertices:
         for j in range(g.rank):
             if j == i:

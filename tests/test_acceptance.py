@@ -86,10 +86,10 @@ def test_criterion_5_theorem_checks():
 def test_criterion_6_generator_theorem(corpus):
     for label in CORPUS:
         g, a, t = corpus.graph(label), corpus.aut(label), corpus.stg(label)
-        assert generates_full_group(realize_generators(g, a, t), a), label
+        assert generates_full_group(realize_generators(a, t), a), label
     g, a, t = (corpus.graph("cuboctahedron"), corpus.aut("cuboctahedron"),
                corpus.stg("cuboctahedron"))
-    s = realize_generators(g, a, t)
+    s = realize_generators(a, t)
     assert s.words == [(0,), (1,), (2, 0, 2), (2, 1, 2)]
     red = reduce_generators(s)
     assert len(closure(red.automorphisms, g.flag_count)) == 48
@@ -101,16 +101,15 @@ def test_criterion_7_oriented_suite(corpus):
     g = corpus.graph("torus44:1,2")
     o = orientation(g)
     assert o is not None
-    ap = aut_plus(g, o)
-    assert is_chiral_a_la_conway(g, o, aut=corpus.aut("torus44:1,2"),
-                                 a_plus=ap, stg=corpus.stg("torus44:1,2"))
+    ap = aut_plus(corpus.aut("torus44:1,2"), o)
+    assert is_chiral_a_la_conway(corpus.aut("torus44:1,2"), ap, corpus.stg("torus44:1,2"))
     assert ap.order == 20
-    assert classify_oriented(oriented_stg(g, o, a_plus=ap)) == Rotary()
+    assert classify_oriented(oriented_stg(ap, o)) == Rotary()
 
     for label in ("cube", "cuboctahedron"):
         g = corpus.graph(label)
         o = orientation(g)
-        ap = aut_plus(g, o)
+        ap = aut_plus(corpus.aut(label), o)
         assert corpus.aut(label).order // ap.order == 2, label
 
     for label in CORPUS:
@@ -119,7 +118,7 @@ def test_criterion_7_oriented_suite(corpus):
         if o is None:
             continue
         t = corpus.stg(label)
-        ap = aut_plus(g, o, aut=corpus.aut(label))
+        ap = aut_plus(corpus.aut(label), o)
         same = black_orbit_count(ap, o) == t.vertex_count
         assert same == stg_has_odd_closed_walk(t), label
     print("criterion 7 PASS: chiral torus; index-2 cube/cuboctahedron; "
@@ -164,6 +163,6 @@ def test_criterion_9_property_suite(corpus):
         for i in range(1, g.rank):
             part = i_faces(g, i)
             for face in range(part.face_count):
-                assert verify_face_projection(g, i, face, aut=a, stg=t), (label, i, face)
+                assert verify_face_projection(a, t, i, face), (label, i, face)
     print("criterion 9 PASS: orbit-word lemma, quotient admissibility, "
           "and face projections hold with zero violations")

@@ -242,7 +242,7 @@ def test_cli_closure_order_matches_closure(capsys):
         report = json.loads(capsys.readouterr().out)
         g = construction(label)
         a = aut_group(g)
-        gens = reduce_generators(realize_generators(g, a, quotient(g, a)))
+        gens = reduce_generators(realize_generators(a, quotient(a)))
         assert report["generators"]["closure_order"] == len(
             closure(gens.automorphisms, g.flag_count)), label
 
@@ -280,7 +280,7 @@ def test_cli_generators_of_a_proper_subgroup_exit_internal(monkeypatch, capsys):
 
     g = cube()
     a = aut_group(g)
-    fewer = drop_last(realize_generators(g, a, quotient(g, a)))
+    fewer = drop_last(realize_generators(a, quotient(a)))
     assert not generates_full_group(fewer, a)
     monkeypatch.setattr(cli, "reduce_generators", drop_last)
     for form in ([], ["--json"]):

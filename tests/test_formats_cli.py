@@ -70,7 +70,7 @@ def test_cycle_string():
 
 def test_dot_export_mentions_semi_edges():
     g = cuboctahedron()
-    dot = stg_to_dot(quotient(g, aut_group(g)))
+    dot = stg_to_dot(quotient(aut_group(g)))
     assert "semi" in dot and "style=dashed" in dot
     assert 'label="2"' in dot
 
@@ -391,14 +391,16 @@ import contextlib, io, sys
 from maniplex.cli import main
 from maniplex.constructions import construction
 from maniplex.enumeration import verify_census
-from maniplex.stg import verify_face_projection
+from maniplex.stg import quotient, verify_face_projection
+from maniplex.symmetry import aut_group
 
 steps = {
     "analyze": lambda: main(["analyze", "prism:5", "--json", "--generators", "--oriented"]),
     "enumerate": lambda: main(["enumerate", "--colors", "4", "--vertices", "4", "--csv",
                                sys.argv[1]]),
     "verify_census": verify_census,
-    "verify_face_projection": lambda: verify_face_projection(construction("prism:5"), 1, 0),
+    "verify_face_projection": lambda: verify_face_projection(
+        a := aut_group(construction("prism:5")), quotient(a), 1, 0),
 }
 for name, step in steps.items():
     with contextlib.redirect_stdout(io.StringIO()):

@@ -12,15 +12,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from maniplex import oriented, symmetry
+from maniplex import oriented, symmetry, walkgen
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, torus44
 from maniplex.flag_graph import InternalCheckError, component_labels
 from maniplex.formats import write_maniplex_text
 from maniplex.oriented import aut_plus, orientation
 from maniplex.stg import quotient
-from maniplex.symmetry import are_isomorphic, aut_group
-from maniplex.walkgen import generates_full_group, realize_generators
+from maniplex.symmetry import are_isomorphic, aut_group, invert
+from maniplex.walkgen import generates_full_group, realize_generators, reduce_generators
 from oracles import closure, orbit_partition, random_map, relabel, trial_extension_elements
 
 
@@ -35,7 +35,7 @@ def check_against_oracle(g, a=None):
     o = orientation(g)
     if o is not None:
         kept = [el for el in elements if o.colour_of[el[0]] == o.colour_of[0]]
-        ap = aut_plus(g, o)
+        ap = aut_plus(a, o)
         assert ap.targets.tolist() == sorted(int(el[0]) for el in kept)
         assert np.array_equal(ap.orbit_of, orbit_partition(kept))
     return a
@@ -101,7 +101,7 @@ def test_aut_plus_makes_no_trial_extension(label, monkeypatch):
     calls = []
     real = symmetry._extend
     monkeypatch.setattr(symmetry, "_extend", lambda *args: calls.append(1) or real(*args))
-    ap = aut_plus(g, o, aut=a)
+    ap = aut_plus(a, o)
     assert calls == []
     assert ap.targets.tolist() == [t for t in a.targets.tolist()
                                    if o.colour_of[t] == o.colour_of[0]]
@@ -110,26 +110,66 @@ def test_aut_plus_makes_no_trial_extension(label, monkeypatch):
 def test_a_wrong_schreier_set_is_caught(monkeypatch):
     g = construction("hypercube:4")
     a, o = aut_group(g), orientation(g)
-    real = oriented.component_labels
+    real = oriented._both_ways
 
-    def without_last(tables, count):
+    def without_last(tables):
         # aut_plus labels the distinct Schreier products other than the
         # identity, two or fewer per generator of Aut, which an element's
-        # image of flag 0 tells apart; on hypercube:4 the last one left
-        # out leaves a proper subgroup of Aut+ (order 12, not 192)
+        # image of flag 0 tells apart, and their inverses; on hypercube:4
+        # the last one left out, inverse and all, leaves a proper subgroup
+        # of Aut+ (order 12, not 192)
         images = [int(q[0]) for q in tables]
         assert 0 not in images and len(set(images)) == len(images) <= 2 * len(a.generators)
-        return real(tables[:-1], count)
+        return real(tables[:-1])
 
-    monkeypatch.setattr(oriented, "component_labels", without_last)
+    monkeypatch.setattr(oriented, "_both_ways", without_last)
     with pytest.raises(InternalCheckError, match="not half"):
-        aut_plus(g, o, aut=a)
+        aut_plus(a, o)
+
+
+def test_generators_of_order_above_two_are_labelled_with_their_inverses(monkeypatch):
+    # a root hooks one step forward only, so a cycle u -> u + 1 alone took
+    # one round per point: each automorphism that is no involution must
+    # come with its inverse to the group search's, Aut+'s and the
+    # generator closure's labellings
+    calls = {}
+    for module, name in ((symmetry, "_hook"), (oriented, "component_labels"),
+                         (walkgen, "component_labels")):
+        seen = calls[module.__name__] = []
+
+        def recorded(tables, *args, real=getattr(module, name), seen=seen):
+            seen.append(list(tables))
+            return real(tables, *args)
+
+        monkeypatch.setattr(module, name, recorded)
+    g = random_map(random.Random(5), 20, 250, False)
+    a = aut_group(g)
+    s = reduce_generators(realize_generators(a, quotient(a)))
+    assert generates_full_group(s, a)
+    assert a.order == 250 and len(a.generators) == 1
+    assert len(s.automorphisms) == 20 and all(p[p[0]] != 0 for p in s.automorphisms)
+    h = construction("hypercube:4")
+    aut_plus(aut_group(h), orientation(h))
+    for module, seen in calls.items():
+        long_cycles = 0
+        for tables in seen:
+            for p in tables:
+                if p[p[0]] != 0:
+                    long_cycles += 1
+                    assert any(np.array_equal(q, invert(p)) for q in tables), module
+        assert long_cycles, module
+
+
+def test_a_cycle_labelled_with_its_inverse_gives_the_forward_labels():
+    n = 16_000
+    p = np.roll(np.arange(n), -1)  # u -> u + 1
+    assert np.array_equal(component_labels([p, invert(p)], n), component_labels([p], n))
 
 
 def test_generates_full_group_rejects_a_proper_subgroup():
     g = construction("cuboctahedron")
     a = aut_group(g)
-    s = realize_generators(g, a, quotient(g, a))
+    s = realize_generators(a, quotient(a))
     assert generates_full_group(s, a)
     s.automorphisms = s.automorphisms[:1]
     assert len(closure(s.automorphisms, g.flag_count)) < a.order
@@ -199,7 +239,7 @@ def test_regular_generators_are_the_neighbour_trials(corpus, monkeypatch):
                 found.append(target)
         assert [int(p[0]) for p in a.generators] == found, label
         calls.clear()
-        realize_generators(g, a, t)
+        realize_generators(a, t)
         if calls:
             extended[label] = calls[:]
     # on the degenerate tori {4,4}_(1,0) and (0,1), rho_2 lies in the

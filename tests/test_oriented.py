@@ -69,19 +69,19 @@ def test_digraph_needs_rank_two():
 def test_aut_plus_orders():
     g = cube()
     o = orientation(g)
-    ap = aut_plus(g, o)
+    ap = aut_plus(aut_group(g), o)
     assert ap.order == 24
     assert aut_group(g).order // ap.order == 2
 
     g = torus44(1, 2)
     o = orientation(g)
-    ap = aut_plus(g, o)
+    ap = aut_plus(aut_group(g), o)
     assert ap.order == 20
     assert aut_group(g).order == 20
 
     g = cuboctahedron()
     o = orientation(g)
-    ap = aut_plus(g, o)
+    ap = aut_plus(aut_group(g), o)
     assert ap.order == 24
     assert black_orbit_count(ap, o) == 2
 
@@ -92,7 +92,8 @@ def test_chirality_both_tests_agree(corpus):
         o = orientation(g)
         if o is None:
             continue
-        chiral = is_chiral_a_la_conway(g, o, aut=corpus.aut(label), stg=corpus.stg(label))
+        a = corpus.aut(label)
+        chiral = is_chiral_a_la_conway(a, aut_plus(a, o), corpus.stg(label))
         if label == "torus44:1,2":
             assert chiral
         if label in ("cube", "cuboctahedron"):
@@ -108,14 +109,15 @@ def test_odd_closed_walk_detection(corpus):
 def test_oriented_stg_rotary():
     g = torus44(1, 2)
     o = orientation(g)
-    ot = oriented_stg(g, o)
+    ot = oriented_stg(aut_plus(aut_group(g), o), o)
     assert ot.vertex_count == 1
     assert ot.undirected == ((-1,),)   # one undirected class, a semi-edge
     assert ot.dart == (0,)             # a loop
     assert classify_oriented(ot) == Rotary()
 
     g = cube()
-    ot = oriented_stg(g, orientation(g))
+    o = orientation(g)
+    ot = oriented_stg(aut_plus(aut_group(g), o), o)
     assert classify_oriented(ot) == Rotary()
 
 
@@ -124,7 +126,8 @@ def test_rotary_rank4_shape():
     from maniplex.constructions import hypercube
 
     g = hypercube(4)
-    ot = oriented_stg(g, orientation(g))
+    o = orientation(g)
+    ot = oriented_stg(aut_plus(aut_group(g), o), o)
     assert ot.vertex_count == 1
     assert ot.undirected == ((-1, -1),)
     assert ot.dart == (0,)
@@ -134,7 +137,7 @@ def test_rotary_rank4_shape():
 def test_oriented_two_orbit_class():
     g = cuboctahedron()
     o = orientation(g)
-    ot = oriented_stg(g, o)
+    ot = oriented_stg(aut_plus(aut_group(g), o), o)
     assert ot.vertex_count == 2
     cls = classify_oriented(ot)
     assert isinstance(cls, TwoOrbitOriented)
@@ -167,7 +170,7 @@ def test_vertex_count_theorem(corpus):
         if o is None:
             continue
         t = corpus.stg(label)
-        ap = aut_plus(g, o, aut=corpus.aut(label))
+        ap = aut_plus(corpus.aut(label), o)
         same = black_orbit_count(ap, o) == t.vertex_count
         assert same == stg_has_odd_closed_walk(t), label
 
@@ -193,8 +196,8 @@ def test_chiral_orbit_count_doubles(corpus):
             continue
         a = corpus.aut(label)
         t = corpus.stg(label)
-        ap = aut_plus(g, o, aut=a)
-        if is_chiral_a_la_conway(g, o, aut=a, a_plus=ap, stg=t):
+        ap = aut_plus(a, o)
+        if is_chiral_a_la_conway(a, ap, t):
             seen_chiral += 1
             assert not has_semi_edges(t), label
             assert a.orbit_count == 2 * black_orbit_count(ap, o), label
@@ -230,7 +233,7 @@ def test_index_two_iff_orientation_reversing(corpus):
         if o is None:
             continue
         a = corpus.aut(label)
-        ap = aut_plus(g, o, aut=a)
+        ap = aut_plus(a, o)
         assert a.order % ap.order == 0
         index = a.order // ap.order
         assert index in (1, 2)

@@ -70,7 +70,7 @@ def test_word_action_respects_orbits(pick, data):
 @given(st.integers(min_value=0, max_value=6))
 def test_quotients_admissible(pick):
     g, a = built(SMALL_LABELS[pick % len(SMALL_LABELS)])
-    assert is_admissible(quotient(g, a))
+    assert is_admissible(quotient(a))
 
 
 @given(st.integers(min_value=0, max_value=6), st.permutations(list(range(4))))
@@ -79,7 +79,7 @@ def test_canonical_code_invariant_under_relabelling(pick, perm):
     from oracles import stg_from_slots
 
     g, a = built(SMALL_LABELS[pick % len(SMALL_LABELS)])
-    t = quotient(g, a)
+    t = quotient(a)
     k = t.vertex_count
     sigma = [p for p in perm if p < k]
     relabelled = stg_from_slots(

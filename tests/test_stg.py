@@ -24,14 +24,14 @@ from test_enumeration import CODE_GRID
 
 def test_cube_quotient_is_one_vertex_all_semi():
     g = cube()
-    t = quotient(g, aut_group(g))
+    t = quotient(aut_group(g))
     assert t.vertex_count == 1
     assert t.slots == ((SEMI, SEMI, SEMI),)
 
 
 def test_cuboctahedron_quotient_slots():
     g = cuboctahedron()
-    t = quotient(g, aut_group(g))
+    t = quotient(aut_group(g))
     assert t.vertex_count == 2
     assert t.slots == ((SEMI, SEMI, 1), (SEMI, SEMI, 0))
 
@@ -43,7 +43,7 @@ def test_quotient_vertex_count_is_orbit_count(corpus):
 
 def test_transitivity_cuboctahedron():
     g = cuboctahedron()
-    t = quotient(g, aut_group(g))
+    t = quotient(aut_group(g))
     assert is_i_face_transitive(t, 0)
     assert is_i_face_transitive(t, 1)
     assert not is_i_face_transitive(t, 2)
@@ -75,7 +75,7 @@ def test_profiles():
         "pyramid4": (pyramid(4), frozenset({0, 1, 2})),
     }
     for name, (g, expected) in graphs.items():
-        t = quotient(g, aut_group(g))
+        t = quotient(aut_group(g))
         assert transitivity_profile(t) == expected, name
 
 
@@ -89,15 +89,15 @@ def test_colour_out_of_range(corpus):
 
 
 def test_classify_corpus():
-    assert classify(quotient(cube(), aut_group(cube()))) == Regular()
+    assert classify(quotient(aut_group(cube()))) == Regular()
     g = cuboctahedron()
-    assert classify(quotient(g, aut_group(g))) == TwoOrbit(frozenset({0, 1}))
+    assert classify(quotient(aut_group(g))) == TwoOrbit(frozenset({0, 1}))
     g = prism(3)
-    assert classify(quotient(g, aut_group(g))) == ThreeOrbitJJ1(1)
+    assert classify(quotient(aut_group(g))) == ThreeOrbitJJ1(1)
     g = torus44(1, 2)
-    assert classify(quotient(g, aut_group(g))) == TwoOrbit(frozenset())
+    assert classify(quotient(aut_group(g))) == TwoOrbit(frozenset())
     g = pyramid(4)
-    cls = classify(quotient(g, aut_group(g)))
+    cls = classify(quotient(aut_group(g)))
     assert isinstance(cls, FourOrbitFamily)
     assert cls.profile == frozenset({0, 1, 2})
 
@@ -127,7 +127,7 @@ def test_classify_matches_the_edge_pattern_on_three_vertices(corpus):
 
 def test_classify_raises_on_a_three_vertex_profile_outside_the_paper(monkeypatch, capsys):
     # the paper leaves {j} and {j, j+1} only; another profile is a bug
-    t = quotient(prism(3), aut_group(prism(3)))
+    t = quotient(aut_group(prism(3)))
     monkeypatch.setattr(stg, "transitivity_profile", lambda t: frozenset({0, 2}))
     with pytest.raises(InternalCheckError):
         classify(t)
@@ -187,11 +187,11 @@ def test_quotients_match_the_orbit_loops(corpus):
     oriented = 0
     for g in graphs:
         a = aut_group(g)
-        assert quotient(g, a) == orbit_loop_quotient(g, a)
+        assert quotient(a) == orbit_loop_quotient(g, a)
         o = orientation(g)
         if o is not None and g.rank >= 2:
-            ap = aut_plus(g, o, aut=a)
-            assert oriented_stg(g, o, a_plus=ap) == orbit_loop_oriented_stg(g, o, ap)
+            ap = aut_plus(a, o)
+            assert oriented_stg(ap, o) == orbit_loop_oriented_stg(g, o, ap)
             oriented += 1
     assert oriented > len(graphs) // 3
 
@@ -202,8 +202,8 @@ def test_quotient_always_admissible(corpus):
 
 
 def test_face_projection_cube():
-    g = cube()
-    assert verify_face_projection(g, 2, 0)
+    a = aut_group(cube())
+    assert verify_face_projection(a, quotient(a), 2, 0)
 
 
 def test_face_projection_prism_triangle_and_cubocta_square(corpus):
@@ -212,8 +212,7 @@ def test_face_projection_prism_triangle_and_cubocta_square(corpus):
     from maniplex.flag_graph import face_maniplex
 
     for face in range(part.face_count):
-        assert verify_face_projection(g, 2, face, aut=corpus.aut("prism:3"),
-                                      stg=corpus.stg("prism:3"))
+        assert verify_face_projection(corpus.aut("prism:3"), corpus.stg("prism:3"), 2, face)
         sub = face_maniplex(g, 2, face)
         if sub.flag_count == 6:
             assert aut_group(sub).orbit_count == 1
@@ -221,8 +220,8 @@ def test_face_projection_prism_triangle_and_cubocta_square(corpus):
     g = corpus.graph("cuboctahedron")
     part = i_faces(g, 2)
     for face in range(part.face_count):
-        assert verify_face_projection(g, 2, face, aut=corpus.aut("cuboctahedron"),
-                                      stg=corpus.stg("cuboctahedron"))
+        assert verify_face_projection(corpus.aut("cuboctahedron"), corpus.stg("cuboctahedron"),
+                                      2, face)
 
 
 @pytest.mark.parametrize("label, other, counts", [
@@ -234,7 +233,7 @@ def test_face_projection_rejects_a_quotient_of_another_orbit_count(corpus, label
     for i in range(1, g.rank):
         for face in range(i_faces(g, i).face_count):
             with pytest.raises(ValueError, match=counts):
-                verify_face_projection(g, i, face, aut=corpus.aut(label), stg=corpus.stg(other))
+                verify_face_projection(corpus.aut(label), corpus.stg(other), i, face)
 
 
 def test_three_orbit_classes_have_reflexible_j_faces(corpus):
@@ -355,7 +354,7 @@ def test_array_check_matches_the_loop_on_quotients(corpus):
     rng = random.Random(16)
     for sheets, orientable in product((1, 2, 3), (True, False)):
         g = random_map(rng, 60 // sheets, sheets, orientable)
-        graphs.append(quotient(g, aut_group(g)))
+        graphs.append(quotient(aut_group(g)))
     for t in graphs:
         assert [list(problems) for problems, _, _ in stg._check([fresh(t)], {})] == [
             loop_violations(t)] == [[]]
@@ -429,7 +428,7 @@ def test_facts_match_the_walk_on_quotients(corpus):
     rng = random.Random(18)
     for sheets, orientable in product((1, 2, 3), (True, False)):
         g = random_map(rng, 60 // sheets, sheets, orientable)
-        graphs.append(quotient(g, aut_group(g)))
+        graphs.append(quotient(aut_group(g)))
     check_facts(graphs)
 
 

@@ -25,14 +25,14 @@ def test_min_walk_single_vertex_is_empty():
 
 def test_min_walk_cuboctahedron_single_step():
     g = cuboctahedron()
-    t = quotient(g, aut_group(g))
+    t = quotient(aut_group(g))
     walk = min_spanning_walk(t)
     assert walk.steps == ((2, 1),)
 
 
 def test_min_walk_prism3_two_steps():
     g = prism(3)
-    t = quotient(g, aut_group(g))
+    t = quotient(aut_group(g))
     walk = min_spanning_walk(t)
     assert len(walk.steps) == 2
     assert sorted(walk.word) == [1, 2]
@@ -63,7 +63,7 @@ def test_generating_walks_regular_case():
 
 def test_generating_walks_cuboctahedron():
     g = cuboctahedron()
-    t = quotient(g, aut_group(g))
+    t = quotient(aut_group(g))
     assert generating_walks(t) == [(0,), (1,), (2, 0, 2), (2, 1, 2)]
 
 
@@ -135,7 +135,7 @@ def analyze_generators(tmp_path, g):
                                          ("pyramid:5", 2), ("pyramid:5", 4)])
 def test_generators_where_the_spanning_walk_turned_back(tmp_path, label, seed):
     g = relabel(construction(label), random.Random(seed))
-    t = quotient(g, aut_group(g))
+    t = quotient(aut_group(g))
     with pytest.raises(ValueError, match="retraces"):
         spanning_walk_words(t)
     report = analyze_generators(tmp_path, g)
@@ -152,7 +152,7 @@ def test_generators_on_smallest_turning_back_random_map(tmp_path):
 def test_realize_generators_cube():
     g = cube()
     a = aut_group(g)
-    s = realize_generators(g, a, quotient(g, a))
+    s = realize_generators(a, quotient(a))
     assert [w for w in s.words] == [(0,), (1,), (2,)]
     assert len(closure(s.automorphisms, g.flag_count)) == 48
 
@@ -161,13 +161,13 @@ def test_realized_closure_matches_aut(corpus):
     for label in ("cube", "cuboctahedron", "prism:3", "pyramid:4",
                   "torus44:1,2", "simplex:4", "hemicube"):
         g, a, t = corpus.graph(label), corpus.aut(label), corpus.stg(label)
-        assert generates_full_group(realize_generators(g, a, t), a), label
+        assert generates_full_group(realize_generators(a, t), a), label
 
 
 def test_reduce_removes_identity_and_duplicates():
     g = cuboctahedron()
     a = aut_group(g)
-    s = realize_generators(g, a, quotient(g, a))
+    s = realize_generators(a, quotient(a))
     ident = identity(g.flag_count)
     padded = GeneratorSet(
         base_flag=s.base_flag,
@@ -186,7 +186,7 @@ def test_reduce_removes_identity_and_duplicates():
 def test_reduce_idempotent():
     g = prism(3)
     a = aut_group(g)
-    s = reduce_generators(realize_generators(g, a, quotient(g, a)))
+    s = reduce_generators(realize_generators(a, quotient(a)))
     again = reduce_generators(s)
     assert [x.tobytes() for x in again.automorphisms] == [x.tobytes() for x in s.automorphisms]
 
