@@ -4,7 +4,7 @@ census's one array: labels once per shared facts tuple, slots in one pass.
 Exit codes: 0 success, 2 parse error (also an input that is both a file
 and a construction label, and an output file that cannot be written),
 3 validation error, 4 internal assertion failure (a cross-checked
-identity broke).
+identity broke), 5 not enough memory for the request.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .walkgen import generates_full_group, realize_generators, reduce_generators
 EXIT_PARSE = 2
 EXIT_VALIDATE = 3
 EXIT_INTERNAL = 4
+EXIT_MEMORY = 5
 
 
 class CliError(Exception):
@@ -220,6 +221,9 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as exc:
+        print(f"error: not enough memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

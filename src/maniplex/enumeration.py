@@ -17,8 +17,8 @@ Vertices are relabelled, colours never are, so the classes are
 colour-specific.  The three-vertex oriented census is the same search,
 one per dart, on the six-point double covers of the oriented quotients,
 darts and classes drawn from one ordering of the permutations.  Its
-cross-check quotients the six-point types through the oriented di-graph
-that ``oriented_stg`` builds.
+cross-check quotients the six-point types through their oriented
+di-graphs, ``oriented_digraph``.
 """
 
 from __future__ import annotations
@@ -364,8 +364,8 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
 
     Enumerates admissible 2k-vertex types without semi-edges or odd
     cycles and reads each as a flag graph oriented by its census sides,
-    vertex 0 black.  Its oriented di-graph, the one ``oriented_stg``
-    builds, is quotiented by the top-colour pairs, each named by its
+    vertex 0 black.  Its oriented di-graph, ``oriented_digraph``'s move
+    graph, is quotiented by the top-colour pairs, each named by its
     least point, and the types are deduplicated, the first of each kept.
     Exponential in n_colours; a cross-check for small colour counts.
     """

@@ -9,10 +9,9 @@ permutation (the directed class).  The oriented flag di-graph is a
 ``FlagGraph`` on the black flags whose colours are these moves,
 t_0..t_{n-3}, then rot, then rot^-1, so the isomorphism test of flag
 graphs applies to it unchanged.  The orientation-preserving group Aut+
-needs no search of its own: its generators are products of Aut's.  The
-quotient by its orbits is found the same way as the symmetry type graph:
-a partner table per undirected class, where a fixed point is a
-semi-edge, plus the dart permutation.
+is read off Aut and the parts, and its quotient off the moves at one
+black flag per orbit: a partner table per undirected class, where a
+fixed point is a semi-edge, plus the dart permutation.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError, component_labels, quotient_tables
+from .flag_graph import FlagGraph, InternalCheckError
 from .stg import SymmetryTypeGraph, bipartition, slot_rows
-from .symmetry import AutGroup, _both_ways, _group, invert
+from .symmetry import AutGroup, _group, invert
 
 
 @dataclass(frozen=True)
@@ -66,24 +65,21 @@ def aut_plus(aut: AutGroup, o: Orientation) -> AutGroup:
     """Orientation-preserving subgroup Aut+ of ``aut``, with its own orbit partition.
 
     An automorphism keeps the parts when it keeps flag 0's part, so Aut+
-    is Aut or of index 2, generated by Schreier's lemma with the
-    transversal {1, s}, s Aut's first part-swapping generator: p and
-    s p s^-1 for each keeping p, p s^-1 and s p for each swapping p
-    (Seress, Permutation Group Algorithms, 2003).  The action is free,
-    so flag 0's image names each product: the identity (p s^-1 at p = s)
-    and repeats are left out.  2 |Aut+| = |Aut| is checked."""
-    swaps = [o.colour_of[p[0]] != o.colour_of[0] for p in aut.generators]
-    if not any(swaps):
+    is Aut or of index 2, read off Aut: each generator is checked to keep
+    or swap the parts at every flag, and then, the action being free, an
+    Aut+ orbit is an Aut orbit's flags of one part.  Aut+ lists no
+    generators."""
+    colour = o.colour_of
+    if all(colour[p[0]] == colour[0] for p in aut.generators):
         return aut
-    s = aut.generators[swaps.index(True)]
-    s_inv = invert(s)
-    generators = list({int(q[0]): q for p, swap in zip(aut.generators, swaps)
-                       for q in ((p[s_inv], s[p]) if swap else (p, s[p[s_inv]])) if q[0]}.values())
-    label = component_labels(_both_ways(generators), aut.graph.flag_count)
-    plus = _group(aut.graph, generators, label)
-    if 2 * plus.order != aut.order:
-        raise InternalCheckError(f"|Aut+| = {plus.order} is not half of |Aut| = {aut.order}")
-    return plus
+    for p in aut.generators:
+        if not np.array_equal(colour[p], colour ^ colour[p[0]] ^ colour[0]):
+            raise InternalCheckError(f"the automorphism sending flag 0 to {p[0]} "
+                                     "neither keeps nor swaps the parts")
+    key = 2 * aut.orbit_of + colour
+    least = np.full(2 * aut.orbit_count, aut.graph.flag_count, dtype=np.int32)
+    np.minimum.at(least, key, np.arange(aut.graph.flag_count, dtype=np.int32))
+    return _group(aut.graph, [], least[key])
 
 
 def black_orbit_count(a_plus: AutGroup, o: Orientation) -> int:
@@ -149,11 +145,14 @@ class OrientedSTG:
 
 
 def oriented_stg(a_plus: AutGroup, o: Orientation) -> OrientedSTG:
-    """Quotient the oriented di-graph's t_0..t_{n-3} and rot by the Aut+
-    orbits of black flags, numbered in order of orbit id."""
-    d = oriented_digraph(a_plus.graph, o)
-    *tables, dart = quotient_tables(d.adj[:-1], a_plus.orbit_of[o.black_flags])
-    return OrientedSTG(tables=tuple(tables), dart=dart)
+    """Quotient the oriented di-graph's t_0..t_{n-3} and rot (rank >= 2)
+    by the Aut+ orbits of black flags, numbered in order of orbit id: the
+    moves are read at the least black flag of each orbit."""
+    adj, black, orbit_of = a_plus.graph.adj, o.black_flags, a_plus.orbit_of
+    ids, first = np.unique(orbit_of[black], return_index=True)
+    moves = adj[:-1, adj[-1, black[first]]]
+    *tables, dart = np.searchsorted(ids, orbit_of[moves]).tolist()
+    return OrientedSTG(tables=tuple(map(tuple, tables)), dart=tuple(dart))
 
 
 @dataclass(frozen=True)

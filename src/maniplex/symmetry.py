@@ -8,8 +8,7 @@ orbit of flag 0, one target per element.  ``aut_group`` is the one group
 search: it tries flag 0 only against the flags of its colour under colour
 refinement from the cycle lengths of the products r_i r_{i+1}, rows
 hashed to one int64 each, flag 0's own neighbours first, so that the
-generator report can reuse its tables; ``oriented.aut_plus`` builds the
-orientation-preserving subgroup from them.
+generator report can reuse its tables.
 """
 
 from __future__ import annotations
@@ -123,11 +122,11 @@ def invariant_colours(tables) -> np.ndarray:
 class AutGroup:
     """A group of colour-preserving automorphisms and its flag orbits.
 
-    ``generators`` are image tables generating the group; ``targets`` is
-    the sorted orbit of flag 0, which has one flag per element since the
-    action is free; ``element(t)`` recomputes the element sending flag 0
-    to ``t``.  Orbit ids are assigned 0..orbit_count-1 in order of least
-    flag index.
+    ``generators`` are image tables generating the group (Aut+, read off
+    Aut, lists none); ``targets`` is the sorted orbit of flag 0, which has
+    one flag per element since the action is free; ``element(t)``
+    recomputes the element sending flag 0 to ``t``.  Orbit ids are
+    assigned 0..orbit_count-1 in order of least flag index.
     """
 
     graph: FlagGraph

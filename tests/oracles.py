@@ -21,8 +21,8 @@ from maniplex.oriented import (OrientedSTG, Orientation, oriented_digraph, orien
                                stg_has_odd_closed_walk)
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, _without,
                           bipartition, quotient)
-from maniplex.symmetry import (_GOLDEN, AutGroup, _cycle_lengths, _extend, _group, _mix, aut_group,
-                               extend_automorphism, invariant_colours, invert)
+from maniplex.symmetry import (_GOLDEN, AutGroup, _both_ways, _cycle_lengths, _extend, _group, _mix,
+                               aut_group, extend_automorphism, invariant_colours, invert)
 from maniplex.walkgen import GeneratorSet, generating_walks
 
 
@@ -124,7 +124,7 @@ def stg_from_slots(slots) -> SymmetryTypeGraph:
 
 
 # The per-orbit loops that flag_graph.quotient_tables replaced in
-# stg.quotient and oriented.oriented_stg.
+# stg.quotient and in the oriented STG's move-graph route.
 
 
 def orbit_loop_quotient(g: FlagGraph, a: AutGroup) -> SymmetryTypeGraph:
@@ -164,6 +164,43 @@ def orbit_loop_oriented_stg(g: FlagGraph, o: Orientation, a_plus: AutGroup) -> O
         rows.append(tuple(row))
         darts.append(renumber[int(a_plus.orbit_of[black[d.adj[d.rank - 2, rep]]])])
     return OrientedSTG(tables=tables_from_slots(rows, d.rank - 2), dart=tuple(darts))
+
+
+# The routes that reading Aut+ and the oriented STG off Aut replaced:
+# Aut+ generated by Schreier products and labelled over every flag, and
+# the oriented STG quotiented off the move graph on all black flags.
+
+
+def schreier_aut_plus(aut: AutGroup, o: Orientation) -> AutGroup:
+    """Orientation-preserving subgroup Aut+ of ``aut``, with its own orbit partition.
+
+    An automorphism keeps the parts when it keeps flag 0's part, so Aut+
+    is Aut or of index 2, generated by Schreier's lemma with the
+    transversal {1, s}, s Aut's first part-swapping generator: p and
+    s p s^-1 for each keeping p, p s^-1 and s p for each swapping p
+    (Seress, Permutation Group Algorithms, 2003).  The action is free,
+    so flag 0's image names each product: the identity (p s^-1 at p = s)
+    and repeats are left out.  2 |Aut+| = |Aut| is checked."""
+    swaps = [o.colour_of[p[0]] != o.colour_of[0] for p in aut.generators]
+    if not any(swaps):
+        return aut
+    s = aut.generators[swaps.index(True)]
+    s_inv = invert(s)
+    generators = list({int(q[0]): q for p, swap in zip(aut.generators, swaps)
+                       for q in ((p[s_inv], s[p]) if swap else (p, s[p[s_inv]])) if q[0]}.values())
+    label = component_labels(_both_ways(generators), aut.graph.flag_count)
+    plus = _group(aut.graph, generators, label)
+    if 2 * plus.order != aut.order:
+        raise InternalCheckError(f"|Aut+| = {plus.order} is not half of |Aut| = {aut.order}")
+    return plus
+
+
+def digraph_oriented_stg(a_plus: AutGroup, o: Orientation) -> OrientedSTG:
+    """Quotient the oriented di-graph's t_0..t_{n-3} and rot by the Aut+
+    orbits of black flags, numbered in order of orbit id."""
+    d = oriented_digraph(a_plus.graph, o)
+    *tables, dart = quotient_tables(d.adj[:-1], a_plus.orbit_of[o.black_flags])
+    return OrientedSTG(tables=tuple(tables), dart=dart)
 
 
 # Test-only views of the oriented flag di-graph, a FlagGraph whose

@@ -1,9 +1,10 @@
 """The array routes of the builders, the cycle notation, the orbit
-labels, the group search, Aut+ by Schreier generators, the commutation
-test, the colour refinement, the orientation, the face projection, the
-generator reduction, the file parse and the breadth-first tree against
-the per-flag, per-pair, tree, rank-based, per-level, per-token and
-sorting routes they replaced (kept in oracles.py)."""
+labels, the group search, Aut+ and the oriented STG read off Aut, the
+commutation test, the colour refinement, the orientation, the face
+projection, the generator reduction, the file parse and the
+breadth-first tree against the per-flag, per-pair, tree, Schreier,
+move-graph, rank-based, per-level, per-token and sorting routes they
+replaced (kept in oracles.py)."""
 
 import dataclasses
 import random
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maniplex import flag_graph, symmetry
+from maniplex import flag_graph, oriented, symmetry
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
 from maniplex.enumeration import enumerate_stg
@@ -25,18 +26,20 @@ from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels
                                  i_faces, non_commuting, recolour_dual, validate)
 from maniplex.formats import (ParseError, _colour_row, cycle_string, parse_maniplex_text,
                               parse_map_text, write_maniplex_text)
-from maniplex.oriented import aut_plus, orientation, oriented_digraph
+from maniplex.oriented import (Orientation, aut_plus, black_orbit_count, orientation,
+                               oriented_digraph, oriented_stg)
 from maniplex.stg import SymmetryTypeGraph, check_all, quotient, verify_face_projection
 from maniplex.symmetry import are_isomorphic, aut_group, invariant_colours
 from maniplex.walkgen import GeneratorSet, realize_generators, reduce_generators
 from oracles import (all_products_invariant_colours, bytes_reduce_generators, components,
-                     format_cycle_string, hook_and_jump_labels, level_orientation,
+                     digraph_oriented_stg, format_cycle_string, hook_and_jump_labels,
+                     level_orientation,
                      loop_cycle_string, loop_hypercube, loop_map_from_faces, loop_polygon,
                      loop_simplex, loop_torus44, matmul_invariant_colours,
                      pair_non_commuting, random_map, rank_invariant_colours, relabel,
-                     relabel_aut_group, sorted_bfs_levels, token_parse_maniplex_text,
-                     trial_order, tree_search_group, walk_face_projection,
-                     walk_realize_generators)
+                     relabel_aut_group, schreier_aut_plus, sorted_bfs_levels,
+                     token_parse_maniplex_text, trial_order, tree_search_group,
+                     walk_face_projection, walk_realize_generators)
 
 # the labels of the analyze benchmarks
 BENCHMARK_LABELS = ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6", "hypercube:5",
@@ -218,7 +221,7 @@ def same_group(new, old):
 def check_search(g):
     """aut_group against the tree route over the colour candidates, flag
     0's neighbours first, and aut_plus against it over Aut's targets of
-    flag 0's colour."""
+    flag 0's colour; the Schreier route's generators reach Aut+'s targets."""
     a, old = aut_group(g), tree_search_group(g, trial_order(g))
     same_group(a, old)
     assert [p.tolist() for p in a.generators] == [p.tolist() for p in old.generators]
@@ -227,9 +230,10 @@ def check_search(g):
         return
     ap = aut_plus(a, o)
     same_group(ap, tree_search_group(g, a.targets[o.colour_of[a.targets] == o.colour_of[0]]))
-    for p in ap.generators:     # each keeps flag 0's colour, and every other flag's
+    schreier = schreier_aut_plus(a, o)
+    for p in schreier.generators:     # each keeps flag 0's colour, and every other flag's
         assert np.array_equal(o.colour_of[p], o.colour_of)
-    assert np.array_equal(np.flatnonzero(component_labels(ap.generators, g.flag_count) == 0),
+    assert np.array_equal(np.flatnonzero(component_labels(schreier.generators, g.flag_count) == 0),
                           ap.targets)
 
 
@@ -257,11 +261,70 @@ def test_aut_plus_stores_no_identity_and_no_repeated_generator(corpus):
         if (o := orientation(g)) is None:
             continue
         a = aut_group(g)
-        ap = aut_plus(a, o)
+        ap = schreier_aut_plus(a, o)
         images = [int(p[0]) for p in ap.generators]
         assert 0 not in images and len(set(images)) == len(images)
         swapped += ap.order < a.order
     assert swapped >= 5  # Schreier products were formed, not Aut returned as it is
+
+
+def oriented_cases(corpus):
+    """(name, group, orientation) on every orientable CORPUS label and
+    benchmark label, seeded orientable random maps with a relabelling
+    each, and the sheet shift with Aut = Z_250."""
+    labels = list(CORPUS) + [label for label in BENCHMARK_LABELS if label not in CORPUS]
+    graphs = [(label, corpus.graph(label), corpus.aut(label)) for label in labels]
+    rng = random.Random(32)
+    for sheets in (1, 2, 3, 5):
+        g = random_map(rng, 40 // sheets, sheets, True)
+        graphs += [(f"map {sheets}", g, None), (f"relabelled {sheets}", relabel(g, rng), None)]
+    graphs.append(("Z_250", random_map(random.Random(5), 20, 250, True), None))
+    for name, g, a in graphs:
+        if (o := orientation(g)) is not None:
+            yield name, aut_group(g) if a is None else a, o
+
+
+def test_aut_plus_and_oriented_stg_match_the_schreier_and_move_graph_routes(corpus):
+    index_two = 0
+    for name, a, o in oriented_cases(corpus):
+        ap, old = aut_plus(a, o), schreier_aut_plus(a, o)
+        same_group(ap, old)
+        assert black_orbit_count(ap, o) == black_orbit_count(old, o), name
+        index_two += ap.order < a.order
+        if a.graph.rank >= 2:
+            ot, old_ot = oriented_stg(ap, o), digraph_oriented_stg(old, o)
+            assert (ot.tables, ot.dart) == (old_ot.tables, old_ot.dart), name
+    assert index_two > 40
+
+
+def test_aut_plus_and_oriented_stg_label_nothing_and_build_no_move_graph(corpus, monkeypatch):
+    cases = [(a, o) for _, a, o in oriented_cases(corpus)]
+
+    def refused(*args):
+        raise AssertionError("a labelling or a move graph was built")
+
+    for module in (flag_graph, symmetry, oriented):
+        for name in ("_hook", "component_labels", "_both_ways", "quotient_tables",
+                     "oriented_digraph"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    for a, o in cases:
+        ap = aut_plus(a, o)
+        assert ap.generators == [] or ap is a
+        if a.graph.rank >= 2:
+            oriented_stg(ap, o)
+
+
+def test_a_part_neither_kept_nor_swapped_is_caught():
+    # flag 0 keeps its colour and some generator swaps it, so the flipped
+    # flag shows only where a generator is read beyond flag 0
+    g = hypercube(3)
+    a, o = aut_group(g), orientation(g)
+    assert aut_plus(a, o).order == 24
+    colour = o.colour_of.copy()
+    colour[g.flag_count - 1] ^= 1
+    with pytest.raises(InternalCheckError, match="neither keeps nor swaps"):
+        aut_plus(a, Orientation(colour_of=colour))
 
 
 # flag_graph.non_commuting against one commute_defect per colour pair

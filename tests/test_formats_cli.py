@@ -219,6 +219,17 @@ def test_cli_non_utf8_file(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cli_out_of_memory_exits_5(monkeypatch, capsys):
+    def too_large(g):
+        raise MemoryError("Unable to allocate 709. MiB")
+
+    monkeypatch.setattr(cli, "aut_group", too_large)
+    assert main(["analyze", "cube"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not enough memory: Unable to allocate 709. MiB\n"
+
+
 def test_cli_oriented_rank_one(capsys):
     # rank-1 input: orientability and group data, no di-graph block
     assert main(["analyze", "simplex:1", "--oriented", "--json"]) == 0

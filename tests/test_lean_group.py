@@ -12,7 +12,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from maniplex import oriented, symmetry, walkgen
+import oracles
+from maniplex import symmetry, walkgen
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, torus44
 from maniplex.flag_graph import InternalCheckError, component_labels
@@ -21,7 +22,8 @@ from maniplex.oriented import aut_plus, orientation
 from maniplex.stg import quotient
 from maniplex.symmetry import are_isomorphic, aut_group, invert
 from maniplex.walkgen import generates_full_group, realize_generators, reduce_generators
-from oracles import closure, orbit_partition, random_map, relabel, trial_extension_elements
+from oracles import (closure, orbit_partition, random_map, relabel, schreier_aut_plus,
+                     trial_extension_elements)
 
 
 def check_against_oracle(g, a=None):
@@ -110,10 +112,10 @@ def test_aut_plus_makes_no_trial_extension(label, monkeypatch):
 def test_a_wrong_schreier_set_is_caught(monkeypatch):
     g = construction("hypercube:4")
     a, o = aut_group(g), orientation(g)
-    real = oriented._both_ways
+    real = oracles._both_ways
 
     def without_last(tables):
-        # aut_plus labels the distinct Schreier products other than the
+        # the Schreier route labels the distinct products other than the
         # identity, two or fewer per generator of Aut, which an element's
         # image of flag 0 tells apart, and their inverses; on hypercube:4
         # the last one left out, inverse and all, leaves a proper subgroup
@@ -122,18 +124,18 @@ def test_a_wrong_schreier_set_is_caught(monkeypatch):
         assert 0 not in images and len(set(images)) == len(images) <= 2 * len(a.generators)
         return real(tables[:-1])
 
-    monkeypatch.setattr(oriented, "_both_ways", without_last)
+    monkeypatch.setattr(oracles, "_both_ways", without_last)
     with pytest.raises(InternalCheckError, match="not half"):
-        aut_plus(a, o)
+        schreier_aut_plus(a, o)
 
 
 def test_generators_of_order_above_two_are_labelled_with_their_inverses(monkeypatch):
     # a root hooks one step forward only, so a cycle u -> u + 1 alone took
     # one round per point: each automorphism that is no involution must
-    # come with its inverse to the group search's, Aut+'s and the
-    # generator closure's labellings
+    # come with its inverse to the group search's, the Schreier route's
+    # and the generator closure's labellings
     calls = {}
-    for module, name in ((symmetry, "_hook"), (oriented, "component_labels"),
+    for module, name in ((symmetry, "_hook"), (oracles, "component_labels"),
                          (walkgen, "component_labels")):
         seen = calls[module.__name__] = []
 
@@ -149,7 +151,7 @@ def test_generators_of_order_above_two_are_labelled_with_their_inverses(monkeypa
     assert a.order == 250 and len(a.generators) == 1
     assert len(s.automorphisms) == 20 and all(p[p[0]] != 0 for p in s.automorphisms)
     h = construction("hypercube:4")
-    aut_plus(aut_group(h), orientation(h))
+    schreier_aut_plus(aut_group(h), orientation(h))
     for module, seen in calls.items():
         long_cycles = 0
         for tables in seen:
