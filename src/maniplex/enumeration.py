@@ -24,6 +24,7 @@ di-graphs, ``oriented_digraph``.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, permutations
 
@@ -38,15 +39,6 @@ from .stg import (SymmetryTypeGraph, bipartition, check_all, face_orbit_splits, 
 def involutions(k: int) -> list[tuple[int, ...]]:
     """All involutions on 0..k-1 in lexicographic order; a fixed point is a semi-edge."""
     return [p for p in permutations(range(k)) if all(p[v] == u for u, v in enumerate(p))]
-
-
-def canonical_code(t: SymmetryTypeGraph) -> bytes:
-    """Least serialization over all vertex relabellings.
-
-    Vertices are permuted, colours are not; 255 marks a semi-edge.
-    Raises ValueError when ``t`` is disconnected or has over 255 vertices.
-    """
-    return _least_codes(np.array([[t.tables]]), t.rank)[0].tobytes()
 
 
 def _least_codes(stack: np.ndarray, semi: int) -> np.ndarray:
@@ -191,31 +183,29 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def enumerate_stg(n_colours: int, k: int, filters=(),
-                  fixed_point_free: bool = False) -> list[SymmetryTypeGraph]:
+def enumerate_stg(n_colours: int, k: int, filters=()) -> list[SymmetryTypeGraph]:
     """All admissible connected coloured pregraphs on k vertices.
 
     One representative per class, the first one an exhaustive search
     over ``involutions(k)`` meets, sorted by canonical code; ``filters``
     are predicates applied after the check, which raises
-    InternalCheckError on an inadmissible class.  ``fixed_point_free``
-    restricts the search to types without semi-edges.
+    InternalCheckError on an inadmissible class.
     """
-    return census(n_colours, k, filters, fixed_point_free)[0]
+    return census(n_colours, k, filters)[0]
 
 
-def census(n_colours: int, k: int, filters=(),
-           fixed_point_free: bool = False) -> tuple[list[SymmetryTypeGraph], np.ndarray]:
+def census(n_colours: int, k: int, filters=()) -> tuple[list[SymmetryTypeGraph], np.ndarray]:
     """``enumerate_stg``'s classes, and their tables as one uint8 stack
     (classes, colours, k), which the check and the CSV read."""
     if k > 5:
         warnings.warn(f"enumeration over {k} vertices may be slow", stacklevel=2)
-    return _census((n_colours,), k, filters, fixed_point_free)[n_colours]
+    return _census((n_colours,), k, filters)[n_colours]
 
 
 def _census(counts, k: int, filters=(), fixed_point_free: bool = False) -> dict:
     """``census`` at every colour count in ``counts``, each read off one
-    level of a single search over max(counts) colours."""
+    level of a single search over max(counts) colours; ``fixed_point_free``
+    restricts the search to types without semi-edges."""
     if min(counts) < 1 or k < 1:
         raise ValueError("need at least one colour and one vertex")
     choices = involutions(k)
@@ -251,20 +241,13 @@ def is_fully_transitive(t: SymmetryTypeGraph) -> bool:
 _K = 3  # vertices of the oriented quotients; their double covers have 2 * _K points
 
 
-def oriented_canonical_code(ot: OrientedSTG) -> bytes:
-    """Least serialization over relabellings and dart reversal.
-
-    Reversing every dart is the quotient of the opposite orientation
-    choice of the same structure, so mirror pairs count once.  The dart
-    is one more table after the undirected classes, a loop written as
-    the vertex itself.
-    """
-    return _oriented_codes([ot])[0].tobytes()
-
-
 def _oriented_codes(ots) -> np.ndarray:
-    """``oriented_canonical_code`` of each of ``ots``, all with one colour
-    count, as uint8 rows: one array pass over both dart directions."""
+    """The least code of each of ``ots``, all with one colour count, over
+    relabellings and dart reversal, as uint8 rows: one array pass over
+    both dart directions.  Reversing every dart is the quotient of the
+    opposite orientation choice of the same structure, so mirror pairs
+    count once.  The dart is one more table after the undirected
+    classes, a loop written as the vertex itself."""
     stack = [[ot.tables + (dart,) for dart in (ot.dart, np.argsort(ot.dart))] for ot in ots]
     return _least_codes(np.array(stack), len(ots[0].tables))
 
@@ -287,8 +270,10 @@ def _lift(black, white) -> tuple[int, ...]:
     return tuple(v + len(black) for v in black) + tuple(white)
 
 
-def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
-    """All three-vertex oriented quotient di-graphs with n_colours colours.
+def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
+    """All three-vertex oriented quotient di-graphs at each colour count
+    in ``counts``, one class per orbit under vertex relabelling and dart
+    reversal, sorted by oriented code.
 
     Each is read off its double cover, the 2k-point type (k = ``_K``) with
     black u at point u and white u at point u + k: colour i <= n-3 sends
@@ -301,21 +286,9 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     dart reversal maps to an earlier dart is skipped; for each other rot
     the commuting-tuple search runs over these lifts, up to the
     relabellings and reversals that fix rot, and the connected results
-    are kept.
-
-    One class per orbit under vertex relabelling and dart reversal,
-    sorted by oriented canonical code.
-    """
-    if n_colours < 4:
-        raise ValueError("three-vertex oriented quotients need n_colours >= 4")
-    return _oriented_census((n_colours,))[n_colours]
-
-
-def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
-    """``enumerate_oriented_stg3`` at each colour count in ``counts``, from
-    one search per dart over the classes: level d gives n = d + 2 where the
-    dart commutes with classes 0..d-2.  The top table commutes with every
-    class; the dart's stabiliser fixes both, so they pass the orderly test."""
+    are kept.  Level d gives n = d + 2 where the dart commutes with
+    classes 0..d-2; the top table commutes with every class, and the
+    dart's stabiliser fixes both, so they pass the orderly test."""
     k = _K
     rots = sorted(permutations(range(k)), key=_dart_order)
     undirected = sorted(involutions(k), key=_dart_order)
@@ -343,20 +316,6 @@ def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
                 found[n] += [OrientedSTG(tables=tuple(undirected[p] for p in row[:-2]), dart=rot)
                              for row in _connected(tables, rows[allowed[:, tail[0]]]).tolist()]
     return {n: [ots[i] for i in _code_order(_oriented_codes(ots))] for n, ots in found.items()}
-
-
-def _by_shape(census: list[OrientedSTG]) -> dict[str, list[OrientedSTG]]:
-    """The census grouped by dart shape: three, one or no loops."""
-    groups = {name: [] for name in ("three_loops", "two_cycle_loop", "three_cycle")}
-    shape = dict(zip((3, 1, 0), groups.values()))
-    for ot in census:
-        shape[sum(v == u for u, v in enumerate(ot.dart))].append(ot)
-    return groups
-
-
-def oriented_stg3_families(n_colours: int) -> dict[str, list[OrientedSTG]]:
-    """The census grouped by directed-class shape."""
-    return _by_shape(enumerate_oriented_stg3(n_colours))
 
 
 def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
@@ -444,13 +403,11 @@ def verify_census() -> list[CensusCheck]:
         checks.append(CensusCheck(
             f"oriented 3-vertex types, {n} colours", expected, len(census)))
     for n in range(7, 11):
-        groups = _by_shape(oriented[n])
+        loops = Counter(sum(v == u for u, v in enumerate(ot.dart)) for ot in oriented[n])
         checks.append(CensusCheck(
-            f"oriented 3-vertex, three loops, {n} colours", 2 * n - 7,
-            len(groups["three_loops"])))
+            f"oriented 3-vertex, three loops, {n} colours", 2 * n - 7, loops[3]))
         checks.append(CensusCheck(
-            f"oriented 3-vertex, single loop, {n} colours", 2,
-            len(groups["two_cycle_loop"])))
+            f"oriented 3-vertex, single loop, {n} colours", 2, loops[1]))
     checks.append(CensusCheck(
         "oriented 3-vertex, 4 colours: direct route matches 6-vertex quotient route",
         [code.tobytes() for code in _oriented_codes(oriented[4])],

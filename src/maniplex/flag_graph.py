@@ -242,60 +242,3 @@ def validate(g: FlagGraph) -> list[Violation]:
     out += [Violation("commuting condition", (i, j), u)
             for _, i, j, u in non_commuting(g.adj[None])]
     return out
-
-
-@dataclass(frozen=True)
-class FacePartition:
-    """Partition of flags into i-faces (components avoiding one colour)."""
-
-    colour_removed: int
-    face_of: np.ndarray
-    face_count: int
-
-    def flags_of(self, face: int) -> np.ndarray:
-        return np.nonzero(self.face_of == face)[0].astype(np.int32)
-
-
-def i_faces(g: FlagGraph, i: int) -> FacePartition:
-    """Faces of rank ``i``: connected components after deleting colour i.
-
-    Face ids run 0..face_count-1 in order of least flag index.
-    """
-    if not 0 <= i < g.rank:
-        raise ValueError(f"colour {i} out of range for rank {g.rank}")
-    label = component_labels(np.delete(g.adj, i, axis=0), g.flag_count)
-    least = label == np.arange(g.flag_count)
-    face_of = (np.cumsum(least) - 1).astype(np.int32)[label]
-    face_of.setflags(write=False)
-    return FacePartition(colour_removed=i, face_of=face_of,
-                         face_count=int(np.count_nonzero(least)))
-
-
-def face_component(g: FlagGraph, i: int, face: int) -> np.ndarray:
-    """Flags of one component of the given i-face under colours < i.
-
-    The component containing the least flag of the face is returned, as a
-    sorted array of flag ids of ``g``.
-    """
-    if i < 1:
-        raise ValueError("faces of rank 0 have no sub-structure")
-    part = i_faces(g, i)
-    if not 0 <= face < part.face_count:
-        raise ValueError(f"face id {face} out of range")
-    label = component_labels(g.adj[:i], g.flag_count)
-    return np.flatnonzero(label == part.flags_of(face)[0]).astype(np.int32)
-
-
-def face_maniplex(g: FlagGraph, i: int, face: int) -> FlagGraph:
-    """The rank-i flag graph sitting inside an i-face.
-
-    Keeps colours 0..i-1 on one component of the face, re-indexing flags
-    densely in increasing order of their original ids.
-    """
-    comp = face_component(g, i, face)
-    return FlagGraph(np.searchsorted(comp, g.adj[:i, comp]))
-
-
-def recolour_dual(g: FlagGraph) -> FlagGraph:
-    """Reverse the colour order (i -> rank-1-i)."""
-    return FlagGraph(g.adj[::-1])

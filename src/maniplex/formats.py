@@ -120,13 +120,6 @@ def parse_map_text(text: str) -> MapSpec:
     return MapSpec(vertex_count=vertices, faces=tuple(faces))
 
 
-def write_map_text(spec: MapSpec) -> str:
-    lines = [f"map vertices={spec.vertex_count}"]
-    for cycle in spec.faces:
-        lines.append(" ".join(str(v) for v in cycle))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # DOT
 

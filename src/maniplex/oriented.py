@@ -7,11 +7,11 @@ walks: the compositions t_i = r_{n-1} r_i are involutions for i <= n-3
 (undirected classes) while rot = r_{n-1} r_{n-2} is a genuine
 permutation (the directed class).  The oriented flag di-graph is a
 ``FlagGraph`` on the black flags whose colours are these moves,
-t_0..t_{n-3}, then rot, then rot^-1, so the isomorphism test of flag
-graphs applies to it unchanged.  The orientation-preserving group Aut+
-is read off Aut and the parts, and its quotient off the moves at one
-black flag per orbit: a partner table per undirected class, where a
-fixed point is a semi-edge, plus the dart permutation.
+t_0..t_{n-3}, then rot, then rot^-1, so flag-graph routines apply to
+it unchanged.  The orientation-preserving group Aut+ is read off Aut
+and the parts, and its quotient off the moves at one black flag per
+orbit: a partner table per undirected class, where a fixed point is a
+semi-edge, plus the dart permutation.
 """
 
 from __future__ import annotations
@@ -148,6 +148,8 @@ def oriented_stg(a_plus: AutGroup, o: Orientation) -> OrientedSTG:
     """Quotient the oriented di-graph's t_0..t_{n-3} and rot (rank >= 2)
     by the Aut+ orbits of black flags, numbered in order of orbit id: the
     moves are read at the least black flag of each orbit."""
+    if a_plus.graph.rank < 2:
+        raise ValueError("the directed class needs rank >= 2")
     adj, black, orbit_of = a_plus.graph.adj, o.black_flags, a_plus.orbit_of
     ids, first = np.unique(orbit_of[black], return_index=True)
     moves = adj[:-1, adj[-1, black[first]]]

@@ -12,10 +12,8 @@ pass that also labels the components of each graph's copies with one
 colour deleted and of its double cover.  What the pass finds is kept on
 the graph, and connectivity, the face transitivities, the face-orbit
 splits, the bipartition and, from three vertices on, the class names
-are read off it.  The face projection check labels a flag graph's
-flags by the colours above i once, to find each face flag's induced
-flag.  The vertex-major ``slots``, with SEMI for a semi-edge, are only
-the report's form.
+are read off it.  The vertex-major ``slots``, with SEMI for a semi-edge,
+are only the report's form.
 """
 
 from __future__ import annotations
@@ -25,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flag_graph import (CHUNK, FlagGraph, InternalCheckError, component_labels, face_component,
-                         non_commuting, quotient_tables, stack_labels)
-from .symmetry import AutGroup, aut_group
+from .flag_graph import CHUNK, InternalCheckError, non_commuting, quotient_tables, stack_labels
+from .symmetry import AutGroup
 
 SEMI = -1
 
@@ -163,10 +160,6 @@ def _check(graphs, kept: dict, m: np.ndarray | None = None) -> list[tuple]:
     return [f or (tuple(problems), None, None) for f, problems in zip(facts, out)]
 
 
-def is_admissible(t: SymmetryTypeGraph) -> bool:
-    return not stg_violations(t)
-
-
 def quotient(a: AutGroup) -> SymmetryTypeGraph:
     """Symmetry type graph: one vertex per flag orbit, numbered like the
     orbits; Aut commutes with every colour, so orbits map to orbits."""
@@ -174,11 +167,6 @@ def quotient(a: AutGroup) -> SymmetryTypeGraph:
     if problems := stg_violations(t):
         raise InternalCheckError(f"quotient broke pregraph invariants: {problems}")
     return t
-
-
-def is_i_face_transitive(t: SymmetryTypeGraph, i: int) -> bool:
-    """True when deleting colour-i edges leaves the pregraph connected."""
-    return not any(_without(t, i))
 
 
 def transitivity_profile(t: SymmetryTypeGraph) -> frozenset[int]:
@@ -294,47 +282,3 @@ def class_labels(graphs) -> list[str]:
     found: dict = {}
     return [found.get(key := id(t._facts) if t.vertex_count >= 3 else t)
             or found.setdefault(key, classify(t).label()) for t in graphs]
-
-
-def verify_face_projection(aut: AutGroup, stg: SymmetryTypeGraph, i: int, face: int) -> bool:
-    """Check the face-quotient projection property for one i-face of ``aut.graph``.
-
-    The orbits meeting the face form one component C of the colour-i
-    deleted quotient.  Mapping each such orbit to the orbit of its
-    induced flag in the face's rank-i structure must be well defined,
-    surjective, carry j-edges (j < i) to the j-action downstairs, and
-    collapse j-edges with j > i.  A face flag's induced flags are the
-    flags of the structure (``face_maniplex``) that words in the colours
-    above i reach from it.  Those words commute with the colours below
-    i, so these flags lie in one orbit of the structure's group and any
-    one will do: one labelling by the colours above i finds them, and
-    the face's flags are those whose label a flag of the structure has.
-    ValueError when ``stg`` and ``aut`` differ in orbit count.
-    """
-    if stg.vertex_count != aut.orbit_count:
-        raise ValueError(f"the symmetry type graph's vertex count {stg.vertex_count} "
-                         f"is not the group's orbit count {aut.orbit_count}")
-    g = aut.graph
-    comp = face_component(g, i, face)
-    sub = FlagGraph(np.searchsorted(comp, g.adj[:i, comp]))
-    sub_aut = aut_group(sub)
-    upper = component_labels(g.adj[i + 1:], g.flag_count)
-    local = np.full(g.flag_count, -1)
-    local[upper[comp]] = np.arange(comp.size)
-    induced = local[upper]
-    flags = np.flatnonzero(induced >= 0)
-    # the (Aut orbit, face orbit) pair of each face flag, and pi its map
-    u, image = aut.orbit_of[flags], sub_aut.orbit_of[induced[flags]]
-    pi = np.full(aut.orbit_count, -1)
-    pi[u] = image
-    if not np.array_equal(pi[u], image):
-        return False
-    labels = np.array(_without(stg, i))
-    if not np.array_equal(labels == labels[u.min()], pi >= 0):  # C, all of it
-        return False
-    if np.count_nonzero(np.bincount(image)) != sub_aut.orbit_count:
-        return False
-    down, tables = np.array(quotient(sub_aut).tables), np.array(stg.tables)
-    vertices = np.flatnonzero(pi >= 0)
-    return (np.array_equal(down[:, pi[vertices]], pi[tables[:i, vertices]])
-            and bool((pi[tables[i + 1:, vertices]] == pi[vertices]).all()))

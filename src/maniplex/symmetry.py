@@ -54,11 +54,6 @@ def _extend(g1: FlagGraph, g2: FlagGraph, source: int, target: int):
     return img
 
 
-def extend_automorphism(g: FlagGraph, source: int, target: int):
-    """Automorphism of ``g`` with source -> target, or None."""
-    return _extend(g, g, source, target)
-
-
 def _cycle_lengths(p: np.ndarray) -> np.ndarray:
     """Length of the cycle of the permutation ``p`` through each point.
 
@@ -98,7 +93,7 @@ def invariant_colours(tables) -> np.ndarray:
     hashing: weighted per column, summed a column at a time (no (rank, F)
     array) and mixed.  A collision only merges classes, adding candidates
     that fail to extend.  Two graphs coloured in one call, on their
-    disjoint union, get comparable colours."""
+    disjoint union, get comparable colours (the tests' ``are_isomorphic``)."""
     tables = np.asarray(tables)
     rank = len(tables)
     weights = _mix(np.arange(1, 2 * rank + 1, dtype=np.int64) * _GOLDEN)
@@ -186,20 +181,3 @@ def aut_group(g: FlagGraph) -> AutGroup:
         label = _hook(_both_ways([img]), label)
         skip |= label == 0
     return _group(g, generators, label)
-
-
-def are_isomorphic(g1: FlagGraph, g2: FlagGraph):
-    """A colour-preserving bijection g1 -> g2, or None.
-
-    Flag 0 of g1 is tried only against the flags of g2 with its invariant
-    colour, computed once on the disjoint union of the two graphs.
-    """
-    if g1.rank != g2.rank or g1.flag_count != g2.flag_count:
-        return None
-    count = g1.flag_count
-    colour = invariant_colours(np.concatenate([g1.adj, g2.adj + count], axis=1))
-    for target in np.flatnonzero(colour[count:] == colour[0]).tolist():
-        m = _extend(g1, g2, 0, target)
-        if m is not None:
-            return m
-    return None

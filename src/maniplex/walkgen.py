@@ -18,7 +18,7 @@ import numpy as np
 
 from .flag_graph import InternalCheckError, component_labels
 from .stg import SymmetryTypeGraph
-from .symmetry import AutGroup, _both_ways, extend_automorphism
+from .symmetry import AutGroup, _both_ways
 
 
 def spanning_tree(t: SymmetryTypeGraph) -> dict[int, tuple[int, ...]]:
@@ -45,7 +45,8 @@ def spanning_tree(t: SymmetryTypeGraph) -> dict[int, tuple[int, ...]]:
 
 def _crossings(t: SymmetryTypeGraph):
     """The tree paths, and (u, c, v) per (semi-)edge missing from the
-    tree, colour c from u, reached first, to v, in ``generating_walks``' order."""
+    tree, colour c from u, reached first, to v: the edges ordered by
+    (order of u, order of v, c), then the semi-edges by (order of u, c)."""
     paths = spanning_tree(t)
     verts = list(paths)
     pos = {v: i for i, v in enumerate(verts)}
@@ -56,20 +57,6 @@ def _crossings(t: SymmetryTypeGraph):
     crossings = [(verts[i], colour, verts[j]) for i, j, colour in edges
                  if paths[verts[j]][-1] != colour]
     return paths, crossings + [(u, colour, u) for u in verts for colour in sorted(t.semi_colours(u))]
-
-
-def generating_walks(t: SymmetryTypeGraph) -> list[tuple[int, ...]]:
-    """Colour words of closed walks at vertex 0, one per (semi-)edge
-    missing from the spanning tree.
-
-    For an edge of colour c between u and v, u reached first: out along
-    the tree to u, across, back along the tree from v.  For a semi-edge
-    of colour c at u: out to u, trace it, back the same way.  Edge walks
-    come first, ordered by (order of u, order of v, c); semi-edge walks
-    follow, ordered by (order of u, c).
-    """
-    paths, crossings = _crossings(t)
-    return [paths[u] + (c,) + paths[v][::-1] for u, c, v in crossings]
 
 
 @dataclass
@@ -110,7 +97,7 @@ def realize_generators(a: AutGroup, t: SymmetryTypeGraph) -> GeneratorSet:
         raise InternalCheckError("closed walk left the base orbit")
     by_target = {int(p[0]): p for p in a.generators}
     for target in set(ends.tolist()) - by_target.keys():
-        by_target[target] = extend_automorphism(g, 0, target)
+        by_target[target] = a.element(target)
         if by_target[target] is None:
             raise InternalCheckError("no automorphism realizes a closed walk word")
     autos = [by_target[target] for target in ends.tolist()]

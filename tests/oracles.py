@@ -12,18 +12,212 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
+from maniplex import symmetry
 from maniplex.constructions import MapError, MapSpec, _face_slots
-from maniplex.enumeration import _bitmasks, _census, _images, _oriented_codes, involutions
-from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, face_component,
-                                 face_maniplex, i_faces, quotient_tables, validate)
+from maniplex.enumeration import (_bitmasks, _census, _images, _least_codes, _oriented_census,
+                                  _oriented_codes, involutions)
+from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, quotient_tables,
+                                 validate)
 from maniplex.formats import PALETTE, ParseError, _content_lines, _header_fields
 from maniplex.oriented import (OrientedSTG, Orientation, oriented_digraph, orientation,
                                stg_has_odd_closed_walk)
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, _without,
-                          bipartition, quotient)
+                          bipartition, quotient, stg_violations)
 from maniplex.symmetry import (_GOLDEN, AutGroup, _both_ways, _cycle_lengths, _extend, _group, _mix,
-                               aut_group, extend_automorphism, invariant_colours, invert)
-from maniplex.walkgen import GeneratorSet, generating_walks
+                               aut_group, invariant_colours, invert)
+from maniplex.walkgen import GeneratorSet, _crossings
+
+
+# Routines that no command, script or census check calls, kept as the
+# tests' reference forms: the trial extension and the isomorphism test
+# of two graphs, the i-faces and their sub-structures, the face
+# projection check, the one-graph codes and questions, the oriented
+# census per colour count and the generator words as one list.  The
+# extensions and colours go through the ``symmetry`` module, where the
+# tests patch them.
+
+
+def extend_automorphism(g: FlagGraph, source: int, target: int):
+    """Automorphism of ``g`` with source -> target, or None."""
+    return symmetry._extend(g, g, source, target)
+
+
+def are_isomorphic(g1: FlagGraph, g2: FlagGraph):
+    """A colour-preserving bijection g1 -> g2, or None.
+
+    Flag 0 of g1 is tried only against the flags of g2 with its invariant
+    colour, computed once on the disjoint union of the two graphs.
+    """
+    if g1.rank != g2.rank or g1.flag_count != g2.flag_count:
+        return None
+    count = g1.flag_count
+    colour = symmetry.invariant_colours(np.concatenate([g1.adj, g2.adj + count], axis=1))
+    for target in np.flatnonzero(colour[count:] == colour[0]).tolist():
+        m = symmetry._extend(g1, g2, 0, target)
+        if m is not None:
+            return m
+    return None
+
+
+@dataclass(frozen=True)
+class FacePartition:
+    """Partition of flags into i-faces (components avoiding one colour)."""
+
+    colour_removed: int
+    face_of: np.ndarray
+    face_count: int
+
+    def flags_of(self, face: int) -> np.ndarray:
+        return np.nonzero(self.face_of == face)[0].astype(np.int32)
+
+
+def i_faces(g: FlagGraph, i: int) -> FacePartition:
+    """Faces of rank ``i``: connected components after deleting colour i.
+
+    Face ids run 0..face_count-1 in order of least flag index.
+    """
+    if not 0 <= i < g.rank:
+        raise ValueError(f"colour {i} out of range for rank {g.rank}")
+    label = component_labels(np.delete(g.adj, i, axis=0), g.flag_count)
+    least = label == np.arange(g.flag_count)
+    face_of = (np.cumsum(least) - 1).astype(np.int32)[label]
+    face_of.setflags(write=False)
+    return FacePartition(colour_removed=i, face_of=face_of,
+                         face_count=int(np.count_nonzero(least)))
+
+
+def face_component(g: FlagGraph, i: int, face: int) -> np.ndarray:
+    """Flags of one component of the given i-face under colours < i.
+
+    The component containing the least flag of the face is returned, as a
+    sorted array of flag ids of ``g``.
+    """
+    if i < 1:
+        raise ValueError("faces of rank 0 have no sub-structure")
+    part = i_faces(g, i)
+    if not 0 <= face < part.face_count:
+        raise ValueError(f"face id {face} out of range")
+    label = component_labels(g.adj[:i], g.flag_count)
+    return np.flatnonzero(label == part.flags_of(face)[0]).astype(np.int32)
+
+
+def face_maniplex(g: FlagGraph, i: int, face: int) -> FlagGraph:
+    """The rank-i flag graph sitting inside an i-face.
+
+    Keeps colours 0..i-1 on one component of the face, re-indexing flags
+    densely in increasing order of their original ids.
+    """
+    comp = face_component(g, i, face)
+    return FlagGraph(np.searchsorted(comp, g.adj[:i, comp]))
+
+
+def recolour_dual(g: FlagGraph) -> FlagGraph:
+    """Reverse the colour order (i -> rank-1-i)."""
+    return FlagGraph(g.adj[::-1])
+
+
+def verify_face_projection(aut: AutGroup, stg: SymmetryTypeGraph, i: int, face: int) -> bool:
+    """Check the face-quotient projection property for one i-face of ``aut.graph``.
+
+    The orbits meeting the face form one component C of the colour-i
+    deleted quotient.  Mapping each such orbit to the orbit of its
+    induced flag in the face's rank-i structure must be well defined,
+    surjective, carry j-edges (j < i) to the j-action downstairs, and
+    collapse j-edges with j > i.  A face flag's induced flags are the
+    flags of the structure (``face_maniplex``) that words in the colours
+    above i reach from it.  Those words commute with the colours below
+    i, so these flags lie in one orbit of the structure's group and any
+    one will do: one labelling by the colours above i finds them, and
+    the face's flags are those whose label a flag of the structure has.
+    ValueError when ``stg`` and ``aut`` differ in orbit count.
+    """
+    if stg.vertex_count != aut.orbit_count:
+        raise ValueError(f"the symmetry type graph's vertex count {stg.vertex_count} "
+                         f"is not the group's orbit count {aut.orbit_count}")
+    g = aut.graph
+    comp = face_component(g, i, face)
+    sub = FlagGraph(np.searchsorted(comp, g.adj[:i, comp]))
+    sub_aut = aut_group(sub)
+    upper = component_labels(g.adj[i + 1:], g.flag_count)
+    local = np.full(g.flag_count, -1)
+    local[upper[comp]] = np.arange(comp.size)
+    induced = local[upper]
+    flags = np.flatnonzero(induced >= 0)
+    # the (Aut orbit, face orbit) pair of each face flag, and pi its map
+    u, image = aut.orbit_of[flags], sub_aut.orbit_of[induced[flags]]
+    pi = np.full(aut.orbit_count, -1)
+    pi[u] = image
+    if not np.array_equal(pi[u], image):
+        return False
+    labels = np.array(_without(stg, i))
+    if not np.array_equal(labels == labels[u.min()], pi >= 0):  # C, all of it
+        return False
+    if np.count_nonzero(np.bincount(image)) != sub_aut.orbit_count:
+        return False
+    down, tables = np.array(quotient(sub_aut).tables), np.array(stg.tables)
+    vertices = np.flatnonzero(pi >= 0)
+    return (np.array_equal(down[:, pi[vertices]], pi[tables[:i, vertices]])
+            and bool((pi[tables[i + 1:, vertices]] == pi[vertices]).all()))
+
+
+def is_admissible(t: SymmetryTypeGraph) -> bool:
+    return not stg_violations(t)
+
+
+def is_i_face_transitive(t: SymmetryTypeGraph, i: int) -> bool:
+    """True when deleting colour-i edges leaves the pregraph connected."""
+    return not any(_without(t, i))
+
+
+def canonical_code(t: SymmetryTypeGraph) -> bytes:
+    """Least serialization over all vertex relabellings.
+
+    Vertices are permuted, colours are not; 255 marks a semi-edge.
+    Raises ValueError when ``t`` is disconnected or has over 255 vertices.
+    """
+    return _least_codes(np.array([[t.tables]]), t.rank)[0].tobytes()
+
+
+def oriented_canonical_code(ot: OrientedSTG) -> bytes:
+    """Least serialization over relabellings and dart reversal, the dart
+    one more table after the undirected classes."""
+    return _oriented_codes([ot])[0].tobytes()
+
+
+def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
+    """All three-vertex oriented quotient di-graphs with n_colours colours,
+    sorted by oriented canonical code."""
+    if n_colours < 4:
+        raise ValueError("three-vertex oriented quotients need n_colours >= 4")
+    return _oriented_census((n_colours,))[n_colours]
+
+
+def oriented_stg3_families(n_colours: int) -> dict[str, list[OrientedSTG]]:
+    """The census grouped by directed-class shape: three, one or no loops."""
+    groups = {name: [] for name in ("three_loops", "two_cycle_loop", "three_cycle")}
+    shape = dict(zip((3, 1, 0), groups.values()))
+    for ot in enumerate_oriented_stg3(n_colours):
+        shape[sum(v == u for u, v in enumerate(ot.dart))].append(ot)
+    return groups
+
+
+def generating_walks(t: SymmetryTypeGraph) -> list[tuple[int, ...]]:
+    """Colour words of closed walks at vertex 0, one per (semi-)edge
+    missing from the spanning tree, in ``walkgen._crossings``' order.
+
+    For an edge of colour c between u and v, u reached first: out along
+    the tree to u, across, back along the tree from v.  For a semi-edge
+    of colour c at u: out to u, trace it, back the same way.
+    """
+    paths, crossings = _crossings(t)
+    return [paths[u] + (c,) + paths[v][::-1] for u, c, v in crossings]
+
+
+def write_map_text(spec: MapSpec) -> str:
+    lines = [f"map vertices={spec.vertex_count}"]
+    for cycle in spec.faces:
+        lines.append(" ".join(str(v) for v in cycle))
+    return "\n".join(lines) + "\n"
 
 
 # The depth-first walk that the STG check's single component_labels pass
@@ -357,7 +551,7 @@ def relabel(g: FlagGraph, rng: random.Random) -> FlagGraph:
     return FlagGraph(adj)
 
 
-# The generator words that walkgen.generating_walks replaced: a shortest
+# The generator words that generating_walks replaced: a shortest
 # walk from vertex 0 through every vertex of the quotient (least colour
 # word among the shortest), with one closed detour per (semi-)edge it
 # does not use.  The detours raise ValueError where the walk turns back.
@@ -1120,7 +1314,7 @@ def loop_map_from_faces(spec: MapSpec) -> FlagGraph:
 
 # The routes that the per-flag depth array and the upper-colour labels
 # replaced: oriented.orientation's level-by-level replay of the tree,
-# stg.verify_face_projection's depth-first search for each face flag's
+# verify_face_projection's depth-first search for each face flag's
 # induced flag, and walkgen.reduce_generators' whole-table keys.
 
 

@@ -22,24 +22,24 @@ from maniplex import flag_graph, oriented, symmetry
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
 from maniplex.enumeration import enumerate_stg
-from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, face_maniplex,
-                                 i_faces, non_commuting, recolour_dual, validate)
+from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, non_commuting,
+                                 validate)
 from maniplex.formats import (ParseError, _colour_row, cycle_string, parse_maniplex_text,
                               parse_map_text, write_maniplex_text)
 from maniplex.oriented import (Orientation, aut_plus, black_orbit_count, orientation,
                                oriented_digraph, oriented_stg)
-from maniplex.stg import SymmetryTypeGraph, check_all, quotient, verify_face_projection
-from maniplex.symmetry import are_isomorphic, aut_group, invariant_colours
+from maniplex.stg import SymmetryTypeGraph, check_all, quotient
+from maniplex.symmetry import aut_group, invariant_colours
 from maniplex.walkgen import GeneratorSet, realize_generators, reduce_generators
-from oracles import (all_products_invariant_colours, bytes_reduce_generators, components,
-                     digraph_oriented_stg, format_cycle_string, hook_and_jump_labels,
-                     level_orientation,
+from oracles import (all_products_invariant_colours, are_isomorphic, bytes_reduce_generators,
+                     components, digraph_oriented_stg, face_maniplex, format_cycle_string,
+                     hook_and_jump_labels, i_faces, level_orientation,
                      loop_cycle_string, loop_hypercube, loop_map_from_faces, loop_polygon,
                      loop_simplex, loop_torus44, matmul_invariant_colours,
                      pair_non_commuting, random_map, rank_invariant_colours, relabel,
                      relabel_aut_group, schreier_aut_plus, sorted_bfs_levels,
-                     token_parse_maniplex_text, trial_order, tree_search_group,
-                     walk_face_projection, walk_realize_generators)
+                     recolour_dual, token_parse_maniplex_text, trial_order, tree_search_group,
+                     verify_face_projection, walk_face_projection, walk_realize_generators)
 
 # the labels of the analyze benchmarks
 BENCHMARK_LABELS = ("prism:200", "pyramid:200", "torus44:20,7", "simplex:6", "hypercube:5",
@@ -532,7 +532,7 @@ def test_invariant_colours_raise_no_overflow_warning(corpus):
 
 
 
-# oriented.orientation, stg.verify_face_projection and
+# oriented.orientation, verify_face_projection and
 # walkgen.reduce_generators against the level replay, the per-flag search
 # and the whole-table keys they replaced
 

@@ -13,14 +13,15 @@ import pytest
 from maniplex import oriented, symmetry
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, construction, cube, torus44
-from maniplex.enumeration import canonical_code, enumerate_stg, involutions
+from maniplex.enumeration import enumerate_stg, involutions
 from maniplex.flag_graph import FlagGraph, InternalCheckError, non_commuting
 from maniplex.oriented import oriented_digraph, orientation
 from maniplex.stg import SymmetryTypeGraph, bipartition, quotient, stg_violations
-from maniplex.symmetry import are_isomorphic, aut_group
+from maniplex.symmetry import aut_group
 from maniplex.walkgen import (GeneratorSet, generates_full_group, realize_generators,
                               reduce_generators)
-from oracles import closure, commute_defect, component, components, min_code, two_colouring
+from oracles import (are_isomorphic, canonical_code, closure, commute_defect, component,
+                     components, min_code, two_colouring)
 
 # The five quotients of an alternating (i, j) 4-cycle, as (m_i, m_j)
 # partner tables on local vertices 0..size-1.

@@ -9,17 +9,17 @@ import pytest
 from maniplex import enumeration
 from maniplex.cli import main
 from maniplex.constructions import CORPUS
-from maniplex.enumeration import (canonical_code, census, enumerate_oriented_stg3,
-                                  enumerate_stg, involutions, is_fully_transitive,
-                                  oriented_canonical_code, oriented_stg3_families,
+from maniplex.enumeration import (census, enumerate_stg, involutions, is_fully_transitive,
                                   oriented_stg3_via_quotient, verify_census)
 from maniplex.flag_graph import InternalCheckError
 from maniplex.formats import slot_text
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit,
-                          class_labels, classify, is_admissible, transitivity_profile)
-from oracles import (commute_defect, component, exhaustive_stg, hand_oriented_stg3,
-                     hand_quotient_route, loop_least_code, min_code, oriented_min_code,
-                     recursive_commuting_tuples, recursive_involutions, stg_from_slots)
+                          class_labels, classify, transitivity_profile)
+from oracles import (canonical_code, commute_defect, component, enumerate_oriented_stg3,
+                     exhaustive_stg, hand_oriented_stg3, hand_quotient_route, is_admissible,
+                     loop_least_code, min_code, oriented_canonical_code, oriented_min_code,
+                     oriented_stg3_families, recursive_commuting_tuples, recursive_involutions,
+                     stg_from_slots)
 
 
 def test_involution_counts():
@@ -187,7 +187,7 @@ def test_orderly_search_matches_exhaustive_search(k):
     # labelled tuple met of each canonical code
     for n_colours in range(1, 7):
         for fixed_point_free in (False, True):
-            assert enumerate_stg(n_colours, k, fixed_point_free=fixed_point_free) == \
+            assert enumeration._census((n_colours,), k, (), fixed_point_free)[n_colours][0] == \
                 exhaustive_stg(n_colours, k, fixed_point_free), (n_colours, fixed_point_free)
 
 
@@ -247,7 +247,7 @@ def test_levels_match_the_recursive_search_without_fixed_points():
     choices = [m for m in involutions(6) if all(m[v] != v for v in range(6))]
     check_levels(choices, [list(range(len(choices)))] * 6, enumeration._relabellings(6))
     for n in range(1, 4):  # no candidate at all on an odd number of points
-        assert enumerate_stg(n, 3, fixed_point_free=True) == []
+        assert enumeration._census((n,), 3, (), True)[n][0] == []
 
 
 def test_oriented_levels_match_the_recursive_search_under_each_dart():
@@ -275,12 +275,10 @@ def test_one_search_gives_every_colour_count(k):
 
 
 def test_one_search_gives_every_colour_count_without_fixed_points():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        shared = enumeration._census(range(1, 6), 6, fixed_point_free=True)
-        for n in range(1, 6):
-            alone = enumerate_stg(n, 6, fixed_point_free=True)
-            assert [t.tables for t in shared[n][0]] == [t.tables for t in alone], n
+    shared = enumeration._census(range(1, 6), 6, fixed_point_free=True)
+    for n in range(1, 6):
+        alone = enumeration._census((n,), 6, (), True)[n][0]
+        assert [t.tables for t in shared[n][0]] == [t.tables for t in alone], n
 
 
 def test_one_search_per_dart_gives_every_oriented_colour_count():

@@ -13,14 +13,13 @@ from maniplex import cli, formats
 from maniplex.cli import build_parser, main
 from maniplex.constructions import CORPUS, cuboctahedron, map_from_faces
 from maniplex.formats import (ParseError, cycle_string, parse_maniplex_text,
-                              parse_map_text, stg_to_dot, write_maniplex_text,
-                              write_map_text)
+                              parse_map_text, stg_to_dot, write_maniplex_text)
 from maniplex.stg import quotient
 from maniplex.symmetry import aut_group
 
 import numpy as np
 
-from oracles import random_map
+from oracles import random_map, write_map_text
 
 
 def test_maniplex_round_trip_byte_identical(corpus):
@@ -402,8 +401,9 @@ import contextlib, io, sys
 from maniplex.cli import main
 from maniplex.constructions import construction
 from maniplex.enumeration import verify_census
-from maniplex.stg import quotient, verify_face_projection
+from maniplex.stg import quotient
 from maniplex.symmetry import aut_group
+from oracles import verify_face_projection
 
 steps = {
     "analyze": lambda: main(["analyze", "prism:5", "--json", "--generators", "--oriented"]),
@@ -427,7 +427,9 @@ def test_no_path_imports_numpy_masked_arrays(tmp_path):
     run = subprocess.run([sys.executable, "-c", MASKED_ARRAY_STEPS, str(tmp_path / "out.csv")],
                          capture_output=True, text=True, timeout=120,
                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
-                              "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+                              "PYTHONPATH": os.pathsep.join([
+                                  str(Path(cli.__file__).resolve().parents[1]),
+                                  str(Path(__file__).resolve().parent)])})
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n")[:-1] == [f"{name} False" for name in
                                            ("analyze", "enumerate", "verify_census",

@@ -26,9 +26,8 @@ from pathlib import Path
 
 from maniplex.cli import main
 from maniplex.constructions import CORPUS
-from maniplex.enumeration import enumerate_oriented_stg3, oriented_canonical_code
 from maniplex.formats import write_maniplex_text
-from oracles import random_map
+from oracles import enumerate_oriented_stg3, oriented_canonical_code, random_map
 
 GOLDEN = Path(__file__).with_name("golden_analyze.json")
 GOLDEN_CENSUS = Path(__file__).with_name("golden_census.json")

@@ -20,10 +20,10 @@ from maniplex.flag_graph import InternalCheckError, component_labels
 from maniplex.formats import write_maniplex_text
 from maniplex.oriented import aut_plus, orientation
 from maniplex.stg import quotient
-from maniplex.symmetry import are_isomorphic, aut_group, invert
+from maniplex.symmetry import aut_group, invert
 from maniplex.walkgen import generates_full_group, realize_generators, reduce_generators
-from oracles import (closure, orbit_partition, random_map, relabel, schreier_aut_plus,
-                     trial_extension_elements)
+from oracles import (are_isomorphic, closure, orbit_partition, random_map, relabel,
+                     schreier_aut_plus, trial_extension_elements)
 
 
 def check_against_oracle(g, a=None):

@@ -3,12 +3,13 @@ import pytest
 
 from maniplex.constructions import (CORPUS, cube, cuboctahedron, hemicube, polygon,
                                     prism, simplex, torus44)
+from maniplex.flag_graph import FlagGraph
 from maniplex.oriented import (Rotary, TwoOrbitOriented, aut_plus,
                                black_orbit_count, classify_oriented,
                                is_chiral_a_la_conway, orientation, oriented_digraph,
                                oriented_stg, stg_has_odd_closed_walk)
-from maniplex.symmetry import are_isomorphic, aut_group
-from oracles import check_facets_against_faces, enantiomorph, has_semi_edges
+from maniplex.symmetry import aut_group
+from oracles import are_isomorphic, check_facets_against_faces, enantiomorph, has_semi_edges
 
 
 def test_orientability():
@@ -64,6 +65,13 @@ def test_digraph_needs_rank_two():
     g = simplex(1)
     with pytest.raises(ValueError):
         oriented_digraph(g, orientation(g))
+
+
+def test_oriented_stg_needs_rank_two():
+    g = FlagGraph([[1, 0]])
+    o = orientation(g)
+    with pytest.raises(ValueError, match="rank >= 2"):
+        oriented_stg(aut_plus(aut_group(g), o), o)
 
 
 def test_aut_plus_orders():

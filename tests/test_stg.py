@@ -9,16 +9,17 @@ from maniplex import stg
 from maniplex.cli import main
 from maniplex.constructions import CORPUS, cube, cuboctahedron, prism, pyramid, torus44
 from maniplex.enumeration import enumerate_stg
-from maniplex.flag_graph import InternalCheckError, i_faces
+from maniplex.flag_graph import InternalCheckError
 from maniplex.oriented import aut_plus, orientation, oriented_stg, stg_has_odd_closed_walk
 from maniplex.stg import (SEMI, FourOrbitFamily, Regular, SymmetryTypeGraph,
                           ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, bipartition, check_all,
-                          class_labels, classify, face_orbit_splits, is_admissible,
-                          is_i_face_transitive, quotient, stg_violations, transitivity_profile,
-                          verify_face_projection)
+                          class_labels, classify, face_orbit_splits, quotient, stg_violations,
+                          transitivity_profile)
 from maniplex.symmetry import aut_group
-from oracles import (edge_pattern_three_orbit, loop_violations, orbit_loop_oriented_stg,
-                     orbit_loop_quotient, random_map, relabel, stg_from_slots, walk_facts)
+from oracles import (edge_pattern_three_orbit, face_maniplex, i_faces, is_admissible,
+                     is_i_face_transitive, loop_violations, orbit_loop_oriented_stg,
+                     orbit_loop_quotient, random_map, relabel, stg_from_slots,
+                     verify_face_projection, walk_facts)
 from test_enumeration import CODE_GRID
 
 
@@ -209,8 +210,6 @@ def test_face_projection_cube():
 def test_face_projection_prism_triangle_and_cubocta_square(corpus):
     g = corpus.graph("prism:3")
     part = i_faces(g, 2)
-    from maniplex.flag_graph import face_maniplex
-
     for face in range(part.face_count):
         assert verify_face_projection(corpus.aut("prism:3"), corpus.stg("prism:3"), 2, face)
         sub = face_maniplex(g, 2, face)
@@ -238,8 +237,6 @@ def test_face_projection_rejects_a_quotient_of_another_orbit_count(corpus, label
 
 def test_three_orbit_classes_have_reflexible_j_faces(corpus):
     # the distinguished-face structure of each 3-orbit corpus item is 1-orbit
-    from maniplex.flag_graph import face_maniplex
-
     for label in ("prism:3", "prism:5", "prism:6"):
         t = corpus.stg(label)
         cls = classify(t)

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 
 from maniplex.constructions import cube, polygon, pyramid, simplex, torus44
-from maniplex.symmetry import are_isomorphic, aut_group, extend_automorphism, invert
-from oracles import compose, identity
+from maniplex.symmetry import aut_group, invert
+from oracles import are_isomorphic, compose, extend_automorphism, identity
 
 
 def all_automorphisms_brute(g):

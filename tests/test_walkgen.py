@@ -12,10 +12,10 @@ from maniplex.enumeration import enumerate_stg
 from maniplex.formats import write_maniplex_text
 from maniplex.stg import SEMI, quotient
 from maniplex.symmetry import aut_group
-from maniplex.walkgen import (GeneratorSet, generates_full_group, generating_walks,
-                              realize_generators, reduce_generators, spanning_tree)
-from oracles import (Walk, check_walk, closure, identity, min_spanning_walk, random_map, relabel,
-                     spanning_walk_words, stg_from_slots, walk_from_word)
+from maniplex.walkgen import (GeneratorSet, generates_full_group, realize_generators,
+                              reduce_generators, spanning_tree)
+from oracles import (Walk, check_walk, closure, generating_walks, identity, min_spanning_walk,
+                     random_map, relabel, spanning_walk_words, stg_from_slots, walk_from_word)
 
 
 def test_min_walk_single_vertex_is_empty():
