@@ -6,8 +6,8 @@ from .constructions import (MapSpec, construction, cube, cuboctahedron, hemicube
                             pyramid, simplex, tetrahedron, torus44)
 from .enumeration import enumerate_stg, is_fully_transitive, verify_census
 from .flag_graph import FlagGraph, Violation, validate
-from .oriented import (Orientation, OrientedSTG, aut_plus, classify_oriented,
-                       is_chiral_a_la_conway, orientation, oriented_digraph, oriented_stg)
+from .oriented import (OrientedSTG, aut_plus, classify_oriented, is_chiral_a_la_conway,
+                       orientation, oriented_digraph, oriented_stg)
 from .stg import SEMI, SymmetryTypeGraph, classify, quotient, transitivity_profile
 from .symmetry import AutGroup, aut_group
 from .walkgen import GeneratorSet, realize_generators, reduce_generators, spanning_tree

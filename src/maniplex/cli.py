@@ -2,9 +2,10 @@
 census's one array: labels once per shared facts tuple, slots in one pass.
 
 Exit codes: 0 success, 2 parse error (also an input that is both a file
-and a construction label, and an output file that cannot be written),
-3 validation error, 4 internal assertion failure (a cross-checked
-identity broke), 5 not enough memory for the request.
+and a construction label, an output file that cannot be written, and
+more than 2,147,483,647 flags, the int32 limit), 3 validation error, 4
+internal assertion failure (a cross-checked identity broke), 5 not
+enough memory for the request.
 """
 
 from __future__ import annotations
@@ -107,20 +108,20 @@ def cmd_analyze(args) -> int:
 
     ot = None
     if args.oriented:
-        o = orientation(g)
-        if o is None:
+        parity = orientation(g)
+        if parity is None:
             payload["oriented"] = {"orientable": False}
         else:
-            ap = aut_plus(aut, o)
+            ap = aut_plus(aut, parity)
             block: dict = {
                 "orientable": True,
                 "aut_plus_order": ap.order,
                 "index": aut.order // ap.order,
                 "chiral_a_la_conway": is_chiral_a_la_conway(aut, ap, t),
-                "black_orbit_count": black_orbit_count(ap, o),
+                "black_orbit_count": black_orbit_count(ap, parity),
             }
             if g.rank >= 2:
-                ot = oriented_stg(ap, o)
+                ot = oriented_stg(ap, parity)
                 block["class"] = classify_oriented(ot).label()
                 block["stg"] = {"vertices": ot.vertex_count, "undirected": ot.undirected,
                                 "dart": ot.dart}

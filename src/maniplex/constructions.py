@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .flag_graph import FlagGraph
+from .flag_graph import FlagGraph, check_flag_count
 
 
 class MapError(ValueError):
@@ -239,13 +239,14 @@ def hemicube() -> FlagGraph:
     return map_from_faces(_load_map_spec("hemicube"))
 
 
+# each builder, its parameter count and its flag count, checked before it builds
 _PARAMETRIC = {
-    "polygon": (polygon, 1),
-    "simplex": (simplex, 1),
-    "hypercube": (hypercube, 1),
-    "prism": (prism, 1),
-    "pyramid": (pyramid, 1),
-    "torus44": (torus44, 2),
+    "polygon": (polygon, 1, lambda l: 2 * l),
+    "simplex": (simplex, 1, lambda d: math.factorial(max(d, 0) + 1)),
+    "hypercube": (hypercube, 1, lambda d: math.factorial(max(d, 0)) << max(d, 0)),
+    "prism": (prism, 1, lambda l: 12 * l),
+    "pyramid": (pyramid, 1, lambda l: 8 * l),
+    "torus44": (torus44, 2, lambda b, c: 8 * (b * b + c * c)),
 }
 
 _NAMED = {
@@ -279,7 +280,7 @@ def parse_label(label: str):
             raise ValueError(f"{name} takes no parameters")
         return _NAMED[name], ()
     if name in _PARAMETRIC:
-        builder, arity = _PARAMETRIC[name]
+        builder, arity, _ = _PARAMETRIC[name]
         parts = [p for p in args.split(",") if p] if args else []
         if len(parts) != arity:
             raise ValueError(f"{name} takes {arity} parameter(s), e.g. {name}:" + ",".join("1" * arity))
@@ -288,6 +289,10 @@ def parse_label(label: str):
 
 
 def construction(label: str) -> FlagGraph:
-    """Build a corpus item from a label like ``prism:3`` or ``cube``."""
+    """Build a corpus item from a label like ``prism:3`` or ``cube``;
+    ValueError, before anything is built, when int32 tables cannot index
+    its flags."""
     builder, params = parse_label(label)
+    if (name := label.partition(":")[0]) in _PARAMETRIC:
+        check_flag_count(_PARAMETRIC[name][2](*params))
     return builder(*params)

@@ -31,7 +31,7 @@ from itertools import compress, permutations
 import numpy as np
 
 from .flag_graph import CHUNK, FlagGraph, InternalCheckError, quotient_tables, stack_labels
-from .oriented import Orientation, OrientedSTG, oriented_digraph, stg_has_odd_closed_walk
+from .oriented import OrientedSTG, oriented_digraph, stg_has_odd_closed_walk
 from .stg import (SymmetryTypeGraph, bipartition, check_all, face_orbit_splits, stg_violations,
                   transitivity_profile)
 
@@ -333,9 +333,9 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
     covers, _ = _census((n,), 2 * _K, (lambda t: not stg_has_odd_closed_walk(t),), True)[n]
     found = []
     for t in covers:
-        g, o = FlagGraph(t.tables), Orientation(np.array(bipartition(t), np.int8))
-        black = o.black_flags
-        *tables, dart = quotient_tables(oriented_digraph(g, o).adj[:-1],
+        g, parity = FlagGraph(t.tables), np.array(bipartition(t), np.int8)
+        black = np.flatnonzero(parity == 0)
+        *tables, dart = quotient_tables(oriented_digraph(g, parity).adj[:-1],
                                         np.minimum(black, g.adj[-1, black]))
         found.append(OrientedSTG(tables=tuple(tables), dart=dart))
     first: dict[bytes, OrientedSTG] = {}

@@ -12,21 +12,31 @@ below work on that shared form: a *partner table* ``m`` per colour,
 where ``m[u]`` is u's neighbour and ``m[u] == u`` is a semi-edge.
 ``component_labels`` is the one routine that finds components, and
 ``stack_labels`` and ``non_commuting`` take a whole stack of tuples, an
-array (tuples, colours, points), in one pass.  A flag graph caches its
-breadth-first tree from flag 0 with each flag's depth in it: the trial
-extension replays the tree, and connectivity, ``validate``'s witness of
-disconnection and the orientation's parts read the depths.  The tree is
-built a level at a time, with no sort (see ``FlagGraph.bfs_levels``).
+array (tuples, colours, points), in one pass.  Flag 0 is the only root:
+a flag graph caches its breadth-first tree from flag 0 with each flag's
+depth in it, the trial extension replays the tree, and connectivity,
+``validate``'s witness of disconnection and the orientation (the depth
+parities) read the depths.  The tree is built a level at a time, with
+no sort.  Tables are int32: at most ``MAX_FLAGS`` flags.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
 CHUNK = 1 << 16  # bytes of the largest array of one pass over a stack of tuples
+MAX_FLAGS = 2**31 - 1  # the largest count int32 tables index
+
+
+def check_flag_count(count: int) -> None:
+    """ValueError when int32 tables cannot index ``count`` flags."""
+    if count > MAX_FLAGS:
+        shown = f"{count:,}" if count < 10**30 else f"about 10^{int(math.log10(count))}"
+        raise ValueError(f"{shown} flags exceed the limit of {MAX_FLAGS:,} (flag tables are int32)")
 
 
 class InternalCheckError(AssertionError):
@@ -131,28 +141,30 @@ class FlagGraph:
 
     ``adj[i][f]`` is the flag joined to ``f`` by the edge of colour ``i``.
     Construction only enforces shape (tables rectangular, images in
-    range); the semantic invariants are checked by :func:`validate`.
+    range, at most ``MAX_FLAGS`` flags); ``validate`` checks the rest.
     """
 
-    __slots__ = ("rank", "flag_count", "adj", "_bfs0")
+    __slots__ = ("rank", "flag_count", "adj", "_tree")
 
     def __init__(self, adj) -> None:
-        try:
-            tables = np.asarray(adj, dtype=np.int64)
-        except OverflowError as exc:  # a Python int beyond int64
-            raise ValueError("flag image out of range") from exc
-        if tables.ndim != 2:
+        if not (isinstance(adj, np.ndarray) and adj.dtype.kind in "iu"):
+            try:  # an integer array is range-checked in its own dtype
+                adj = np.asarray(adj, dtype=np.int64)
+            except OverflowError as exc:  # a Python int beyond int64
+                raise ValueError("flag image out of range") from exc
+        if adj.ndim != 2:
             raise ValueError("adjacency must be a rank x flag_count table")
-        rank, count = tables.shape
+        rank, count = adj.shape
         if rank < 1:
             raise ValueError("at least one colour is required")
         if count < 2:
             raise ValueError("at least two flags are required")
-        if tables.min() < 0 or tables.max() >= count:
+        check_flag_count(count)
+        if adj.min() < 0 or adj.max() >= count:
             raise ValueError("flag image out of range")
-        self.rank, self.flag_count, self._bfs0 = rank, count, None
+        self.rank, self.flag_count, self._tree = rank, count, None
         # C order: bfs_levels would copy an F-order table at every level
-        self.adj = tables.astype(np.int32, order="C")
+        self.adj = adj.astype(np.int32, order="C")
         self.adj.setflags(write=False)
 
     def __eq__(self, other) -> bool:
@@ -171,23 +183,23 @@ class FlagGraph:
             flag = int(self.adj[c, flag])
         return flag
 
-    def bfs_levels(self, source: int = 0):
-        """Breadth-first tree from ``source`` as per-level arrays.
+    def bfs_levels(self):
+        """Breadth-first tree from flag 0 as per-level arrays, cached with
+        each flag's depth in it (see ``depths``).
 
         Each level is a triple ``(flags, parents, colours)`` meaning flag
         ``flags[t]`` was first reached from ``parents[t]`` along colour
-        ``colours[t]``.  The tree from flag 0 is cached, with each
-        flag's depth in it (see ``depths``).  A level's new candidates
-        scatter their positions (colour * |frontier| + t) into one index
-        array, and a flag keeps the one it reads back: no sort, and its
-        parent is any of the candidates that reached it.
+        ``colours[t]``.  A level's new candidates scatter their positions
+        (colour * |frontier| + t) into one index array, and a flag keeps
+        the one it reads back: no sort, and its parent is any of the
+        candidates that reached it.
         """
-        if source == 0 and self._bfs0 is not None:
-            return self._bfs0[0]
+        if self._tree is not None:
+            return self._tree[0]
         depth = np.full(self.flag_count, -1, dtype=np.int32)
-        depth[source] = 0
+        depth[0] = 0
         slot = np.empty(self.flag_count, dtype=np.intp)
-        frontier = np.array([source], dtype=np.int32)
+        frontier = np.zeros(1, dtype=np.int32)
         levels = []
         while frontier.size:  # take and put: the cheapest gathers and scatters
             cand = self.adj.take(frontier, axis=1).ravel()
@@ -200,16 +212,15 @@ class FlagGraph:
             frontier = levels[-1][0]
             depth.put(frontier, len(levels))
         levels.pop()  # the empty level that ends the search
-        if source == 0:
-            depth.setflags(write=False)
-            self._bfs0 = (levels, depth)
+        depth.setflags(write=False)
+        self._tree = (levels, depth)
         return levels
 
     def depths(self) -> np.ndarray:
         """Each flag's depth in the tree from flag 0, -1 where the tree
         does not reach it; a tree edge joins depths d and d + 1."""
-        self.bfs_levels(0)
-        return self._bfs0[1]
+        self.bfs_levels()
+        return self._tree[1]
 
     def is_connected(self) -> bool:
         return bool(self.depths().min() >= 0)

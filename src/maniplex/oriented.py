@@ -1,9 +1,10 @@
-"""Orientations, the oriented flag di-graph, and its quotients.
+"""The orientation of a flag graph, its oriented flag di-graph, and quotients.
 
 A flag graph is orientable when bipartite, its parts then the flags of
-even and of odd depth in the breadth-first tree from flag 0.  Fixing
-them as black and white, the black flags carry the structure of the even
-walks: the compositions t_i = r_{n-1} r_i are involutions for i <= n-3
+even and of odd depth in the breadth-first tree from flag 0, and the
+orientation is each flag's depth parity: 0 on the black flags, flag 0's
+part.  The black flags carry the structure of the even walks: the
+compositions t_i = r_{n-1} r_i are involutions for i <= n-3
 (undirected classes) while rot = r_{n-1} r_{n-2} is a genuine
 permutation (the directed class).  The oriented flag di-graph is a
 ``FlagGraph`` on the black flags whose colours are these moves,
@@ -25,66 +26,54 @@ from .stg import SymmetryTypeGraph, bipartition, slot_rows
 from .symmetry import AutGroup, _group, invert
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Black/white 2-colouring of the flags; flag 0 is black (0)."""
-
-    colour_of: np.ndarray
-
-    @property
-    def black_flags(self) -> np.ndarray:
-        return np.nonzero(self.colour_of == 0)[0].astype(np.int32)
-
-
 def orientation(g: FlagGraph):
-    """The 2-colouring with flag 0 black, or None when not bipartite:
-    each flag's colour is the parity of its depth from flag 0, so only
-    the edges off the tree can join one colour (a flag off it is white)."""
-    colour = (g.depths() & 1).astype(np.int8)
+    """The parity of each flag's depth from flag 0, read-only int8, 0 on
+    black and 1 on white, or None when not bipartite: only the edges off
+    the tree can join one part (a flag off it is white)."""
+    parity = (g.depths() & 1).astype(np.int8)
     for i in range(g.rank):
-        if np.any(colour[g.adj[i]] == colour):
+        if np.any(parity[g.adj[i]] == parity):
             return None
-    colour.setflags(write=False)
-    return Orientation(colour_of=colour)
+    parity.setflags(write=False)
+    return parity
 
 
-def oriented_digraph(g: FlagGraph, o: Orientation) -> FlagGraph:
-    """The oriented flag di-graph (rank >= 2), on the black flags in
-    ``o.black_flags`` order: colour i <= n-3 is t_i, colour n-2 is rot
-    and colour n-1 is rot^-1."""
+def oriented_digraph(g: FlagGraph, parity: np.ndarray) -> FlagGraph:
+    """The oriented flag di-graph (rank >= 2), on the black flags
+    (``parity`` 0) in increasing order: colour i <= n-3 is t_i, colour
+    n-2 is rot and colour n-1 is rot^-1."""
     if g.rank < 2:
         raise ValueError("the directed class needs rank >= 2")
-    black = o.black_flags
+    black = np.flatnonzero(parity == 0)
     pos = np.full(g.flag_count, -1, dtype=np.int32)
     pos[black] = np.arange(black.size, dtype=np.int32)
     moves = pos[g.adj[:-1, g.adj[-1, black]]]
     return FlagGraph(np.vstack([moves, invert(moves[-1])]))
 
 
-def aut_plus(aut: AutGroup, o: Orientation) -> AutGroup:
-    """Orientation-preserving subgroup Aut+ of ``aut``, with its own orbit partition.
+def aut_plus(aut: AutGroup, parity: np.ndarray) -> AutGroup:
+    """The orientation-preserving subgroup Aut+ of ``aut``, with its own orbits.
 
     An automorphism keeps the parts when it keeps flag 0's part, so Aut+
     is Aut or of index 2, read off Aut: each generator is checked to keep
     or swap the parts at every flag, and then, the action being free, an
     Aut+ orbit is an Aut orbit's flags of one part.  Aut+ lists no
     generators."""
-    colour = o.colour_of
-    if all(colour[p[0]] == colour[0] for p in aut.generators):
+    if all(parity[p[0]] == parity[0] for p in aut.generators):
         return aut
     for p in aut.generators:
-        if not np.array_equal(colour[p], colour ^ colour[p[0]] ^ colour[0]):
+        if not np.array_equal(parity[p], parity ^ parity[p[0]] ^ parity[0]):
             raise InternalCheckError(f"the automorphism sending flag 0 to {p[0]} "
                                      "neither keeps nor swaps the parts")
-    key = 2 * aut.orbit_of + colour
+    key = 2 * aut.orbit_of + parity
     least = np.full(2 * aut.orbit_count, aut.graph.flag_count, dtype=np.int32)
     np.minimum.at(least, key, np.arange(aut.graph.flag_count, dtype=np.int32))
     return _group(aut.graph, [], least[key])
 
 
-def black_orbit_count(a_plus: AutGroup, o: Orientation) -> int:
+def black_orbit_count(a_plus: AutGroup, parity: np.ndarray) -> int:
     """Number of orientation-preserving orbits made of black flags."""
-    return int(np.count_nonzero(np.bincount(a_plus.orbit_of[o.black_flags])))
+    return int(np.count_nonzero(np.bincount(a_plus.orbit_of[parity == 0])))
 
 
 def stg_has_odd_closed_walk(t: SymmetryTypeGraph) -> bool:
@@ -144,13 +133,13 @@ class OrientedSTG:
         return frozenset(out)
 
 
-def oriented_stg(a_plus: AutGroup, o: Orientation) -> OrientedSTG:
+def oriented_stg(a_plus: AutGroup, parity: np.ndarray) -> OrientedSTG:
     """Quotient the oriented di-graph's t_0..t_{n-3} and rot (rank >= 2)
     by the Aut+ orbits of black flags, numbered in order of orbit id: the
     moves are read at the least black flag of each orbit."""
     if a_plus.graph.rank < 2:
         raise ValueError("the directed class needs rank >= 2")
-    adj, black, orbit_of = a_plus.graph.adj, o.black_flags, a_plus.orbit_of
+    adj, black, orbit_of = a_plus.graph.adj, np.flatnonzero(parity == 0), a_plus.orbit_of
     ids, first = np.unique(orbit_of[black], return_index=True)
     moves = adj[:-1, adj[-1, black[first]]]
     *tables, dart = np.searchsorted(ids, orbit_of[moves]).tolist()

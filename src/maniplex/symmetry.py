@@ -1,14 +1,14 @@
 """Colour-preserving automorphisms of flag graphs.
 
 Because the colour-preserving automorphism group acts freely on flags, an
-automorphism is pinned down by the image of a single flag: propagate
-``image(f^{r_i}) = image(f)^{r_i}`` along a breadth-first tree and check
-the result.  A group is stored as a few generating image tables plus the
-orbit of flag 0, one target per element.  ``aut_group`` is the one group
-search: it tries flag 0 only against the flags of its colour under colour
-refinement from the cycle lengths of the products r_i r_{i+1}, rows
-hashed to one int64 each, flag 0's own neighbours first, so that the
-generator report can reuse its tables.
+automorphism is pinned down by the image of flag 0: propagate
+``image(f^{r_i}) = image(f)^{r_i}`` along the tree from flag 0 and check
+that each table commutes.  A group is stored as a few generating image
+tables plus the orbit of flag 0, one target per element.  ``aut_group``
+is the one group search: it tries flag 0 only against the flags of its
+colour under colour refinement from the cycle lengths of the products
+r_i r_{i+1}, rows hashed to one int64 each, flag 0's own neighbours
+first, so that the generator report can reuse its tables.
 """
 
 from __future__ import annotations
@@ -31,25 +31,21 @@ def _both_ways(autos) -> list[np.ndarray]:
     return [q for p in autos for q in ((p,) if p[p[0]] == 0 else (p, invert(p)))]
 
 
-def _extend(g1: FlagGraph, g2: FlagGraph, source: int, target: int):
-    """The unique colour-preserving map g1 -> g2 sending source to target.
-
-    Returns the image table, or None when no such bijection exists.
+def _extend(g: FlagGraph, target: int):
+    """The automorphism of ``g`` sending flag 0 to ``target``, as an image
+    table, or None.  The image is replayed along ``g.bfs_levels()``, and
+    each table m must commute with it, which makes it a bijection: a flag
+    f off the tree keeps -1, as does m[f], where m[img[f]] = m[-1] is a
+    flag, so the check fails unless the tree reaches every flag; and the
+    image, closed under each table, is a union of components: every flag.
     """
-    if g1.rank != g2.rank or g1.flag_count != g2.flag_count:
-        return None
-    count = g1.flag_count
-    img = np.full(count, -1, dtype=np.int32)
-    img[source] = target
-    for flags, parents, colours in g1.bfs_levels(source):
-        img.put(flags, g2.adj[colours, img.take(parents)])
-    if img.min() < 0:
-        return None
-    for i in range(g1.rank):
-        if not np.array_equal(img.take(g1.adj[i]), g2.adj[i].take(img)):
+    img = np.full(g.flag_count, -1, dtype=np.int32)
+    img[0] = target
+    for flags, parents, colours in g.bfs_levels():
+        img.put(flags, g.adj[colours, img.take(parents)])
+    for table in g.adj:
+        if not np.array_equal(img.take(table), table.take(img)):
             return None
-    if np.bincount(img, minlength=count).max() > 1:
-        return None
     img.setflags(write=False)
     return img
 
@@ -139,7 +135,7 @@ class AutGroup:
         pos = np.searchsorted(self.targets, target)
         if pos == self.targets.size or self.targets[pos] != target:
             raise ValueError(f"flag {target} is not in the orbit of flag 0")
-        return _extend(self.graph, self.graph, 0, int(target))
+        return _extend(self.graph, int(target))
 
 
 def _group(g: FlagGraph, generators: list[np.ndarray], label: np.ndarray) -> AutGroup:
@@ -173,7 +169,7 @@ def aut_group(g: FlagGraph) -> AutGroup:
     candidates = np.concatenate([g.adj[:, 0], label])
     while (candidates := candidates[~skip[candidates]]).size:
         target = int(candidates[0])
-        img = _extend(g, g, 0, target)
+        img = _extend(g, target)
         if img is None:
             skip |= label == label[target]
             continue

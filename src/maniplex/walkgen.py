@@ -1,10 +1,10 @@
 """Automorphism generators from a spanning tree of the symmetry type graph.
 
-A closed walk based at the vertex of the base flag's orbit spells a
-colour word; applying the word to the base flag lands in the same orbit,
-so each closed walk realizes an automorphism.  Given a spanning tree, the
-closed walks through one edge left out of the tree, and those through
-one semi-edge, generate the whole group.  The tree is the depth-first
+A closed walk based at vertex 0, the orbit of flag 0, spells a colour
+word; applying the word to flag 0 lands in the same orbit, so each
+closed walk realizes an automorphism.  Given a spanning tree, the closed
+walks through one edge left out of the tree, and those through one
+semi-edge, generate the whole group.  The tree is the depth-first
 tree from vertex 0 that tries colours in increasing order.  The words'
 ends are read off one lift of the tree to the flags; the group search's
 own generators realize the ends they reach, on one vertex the rho_c.
@@ -61,23 +61,22 @@ def _crossings(t: SymmetryTypeGraph):
 
 @dataclass
 class GeneratorSet:
-    base_flag: int
     words: list[tuple[int, ...]]
     automorphisms: list[np.ndarray]
 
 
 def realize_generators(a: AutGroup, t: SymmetryTypeGraph) -> GeneratorSet:
-    """Automorphisms of ``a.graph`` realizing the closed walks from the base flag.
+    """Automorphisms of ``a.graph`` realizing the closed walks from flag 0.
 
-    The base flag is flag 0, whose orbit is vertex 0 of the quotient, so
-    the spanning tree is already rooted correctly.  ``lift[v]`` is the
-    flag that flag 0 reaches along path(v) and ``back[x]``, x in orbit v,
-    the one x reaches along path(v) reversed, by pointer doubling of the
-    tree step; a walk through (u, c, v) ends at ``back[adj[c, lift[u]]]``.
+    Flag 0's orbit is vertex 0 of the quotient, so the spanning tree is
+    already rooted correctly.  ``lift[v]`` is the flag that flag 0
+    reaches along path(v) and ``back[x]``, x in orbit v, the one x
+    reaches along path(v) reversed, by pointer doubling of the tree
+    step; a walk through (u, c, v) ends at ``back[adj[c, lift[u]]]``.
     Each end that none of ``a``'s generators reaches is extended once.
     """
     if a.orbit_of[0] != 0:
-        raise InternalCheckError("orbit ids must start at the base flag")
+        raise InternalCheckError("orbit ids must start at flag 0")
     g = a.graph
     paths, crossings = _crossings(t)
     lift, tree_colour = np.zeros(t.vertex_count, np.intp), np.zeros(t.vertex_count, np.intp)
@@ -102,7 +101,7 @@ def realize_generators(a: AutGroup, t: SymmetryTypeGraph) -> GeneratorSet:
             raise InternalCheckError("no automorphism realizes a closed walk word")
     autos = [by_target[target] for target in ends.tolist()]
     words = [paths[u] + (c,) + paths[v][::-1] for u, c, v in crossings]
-    return GeneratorSet(base_flag=0, words=words, automorphisms=autos)
+    return GeneratorSet(words=words, automorphisms=autos)
 
 
 def reduce_generators(s: GeneratorSet) -> GeneratorSet:
@@ -115,11 +114,8 @@ def reduce_generators(s: GeneratorSet) -> GeneratorSet:
         if auto[0]:
             first.setdefault(int(auto[0]), idx)
     keep = list(first.values())
-    return GeneratorSet(
-        base_flag=s.base_flag,
-        words=[s.words[i] for i in keep],
-        automorphisms=[s.automorphisms[i] for i in keep],
-    )
+    return GeneratorSet(words=[s.words[i] for i in keep],
+                        automorphisms=[s.automorphisms[i] for i in keep])
 
 
 def generates_full_group(s: GeneratorSet, a: AutGroup) -> bool:

@@ -19,8 +19,7 @@ from maniplex.enumeration import (_bitmasks, _census, _images, _least_codes, _or
 from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, quotient_tables,
                                  validate)
 from maniplex.formats import PALETTE, ParseError, _content_lines, _header_fields
-from maniplex.oriented import (OrientedSTG, Orientation, oriented_digraph, orientation,
-                               stg_has_odd_closed_walk)
+from maniplex.oriented import OrientedSTG, oriented_digraph, orientation, stg_has_odd_closed_walk
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, _without,
                           bipartition, quotient, stg_violations)
 from maniplex.symmetry import (_GOLDEN, AutGroup, _both_ways, _cycle_lengths, _extend, _group, _mix,
@@ -30,16 +29,60 @@ from maniplex.walkgen import GeneratorSet, _crossings
 
 # Routines that no command, script or census check calls, kept as the
 # tests' reference forms: the trial extension and the isomorphism test
-# of two graphs, the i-faces and their sub-structures, the face
-# projection check, the one-graph codes and questions, the oriented
+# of two graphs from any root, the i-faces and their sub-structures, the
+# face projection check, the one-graph codes and questions, the oriented
 # census per colour count and the generator words as one list.  The
-# extensions and colours go through the ``symmetry`` module, where the
-# tests patch them.
+# colours go through the ``symmetry`` module and the two-graph
+# extension through this one, where the tests patch them.
+
+
+def bfs_levels_from(g: FlagGraph, source: int):
+    """``FlagGraph.bfs_levels`` from any ``source``, not cached."""
+    depth = np.full(g.flag_count, -1, dtype=np.int32)
+    depth[source] = 0
+    slot = np.empty(g.flag_count, dtype=np.intp)
+    frontier = np.array([source], dtype=np.int32)
+    levels = []
+    while frontier.size:
+        cand = g.adj.take(frontier, axis=1).ravel()
+        pos = np.flatnonzero(depth.take(cand) < 0)
+        cand = cand.take(pos)
+        slot.put(cand, pos)
+        kept = slot.take(cand) == pos
+        colours, at = np.divmod(pos[kept], frontier.size)
+        levels.append((cand[kept], frontier.take(at), colours))
+        frontier = levels[-1][0]
+        depth.put(frontier, len(levels))
+    levels.pop()
+    return levels
+
+
+def extend_map(g1: FlagGraph, g2: FlagGraph, source: int, target: int):
+    """The unique colour-preserving map g1 -> g2 sending source to target,
+    or None when no such bijection exists: ``symmetry._extend`` for two
+    graphs and any root, with the shape guard, the reach check and the
+    injectivity pass that one graph rooted at flag 0 makes redundant."""
+    if g1.rank != g2.rank or g1.flag_count != g2.flag_count:
+        return None
+    img = np.full(g1.flag_count, -1, dtype=np.int32)
+    img[source] = target
+    levels = g1.bfs_levels() if source == 0 else bfs_levels_from(g1, source)
+    for flags, parents, colours in levels:
+        img.put(flags, g2.adj[colours, img.take(parents)])
+    if img.min() < 0:
+        return None
+    for i in range(g1.rank):
+        if not np.array_equal(img.take(g1.adj[i]), g2.adj[i].take(img)):
+            return None
+    if np.bincount(img, minlength=g1.flag_count).max() > 1:
+        return None
+    img.setflags(write=False)
+    return img
 
 
 def extend_automorphism(g: FlagGraph, source: int, target: int):
     """Automorphism of ``g`` with source -> target, or None."""
-    return symmetry._extend(g, g, source, target)
+    return extend_map(g, g, source, target)
 
 
 def are_isomorphic(g1: FlagGraph, g2: FlagGraph):
@@ -53,7 +96,7 @@ def are_isomorphic(g1: FlagGraph, g2: FlagGraph):
     count = g1.flag_count
     colour = symmetry.invariant_colours(np.concatenate([g1.adj, g2.adj + count], axis=1))
     for target in np.flatnonzero(colour[count:] == colour[0]).tolist():
-        m = symmetry._extend(g1, g2, 0, target)
+        m = extend_map(g1, g2, 0, target)
         if m is not None:
             return m
     return None
@@ -336,11 +379,11 @@ def orbit_loop_quotient(g: FlagGraph, a: AutGroup) -> SymmetryTypeGraph:
     return stg_from_slots(rows)
 
 
-def orbit_loop_oriented_stg(g: FlagGraph, o: Orientation, a_plus: AutGroup) -> OrientedSTG:
+def orbit_loop_oriented_stg(g: FlagGraph, parity, a_plus: AutGroup) -> OrientedSTG:
     """One row and dart per Aut+ orbit of black flags, read at the
     orbit's first black flag."""
-    d = oriented_digraph(g, o)
-    black = o.black_flags
+    d = oriented_digraph(g, parity)
+    black = np.flatnonzero(parity == 0)
     orbit_ids = sorted({int(a_plus.orbit_of[f]) for f in black})
     renumber = {o_id: t for t, o_id in enumerate(orbit_ids)}
     reps = {}
@@ -365,7 +408,7 @@ def orbit_loop_oriented_stg(g: FlagGraph, o: Orientation, a_plus: AutGroup) -> O
 # the oriented STG quotiented off the move graph on all black flags.
 
 
-def schreier_aut_plus(aut: AutGroup, o: Orientation) -> AutGroup:
+def schreier_aut_plus(aut: AutGroup, parity) -> AutGroup:
     """Orientation-preserving subgroup Aut+ of ``aut``, with its own orbit partition.
 
     An automorphism keeps the parts when it keeps flag 0's part, so Aut+
@@ -375,7 +418,7 @@ def schreier_aut_plus(aut: AutGroup, o: Orientation) -> AutGroup:
     (Seress, Permutation Group Algorithms, 2003).  The action is free,
     so flag 0's image names each product: the identity (p s^-1 at p = s)
     and repeats are left out.  2 |Aut+| = |Aut| is checked."""
-    swaps = [o.colour_of[p[0]] != o.colour_of[0] for p in aut.generators]
+    swaps = [parity[p[0]] != parity[0] for p in aut.generators]
     if not any(swaps):
         return aut
     s = aut.generators[swaps.index(True)]
@@ -389,11 +432,11 @@ def schreier_aut_plus(aut: AutGroup, o: Orientation) -> AutGroup:
     return plus
 
 
-def digraph_oriented_stg(a_plus: AutGroup, o: Orientation) -> OrientedSTG:
+def digraph_oriented_stg(a_plus: AutGroup, parity) -> OrientedSTG:
     """Quotient the oriented di-graph's t_0..t_{n-3} and rot by the Aut+
     orbits of black flags, numbered in order of orbit id."""
-    d = oriented_digraph(a_plus.graph, o)
-    *tables, dart = quotient_tables(d.adj[:-1], a_plus.orbit_of[o.black_flags])
+    d = oriented_digraph(a_plus.graph, parity)
+    *tables, dart = quotient_tables(d.adj[:-1], a_plus.orbit_of[parity == 0])
     return OrientedSTG(tables=tuple(tables), dart=dart)
 
 
@@ -445,11 +488,11 @@ def facets(d: FlagGraph, black_flags) -> list[frozenset[int]]:
                    for comp in components(moves, d.flag_count)), key=min)
 
 
-def check_facets_against_faces(g: FlagGraph, o: Orientation) -> bool:
+def check_facets_against_faces(g: FlagGraph, parity) -> bool:
     """Cross-check di-graph facets with the top-rank face partition."""
-    from_digraph = set(facets(oriented_digraph(g, o), o.black_flags))
+    from_digraph = set(facets(oriented_digraph(g, parity), np.flatnonzero(parity == 0)))
     part = i_faces(g, g.rank - 1)
-    black = set(int(f) for f in o.black_flags)
+    black = set(np.flatnonzero(parity == 0).tolist())
     from_faces = set()
     for face in range(part.face_count):
         members = frozenset(int(f) for f in part.flags_of(face) if int(f) in black)
@@ -1184,7 +1227,7 @@ def tree_search_group(g: FlagGraph, candidates) -> AutGroup:
     for target in candidates.tolist():
         if skip[target]:
             continue
-        img = _extend(g, g, 0, target)
+        img = _extend(g, target)
         if img is None:
             skip[component(tables, target, g.flag_count)] = True
             continue
@@ -1319,17 +1362,17 @@ def loop_map_from_faces(spec: MapSpec) -> FlagGraph:
 
 
 def level_orientation(g: FlagGraph):
-    """The 2-colouring with flag 0 black, one tree level at a time, or
-    None when not bipartite."""
+    """The 2-colouring with flag 0 black (0), one tree level at a time,
+    or None when not bipartite."""
     colour = np.full(g.flag_count, -1, dtype=np.int8)
     colour[0] = 0
-    for flags, parents, _ in g.bfs_levels(0):
+    for flags, parents, _ in g.bfs_levels():
         colour[flags] = 1 - colour[parents]
     for i in range(g.rank):
         if np.any(colour[g.adj[i]] == colour):
             return None
     colour.setflags(write=False)
-    return Orientation(colour_of=colour)
+    return colour
 
 
 def walk_face_projection(g: FlagGraph, i: int, face: int, aut: AutGroup | None = None,
@@ -1399,7 +1442,7 @@ def bytes_reduce_generators(s: GeneratorSet) -> GeneratorSet:
             continue
         seen.add(key)
         keep.append(idx)
-    return GeneratorSet(base_flag=s.base_flag, words=[s.words[i] for i in keep],
+    return GeneratorSet(words=[s.words[i] for i in keep],
                         automorphisms=[s.automorphisms[i] for i in keep])
 
 
@@ -1519,7 +1562,7 @@ def relabel_aut_group(g: FlagGraph) -> AutGroup:
     skip = label == 0
     while (candidates := candidates[~skip[candidates]]).size:
         target = int(candidates[0])
-        img = _extend(g, g, 0, target)
+        img = _extend(g, target)
         if img is None:
             skip |= label == label[target]
             continue
@@ -1602,4 +1645,4 @@ def walk_realize_generators(g: FlagGraph, a: AutGroup, t: SymmetryTypeGraph) -> 
             if by_target[target] is None:
                 raise InternalCheckError("no automorphism realizes a closed walk word")
         autos.append(by_target[target])
-    return GeneratorSet(base_flag=0, words=words, automorphisms=autos)
+    return GeneratorSet(words=words, automorphisms=autos)

@@ -12,6 +12,7 @@ import warnings
 from collections import Counter
 from importlib import resources
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels
                                  validate)
 from maniplex.formats import (ParseError, _colour_row, cycle_string, parse_maniplex_text,
                               parse_map_text, write_maniplex_text)
-from maniplex.oriented import (Orientation, aut_plus, black_orbit_count, orientation,
+from maniplex.oriented import (aut_plus, black_orbit_count, orientation,
                                oriented_digraph, oriented_stg)
 from maniplex.stg import SymmetryTypeGraph, check_all, quotient
 from maniplex.symmetry import aut_group, invariant_colours
 from maniplex.walkgen import GeneratorSet, realize_generators, reduce_generators
-from oracles import (all_products_invariant_colours, are_isomorphic, bytes_reduce_generators,
+from oracles import (all_products_invariant_colours, are_isomorphic, bfs_levels_from,
+                     bytes_reduce_generators, extend_map,
                      components, digraph_oriented_stg, face_maniplex, format_cycle_string,
                      hook_and_jump_labels, i_faces, level_orientation,
                      loop_cycle_string, loop_hypercube, loop_map_from_faces, loop_polygon,
@@ -229,10 +231,10 @@ def check_search(g):
     if o is None:
         return
     ap = aut_plus(a, o)
-    same_group(ap, tree_search_group(g, a.targets[o.colour_of[a.targets] == o.colour_of[0]]))
+    same_group(ap, tree_search_group(g, a.targets[o[a.targets] == o[0]]))
     schreier = schreier_aut_plus(a, o)
     for p in schreier.generators:     # each keeps flag 0's colour, and every other flag's
-        assert np.array_equal(o.colour_of[p], o.colour_of)
+        assert np.array_equal(o[p], o)
     assert np.array_equal(np.flatnonzero(component_labels(schreier.generators, g.flag_count) == 0),
                           ap.targets)
 
@@ -321,10 +323,10 @@ def test_a_part_neither_kept_nor_swapped_is_caught():
     g = hypercube(3)
     a, o = aut_group(g), orientation(g)
     assert aut_plus(a, o).order == 24
-    colour = o.colour_of.copy()
+    colour = o.copy()
     colour[g.flag_count - 1] ^= 1
     with pytest.raises(InternalCheckError, match="neither keeps nor swaps"):
-        aut_plus(a, Orientation(colour_of=colour))
+        aut_plus(a, colour)
 
 
 # flag_graph.non_commuting against one commute_defect per colour pair
@@ -549,8 +551,8 @@ def test_orientation_matches_the_level_replay(corpus):
         found.append(new is not None)
         assert (new is None) == (old is None), g
         if new is not None:
-            assert new.colour_of.dtype == np.int8 and not new.colour_of.flags.writeable
-            assert np.array_equal(new.colour_of, old.colour_of), g
+            assert new.dtype == np.int8 and not new.flags.writeable
+            assert np.array_equal(new, old), g
     assert 0 < sum(found) < len(found) and not found[-1]
 
 
@@ -606,7 +608,7 @@ def test_reduce_generators_matches_whole_table_keys(corpus):
     for g, a, t in cases:
         s = realize_generators(a, t)
         # the identity, then the whole list again, as duplicates to drop
-        padded = GeneratorSet(s.base_flag, [()] + s.words * 2,
+        padded = GeneratorSet([()] + s.words * 2,
                               [np.arange(g.flag_count, dtype=np.int32)] + s.automorphisms * 2)
         for given in (s, padded):
             new, old = reduce_generators(given), bytes_reduce_generators(given)
@@ -662,6 +664,43 @@ def test_parse_reads_digit_lines_in_one_pass(monkeypatch):
     assert _colour_row(" 3 2 1") == [3, 2, 1]
 
 
+# symmetry._extend (one graph, rooted at flag 0, with no reach check and
+# no injectivity pass) against the two-graph, any-root extension with both
+# checks
+
+
+def benchmark_random_maps(monkeypatch, seeds):
+    """The analyze-lowsym benchmark's random maps of ``seeds``, each
+    followed by its relabelling."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    for seed in seeds:
+        for m in workloads.random_map_inputs(seed):
+            yield from map(FlagGraph, m.tables)
+
+
+def test_extension_matches_the_two_graph_oracle(corpus, monkeypatch):
+    graphs = [corpus.graph(label) for label in CORPUS]
+    graphs += [construction(label) for label in ("prism:200", "pyramid:200", "torus44:20,7")]
+    graphs += list(benchmark_random_maps(monkeypatch, (1, 2, 10)))
+    graphs.append(oriented_digraph(torus44(1, 2), orientation(torus44(1, 2))))
+    assert not np.array_equal(graphs[-1].adj[-1][graphs[-1].adj[-1]], np.arange(20))
+    found = [0, 0]
+    for g in graphs:
+        colour = invariant_colours(g.adj)
+        for target in np.flatnonzero(colour == colour[0]).tolist():
+            new, old = symmetry._extend(g, target), extend_map(g, g, 0, target)
+            assert (new is None) == (old is None), (g, target)
+            found[new is None] += 1
+            if new is not None:
+                assert np.array_equal(new, old) and not new.flags.writeable, (g, target)
+    assert min(found) > 0
+    square = [1, 0, 3, 2], [3, 2, 1, 0]           # two squares: disconnected
+    for g in (FlagGraph([m + [v + 4 for v in m] for m in square]), FlagGraph([[1, 0, 3, 2]])):
+        assert [symmetry._extend(g, t) for t in range(g.flag_count)] == [None] * g.flag_count
+        assert extend_map(g, g, 0, 0) is None
+
+
 def test_bfs_levels_match_the_sorted_levels(corpus):
     graphs = [corpus.graph(label) for label in CORPUS]
     graphs += [construction(label) for label in BENCHMARK_LABELS]
@@ -669,8 +708,9 @@ def test_bfs_levels_match_the_sorted_levels(corpus):
     square = [1, 0, 3, 2], [3, 2, 1, 0]           # two squares: disconnected
     graphs.append(FlagGraph([m + [v + 4 for v in m] for m in square]))
     for g in graphs:
+        # flag 0's cached tree, and the tests' any-source tree from the last flag
         for source in (0, g.flag_count - 1):
-            levels = g.bfs_levels(source)
+            levels = bfs_levels_from(g, source) if source else g.bfs_levels()
             old_levels, old_depth = sorted_bfs_levels(g, source)
             assert len(levels) == len(old_levels), (g, source)
             depth = np.full(g.flag_count, -1, dtype=np.int32)

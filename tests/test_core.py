@@ -206,10 +206,10 @@ def test_orbit_partition_matches_orbit_loop():
 def test_orbit_partition_checks_free_action(monkeypatch):
     # a bogus "automorphism" swapping flags 0 and 1 gives a group of order
     # 2 with 47 orbits on the 48 flags of the cube
-    def one_swap(g1, g2, source, target):
+    def one_swap(g, target):
         if target != 1:
             return None
-        img = np.arange(g1.flag_count, dtype=np.int32)
+        img = np.arange(g.flag_count, dtype=np.int32)
         img[[0, 1]] = [1, 0]
         return img
 
@@ -277,7 +277,7 @@ def test_cli_generators_of_a_proper_subgroup_exit_internal(monkeypatch, capsys):
 
     def drop_last(s):
         s = reduce_generators(s)
-        return GeneratorSet(s.base_flag, s.words[:-1], s.automorphisms[:-1])
+        return GeneratorSet(s.words[:-1], s.automorphisms[:-1])
 
     g = cube()
     a = aut_group(g)

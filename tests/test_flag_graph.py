@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from maniplex.constructions import MapSpec, cube, map_from_faces, polygon, prism, tetrahedron
-from maniplex.flag_graph import FlagGraph, Violation, validate
+from maniplex.flag_graph import MAX_FLAGS, FlagGraph, Violation, check_flag_count, validate
 from oracles import are_isomorphic, face_maniplex, i_faces, recolour_dual
 
 
@@ -73,7 +75,7 @@ def test_depths_follow_the_tree_levels():
     g = prism(5)
     depth = g.depths()
     assert depth[0] == 0 and g.is_connected()
-    for d, (flags, parents, _) in enumerate(g.bfs_levels(0), start=1):
+    for d, (flags, parents, _) in enumerate(g.bfs_levels(), start=1):
         assert (depth[flags] == d).all() and (depth[parents] == d - 1).all()
 
 
@@ -121,6 +123,37 @@ def test_images_beyond_the_index_type_are_out_of_range():
             FlagGraph([[1, big]])
     with pytest.raises(ValueError, match="flag image out of range"):
         FlagGraph(np.array([[1, 2**32]], dtype=np.int64))
+
+
+def test_more_flags_than_int32_indexes_are_refused():
+    # a zero-copy view of 2**31 flags: the count is checked before any pass
+    with pytest.raises(ValueError, match="2,147,483,648 flags exceed the limit of 2,147,483,647"):
+        FlagGraph(np.broadcast_to(np.int32(1), (1, 2**31)))
+    with pytest.raises(ValueError, match="about 10\\^40 flags exceed"):
+        check_flag_count(2 * 10**40)
+    check_flag_count(MAX_FLAGS)
+
+
+def test_integer_arrays_are_range_checked_in_their_own_dtype():
+    for dtype in (np.int8, np.uint16, np.int32, np.uint64, np.int64):
+        g = FlagGraph(np.array([[1, 0, 3, 2]], dtype=dtype))
+        assert g.adj.dtype == np.int32 and g.adj.tolist() == [[1, 0, 3, 2]], dtype
+        with pytest.raises(ValueError, match="flag image out of range"):
+            FlagGraph(np.array([[1, 0, 3, 4]], dtype=dtype))
+    with pytest.raises(ValueError, match="flag image out of range"):
+        FlagGraph(np.array([[1, 2**64 - 1]], dtype=np.uint64))
+    with pytest.raises(ValueError, match="flag image out of range"):
+        FlagGraph(np.array([[1, -1]], dtype=np.int8))
+    # an int32 table is narrowed with one copy, not through an int64 one
+    adj = np.ascontiguousarray(np.tile(np.arange(1 << 20, dtype=np.int32) ^ 1, (4, 1)))
+    tracemalloc.start()
+    try:
+        g = FlagGraph(adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.adj, adj) and g.adj is not adj
+    assert peak < 1.5 * adj.nbytes
 
 
 def test_colour_out_of_range():

@@ -179,6 +179,23 @@ def test_cli_huge_vertex_count_exits_2_in_little_memory(tmp_path):
     assert run.stderr == f"error: cannot parse {path}: some vertices appear in no face\n"
 
 
+@pytest.mark.parametrize("label,flags", [("simplex:12", "6,227,020,800"),
+                                         ("hypercube:10", "3,715,891,200"),
+                                         ("torus44:20000,0", "3,200,000,000")])
+def test_cli_labels_beyond_int32_exit_2_before_building(label, flags):
+    # built, each would need gigabytes of tables; the child gets 1 GB
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1000 << 20, 1000 << 20))
+
+    run = subprocess.run([sys.executable, "-m", "maniplex.cli", "analyze", label],
+                         capture_output=True, text=True, timeout=60, preexec_fn=limit,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                              "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (f"error: cannot interpret input {label!r}: {flags} flags exceed "
+                          "the limit of 2,147,483,647 (flag tables are int32)\n")
+
+
 def test_cli_unknown_input(capsys):
     assert main(["analyze", "widget:9"]) == 2
 

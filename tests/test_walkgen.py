@@ -170,7 +170,6 @@ def test_reduce_removes_identity_and_duplicates():
     s = realize_generators(a, quotient(a))
     ident = identity(g.flag_count)
     padded = GeneratorSet(
-        base_flag=s.base_flag,
         words=[(2, 2)] + s.words + [s.words[0]],
         automorphisms=[ident] + s.automorphisms + [s.automorphisms[0]],
     )
