@@ -2,10 +2,10 @@
 census's one array: labels once per shared facts tuple, slots in one pass.
 
 Exit codes: 0 success, 2 parse error (also an input that is both a file
-and a construction label, an output file that cannot be written, and
-more than 2,147,483,647 flags, the int32 limit), 3 validation error, 4
-internal assertion failure (a cross-checked identity broke), 5 not
-enough memory for the request.
+and a construction label, an output file that cannot be written, over
+2,147,483,647 flags, the int32 limit, and ``enumerate`` over 10 vertices,
+beyond the search's int16 rows), 3 validation error, 4 internal assertion
+failure (a cross-checked identity broke), 5 not enough memory.
 """
 
 from __future__ import annotations

@@ -239,11 +239,20 @@ def hemicube() -> FlagGraph:
     return map_from_faces(_load_map_spec("hemicube"))
 
 
+def _factorial_flags(m: int, doublings: int = 0) -> int:
+    """m! * 2**doublings flags; from 10^30 on, ``check_flag_count``'s refusal
+    by the decimal exponent (lgamma), as an exact factorial may take seconds."""
+    exponent = int((math.lgamma(m + 1) + doublings * math.log(2)) / math.log(10))
+    if exponent >= 30:
+        check_flag_count(None, exponent)
+    return math.factorial(m) << doublings
+
+
 # each builder, its parameter count and its flag count, checked before it builds
 _PARAMETRIC = {
     "polygon": (polygon, 1, lambda l: 2 * l),
-    "simplex": (simplex, 1, lambda d: math.factorial(max(d, 0) + 1)),
-    "hypercube": (hypercube, 1, lambda d: math.factorial(max(d, 0)) << max(d, 0)),
+    "simplex": (simplex, 1, lambda d: _factorial_flags(max(d, 0) + 1)),
+    "hypercube": (hypercube, 1, lambda d: _factorial_flags(max(d, 0), max(d, 0))),
     "prism": (prism, 1, lambda l: 12 * l),
     "pyramid": (pyramid, 1, lambda l: 8 * l),
     "torus44": (torus44, 2, lambda b, c: 8 * (b * b + c * c)),

@@ -4,21 +4,21 @@ Each colour contributes an involution on the k vertices, a partner
 table whose fixed points are semi-edges, and admissibility asks the
 involutions of colours at distance >= 2 to commute; a tuple of such
 tables is a ``SymmetryTypeGraph`` as it stands.  The search runs level
-by level, each adding to every tuple a table from that colour's
-candidates that commutes with every earlier colour but the previous
-one.  It is orderly: it keeps a tuple only when it is lexicographically
-least, by position in the candidate lists, among its vertex
-relabellings, so each class is generated once, as the first labelled
-tuple an exhaustive search would meet.  Neither rule looks ahead, so
-level n is the census at n colours: one search per vertex count is read
-at every colour count.  Connectivity, the rooted canonical codes that
-sort the classes and the STG check take a level in array passes.
-Vertices are relabelled, colours never are, so the classes are
-colour-specific.  The three-vertex oriented census is the same search,
-one per dart, on the six-point double covers of the oriented quotients,
-darts and classes drawn from one ordering of the permutations.  Its
-cross-check quotients the six-point types through their oriented
-di-graphs, ``oriented_digraph``.
+by level, each adding to every tuple a candidate table that commutes
+with every earlier colour but the previous one.  It is orderly: it
+keeps a tuple only when it is lexicographically least, by index in the
+one candidate list, among its vertex relabellings, so each class is
+generated once, as the first labelled tuple an exhaustive search would
+meet.  Neither rule looks ahead, so level n is the census at n colours:
+one search per vertex count is read at every colour count.
+Connectivity, the rooted canonical codes that sort the classes and the
+STG check take a level in array passes.  Vertices are relabelled,
+colours never are, so the classes are colour-specific.  The
+three-vertex oriented census is the same search on the k points, one
+per dart, darts and classes drawn from one ordering of the
+permutations, keeping the tuples whose classes invert the dart.  Its
+cross-check lifts the quotients to six-point types and reads them back
+through their oriented di-graphs, ``oriented_digraph``.
 """
 
 from __future__ import annotations
@@ -112,41 +112,38 @@ def _images(tables, relabellings) -> np.ndarray:
     return out
 
 
-def _commuting_tuples(tables: np.ndarray, lists, relabellings):
-    """The orderly search, a level per colour: level d holds the tuples of
-    a table per colour 0..d-1, from that colour's list of indices into
-    ``tables``, whose colours at distance >= 2 commute, one per orbit of
-    the group ``relabellings`` (which maps every list onto itself), as
-    int16 rows in lexicographic order of the lists; and per row, as bool,
-    the tables colour d may take, those commuting with colours 0..d-2.
+def _commuting_tuples(tables: np.ndarray, colours: int, relabellings):
+    """The orderly search, a level per colour up to ``colours``: level d
+    holds the tuples of a table per colour 0..d-1 whose colours at
+    distance >= 2 commute, one per orbit of the group ``relabellings``
+    (which maps ``tables`` onto itself), as int16 rows of indices into
+    ``tables`` in lexicographic order.
 
-    A tuple is kept when its positions in the lists are least among its
-    images: at colour i the table is least among its images under the
-    prefix's stabiliser, a bitmask over the relabellings interned as an
-    id.  Neither test looks ahead, so level d is the search over d colours.
+    A tuple is kept when its indices are least among its images: at
+    colour i the table is least among its images under the prefix's
+    stabiliser, a bitmask over the relabellings interned as an id.
+    Neither test looks ahead, so level d is the search over d colours.
     Each (stabiliser, candidate) pair is tested once per level, and one
-    np.nonzero, read row-major, extends a level."""
+    np.nonzero over each row's allowed tables, those commuting with
+    colours 0..d-2, read row-major, extends a level."""
     commutes, images = _commutes(tables), _images(tables, relabellings)
-    fixes = _bitmasks(images == np.arange(len(tables))[:, None])
+    index = np.arange(len(tables))[:, None]
+    # per table a, the relabellings fixing a and those moving it earlier
+    fixes, moved = _bitmasks(images == index), _bitmasks(images < index)
     ids = {(1 << len(relabellings)) - 1: 0}  # stabiliser bitmask -> id
     rows, allowed = np.zeros((1, 0), np.int16), np.ones((1, len(tables)), bool)
-    stab, moved_by_list = np.zeros(1, np.int32), {}
-    for lst in map(list, lists):
-        if tuple(lst) not in moved_by_list:  # callers repeat one list
-            position = np.full(len(tables), len(tables))
-            position[lst] = np.arange(len(lst))
-            # per table a, the relabellings moving a earlier in the list
-            moved_by_list[tuple(lst)] = _bitmasks(position[images] < position[:, None])
-        moved = moved_by_list[tuple(lst)]
-        masks, step = list(ids), np.full((len(ids), len(lst)), -1, np.int32)
-        for s in np.flatnonzero(np.bincount(stab)).tolist():  # step[s, j]: the id after lst[j]
+    stab = np.zeros(1, np.int32)
+    for _ in range(colours):
+        masks, step = list(ids), np.full((len(ids), len(tables)), -1, np.int32)
+        for s in np.flatnonzero(np.bincount(stab)).tolist():  # step[s, a]: the id after table a
             m = masks[s]
-            step[s] = [-1 if m & moved[a] else ids.setdefault(m & fixes[a], len(ids)) for a in lst]
-        parent, j = np.nonzero(allowed[:, lst] & (step[stab] >= 0))
+            step[s] = [-1 if m & moved[a] else ids.setdefault(m & fixes[a], len(ids))
+                       for a in range(len(tables))]
+        parent, a = np.nonzero(allowed & (step[stab] >= 0))
         after = allowed & commutes[rows[:, -1]] if rows.shape[1] else allowed
-        stab, rows = step[stab[parent], j], np.column_stack((rows[parent], np.int16(lst)[j]))
+        stab, rows = step[stab[parent], a], np.column_stack((rows[parent], a.astype(np.int16)))
         allowed = after[parent]
-        yield rows, allowed
+        yield rows
 
 
 def _connected(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -208,13 +205,19 @@ def _census(counts, k: int, filters=(), fixed_point_free: bool = False) -> dict:
     restricts the search to types without semi-edges."""
     if min(counts) < 1 or k < 1:
         raise ValueError("need at least one colour and one vertex")
+    size, smaller = 1, 1  # I(k) = I(k-1) + (k-1) I(k-2) involutions, from I(1) = I(0) = 1
+    for j in range(2, k + 1):
+        size, smaller = size + (j - 1) * smaller, size
+    if size > np.iinfo(np.int16).max:  # the search's rows index the candidates in int16
+        raise ValueError(f"{size:,} involutions on {k} vertices exceed the 32,767 candidate tables"
+                         " that the search's int16 rows index")
     choices = involutions(k)
     if fixed_point_free:
         choices = [m for m in choices if all(m[v] != v for v in range(k))]
     tables = np.array(choices, np.uint8).reshape(-1, k)
-    levels = _commuting_tuples(tables, [range(len(choices))] * max(counts), _relabellings(k))
+    levels = _commuting_tuples(tables, max(counts), _relabellings(k))
     # the search has ended, and freed its levels, before the classes are built
-    found = {n: _connected(tables, rows) for n, (rows, _) in enumerate(levels, 1) if n in counts}
+    found = {n: _connected(tables, rows) for n, rows in enumerate(levels, 1) if n in counts}
     for n, rows in found.items():
         stack = tables[rows]
         order = _code_order(_least_codes(stack[:, None], n))
@@ -238,7 +241,7 @@ def is_fully_transitive(t: SymmetryTypeGraph) -> bool:
 # ---------------------------------------------------------------------------
 # three-vertex oriented quotients
 
-_K = 3  # vertices of the oriented quotients; their double covers have 2 * _K points
+_K = 3  # vertices of the oriented quotients; the cross-check lifts them to 2 * _K points
 
 
 def _oriented_codes(ots) -> np.ndarray:
@@ -264,57 +267,41 @@ def _dart_order(p) -> tuple[int, list[list[int]]]:
     return sum(map(len, cycles)), cycles
 
 
-def _lift(black, white) -> tuple[int, ...]:
-    """Table on 2k points sending black u (point u) to white ``black[u]``
-    (point black[u] + k), and white v back to black ``white[v]``."""
-    return tuple(v + len(black) for v in black) + tuple(white)
-
-
 def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
     """All three-vertex oriented quotient di-graphs at each colour count
     in ``counts``, one class per orbit under vertex relabelling and dart
     reversal, sorted by oriented code.
 
-    Each is read off its double cover, the 2k-point type (k = ``_K``) with
-    black u at point u and white u at point u + k: colour i <= n-3 sends
-    black u to white t_i(u) for the undirected class t_i, colour n-2
-    sends black u to white rot(u) for the dart rot, and colour n-1 joins
-    black u to white u.  The darts are the permutations of k points in
-    ``_dart_order``, the classes the involutions among them; in this
-    order the search keeps the representatives that the tests' hand
-    derivation (``hand_oriented_stg3``) finds.  A rot that relabelling or
-    dart reversal maps to an earlier dart is skipped; for each other rot
-    the commuting-tuple search runs over these lifts, up to the
-    relabellings and reversals that fix rot, and the connected results
-    are kept.  Level d gives n = d + 2 where the dart commutes with
-    classes 0..d-2; the top table commutes with every class, and the
-    dart's stabiliser fixes both, so they pass the orderly test."""
+    A quotient on k = ``_K`` points is its undirected classes t_0..t_{n-3},
+    involutions, and its dart rot, a permutation; classes at distance
+    >= 2 commute, and every class but the last inverts rot (t rot t =
+    rot^-1).  The darts are the permutations in ``_dart_order``, the
+    classes the involutions among them; in this order the search keeps
+    the representatives that the tests' ``hand_oriented_stg3`` finds.  A
+    rot that relabelling or inversion maps to an earlier dart is skipped;
+    for each other rot the search runs over the classes under the
+    relabellings p with p rot p^-1 in {rot, rot^-1}, and level d gives
+    n = d + 2 from the rows that invert rot and, with rot, connect."""
     k = _K
     rots = sorted(permutations(range(k)), key=_dart_order)
-    undirected = sorted(involutions(k), key=_dart_order)
-    classes = [_lift(t, t) for t in undirected]
-    top = _lift(range(k), range(k))
-    # a relabelling p acts diagonally on black and white points; reversing
-    # every dart swaps black u with white u
-    diagonal = [p + tuple(v + k for v in p) for p in _relabellings(k)]
-    group = diagonal + [d[k:] + d[:k] for d in diagonal]
-    darts = [_lift(rot, np.argsort(rot).tolist()) for rot in rots]
-    dart_images = _images(darts, group)
+    classes = sorted(involutions(k), key=_dart_order)
+    inverse = [rots.index(tuple(np.argsort(rot).tolist())) for rot in rots]
+    relabellings = _relabellings(k)
+    images = _images(rots, relabellings)
     found: dict[int, list[OrientedSTG]] = {n: [] for n in counts}
     for r, rot in enumerate(rots):
-        if dart_images[r].min() < r:
+        if min(images[r].min(), images[inverse[r]].min()) < r:
             continue
-        stabiliser = [group[g] for g in np.flatnonzero(dart_images[r] == r)]
-        # the classes lead the distinct tables, so index p is class p
-        tables = list(dict.fromkeys(classes + [darts[r], top]))
-        tail = tables.index(darts[r]), tables.index(top)
-        tables = np.array(tables, np.uint8)
-        levels = _commuting_tuples(tables, [range(len(classes))] * (max(counts) - 2), stabiliser)
-        for n, (rows, allowed) in enumerate(levels, 3):
+        stabiliser = list(compress(relabellings, np.isin(images[r], (r, inverse[r]))))
+        # t inverts rot exactly when t rot is an involution
+        inverts = np.array([all(t[rot[t[rot[u]]]] == u for u in range(k)) for t in classes])
+        tables = np.array(classes + [rot], np.uint8)  # rot after the classes, for connectivity
+        for n, rows in enumerate(_commuting_tuples(tables[:-1], max(counts) - 2, stabiliser), 3):
             if n in counts:
-                rows = np.column_stack((rows, np.full((len(rows), 2), tail, np.int16)))
-                found[n] += [OrientedSTG(tables=tuple(undirected[p] for p in row[:-2]), dart=rot)
-                             for row in _connected(tables, rows[allowed[:, tail[0]]]).tolist()]
+                rows = rows[inverts[rows[:, :-1]].all(axis=1)]
+                rows = np.column_stack((rows, np.full(len(rows), len(classes), np.int16)))
+                found[n] += [OrientedSTG(tables=tuple(classes[p] for p in row[:-1]), dart=rot)
+                             for row in _connected(tables, rows).tolist()]
     return {n: [ots[i] for i in _code_order(_oriented_codes(ots))] for n, ots in found.items()}
 
 

@@ -32,10 +32,13 @@ CHUNK = 1 << 16  # bytes of the largest array of one pass over a stack of tuples
 MAX_FLAGS = 2**31 - 1  # the largest count int32 tables index
 
 
-def check_flag_count(count: int) -> None:
-    """ValueError when int32 tables cannot index ``count`` flags."""
-    if count > MAX_FLAGS:
-        shown = f"{count:,}" if count < 10**30 else f"about 10^{int(math.log10(count))}"
+def check_flag_count(count: int | None, exponent: int | None = None) -> None:
+    """ValueError when int32 tables cannot index ``count`` flags.  From
+    10^30 flags on the message shows only the decimal ``exponent``, which
+    a caller may give in place of the count, as None."""
+    if count is None or count > MAX_FLAGS:
+        exact = count is not None and count < 10**30
+        shown = f"{count:,}" if exact else f"about 10^{exponent or int(math.log10(count))}"
         raise ValueError(f"{shown} flags exceed the limit of {MAX_FLAGS:,} (flag tables are int32)")
 
 

@@ -745,7 +745,7 @@ def detour_walks(t: SymmetryTypeGraph, c: Walk) -> list[Walk]:
 
 
 # The canonical forms and the oriented census that enumeration's rooted
-# code and double-cover search replaced.
+# code and orderly oriented search replaced.
 
 
 def min_code(rows) -> bytes:
@@ -874,6 +874,17 @@ def hand_quotient_route(n_colours: int) -> list[OrientedSTG]:
         ot = OrientedSTG(tables=tuple(tables), dart=dart)
         found.setdefault(_oriented_codes([ot])[0].tobytes(), ot)
     return [found[code] for code in sorted(found)]
+
+
+# The double cover that the oriented census searched before it ran on the
+# k points: a quotient's class t lifts to _lift(t, t), its dart rot to
+# _lift(rot, rot^-1), and the top colour to _lift(identity, identity).
+
+
+def _lift(black, white) -> tuple[int, ...]:
+    """Table on 2k points sending black u (point u) to white ``black[u]``
+    (point black[u] + k), and white v back to black ``white[v]``."""
+    return tuple(v + len(black) for v in black) + tuple(white)
 
 
 # The recursion that enumeration.involutions' filter over the permutations

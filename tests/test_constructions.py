@@ -1,10 +1,13 @@
+import math
+import re
+
 import pytest
 
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, cube,
                                     cuboctahedron, hypercube, map_from_faces,
                                     octahedron, polygon, prism, pyramid, simplex,
                                     tetrahedron, torus44)
-from maniplex.flag_graph import validate
+from maniplex.flag_graph import check_flag_count, validate
 from maniplex.symmetry import aut_group
 from oracles import are_isomorphic, i_faces
 
@@ -114,3 +117,34 @@ def test_construction_labels():
         construction("cube:3")
     with pytest.raises(ValueError):
         construction("widget:1")
+
+
+def refusal(call, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+def test_factorial_labels_are_refused_as_the_exact_count_would_be():
+    # from 10^30 flags on the exponent comes from lgamma, and it is the one
+    # the exact count gives: every message is the exact count's
+    for d in range(12, 1001):
+        assert refusal(construction, f"simplex:{d}") == refusal(
+            check_flag_count, math.factorial(d + 1)), d
+    for d in range(10, 1001):
+        assert refusal(construction, f"hypercube:{d}") == refusal(
+            check_flag_count, math.factorial(d) << d), d
+
+
+def test_absurd_factorial_labels_are_refused_without_an_exact_factorial(monkeypatch):
+    exact = math.factorial
+
+    def small_only(m):
+        assert m <= 10_000, f"an exact factorial of {m}"
+        return exact(m)
+
+    monkeypatch.setattr(math, "factorial", small_only)
+    for label, shown in [("simplex:1000000", "about 10^5565714"),
+                         ("hypercube:1000000", "about 10^5866738")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)} flags exceed"):
+            construction(label)

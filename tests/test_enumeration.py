@@ -1,7 +1,7 @@
 import inspect
 import random
 import warnings
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from maniplex.flag_graph import InternalCheckError
 from maniplex.formats import slot_text
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit,
                           class_labels, classify, transitivity_profile)
-from oracles import (canonical_code, commute_defect, component, enumerate_oriented_stg3,
+from oracles import (_lift, canonical_code, commute_defect, component, enumerate_oriented_stg3,
                      exhaustive_stg, hand_oriented_stg3, hand_quotient_route, is_admissible,
                      loop_least_code, min_code, oriented_canonical_code, oriented_min_code,
                      oriented_stg3_families, recursive_commuting_tuples, recursive_involutions,
@@ -216,52 +216,79 @@ def test_commutation_masks_match_pairwise_defects():
 
 
 def oriented_tables():
-    """The distinct lifts of the three-vertex oriented census: classes, then darts."""
+    """The distinct double-cover lifts of the three-vertex oriented
+    quotients: classes, then darts."""
     rots = sorted(permutations(range(3)), key=enumeration._dart_order)
-    lifts = [enumeration._lift(t, t) for t in rots if t in involutions(3)]
-    lifts += [enumeration._lift(rot, np.argsort(rot).tolist()) for rot in rots]
+    lifts = [_lift(t, t) for t in rots if t in involutions(3)]
+    lifts += [_lift(rot, np.argsort(rot).tolist()) for rot in rots]
     return list(dict.fromkeys(lifts))
 
 
-def check_levels(tables, lists, relabellings):
+def check_levels(tables, colours, relabellings):
     """Every level of the array search against the recursive oracle run
-    to that depth, and each row's allowed tables against the pairs."""
-    commutes = np.array([[commute_defect(ma, mb) is None for mb in tables] for ma in tables])
-    levels = enumeration._commuting_tuples(np.array(tables, np.uint8), lists, relabellings)
+    to that depth over the one candidate list."""
+    levels = enumeration._commuting_tuples(np.array(tables, np.uint8), colours, relabellings)
     depth = 0
-    for depth, (rows, allowed) in enumerate(levels, 1):
-        expected = list(recursive_commuting_tuples(tables, lists[:depth], relabellings))
+    for depth, rows in enumerate(levels, 1):
+        lists = [list(range(len(tables)))] * depth
+        expected = list(recursive_commuting_tuples(tables, lists, relabellings))
         assert rows.dtype == np.int16 and rows.shape == (len(expected), depth)
         assert list(map(tuple, rows.tolist())) == expected, depth
-        assert np.array_equal(allowed, commutes[rows[:, :-1]].all(axis=1)), depth
-    assert depth == len(lists)
+    assert depth == colours
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_every_level_matches_the_recursive_search(k):
-    choices = involutions(k)
-    check_levels(choices, [list(range(len(choices)))] * 6, enumeration._relabellings(k))
+    check_levels(involutions(k), 6, enumeration._relabellings(k))
 
 
 def test_levels_match_the_recursive_search_without_fixed_points():
     choices = [m for m in involutions(6) if all(m[v] != v for v in range(6))]
-    check_levels(choices, [list(range(len(choices)))] * 6, enumeration._relabellings(6))
+    check_levels(choices, 6, enumeration._relabellings(6))
     for n in range(1, 4):  # no candidate at all on an odd number of points
         assert enumeration._census((n,), 3, (), True)[n][0] == []
 
 
 def test_oriented_levels_match_the_recursive_search_under_each_dart():
-    # the class lifts under each dart's stabiliser of relabellings and
-    # reversal, with the dart and top tables among the candidates
-    tables, k = oriented_tables(), 3
-    classes = tables[:len(involutions(3))]  # oriented_tables puts the classes first
-    diagonal = [p + tuple(v + k for v in p) for p in enumeration._relabellings(k)]
-    group = diagonal + [d[k:] + d[:k] for d in diagonal]
-    top = enumeration._lift(range(k), range(k))
-    for dart in tables[len(classes):]:
-        stabiliser = [g for g in group if all(dart[g[u]] == g[dart[u]] for u in range(2 * k))]
-        lifts = list(dict.fromkeys(classes + [dart, top]))
-        check_levels(lifts, [list(range(len(classes)))] * 7, stabiliser)
+    # the three-point classes under each dart's relabelling stabiliser:
+    # the p with p rot p^-1 equal to rot or to rot^-1
+    classes = sorted(involutions(3), key=enumeration._dart_order)
+    for rot in permutations(range(3)):
+        inverse = tuple(np.argsort(rot).tolist())
+        stabiliser = [p for p in enumeration._relabellings(3)
+                      if tuple(p[rot[p.index(u)]] for u in range(3)) in (rot, inverse)]
+        check_levels(classes, 7, stabiliser)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_the_k_point_relations_are_the_double_cover_commutations(k):
+    # s t = t s exactly when the class lifts commute, and t rot t = rot^-1
+    # exactly when the class lift commutes with the dart's lift; the top
+    # table commutes with every class lift
+    classes, identity = involutions(k), tuple(range(k))
+    for s in classes:
+        assert commute_defect(_lift(s, s), _lift(identity, identity)) is None, s
+        for t in classes:
+            commute = all(s[t[u]] == t[s[u]] for u in range(k))
+            assert commute == (commute_defect(_lift(s, s), _lift(t, t)) is None), (s, t)
+    for rot in permutations(range(k)):
+        dart = _lift(rot, np.argsort(rot).tolist())
+        for t in classes:
+            inverts = tuple(t[rot[t[u]]] for u in range(k)) == tuple(np.argsort(rot).tolist())
+            assert inverts == (commute_defect(_lift(t, t), dart) is None), (t, rot)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_a_cover_connects_exactly_when_its_classes_and_dart_connect_the_k_points(k):
+    # the cover: the class and dart lifts, then the top table joining u to u + k
+    classes, identity = involutions(k), tuple(range(k))
+    for rot in permutations(range(k)):
+        dart = _lift(rot, np.argsort(rot).tolist())
+        for n in range(0, 3):
+            for ts in product(classes, repeat=n):
+                cover = [_lift(t, t) for t in ts] + [dart, _lift(identity, identity)]
+                assert (len(component(cover, 0)) == 2 * k) == (
+                    len(component(list(ts) + [rot], 0)) == k), (ts, rot)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -327,6 +354,20 @@ def test_large_vertex_count_warns_at_the_calling_line():
     assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
 
+def test_census_refuses_more_candidates_than_int16_rows_index(monkeypatch):
+    # 35,696 involutions on 11 points, 9,496 on 10; refused before any is listed
+    def unlisted(k):
+        raise AssertionError(f"involutions({k}) listed")
+
+    monkeypatch.setattr(enumeration, "involutions", unlisted)
+    with pytest.warns(UserWarning), pytest.raises(ValueError, match="^35,696 involutions on 11"):
+        census(3, 11)
+    with pytest.raises(ValueError, match="^140,152 involutions on 12"):
+        enumeration._census((3,), 12)
+    monkeypatch.undo()
+    assert len(involutions(10)) == 9496 <= np.iinfo(np.int16).max < len(recursive_involutions(11))
+
+
 def test_code_order_raises_on_a_repeated_row():
     codes = np.array([[1, 2], [0, 3], [1, 2]], np.uint8)
     assert enumeration._code_order(codes[:2]) == [1, 0]
@@ -357,9 +398,9 @@ def test_enumerate_raises_on_an_inadmissible_class(monkeypatch):
     inv = involutions(3)
     a, b = inv.index((1, 0, 2)), inv.index((0, 2, 1))
 
-    def levels(tables, lists, relabellings):
+    def levels(tables, colours, relabellings):
         for depth in range(1, 4):
-            yield np.array([[a, a, b][:depth]], np.int16), np.ones((1, len(tables)), bool)
+            yield np.array([[a, a, b][:depth]], np.int16)
 
     monkeypatch.setattr(enumeration, "_commuting_tuples", levels)
     with pytest.raises(InternalCheckError, match=r"bad \(0,2\) 2-factor at vertex 0"):
@@ -473,12 +514,12 @@ def test_oriented_codes_match_all_relabellings_in_one_pass():
 def test_a_class_met_twice_fails_the_internal_check(monkeypatch, capsys):
     search = enumeration._commuting_tuples
 
-    def twice(tables, lists, relabellings):
+    def twice(tables, colours, relabellings):
         # each level's tuples, then its last connected one again
-        for rows, allowed in search(tables, lists, relabellings):
+        for rows in search(tables, colours, relabellings):
             last = [t for t, row in enumerate(rows.tolist())
                     if len(component(tables[row].tolist(), 0)) == tables.shape[1]][-1:]
-            yield np.vstack([rows, rows[last]]), np.vstack([allowed, allowed[last]])
+            yield np.vstack([rows, rows[last]])
 
     monkeypatch.setattr(enumeration, "_commuting_tuples", twice)
     with pytest.raises(InternalCheckError, match="twice"):
