@@ -30,10 +30,11 @@ from itertools import compress, permutations
 
 import numpy as np
 
-from .flag_graph import CHUNK, FlagGraph, InternalCheckError, quotient_tables, stack_labels
+from .flag_graph import CHUNK, FlagGraph, InternalCheckError, stack_labels
 from .oriented import OrientedSTG, oriented_digraph, stg_has_odd_closed_walk
 from .stg import (SymmetryTypeGraph, bipartition, check_all, face_orbit_splits, stg_violations,
                   transitivity_profile)
+from .symmetry import invert
 
 
 def involutions(k: int) -> list[tuple[int, ...]]:
@@ -194,6 +195,14 @@ def enumerate_stg(n_colours: int, k: int, filters=()) -> list[SymmetryTypeGraph]
 def census(n_colours: int, k: int, filters=()) -> tuple[list[SymmetryTypeGraph], np.ndarray]:
     """``enumerate_stg``'s classes, and their tables as one uint8 stack
     (classes, colours, k), which the check and the CSV read."""
+    if n_colours < 1 or k < 1:
+        raise ValueError("need at least one colour and one vertex")
+    size, smaller = 1, 1  # I(k) = I(k-1) + (k-1) I(k-2) involutions, from I(1) = I(0) = 1
+    for j in range(2, k + 1):
+        size, smaller = size + (j - 1) * smaller, size
+    if size > np.iinfo(np.int16).max:  # the search's rows index the candidates in int16
+        raise ValueError(f"{size:,} involutions on {k} vertices exceed the 32,767 candidate tables"
+                         " that the search's int16 rows index")
     if k > 5:
         warnings.warn(f"enumeration over {k} vertices may be slow", stacklevel=2)
     return _census((n_colours,), k, filters)[n_colours]
@@ -203,14 +212,6 @@ def _census(counts, k: int, filters=(), fixed_point_free: bool = False) -> dict:
     """``census`` at every colour count in ``counts``, each read off one
     level of a single search over max(counts) colours; ``fixed_point_free``
     restricts the search to types without semi-edges."""
-    if min(counts) < 1 or k < 1:
-        raise ValueError("need at least one colour and one vertex")
-    size, smaller = 1, 1  # I(k) = I(k-1) + (k-1) I(k-2) involutions, from I(1) = I(0) = 1
-    for j in range(2, k + 1):
-        size, smaller = size + (j - 1) * smaller, size
-    if size > np.iinfo(np.int16).max:  # the search's rows index the candidates in int16
-        raise ValueError(f"{size:,} involutions on {k} vertices exceed the 32,767 candidate tables"
-                         " that the search's int16 rows index")
     choices = involutions(k)
     if fixed_point_free:
         choices = [m for m in choices if all(m[v] != v for v in range(k))]
@@ -311,8 +312,8 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
     Enumerates admissible 2k-vertex types without semi-edges or odd
     cycles and reads each as a flag graph oriented by its census sides,
     vertex 0 black.  Its oriented di-graph, ``oriented_digraph``'s move
-    graph, is quotiented by the top-colour pairs, each named by its
-    least point, and the types are deduplicated, the first of each kept.
+    graph on the black flags, is relabelled by the top-colour pairs (one
+    black flag each) in order of least point; the first type of each code is kept.
     Exponential in n_colours; a cross-check for small colour counts.
     """
     n = n_colours
@@ -322,8 +323,9 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
     for t in covers:
         g, parity = FlagGraph(t.tables), np.array(bipartition(t), np.int8)
         black = np.flatnonzero(parity == 0)
-        *tables, dart = quotient_tables(oriented_digraph(g, parity).adj[:-1],
-                                        np.minimum(black, g.adj[-1, black]))
+        order = np.argsort(np.minimum(black, g.adj[-1, black]))
+        moves = oriented_digraph(g, parity).adj[:-1, order]
+        *tables, dart = map(tuple, invert(order)[moves].tolist())
         found.append(OrientedSTG(tables=tuple(tables), dart=dart))
     first: dict[bytes, OrientedSTG] = {}
     for code, ot in zip(_oriented_codes(found), found):

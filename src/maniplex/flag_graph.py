@@ -77,19 +77,6 @@ def _hook(tables, label: np.ndarray) -> np.ndarray:
         label = root
 
 
-def quotient_tables(tables, part_of) -> tuple[tuple[int, ...], ...]:
-    """Partner tables on the parts of a partition that every table maps
-    part to part: one part per distinct value of ``part_of``, in
-    increasing order of value.
-
-    Each table is read at each part's least point, so ``out[i][p]`` is
-    the part that table i sends part p into; a point sent into its own
-    part becomes a fixed point, a semi-edge.
-    """
-    _, first, part = np.unique(part_of, return_index=True, return_inverse=True)
-    return tuple(map(tuple, part[np.asarray(tables)[:, first]].tolist()))
-
-
 def stack_labels(stack: np.ndarray) -> np.ndarray:
     """The component labels of each tuple of partner tables in a stack
     (tuples, colours, points), on the tuple's own points: one

@@ -10,9 +10,10 @@ permutation (the directed class).  The oriented flag di-graph is a
 ``FlagGraph`` on the black flags whose colours are these moves,
 t_0..t_{n-3}, then rot, then rot^-1, so flag-graph routines apply to
 it unchanged.  The orientation-preserving group Aut+ is read off Aut
-and the parts, and its quotient off the moves at one black flag per
-orbit: a partner table per undirected class, where a fixed point is a
-semi-edge, plus the dart permutation.
+and the parts.  An Aut+ orbit lies in one part, so the black orbits
+are those whose least flag is black, and the quotient is read off the
+moves at these flags: a partner table per undirected class, where a
+fixed point is a semi-edge, plus the dart permutation.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def aut_plus(aut: AutGroup, parity: np.ndarray) -> AutGroup:
 
 def black_orbit_count(a_plus: AutGroup, parity: np.ndarray) -> int:
     """Number of orientation-preserving orbits made of black flags."""
-    return int(np.count_nonzero(np.bincount(a_plus.orbit_of[parity == 0])))
+    return int(np.count_nonzero(parity[a_plus.reps] == 0))
 
 
 def stg_has_odd_closed_walk(t: SymmetryTypeGraph) -> bool:
@@ -136,13 +137,12 @@ class OrientedSTG:
 def oriented_stg(a_plus: AutGroup, parity: np.ndarray) -> OrientedSTG:
     """Quotient the oriented di-graph's t_0..t_{n-3} and rot (rank >= 2)
     by the Aut+ orbits of black flags, numbered in order of orbit id: the
-    moves are read at the least black flag of each orbit."""
+    moves are read at the least flags of the orbits that are black."""
     if a_plus.graph.rank < 2:
         raise ValueError("the directed class needs rank >= 2")
-    adj, black, orbit_of = a_plus.graph.adj, np.flatnonzero(parity == 0), a_plus.orbit_of
-    ids, first = np.unique(orbit_of[black], return_index=True)
-    moves = adj[:-1, adj[-1, black[first]]]
-    *tables, dart = np.searchsorted(ids, orbit_of[moves]).tolist()
+    adj, black = a_plus.graph.adj, parity[a_plus.reps] == 0
+    moves = adj[:-1, adj[-1, a_plus.reps[black]]]
+    *tables, dart = (np.cumsum(black) - 1)[a_plus.orbit_of[moves]].tolist()
     return OrientedSTG(tables=tuple(map(tuple, tables)), dart=tuple(dart))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flag_graph import CHUNK, InternalCheckError, non_commuting, quotient_tables, stack_labels
+from .flag_graph import CHUNK, InternalCheckError, non_commuting, stack_labels
 from .symmetry import AutGroup
 
 SEMI = -1
@@ -162,8 +162,8 @@ def _check(graphs, kept: dict, m: np.ndarray | None = None) -> list[tuple]:
 
 def quotient(a: AutGroup) -> SymmetryTypeGraph:
     """Symmetry type graph: one vertex per flag orbit, numbered like the
-    orbits; Aut commutes with every colour, so orbits map to orbits."""
-    t = SymmetryTypeGraph(quotient_tables(a.graph.adj, a.orbit_of))
+    orbits and read at its least flag; Aut commutes with every colour."""
+    t = SymmetryTypeGraph(tuple(map(tuple, a.orbit_of[a.graph.adj[:, a.reps]].tolist())))
     if problems := stg_violations(t):
         raise InternalCheckError(f"quotient broke pregraph invariants: {problems}")
     return t

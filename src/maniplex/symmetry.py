@@ -4,11 +4,12 @@ Because the colour-preserving automorphism group acts freely on flags, an
 automorphism is pinned down by the image of flag 0: propagate
 ``image(f^{r_i}) = image(f)^{r_i}`` along the tree from flag 0 and check
 that each table commutes.  A group is stored as a few generating image
-tables plus the orbit of flag 0, one target per element.  ``aut_group``
-is the one group search: it tries flag 0 only against the flags of its
-colour under colour refinement from the cycle lengths of the products
-r_i r_{i+1}, rows hashed to one int64 each, flag 0's own neighbours
-first, so that the generator report can reuse its tables.
+tables, the orbit of flag 0 (one target per element) and the least flag
+of each orbit.  ``aut_group`` is the one group search: it tries flag 0
+only against the flags of its colour under colour refinement from the
+cycle lengths of the products r_i r_{i+1}, rows hashed to one int64
+each, flag 0's own neighbours first, so that the generator report can
+reuse its tables.
 """
 
 from __future__ import annotations
@@ -116,19 +117,24 @@ class AutGroup:
     ``generators`` are image tables generating the group (Aut+, read off
     Aut, lists none); ``targets`` is the sorted orbit of flag 0, which has
     one flag per element since the action is free; ``element(t)``
-    recomputes the element sending flag 0 to ``t``.  Orbit ids are
-    assigned 0..orbit_count-1 in order of least flag index.
+    recomputes the element sending flag 0 to ``t``.  ``reps[o]`` is the
+    least flag of orbit o, orbit ids going by least flag, and the
+    quotients are read at these flags.
     """
 
     graph: FlagGraph
     generators: list[np.ndarray]
     targets: np.ndarray
     orbit_of: np.ndarray
-    orbit_count: int
+    reps: np.ndarray
 
     @property
     def order(self) -> int:
         return self.targets.size
+
+    @property
+    def orbit_count(self) -> int:
+        return self.reps.size
 
     def element(self, target: int) -> np.ndarray:
         """The automorphism sending flag 0 to ``target``."""
@@ -143,15 +149,14 @@ def _group(g: FlagGraph, generators: list[np.ndarray], label: np.ndarray) -> Aut
     the targets.  F = |G| * orbit_count (the action is free) is checked."""
     targets = np.flatnonzero(label == 0).astype(np.int32)
     least = label == np.arange(g.flag_count)
-    orbit_count = int(np.count_nonzero(least))
-    if g.flag_count != targets.size * orbit_count:
+    reps = np.flatnonzero(least).astype(np.int32)
+    if g.flag_count != targets.size * reps.size:
         raise InternalCheckError(
-            f"{g.flag_count} flags != group order {targets.size} x {orbit_count} orbits")
+            f"{g.flag_count} flags != group order {targets.size} x {reps.size} orbits")
     orbit_of = (np.cumsum(least) - 1).astype(np.int32)[label]
-    for arr in (targets, orbit_of):
+    for arr in (targets, orbit_of, reps):
         arr.setflags(write=False)
-    return AutGroup(graph=g, generators=generators, targets=targets,
-                    orbit_of=orbit_of, orbit_count=orbit_count)
+    return AutGroup(graph=g, generators=generators, targets=targets, orbit_of=orbit_of, reps=reps)
 
 
 def aut_group(g: FlagGraph) -> AutGroup:

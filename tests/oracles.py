@@ -16,8 +16,7 @@ from maniplex import symmetry
 from maniplex.constructions import MapError, MapSpec, _face_slots
 from maniplex.enumeration import (_bitmasks, _census, _images, _least_codes, _oriented_census,
                                   _oriented_codes, involutions)
-from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, quotient_tables,
-                                 validate)
+from maniplex.flag_graph import FlagGraph, InternalCheckError, component_labels, validate
 from maniplex.formats import PALETTE, ParseError, _content_lines, _header_fields
 from maniplex.oriented import OrientedSTG, oriented_digraph, orientation, stg_has_odd_closed_walk
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, _without,
@@ -360,8 +359,24 @@ def stg_from_slots(slots) -> SymmetryTypeGraph:
     return SymmetryTypeGraph(tables_from_slots(slots, len(slots[0])))
 
 
-# The per-orbit loops that flag_graph.quotient_tables replaced in
-# stg.quotient and in the oriented STG's move-graph route.
+# The sorted quotient, which reading each orbit at its least flag
+# (AutGroup.reps) replaced in stg.quotient, oriented.oriented_stg,
+# oriented.black_orbit_count and the cover route of
+# enumeration.oriented_stg3_via_quotient, and the per-orbit loops that
+# the sorted quotient had replaced in stg.quotient and oriented_stg.
+
+
+def quotient_tables(tables, part_of) -> tuple[tuple[int, ...], ...]:
+    """Partner tables on the parts of a partition that every table maps
+    part to part: one part per distinct value of ``part_of``, in
+    increasing order of value.
+
+    Each table is read at each part's least point, so ``out[i][p]`` is
+    the part that table i sends part p into; a point sent into its own
+    part becomes a fixed point, a semi-edge.
+    """
+    _, first, part = np.unique(part_of, return_index=True, return_inverse=True)
+    return tuple(map(tuple, part[np.asarray(tables)[:, first]].tolist()))
 
 
 def orbit_loop_quotient(g: FlagGraph, a: AutGroup) -> SymmetryTypeGraph:
@@ -1254,10 +1269,10 @@ def tree_search_group(g: FlagGraph, candidates) -> AutGroup:
     orbit_of = np.empty(g.flag_count, dtype=np.int32)
     for idx, flags in enumerate(orbits):
         orbit_of[flags] = idx
-    for arr in (targets, orbit_of):
+    reps = np.array([flags[0] for flags in orbits], dtype=np.int32)
+    for arr in (targets, orbit_of, reps):
         arr.setflags(write=False)
-    return AutGroup(graph=g, generators=generators, targets=targets,
-                    orbit_of=orbit_of, orbit_count=len(orbits))
+    return AutGroup(graph=g, generators=generators, targets=targets, orbit_of=orbit_of, reps=reps)
 
 
 # The per-pair commutation test that flag_graph.non_commuting replaced.

@@ -1,10 +1,10 @@
 """The array routes of the builders, the cycle notation, the orbit
 labels, the group search, Aut+ and the oriented STG read off Aut, the
-commutation test, the colour refinement, the orientation, the face
-projection, the generator reduction, the file parse and the
-breadth-first tree against the per-flag, per-pair, tree, Schreier,
-move-graph, rank-based, per-level, per-token and sorting routes they
-replaced (kept in oracles.py)."""
+quotients read at each orbit's least flag, the commutation test, the
+colour refinement, the orientation, the face projection, the generator
+reduction, the file parse and the breadth-first tree against the
+per-flag, per-pair, tree, Schreier, move-graph, rank-based, per-level,
+per-token and sorting routes they replaced (kept in oracles.py)."""
 
 import dataclasses
 import random
@@ -38,8 +38,8 @@ from oracles import (all_products_invariant_colours, are_isomorphic, bfs_levels_
                      hook_and_jump_labels, i_faces, level_orientation,
                      loop_cycle_string, loop_hypercube, loop_map_from_faces, loop_polygon,
                      loop_simplex, loop_torus44, matmul_invariant_colours,
-                     pair_non_commuting, random_map, rank_invariant_colours, relabel,
-                     relabel_aut_group, schreier_aut_plus, sorted_bfs_levels,
+                     pair_non_commuting, quotient_tables, random_map, rank_invariant_colours,
+                     relabel, relabel_aut_group, schreier_aut_plus, sorted_bfs_levels,
                      recolour_dual, token_parse_maniplex_text, trial_order, tree_search_group,
                      verify_face_projection, walk_face_projection, walk_realize_generators)
 
@@ -302,19 +302,53 @@ def test_aut_plus_and_oriented_stg_match_the_schreier_and_move_graph_routes(corp
 def test_aut_plus_and_oriented_stg_label_nothing_and_build_no_move_graph(corpus, monkeypatch):
     cases = [(a, o) for _, a, o in oriented_cases(corpus)]
 
-    def refused(*args):
-        raise AssertionError("a labelling or a move graph was built")
+    def refused(*args, **kwargs):
+        raise AssertionError("a sort, a labelling or a move graph was built")
 
+    # the quotients are read at the group's representatives: no sort
+    monkeypatch.setattr(np, "unique", refused)
+    for a, _ in cases:
+        quotient(a)
     for module in (flag_graph, symmetry, oriented):
-        for name in ("_hook", "component_labels", "_both_ways", "quotient_tables",
-                     "oriented_digraph"):
+        for name in ("_hook", "component_labels", "_both_ways", "oriented_digraph"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
     for a, o in cases:
         ap = aut_plus(a, o)
         assert ap.generators == [] or ap is a
+        black_orbit_count(ap, o)
         if a.graph.rank >= 2:
             oriented_stg(ap, o)
+
+
+# AutGroup.reps, the least flag of each orbit, against the sorted
+# quotient (oracles.quotient_tables) and the black-flag count it replaced
+
+
+def test_each_orbit_is_read_at_its_least_flag(corpus, monkeypatch):
+    labels = list(CORPUS) + [label for label in BENCHMARK_LABELS if label not in CORPUS]
+    graphs = [(corpus.graph(label), corpus.aut(label)) for label in labels]
+    graphs += [(g, aut_group(g)) for g in benchmark_random_maps(monkeypatch, (1, 2, 10))]
+    orientable = 0
+    for g, a in graphs:
+        assert quotient(a).tables == quotient_tables(g.adj, a.orbit_of), g
+        groups = [a] if (o := orientation(g)) is None else [a, aut_plus(a, o)]
+        for b in groups:
+            assert np.array_equal(b.reps, np.unique(b.orbit_of, return_index=True)[1]), g
+            assert np.array_equal(b.orbit_of[b.reps], np.arange(b.orbit_count)), g
+            assert not b.reps.flags.writeable
+        if o is None:
+            continue
+        orientable, ap = orientable + 1, groups[-1]
+        count = black_orbit_count(ap, o)
+        assert count == np.count_nonzero(np.bincount(ap.orbit_of[o == 0])), g
+        # each colour swaps the parts and commutes with Aut+, so the black
+        # and the white Aut+ orbits pair up
+        assert 2 * count == ap.orbit_count, g
+        if g.rank >= 2:
+            ot, old = oriented_stg(ap, o), digraph_oriented_stg(ap, o)
+            assert (ot.tables, ot.dart) == (old.tables, old.dart), g
+    assert (len(graphs), orientable) == (106, 87)
 
 
 def test_a_part_neither_kept_nor_swapped_is_caught():

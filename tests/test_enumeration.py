@@ -360,10 +360,12 @@ def test_census_refuses_more_candidates_than_int16_rows_index(monkeypatch):
         raise AssertionError(f"involutions({k}) listed")
 
     monkeypatch.setattr(enumeration, "involutions", unlisted)
-    with pytest.warns(UserWarning), pytest.raises(ValueError, match="^35,696 involutions on 11"):
-        census(3, 11)
-    with pytest.raises(ValueError, match="^140,152 involutions on 12"):
-        enumeration._census((3,), 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the k > 5 warning
+        with pytest.raises(ValueError, match="^35,696 involutions on 11"):
+            census(3, 11)
+        with pytest.raises(ValueError, match="^140,152 involutions on 12"):
+            census(3, 12)
     monkeypatch.undo()
     assert len(involutions(10)) == 9496 <= np.iinfo(np.int16).max < len(recursive_involutions(11))
 
