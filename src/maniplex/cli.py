@@ -20,9 +20,8 @@ from pathlib import Path
 from . import constructions, formats
 from .enumeration import census, is_fully_transitive
 from .flag_graph import FlagGraph, InternalCheckError, validate
-from .oriented import (aut_plus, black_orbit_count, classify_oriented,
-                       is_chiral_a_la_conway, orientation, oriented_stg,
-                       stg_has_odd_closed_walk)
+from .oriented import (aut_plus, classify_oriented, is_chiral_a_la_conway, orientation,
+                       oriented_stg, stg_has_odd_closed_walk)
 from .stg import class_labels, classify, quotient, transitivity_profile
 from .symmetry import aut_group
 from .walkgen import generates_full_group, realize_generators, reduce_generators
@@ -113,18 +112,20 @@ def cmd_analyze(args) -> int:
             payload["oriented"] = {"orientable": False}
         else:
             ap = aut_plus(aut, parity)
+            if ap.orbit_count % 2:  # each colour pairs the black Aut+ orbits with the white
+                raise InternalCheckError(f"Aut+ has an odd number of orbits, {ap.orbit_count}")
             block: dict = {
                 "orientable": True,
                 "aut_plus_order": ap.order,
                 "index": aut.order // ap.order,
                 "chiral_a_la_conway": is_chiral_a_la_conway(aut, ap, t),
-                "black_orbit_count": black_orbit_count(ap, parity),
+                "black_orbit_count": ap.orbit_count // 2,
             }
             if g.rank >= 2:
                 ot = oriented_stg(ap, parity)
                 block["class"] = classify_oriented(ot).label()
                 block["stg"] = {"vertices": ot.vertex_count, "undirected": ot.undirected,
-                                "dart": ot.dart}
+                                "dart": ot.dart.tolist()}
             payload["oriented"] = block
 
     if args.dot:

@@ -2,7 +2,7 @@
 
 Each colour contributes an involution on the k vertices, a partner
 table whose fixed points are semi-edges, and admissibility asks the
-involutions of colours at distance >= 2 to commute; a tuple of such
+involutions of colours at distance >= 2 to commute; a row of such
 tables is a ``SymmetryTypeGraph`` as it stands.  The search runs level
 by level, each adding to every tuple a candidate table that commutes
 with every earlier colour but the previous one.  It is orderly: it
@@ -24,7 +24,6 @@ through their oriented di-graphs, ``oriented_digraph``.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, permutations
 
@@ -193,8 +192,8 @@ def enumerate_stg(n_colours: int, k: int, filters=()) -> list[SymmetryTypeGraph]
 
 
 def census(n_colours: int, k: int, filters=()) -> tuple[list[SymmetryTypeGraph], np.ndarray]:
-    """``enumerate_stg``'s classes, and their tables as one uint8 stack
-    (classes, colours, k), which the check and the CSV read."""
+    """``enumerate_stg``'s classes, and their tables as one read-only
+    int32 stack (classes, colours, k), which the check and the CSV read."""
     if n_colours < 1 or k < 1:
         raise ValueError("need at least one colour and one vertex")
     size, smaller = 1, 1  # I(k) = I(k-1) + (k-1) I(k-2) involutions, from I(1) = I(0) = 1
@@ -212,22 +211,21 @@ def _census(counts, k: int, filters=(), fixed_point_free: bool = False) -> dict:
     """``census`` at every colour count in ``counts``, each read off one
     level of a single search over max(counts) colours; ``fixed_point_free``
     restricts the search to types without semi-edges."""
-    choices = involutions(k)
+    tables = np.array(involutions(k), np.uint8).reshape(-1, k)
     if fixed_point_free:
-        choices = [m for m in choices if all(m[v] != v for v in range(k))]
-    tables = np.array(choices, np.uint8).reshape(-1, k)
+        tables = tables[(tables != np.arange(k)).all(axis=1)]
     levels = _commuting_tuples(tables, max(counts), _relabellings(k))
     # the search has ended, and freed its levels, before the classes are built
     found = {n: _connected(tables, rows) for n, rows in enumerate(levels, 1) if n in counts}
     for n, rows in found.items():
         stack = tables[rows]
-        order = _code_order(_least_codes(stack[:, None], n))
-        stack, columns = stack[order], rows[order].T.tolist()
-        graphs = [SymmetryTypeGraph(ts)
-                  for ts in zip(*(map(choices.__getitem__, column) for column in columns))]
+        stack = stack[_code_order(_least_codes(stack[:, None], n))].astype(np.int32)
+        stack.setflags(write=False)
+        graphs = list(map(SymmetryTypeGraph, stack))
         check_all(graphs, stack)
         if bad := next((t for t in graphs if stg_violations(t)), None):
-            raise InternalCheckError(f"inadmissible class {bad.tables}: {stg_violations(bad)}")
+            raise InternalCheckError(
+                f"inadmissible class {bad.tables.tolist()}: {stg_violations(bad)}")
         if filters:
             keep = [all(predicate(t) for predicate in filters) for t in graphs]
             graphs, stack = list(compress(graphs, keep)), stack[np.array(keep, bool)]
@@ -252,8 +250,9 @@ def _oriented_codes(ots) -> np.ndarray:
     opposite orientation choice of the same structure, so mirror pairs
     count once.  The dart is one more table after the undirected
     classes, a loop written as the vertex itself."""
-    stack = [[ot.tables + (dart,) for dart in (ot.dart, np.argsort(ot.dart))] for ot in ots]
-    return _least_codes(np.array(stack), len(ots[0].tables))
+    ts, ds = np.stack([ot.tables for ot in ots]), np.stack([ot.dart for ot in ots])
+    both = [np.concatenate([ts, d[:, None]], axis=1) for d in (ds, np.argsort(ds, axis=1))]
+    return _least_codes(np.stack(both, axis=1), ts.shape[1])
 
 
 def _dart_order(p) -> tuple[int, list[list[int]]]:
@@ -296,13 +295,13 @@ def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
         stabiliser = list(compress(relabellings, np.isin(images[r], (r, inverse[r]))))
         # t inverts rot exactly when t rot is an involution
         inverts = np.array([all(t[rot[t[rot[u]]]] == u for u in range(k)) for t in classes])
-        tables = np.array(classes + [rot], np.uint8)  # rot after the classes, for connectivity
+        tables = np.array(classes + [rot], np.int32)  # rot after the classes, for connectivity
         for n, rows in enumerate(_commuting_tuples(tables[:-1], max(counts) - 2, stabiliser), 3):
             if n in counts:
                 rows = rows[inverts[rows[:, :-1]].all(axis=1)]
                 rows = np.column_stack((rows, np.full(len(rows), len(classes), np.int16)))
-                found[n] += [OrientedSTG(tables=tuple(classes[p] for p in row[:-1]), dart=rot)
-                             for row in _connected(tables, rows).tolist()]
+                found[n] += [OrientedSTG(tables=ts, dart=rot)
+                             for ts in tables[_connected(tables, rows)[:, :-1]]]
     return {n: [ots[i] for i in _code_order(_oriented_codes(ots))] for n, ots in found.items()}
 
 
@@ -321,12 +320,11 @@ def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
     covers, _ = _census((n,), 2 * _K, (lambda t: not stg_has_odd_closed_walk(t),), True)[n]
     found = []
     for t in covers:
-        g, parity = FlagGraph(t.tables), np.array(bipartition(t), np.int8)
+        g, parity = FlagGraph(t.tables), bipartition(t).astype(np.int8)
         black = np.flatnonzero(parity == 0)
         order = np.argsort(np.minimum(black, g.adj[-1, black]))
-        moves = oriented_digraph(g, parity).adj[:-1, order]
-        *tables, dart = map(tuple, invert(order)[moves].tolist())
-        found.append(OrientedSTG(tables=tuple(tables), dart=dart))
+        moves = invert(order)[oriented_digraph(g, parity).adj[:-1, order]]
+        found.append(OrientedSTG(tables=moves[:-1], dart=moves[-1]))
     first: dict[bytes, OrientedSTG] = {}
     for code, ot in zip(_oriented_codes(found), found):
         first.setdefault(code.tobytes(), ot)
@@ -392,11 +390,11 @@ def verify_census() -> list[CensusCheck]:
         checks.append(CensusCheck(
             f"oriented 3-vertex types, {n} colours", expected, len(census)))
     for n in range(7, 11):
-        loops = Counter(sum(v == u for u, v in enumerate(ot.dart)) for ot in oriented[n])
+        loops = [np.count_nonzero(ot.dart == np.arange(_K)) for ot in oriented[n]]
         checks.append(CensusCheck(
-            f"oriented 3-vertex, three loops, {n} colours", 2 * n - 7, loops[3]))
+            f"oriented 3-vertex, three loops, {n} colours", 2 * n - 7, loops.count(3)))
         checks.append(CensusCheck(
-            f"oriented 3-vertex, single loop, {n} colours", 2, loops[1]))
+            f"oriented 3-vertex, single loop, {n} colours", 2, loops.count(1)))
     checks.append(CensusCheck(
         "oriented 3-vertex, 4 colours: direct route matches 6-vertex quotient route",
         [code.tobytes() for code in _oriented_codes(oriented[4])],

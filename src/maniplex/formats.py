@@ -55,6 +55,8 @@ def _header_fields(line: str, kind: str, keys: tuple[str, ...]) -> list[int]:
             values.append(int(val))
         except ValueError as exc:
             raise ParseError(f"bad integer in header: {val!r}") from exc
+        if values[-1] < 1:
+            raise ParseError(f"header field {part!r} is below 1")
     return values
 
 
@@ -125,40 +127,26 @@ def parse_map_text(text: str) -> MapSpec:
 
 
 def stg_to_dot(t: SymmetryTypeGraph) -> str:
+    hue = [PALETTE[c % len(PALETTE)] for c in range(t.rank)]
     lines = ["graph stg {", "  node [shape=circle];"]
-    for u in range(t.vertex_count):
-        lines.append(f'  v{u} [label="{u}"];')
-    for u, v, colour in t.edges():
-        hue = PALETTE[colour % len(PALETTE)]
-        lines.append(f'  v{u} -- v{v} [label="{colour}", color="{hue}"];')
-    for u in range(t.vertex_count):
-        for colour in sorted(t.semi_colours(u)):
-            hue = PALETTE[colour % len(PALETTE)]
-            lines.append(
-                f'  v{u} -- v{u} [label="{colour} semi", color="{hue}", style=dashed];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  v{u} [label="{u}"];' for u in range(t.vertex_count)]
+    lines += [f'  v{u} -- v{v} [label="{c}", color="{hue[c]}"];' for u, v, c in t.edges()]
+    lines += [f'  v{u} -- v{u} [label="{c} semi", color="{hue[c]}", style=dashed];'
+              for u in range(t.vertex_count) for c in sorted(t.semi_colours(u))]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def oriented_stg_to_dot(ot: OrientedSTG) -> str:
+    hue = [PALETTE[c % len(PALETTE)] for c in range(ot.rank - 1)]
     lines = ["digraph oriented_stg {", "  node [shape=circle];"]
-    for u in range(ot.vertex_count):
-        lines.append(f'  v{u} [label="{u}"];')
+    lines += [f'  v{u} [label="{u}"];' for u in range(ot.vertex_count)]
     for u, row in enumerate(ot.undirected):
-        for colour, s in enumerate(row):
-            hue = PALETTE[colour % len(PALETTE)]
-            if s == SEMI:
-                lines.append(
-                    f'  v{u} -> v{u} [label="t{colour} semi", color="{hue}", '
-                    'style=dashed, dir=none];')
-            elif s > u:
-                lines.append(
-                    f'  v{u} -> v{s} [label="t{colour}", color="{hue}", dir=none];')
-    hue = PALETTE[(ot.rank - 2) % len(PALETTE)]
-    for u in range(ot.vertex_count):
-        lines.append(f'  v{u} -> v{ot.dart[u]} [label="t{ot.rank - 2}", color="{hue}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines += [f'  v{u} -> v{u} [label="t{c} semi", color="{hue[c]}", style=dashed, dir=none];'
+                  if s == SEMI else f'  v{u} -> v{s} [label="t{c}", color="{hue[c]}", dir=none];'
+                  for c, s in enumerate(row) if s == SEMI or s > u]
+    lines += [f'  v{u} -> v{d} [label="t{ot.rank - 2}", color="{hue[-1]}"];'
+              for u, d in enumerate(ot.dart.tolist())]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ it unchanged.  The orientation-preserving group Aut+ is read off Aut
 and the parts.  An Aut+ orbit lies in one part, so the black orbits
 are those whose least flag is black, and the quotient is read off the
 moves at these flags: a partner table per undirected class, where a
-fixed point is a semi-edge, plus the dart permutation.
+fixed point is a semi-edge, plus the dart permutation, in int32 arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flag_graph import FlagGraph, InternalCheckError
-from .stg import SymmetryTypeGraph, bipartition, slot_rows
+from .stg import SymmetryTypeGraph, _int32, bipartition, slot_rows
 from .symmetry import AutGroup, _group, invert
 
 
@@ -72,11 +72,6 @@ def aut_plus(aut: AutGroup, parity: np.ndarray) -> AutGroup:
     return _group(aut.graph, [], least[key])
 
 
-def black_orbit_count(a_plus: AutGroup, parity: np.ndarray) -> int:
-    """Number of orientation-preserving orbits made of black flags."""
-    return int(np.count_nonzero(parity[a_plus.reps] == 0))
-
-
 def stg_has_odd_closed_walk(t: SymmetryTypeGraph) -> bool:
     """Semi-edges count as odd closed walks; otherwise test bipartiteness.
 
@@ -108,30 +103,37 @@ class OrientedSTG:
     ``tables[i]`` is the partner table of the class t_i, i <= n-3 (a
     fixed point is a semi-edge); ``dart[u]`` is the target of the out-dart
     of the directed class (a self-target is a loop; mutually inverse
-    darts between two vertices stay distinct).
-    """
+    darts between two vertices stay distinct).  Both are read-only int32."""
 
-    tables: tuple[tuple[int, ...], ...]
-    dart: tuple[int, ...]
+    tables: np.ndarray
+    dart: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dart", dart := _int32(self.dart, 1))
+        object.__setattr__(self, "tables", _int32(np.reshape(self.tables, (-1, dart.size)), 2))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, OrientedSTG) and np.array_equal(self.tables, other.tables)
+                and np.array_equal(self.dart, other.dart))
+
+    def __hash__(self) -> int:
+        return hash(self.tables.tobytes() + self.dart.tobytes())
 
     @property
     def rank(self) -> int:
-        return len(self.tables) + 2
+        return self.tables.shape[0] + 2
 
     @property
     def vertex_count(self) -> int:
-        return len(self.dart)
+        return self.dart.size
 
     @property
-    def undirected(self) -> tuple[tuple[int, ...], ...]:
+    def undirected(self) -> list[list[int]]:
         """The report's form: ``undirected[u][i]`` is a vertex or SEMI."""
-        return slot_rows(self.tables, self.vertex_count)
+        return slot_rows(self.tables)
 
     def semi_or_loop_colours(self, u: int) -> frozenset[int]:
-        out = {i for i, m in enumerate(self.tables) if m[u] == u}
-        if self.dart[u] == u:
-            out.add(self.rank - 2)
-        return frozenset(out)
+        return frozenset(np.flatnonzero(np.append(self.tables[:, u], self.dart[u]) == u).tolist())
 
 
 def oriented_stg(a_plus: AutGroup, parity: np.ndarray) -> OrientedSTG:
@@ -141,9 +143,8 @@ def oriented_stg(a_plus: AutGroup, parity: np.ndarray) -> OrientedSTG:
     if a_plus.graph.rank < 2:
         raise ValueError("the directed class needs rank >= 2")
     adj, black = a_plus.graph.adj, parity[a_plus.reps] == 0
-    moves = adj[:-1, adj[-1, a_plus.reps[black]]]
-    *tables, dart = (np.cumsum(black) - 1)[a_plus.orbit_of[moves]].tolist()
-    return OrientedSTG(tables=tuple(map(tuple, tables)), dart=tuple(dart))
+    moves = (np.cumsum(black) - 1)[a_plus.orbit_of[adj[:-1, adj[-1, a_plus.reps[black]]]]]
+    return OrientedSTG(tables=moves[:-1], dart=moves[-1])
 
 
 @dataclass(frozen=True)

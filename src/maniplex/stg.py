@@ -1,24 +1,22 @@
 """Symmetry type graphs: quotients of flag graphs by automorphism orbits.
 
 Like a flag graph, a symmetry type graph is one partner table per
-colour on its vertices, the flag orbits; a flag adjacency inside one
-orbit becomes a fixed point of its colour's table, a semi-edge.  For
-colours i, j with |i - j| >= 2 every component of the (i, j) 2-factor
-must be one of the five quotients of an alternating 4-cycle, which
-holds exactly when the tables of i and j commute.  A graph's tables are
-checked once, by array comparisons over a stack of graphs of one shape
-(``check_all`` on a census list, ``stg_violations`` on one graph), in a
-pass that also labels the components of each graph's copies with one
-colour deleted and of its double cover.  What the pass finds is kept on
-the graph, and connectivity, the face transitivities, the face-orbit
-splits, the bipartition and, from three vertices on, the class names
-are read off it.  The vertex-major ``slots``, with SEMI for a semi-edge,
-are only the report's form.
+colour on its vertices, the flag orbits, in one read-only int32 array
+(colours, k); a flag adjacency inside one orbit becomes a fixed point,
+a semi-edge.  For colours i, j with |i - j| >= 2 every component of the
+(i, j) 2-factor must be one of the five quotients of an alternating
+4-cycle, which holds exactly when the tables of i and j commute.  A
+graph's tables are checked once, by array comparisons over a stack of
+graphs of one shape, in a pass that also labels the components of each
+graph's copies with one colour deleted and of its double cover.  Its
+label arrays are kept on the graph, and connectivity, the face
+transitivities, the face-orbit splits, the bipartition and, from three
+vertices on, the class names are read off them.  The vertex-major
+``slots``, with SEMI for a semi-edge, are only the report's form.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,43 +27,60 @@ from .symmetry import AutGroup
 SEMI = -1
 
 
-def slot_rows(tables, count: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex-major rows of partner tables on ``count`` points: row u
-    holds u's partner per colour, SEMI for a fixed point."""
-    columns = [[SEMI if v == u else v for u, v in enumerate(m)] for m in tables]
-    return tuple(zip(*columns)) if columns else ((),) * count
+def _int32(tables, ndim: int) -> np.ndarray:
+    """``tables`` as a read-only C-order int32 array of ``ndim`` dimensions,
+    itself (frozen) where it is one; ValueError where int32 changes an entry."""
+    out = np.ascontiguousarray(tables, dtype=np.int32)
+    if out.ndim != ndim or out is not tables and (out != tables).any():
+        raise ValueError(f"expected a {ndim}-dimensional array of int32 integers")
+    out.setflags(write=False)
+    return out
+
+
+def slot_rows(tables: np.ndarray) -> list[list[int]]:
+    """Vertex-major rows of partner tables: u's partner per colour, SEMI at a fixed point."""
+    return np.where(tables == np.arange(tables.shape[1]), SEMI, tables).T.tolist()
 
 
 @dataclass(frozen=True)
 class SymmetryTypeGraph:
-    """Coloured pregraph: ``tables[i][u]`` is u's colour-i partner, and
-    ``tables[i][u] == u`` a semi-edge at u."""
+    """Coloured pregraph: ``tables[i, u]`` is u's colour-i partner, and
+    ``tables[i, u] == u`` a semi-edge at u; equal tables, equal graphs."""
 
-    tables: tuple[tuple[int, ...], ...]
+    tables: np.ndarray
     # what the check found: (problems, labels without each colour, sides),
     # the last two None where the tables are not well formed
     _facts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tables", _int32(self.tables, 2))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SymmetryTypeGraph) and np.array_equal(self.tables, other.tables)
+
+    def __hash__(self) -> int:
+        return hash(self.tables.tobytes())
+
     @property
     def rank(self) -> int:
-        return len(self.tables)
+        return self.tables.shape[0]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.tables[0])
+        return self.tables.shape[1]
 
     @property
-    def slots(self) -> tuple[tuple[int, ...], ...]:
+    def slots(self) -> list[list[int]]:
         """The report's form: ``slots[u][i]`` is a vertex or SEMI."""
-        return slot_rows(self.tables, self.vertex_count)
+        return slot_rows(self.tables)
 
     def semi_colours(self, u: int) -> frozenset[int]:
-        return frozenset(i for i, m in enumerate(self.tables) if m[u] == u)
+        return frozenset(np.flatnonzero(self.tables[:, u] == u).tolist())
 
     def edges(self) -> list[tuple[int, int, int]]:
-        """Inter-vertex edges as (u, v, colour) with u < v."""
-        return [(u, m[u], i) for u in range(self.vertex_count)
-                for i, m in enumerate(self.tables) if u < m[u]]
+        """Inter-vertex edges as (u, v, colour) with u < v, by u and then colour."""
+        u, i = np.nonzero(self.tables.T > np.arange(self.vertex_count)[:, None])
+        return list(zip(u.tolist(), self.tables[i, u].tolist(), i.tolist()))
 
 
 def stg_violations(t: SymmetryTypeGraph) -> list[str]:
@@ -84,14 +99,14 @@ def _well_formed(t: SymmetryTypeGraph) -> tuple:
     return t._facts[1:]
 
 
-def _without(t: SymmetryTypeGraph, i: int) -> tuple[int, ...]:
+def _without(t: SymmetryTypeGraph, i: int) -> np.ndarray:
     """The least vertex of each vertex's component once colour i is deleted."""
     if not 0 <= i < t.rank:
         raise ValueError(f"colour {i} out of range for rank {t.rank}")
     return _well_formed(t)[0][i]
 
 
-def bipartition(t: SymmetryTypeGraph) -> tuple[int, ...] | None:
+def bipartition(t: SymmetryTypeGraph) -> np.ndarray | None:
     """Sides 0/1 with every component's least vertex on side 0, or None
     when some edge (a semi-edge included) joins two vertices of one side."""
     return _well_formed(t)[1]
@@ -102,10 +117,10 @@ def check_all(graphs, stack: np.ndarray | None = None) -> None:
     and keep what was found on each, equal facts once: one pass per
     CHUNK bytes of int32 tables, of which a graph of rank r takes r + 2
     copies.  ``stack``, where the caller holds it, is the list's tables
-    as one array (graphs, colours, k), read in place of the tuples."""
+    as one array (graphs, colours, k), read in place of a new stack."""
     todo, kept = [g for g, t in enumerate(graphs) if t._facts is None], {}
-    tables = graphs[todo[0]].tables if todo else ()
-    step = max(1, CHUNK // (4 * (len(tables) + 2) * max(1, sum(map(len, tables)))))
+    rank, k = graphs[todo[0]].tables.shape if todo else (0, 0)
+    step = max(1, CHUNK // (4 * (rank + 2) * max(1, rank * k)))
     for first in range(0, len(todo), step):
         part = todo[first:first + step]
         ts = [graphs[g] for g in part]
@@ -124,13 +139,10 @@ def _check(graphs, kept: dict, m: np.ndarray | None = None) -> list[tuple]:
     so the graph is connected where one of each pair is labelled 0, and
     bipartite where the two are labelled apart; side 1 is where u's
     label is the larger.  Admissible graphs with equal labels share one
-    facts tuple, kept in ``kept`` under the bytes of the labels.  ``m``,
-    where given, holds the tables as one array."""
-    shape = tuple(map(len, graphs[0].tables))
-    rank, k = len(shape), shape[0]
-    if (i := next((i for i, n in enumerate(shape) if n != k), None)) is not None:
-        return [((f"colour {i} has {shape[i]} entries, expected {k}",), None, None)] * len(graphs)
-    m = np.array([t.tables for t in graphs], dtype=np.int64) if m is None else m
+    facts tuple of read-only arrays, kept in ``kept`` under the bytes of
+    the labels.  ``m``, where given, holds the tables as one array."""
+    rank, k = graphs[0].tables.shape
+    m = np.stack([t.tables for t in graphs]) if m is None else m
     out: list[list[str]] = [[] for _ in graphs]
     inside = (m >= 0) & (m < k)
     safe = np.where(inside, m, 0)
@@ -141,7 +153,7 @@ def _check(graphs, kept: dict, m: np.ndarray | None = None) -> list[tuple]:
     good = np.flatnonzero(~bad.any(axis=(1, 2)))
     # block b of a graph's (rank + 2) * k points sends its edges into block into[b]
     into = np.array([*range(rank), rank + 1, rank], np.int32) * k
-    copies = m[good, :, None].astype(np.int32) + into[:, None]
+    copies = m[good, :, None] + into[:, None]
     copies[:, range(rank), range(rank)] = np.arange(rank * k).reshape(rank, k)
     labels = stack_labels(copies.reshape(len(good), rank, (rank + 2) * k))
     low, high = labels[:, rank * k:-k] - rank * k, labels[:, -k:] - rank * k
@@ -152,10 +164,10 @@ def _check(graphs, kept: dict, m: np.ndarray | None = None) -> list[tuple]:
     sides = np.where((low != high).all(axis=1, keepdims=True), low > high, -1)
     rows = np.hstack([labels[:, :rank * k] - np.repeat(into[:rank], k), sides])
     facts: list[tuple | None] = [None] * len(graphs)
+    rows.setflags(write=False)  # each kept facts tuple holds views of its pass's rows
     for g, row in zip(good.tolist(), rows):
         if (shared := kept.get(key := row.tobytes())) is None:
-            without = tuple(map(tuple, row[:-k].reshape(rank, k).tolist()))
-            shared = kept[key] = ((), without, tuple(row[-k:].tolist()) if row[-1] >= 0 else None)
+            shared = kept[key] = ((), row[:-k].reshape(rank, k), row[-k:] if row[-1] >= 0 else None)
         facts[g] = (tuple(out[g]),) + shared[1:] if out[g] else shared
     return [f or (tuple(problems), None, None) for f, problems in zip(facts, out)]
 
@@ -163,7 +175,7 @@ def _check(graphs, kept: dict, m: np.ndarray | None = None) -> list[tuple]:
 def quotient(a: AutGroup) -> SymmetryTypeGraph:
     """Symmetry type graph: one vertex per flag orbit, numbered like the
     orbits and read at its least flag; Aut commutes with every colour."""
-    t = SymmetryTypeGraph(tuple(map(tuple, a.orbit_of[a.graph.adj[:, a.reps]].tolist())))
+    t = SymmetryTypeGraph(a.orbit_of[a.graph.adj[:, a.reps]])
     if problems := stg_violations(t):
         raise InternalCheckError(f"quotient broke pregraph invariants: {problems}")
     return t
@@ -171,12 +183,12 @@ def quotient(a: AutGroup) -> SymmetryTypeGraph:
 
 def transitivity_profile(t: SymmetryTypeGraph) -> frozenset[int]:
     """Colours i for which the structure is NOT i-face-transitive."""
-    return frozenset(i for i, labels in enumerate(_well_formed(t)[0]) if any(labels))
+    return frozenset(np.flatnonzero(_well_formed(t)[0].any(axis=1)).tolist())
 
 
 def face_orbit_splits(t: SymmetryTypeGraph, i: int) -> tuple[int, ...]:
     """Sorted component sizes of the pregraph with colour i deleted."""
-    return tuple(sorted(Counter(_without(t, i)).values()))
+    return tuple(sorted(filter(None, np.bincount(_without(t, i)).tolist())))
 
 
 @dataclass(frozen=True)
@@ -265,20 +277,20 @@ def classify(t: SymmetryTypeGraph) -> STGClass:
             return ThreeOrbitJ(profile[0])
         if len(profile) == 2 and profile[1] == profile[0] + 1:
             return ThreeOrbitJJ1(profile[0])
-        raise InternalCheckError(f"three-vertex type {t.tables} has profile {profile}")
+        raise InternalCheckError(f"three-vertex type {t.tables.tolist()} has profile {profile}")
     if k == 4:
         profile = transitivity_profile(t)
         splits = tuple((i, face_orbit_splits(t, i)) for i in sorted(profile))
-        semis = np.flatnonzero((np.array(t.tables) == np.arange(k)).any(axis=1)).tolist()
+        semis = np.flatnonzero((t.tables == np.arange(k)).any(axis=1)).tolist()
         return FourOrbitFamily(profile=profile, splits=splits, semi_colours=frozenset(semis))
     return OtherClass(k)
 
 
 def class_labels(graphs) -> list[str]:
     """``classify(t).label()`` for each graph, all with tables of one
-    shape; from three vertices on a label reads only the check's facts,
-    so it is found once per facts tuple, which equal facts share."""
+    shape, found once per table bytes; from three vertices on a label reads
+    only the check's facts, so once per facts tuple, which equal facts share."""
     check_all(graphs)
     found: dict = {}
-    return [found.get(key := id(t._facts) if t.vertex_count >= 3 else t)
+    return [found.get(key := id(t._facts) if t.vertex_count >= 3 else t.tables.tobytes())
             or found.setdefault(key, classify(t).label()) for t in graphs]

@@ -28,13 +28,13 @@ def spanning_tree(t: SymmetryTypeGraph) -> dict[int, tuple[int, ...]]:
     increasing order and descending as soon as a new vertex is reached.
     The dict lists the vertices in the order the search reaches them.
     """
-    paths = {0: ()}
+    paths, tables = {0: ()}, t.tables.tolist()
     stack = [(0, 0)]
     while stack:
         u, colour = stack.pop()
         if colour < t.rank:
             stack.append((u, colour + 1))
-            v = t.tables[colour][u]
+            v = tables[colour][u]
             if v not in paths:
                 paths[v] = paths[u] + (colour,)
                 stack.append((v, 0))
@@ -82,7 +82,7 @@ def realize_generators(a: AutGroup, t: SymmetryTypeGraph) -> GeneratorSet:
     lift, tree_colour = np.zeros(t.vertex_count, np.intp), np.zeros(t.vertex_count, np.intp)
     for v, path in paths.items():  # tree order: a vertex after its parent
         if path:
-            tree_colour[v], lift[v] = path[-1], g.adj[path[-1], lift[t.tables[path[-1]][v]]]
+            tree_colour[v], lift[v] = path[-1], g.adj[path[-1], lift[t.tables[path[-1], v]]]
     if not np.array_equal(a.orbit_of.take(lift), np.arange(t.vertex_count)):
         raise InternalCheckError("a spanning tree step left its vertex's orbit")
     flags = np.arange(g.flag_count)

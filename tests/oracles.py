@@ -337,14 +337,14 @@ def walk_facts(t: SymmetryTypeGraph):
     """What the STG check keeps on a well-formed graph, by the walk: per
     colour i the least vertex of each vertex's component without colour
     i, and the sides of ``two_colouring`` (None when there are none)."""
-    without = []
+    without, tables = [], t.tables.tolist()
     for i in range(t.rank):
         label = [0] * t.vertex_count
-        for comp in components(t.tables[:i] + t.tables[i + 1:], t.vertex_count):
+        for comp in components(tables[:i] + tables[i + 1:], t.vertex_count):
             for u in comp:
                 label[u] = comp[0]
         without.append(tuple(label))
-    side = two_colouring(t.tables)
+    side = two_colouring(tables)
     return tuple(without), None if side is None else tuple(side)
 
 
@@ -359,9 +359,25 @@ def stg_from_slots(slots) -> SymmetryTypeGraph:
     return SymmetryTypeGraph(tables_from_slots(slots, len(slots[0])))
 
 
+# The tuple rows and the black-orbit count that the array expression of
+# stg.slot_rows and Aut+'s halved orbit count in the report replaced.
+
+
+def slot_rows(tables, count: int) -> tuple[tuple[int, ...], ...]:
+    """Vertex-major rows of partner tables on ``count`` points: row u
+    holds u's partner per colour, SEMI for a fixed point."""
+    columns = [[SEMI if v == u else v for u, v in enumerate(m)] for m in tables]
+    return tuple(zip(*columns)) if columns else ((),) * count
+
+
+def black_orbit_count(a_plus: AutGroup, parity: np.ndarray) -> int:
+    """Number of orientation-preserving orbits made of black flags."""
+    return int(np.count_nonzero(parity[a_plus.reps] == 0))
+
+
 # The sorted quotient, which reading each orbit at its least flag
 # (AutGroup.reps) replaced in stg.quotient, oriented.oriented_stg,
-# oriented.black_orbit_count and the cover route of
+# black_orbit_count (above) and the cover route of
 # enumeration.oriented_stg3_via_quotient, and the per-orbit loops that
 # the sorted quotient had replaced in stg.quotient and oriented_stg.
 
@@ -784,7 +800,7 @@ def oriented_min_code(ot: OrientedSTG) -> bytes:
     reversed_dart = [0] * ot.vertex_count
     for u, v in enumerate(ot.dart):
         reversed_dart[v] = u
-    return min(min_code([row + (v,) for row, v in zip(ot.undirected, dart)])
+    return min(min_code([[*row, v] for row, v in zip(ot.undirected, dart)])
                for dart in (ot.dart, reversed_dart))
 
 
@@ -1059,9 +1075,6 @@ def loop_least_code(tables, semi: int) -> bytes:
 def loop_violations(t: SymmetryTypeGraph) -> list[str]:
     """``stg_violations`` by a loop over vertices and colours."""
     k = t.vertex_count
-    for i, m in enumerate(t.tables):
-        if len(m) != k:
-            return [f"colour {i} has {len(m)} entries, expected {k}"]
     out = []
     for u in range(k):
         for i, m in enumerate(t.tables):

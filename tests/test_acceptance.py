@@ -11,13 +11,13 @@ import numpy as np
 from maniplex.constructions import CORPUS
 from maniplex.enumeration import enumerate_stg, is_fully_transitive
 from maniplex.flag_graph import validate
-from maniplex.oriented import (aut_plus, black_orbit_count, is_chiral_a_la_conway,
+from maniplex.oriented import (aut_plus, is_chiral_a_la_conway,
                                orientation, oriented_stg, classify_oriented,
                                stg_has_odd_closed_walk, Rotary)
 from maniplex.stg import (FourOrbitFamily, Regular, ThreeOrbitJJ1, TwoOrbit,
                           classify, face_orbit_splits, transitivity_profile)
 from maniplex.walkgen import generates_full_group, realize_generators, reduce_generators
-from oracles import (closure, enumerate_oriented_stg3, i_faces, is_admissible,
+from oracles import (black_orbit_count, closure, enumerate_oriented_stg3, i_faces, is_admissible,
                      oriented_stg3_families, verify_face_projection)
 
 

@@ -19,27 +19,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maniplex import flag_graph, oriented, symmetry
+from maniplex import enumeration, flag_graph, oriented, symmetry
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
-from maniplex.enumeration import enumerate_stg
+from maniplex.enumeration import enumerate_stg, oriented_stg3_via_quotient
 from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, non_commuting,
                                  validate)
 from maniplex.formats import (ParseError, _colour_row, cycle_string, parse_maniplex_text,
                               parse_map_text, write_maniplex_text)
-from maniplex.oriented import (aut_plus, black_orbit_count, orientation,
-                               oriented_digraph, oriented_stg)
+from maniplex.oriented import aut_plus, orientation, oriented_digraph, oriented_stg
 from maniplex.stg import SymmetryTypeGraph, check_all, quotient
 from maniplex.symmetry import aut_group, invariant_colours
 from maniplex.walkgen import GeneratorSet, realize_generators, reduce_generators
 from oracles import (all_products_invariant_colours, are_isomorphic, bfs_levels_from,
-                     bytes_reduce_generators, extend_map,
+                     black_orbit_count, bytes_reduce_generators, extend_map,
                      components, digraph_oriented_stg, face_maniplex, format_cycle_string,
                      hook_and_jump_labels, i_faces, level_orientation,
                      loop_cycle_string, loop_hypercube, loop_map_from_faces, loop_polygon,
                      loop_simplex, loop_torus44, matmul_invariant_colours,
                      pair_non_commuting, quotient_tables, random_map, rank_invariant_colours,
-                     relabel, relabel_aut_group, schreier_aut_plus, sorted_bfs_levels,
+                     relabel, relabel_aut_group, schreier_aut_plus, slot_rows, sorted_bfs_levels,
                      recolour_dual, token_parse_maniplex_text, trial_order, tree_search_group,
                      verify_face_projection, walk_face_projection, walk_realize_generators)
 
@@ -294,8 +293,7 @@ def test_aut_plus_and_oriented_stg_match_the_schreier_and_move_graph_routes(corp
         assert black_orbit_count(ap, o) == black_orbit_count(old, o), name
         index_two += ap.order < a.order
         if a.graph.rank >= 2:
-            ot, old_ot = oriented_stg(ap, o), digraph_oriented_stg(old, o)
-            assert (ot.tables, ot.dart) == (old_ot.tables, old_ot.dart), name
+            assert oriented_stg(ap, o) == digraph_oriented_stg(old, o), name
     assert index_two > 40
 
 
@@ -331,7 +329,7 @@ def test_each_orbit_is_read_at_its_least_flag(corpus, monkeypatch):
     graphs += [(g, aut_group(g)) for g in benchmark_random_maps(monkeypatch, (1, 2, 10))]
     orientable = 0
     for g, a in graphs:
-        assert quotient(a).tables == quotient_tables(g.adj, a.orbit_of), g
+        assert np.array_equal(quotient(a).tables, quotient_tables(g.adj, a.orbit_of)), g
         groups = [a] if (o := orientation(g)) is None else [a, aut_plus(a, o)]
         for b in groups:
             assert np.array_equal(b.reps, np.unique(b.orbit_of, return_index=True)[1]), g
@@ -346,9 +344,63 @@ def test_each_orbit_is_read_at_its_least_flag(corpus, monkeypatch):
         # and the white Aut+ orbits pair up
         assert 2 * count == ap.orbit_count, g
         if g.rank >= 2:
-            ot, old = oriented_stg(ap, o), digraph_oriented_stg(ap, o)
-            assert (ot.tables, ot.dart) == (old.tables, old.dart), g
+            assert oriented_stg(ap, o) == digraph_oriented_stg(ap, o), g
     assert (len(graphs), orientable) == (106, 87)
+
+
+# the one table type: every symmetry type graph and oriented quotient
+# holds read-only int32 arrays, whose report forms match the tuple rows
+
+
+def check_table(tables, shape):
+    assert tables.dtype == np.int32 and tables.shape == shape
+    assert tables.flags.c_contiguous and not tables.flags.writeable
+
+
+def check_stg(t, shape):
+    check_table(t.tables, shape)
+    assert t.slots == list(map(list, slot_rows(t.tables.tolist(), t.vertex_count)))
+
+
+def check_oriented(ot, n, classes=None, dart=None):
+    """``ot`` of ``n`` colours, its report forms against the tuple rows of
+    ``classes`` and ``dart`` where given, else of its own tables."""
+    k = ot.vertex_count
+    check_table(ot.tables, (n - 2, k))
+    check_table(ot.dart, (k,))
+    classes = ot.tables.tolist() if classes is None else classes
+    assert ot.undirected == list(map(list, slot_rows(classes, k)))
+    assert sorted(ot.dart.tolist()) == list(range(k))  # a permutation
+    assert dart is None or ot.dart.tolist() == list(dart)
+
+
+def test_every_table_is_read_only_int32(corpus, monkeypatch):
+    labels = list(CORPUS) + [label for label in BENCHMARK_LABELS if label not in CORPUS]
+    graphs = [(corpus.graph(label), corpus.aut(label)) for label in labels]
+    graphs += [(g, aut_group(g)) for g in benchmark_random_maps(monkeypatch, (1, 2, 10))]
+    oriented = 0
+    for g, a in graphs:
+        t = quotient(a)
+        check_stg(t, (g.rank, a.orbit_count))
+        assert np.array_equal(t.tables, quotient_tables(g.adj, a.orbit_of)), g
+        if (o := orientation(g)) is None or g.rank < 2:
+            continue
+        ap = aut_plus(a, o)
+        *classes, dart = quotient_tables(oriented_digraph(g, o).adj[:-1], ap.orbit_of[o == 0])
+        check_oriented(oriented_stg(ap, o), g.rank, classes, dart)
+        oriented += 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        classes = [(n, t) for k in range(1, 5)
+                   for n, (found, _) in enumeration._census(range(1, 7), k).items()
+                   for t in found]
+    for n, t in classes:
+        check_stg(t, (n, t.vertex_count))
+    quotients = [(n, ot) for n, ots in enumeration._oriented_census(range(4, 11)).items()
+                 for ot in ots] + [(4, ot) for ot in oriented_stg3_via_quotient(4)]
+    for n, ot in quotients:
+        check_oriented(ot, n)
+    assert (len(graphs), oriented, len(classes), len(quotients)) == (106, 85, 1490, 87)
 
 
 def test_a_part_neither_kept_nor_swapped_is_caught():

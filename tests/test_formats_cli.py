@@ -162,6 +162,20 @@ def test_cli_oversized_flag_index_exits_2(tmp_path, capsys, image):
     assert capsys.readouterr().err == f"error: cannot parse {path}: flag image out of range\n"
 
 
+@pytest.mark.parametrize("header,field", [
+    ("maniplex rank=-1 flags=4", "rank=-1"), ("maniplex rank=0 flags=4", "rank=0"),
+    ("maniplex rank=1 flags=-2", "flags=-2"), ("maniplex rank=1 flags=0", "flags=0"),
+    ("map vertices=-3", "vertices=-3"), ("map vertices=0", "vertices=0")])
+def test_cli_header_counts_below_one_exit_2_naming_the_field(tmp_path, capsys, header, field):
+    # each once gave a message about colour lines, flags or vertex ranges
+    path = tmp_path / "input.txt"
+    path.write_text(f"{header}\n0 1 2\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: cannot parse {path}: header field '{field}' is below 1\n"
+
+
 def test_cli_huge_vertex_count_exits_2_in_little_memory(tmp_path):
     # a check that built the set of all vertex ids would run out of the
     # 1.5 GB of address space the child gets, with a traceback

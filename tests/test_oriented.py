@@ -1,15 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
+from maniplex import cli
+from maniplex.cli import main
 from maniplex.constructions import (CORPUS, cube, cuboctahedron, hemicube, polygon,
                                     prism, simplex, torus44)
 from maniplex.flag_graph import FlagGraph
-from maniplex.oriented import (Rotary, TwoOrbitOriented, aut_plus,
-                               black_orbit_count, classify_oriented,
+from maniplex.oriented import (Rotary, TwoOrbitOriented, aut_plus, classify_oriented,
                                is_chiral_a_la_conway, orientation, oriented_digraph,
                                oriented_stg, stg_has_odd_closed_walk)
 from maniplex.symmetry import aut_group
-from oracles import are_isomorphic, check_facets_against_faces, enantiomorph, has_semi_edges
+from oracles import (are_isomorphic, black_orbit_count, check_facets_against_faces, enantiomorph,
+                     has_semi_edges)
 
 
 def test_orientability():
@@ -119,8 +123,8 @@ def test_oriented_stg_rotary():
     o = orientation(g)
     ot = oriented_stg(aut_plus(aut_group(g), o), o)
     assert ot.vertex_count == 1
-    assert ot.undirected == ((-1,),)   # one undirected class, a semi-edge
-    assert ot.dart == (0,)             # a loop
+    assert ot.undirected == [[-1]]     # one undirected class, a semi-edge
+    assert ot.dart.tolist() == [0]     # a loop
     assert classify_oriented(ot) == Rotary()
 
     g = cube()
@@ -137,8 +141,8 @@ def test_rotary_rank4_shape():
     o = orientation(g)
     ot = oriented_stg(aut_plus(aut_group(g), o), o)
     assert ot.vertex_count == 1
-    assert ot.undirected == ((-1, -1),)
-    assert ot.dart == (0,)
+    assert ot.undirected == [[-1, -1]]
+    assert ot.dart.tolist() == [0]
     assert classify_oriented(ot) == Rotary()
 
 
@@ -247,3 +251,16 @@ def test_index_two_iff_orientation_reversing(corpus):
         assert index in (1, 2)
         reversing_exists = any(o[t] != o[0] for t in a.targets)
         assert (index == 2) == reversing_exists, label
+
+
+def test_report_halves_the_aut_plus_orbit_count(corpus, monkeypatch, capsys):
+    # each colour pairs the black Aut+ orbits with the white ones
+    g, a = corpus.graph("prism:3"), corpus.aut("prism:3")
+    o = orientation(g)
+    assert main(["analyze", "prism:3", "--oriented", "--json"]) == 0
+    block = json.loads(capsys.readouterr().out)["oriented"]
+    assert block["black_orbit_count"] == black_orbit_count(aut_plus(a, o), o) == 3
+    # Aut in place of Aut+: three orbits, which no orientable graph's Aut+ has
+    monkeypatch.setattr(cli, "aut_plus", lambda aut, parity: aut)
+    assert main(["analyze", "prism:3", "--oriented", "--json"]) == 4
+    assert "internal check failed: Aut+ has an odd number of orbits, 3" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import warnings
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from maniplex import stg
@@ -10,7 +11,8 @@ from maniplex.cli import main
 from maniplex.constructions import CORPUS, cube, cuboctahedron, prism, pyramid, torus44
 from maniplex.enumeration import enumerate_stg
 from maniplex.flag_graph import InternalCheckError
-from maniplex.oriented import aut_plus, orientation, oriented_stg, stg_has_odd_closed_walk
+from maniplex.oriented import (OrientedSTG, aut_plus, orientation, oriented_stg,
+                               stg_has_odd_closed_walk)
 from maniplex.stg import (SEMI, FourOrbitFamily, Regular, SymmetryTypeGraph,
                           ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit, bipartition, check_all,
                           class_labels, classify, face_orbit_splits, quotient, stg_violations,
@@ -27,14 +29,14 @@ def test_cube_quotient_is_one_vertex_all_semi():
     g = cube()
     t = quotient(aut_group(g))
     assert t.vertex_count == 1
-    assert t.slots == ((SEMI, SEMI, SEMI),)
+    assert t.slots == [[SEMI, SEMI, SEMI]]
 
 
 def test_cuboctahedron_quotient_slots():
     g = cuboctahedron()
     t = quotient(aut_group(g))
     assert t.vertex_count == 2
-    assert t.slots == ((SEMI, SEMI, 1), (SEMI, SEMI, 0))
+    assert t.slots == [[SEMI, SEMI, 1], [SEMI, SEMI, 0]]
 
 
 def test_quotient_vertex_count_is_orbit_count(corpus):
@@ -165,8 +167,8 @@ def test_admissibility_rejects_asymmetry():
 
 def test_violations_of_malformed_tables():
     # a table of the wrong length, a value out of range, a non-involution
-    assert stg_violations(SymmetryTypeGraph(((1, 0), (0,)))) == [
-        "colour 1 has 1 entries, expected 2"]
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        SymmetryTypeGraph(((1, 0), (0,)))
     assert stg_violations(SymmetryTypeGraph(((1, 0), (0, 2)))) == [
         "slot (1, 1) out of range"]
     assert stg_violations(SymmetryTypeGraph(((1, 2, 0),))) == [
@@ -277,9 +279,11 @@ def test_stg_violations_returns_a_new_list_each_call():
 # the array check of stg._check against the loop it replaced
 
 
-MALFORMED = [((1, 0), (0,)), ((1, 0), (0, 2)), ((1, 2, 0),), ((1, 0, 1),), ((1, 0), (-1, 1)),
+MALFORMED = [((1, 0), (0, 2)), ((1, 2, 0),), ((1, 0, 1),), ((1, 0), (-1, 1)),
              ((1, 0, 2), (0, 1, 2), (0, 2, 1)), ((1, 0, 2), (0, 2, 1), (2, 1, 0)),
-             ((1, 0, 3, 2), (0, 1, 2, 3)), ((5, 0), (1, 0)), ((0,), (0, 1), (1, 0, 2))]
+             ((1, 0, 3, 2), (0, 1, 2, 3)), ((5, 0), (1, 0))]
+# tables of unequal lengths, which no graph holds: its construction refuses them
+RAGGED = [((1, 0), (0,)), ((0,), (0, 1), (1, 0, 2))]
 
 
 def fresh(t):
@@ -302,6 +306,22 @@ def test_array_check_matches_the_loop_on_malformed_tables():
         assert stg_violations(t) == loop_violations(t), tables
         assert [list(problems) for problems, _, _ in stg._check([fresh(t)], {})] == [
             loop_violations(t)], tables
+
+
+@pytest.mark.parametrize("tables", RAGGED + [(1, 0), (((1, 0),),)])
+def test_tables_of_another_shape_are_refused(tables):
+    with pytest.raises(ValueError):
+        SymmetryTypeGraph(tables)
+
+
+@pytest.mark.parametrize("entry", [2**31, 2**32 + 1, -2**31 - 1, 0.5])
+def test_entries_that_int32_does_not_hold_are_refused(entry):
+    # an int64 array once narrowed unchecked: 2**32 + 1 read as 1
+    for tables in (np.array([[1, entry]]), [[1, entry]]):
+        with pytest.raises((ValueError, OverflowError)):
+            SymmetryTypeGraph(tables)
+        with pytest.raises((ValueError, OverflowError)):
+            OrientedSTG(tables=tables, dart=(0, 1))
 
 
 def random_defective_tables(rng):
@@ -360,9 +380,9 @@ def test_array_check_matches_the_loop_on_quotients(corpus):
     for t in graphs:
         k = t.vertex_count
         for c in range(t.rank if k > 1 else 0):
-            m = list(t.tables[c])
-            m[0] = (m[0] + 1) % k
-            broken.append(SymmetryTypeGraph(t.tables[:c] + (tuple(m),) + t.tables[c + 1:]))
+            tables = t.tables.copy()
+            tables[c, 0] = (tables[c, 0] + 1) % k
+            broken.append(SymmetryTypeGraph(tables))
     check_by_shape(broken)
     assert [stg_violations(t) for t in broken] == [loop_violations(t) for t in broken]
     assert len(broken) > 80 and all(stg_violations(t) for t in broken)
@@ -383,14 +403,22 @@ def test_check_all_keeps_each_result_and_skips_checked_graphs(monkeypatch):
 # the facts the check keeps against the depth-first walk it replaced
 
 
+def listed(facts):
+    """Kept facts, read-only arrays or None, as lists."""
+    assert all(a is None or not a.flags.writeable for a in facts)
+    return [None if a is None else a.tolist() for a in facts]
+
+
 def check_facts(graphs):
     """Each graph's kept facts, found in one batch per table shape and
     alone, equal the walk's; so do the answers read off them."""
     check_by_shape(graphs)
     for t in graphs:
-        without, side = expected = walk_facts(t)
-        assert stg._well_formed(t) == stg._check([t], {})[0][1:] == expected, t.tables
-        assert bipartition(t) == side and stg_has_odd_closed_walk(t) == (side is None)
+        without, side = walk_facts(t)
+        expected = [list(map(list, without)), None if side is None else list(side)]
+        assert listed(stg._well_formed(t)) == listed(stg._check([t], {})[0][1:]) == expected, t
+        assert listed([bipartition(t)]) == expected[1:]
+        assert stg_has_odd_closed_walk(t) == (side is None)
         assert transitivity_profile(t) == {i for i, labels in enumerate(without) if any(labels)}
         for i, labels in enumerate(without):
             sizes = tuple(sorted(Counter(labels).values()))
@@ -410,7 +438,7 @@ def test_facts_match_the_walk_on_random_tables():
              or ["admissible"]}
     assert kinds == {"disconnected", "bad", "admissible"}
     assert any(m[u] == u for t in graphs for m in t.tables for u in range(len(m)))
-    assert any(bipartition(t) for t in graphs)
+    assert any(bipartition(t) is not None for t in graphs)
 
 
 @pytest.mark.parametrize("n_colours,k", CODE_GRID)
