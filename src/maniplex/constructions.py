@@ -292,7 +292,8 @@ def parse_label(label: str):
         builder, arity, _ = _PARAMETRIC[name]
         parts = [p for p in args.split(",") if p] if args else []
         if len(parts) != arity:
-            raise ValueError(f"{name} takes {arity} parameter(s), e.g. {name}:" + ",".join("1" * arity))
+            example = next(c for c in CORPUS if c.partition(":")[0] == name)
+            raise ValueError(f"{name} takes {arity} parameter(s), e.g. {example}")
         return builder, tuple(int(p) for p in parts)
     raise ValueError(f"unknown construction {name!r}")
 

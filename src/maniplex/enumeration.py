@@ -15,10 +15,9 @@ Connectivity, the rooted canonical codes that sort the classes and the
 STG check take a level in array passes.  Vertices are relabelled,
 colours never are, so the classes are colour-specific.  The
 three-vertex oriented census is the same search on the k points, one
-per dart, darts and classes drawn from one ordering of the
-permutations, keeping the tuples whose classes invert the dart.  Its
-cross-check lifts the quotients to six-point types and reads them back
-through their oriented di-graphs, ``oriented_digraph``.
+per dart, over the involutions, keeping the tuples whose classes
+invert the dart; its cross-check reads the oriented di-graph of each
+bipartite six-point type without semi-edges as a quotient.
 """
 
 from __future__ import annotations
@@ -29,11 +28,10 @@ from itertools import compress, permutations
 
 import numpy as np
 
-from .flag_graph import CHUNK, FlagGraph, InternalCheckError, stack_labels
-from .oriented import OrientedSTG, oriented_digraph, stg_has_odd_closed_walk
-from .stg import (SymmetryTypeGraph, bipartition, check_all, face_orbit_splits, stg_violations,
+from .flag_graph import CHUNK, FlagGraph, InternalCheckError, non_commuting, stack_labels
+from .oriented import OrientedSTG, orientation, oriented_digraph
+from .stg import (SymmetryTypeGraph, check_all, face_orbit_splits, stg_violations,
                   transitivity_profile)
-from .symmetry import invert
 
 
 def involutions(k: int) -> list[tuple[int, ...]]:
@@ -207,13 +205,10 @@ def census(n_colours: int, k: int, filters=()) -> tuple[list[SymmetryTypeGraph],
     return _census((n_colours,), k, filters)[n_colours]
 
 
-def _census(counts, k: int, filters=(), fixed_point_free: bool = False) -> dict:
+def _census(counts, k: int, filters=()) -> dict:
     """``census`` at every colour count in ``counts``, each read off one
-    level of a single search over max(counts) colours; ``fixed_point_free``
-    restricts the search to types without semi-edges."""
+    level of a single search over max(counts) colours."""
     tables = np.array(involutions(k), np.uint8).reshape(-1, k)
-    if fixed_point_free:
-        tables = tables[(tables != np.arange(k)).all(axis=1)]
     levels = _commuting_tuples(tables, max(counts), _relabellings(k))
     # the search has ended, and freed its levels, before the classes are built
     found = {n: _connected(tables, rows) for n, rows in enumerate(levels, 1) if n in counts}
@@ -240,7 +235,7 @@ def is_fully_transitive(t: SymmetryTypeGraph) -> bool:
 # ---------------------------------------------------------------------------
 # three-vertex oriented quotients
 
-_K = 3  # vertices of the oriented quotients; the cross-check lifts them to 2 * _K points
+_K = 3  # vertices of the oriented quotients; the cross-check reads them off 2 * _K points
 
 
 def _oriented_codes(ots) -> np.ndarray:
@@ -255,18 +250,6 @@ def _oriented_codes(ots) -> np.ndarray:
     return _least_codes(np.stack(both, axis=1), ts.shape[1])
 
 
-def _dart_order(p) -> tuple[int, list[list[int]]]:
-    """A permutation's number of moved points, then its cycle notation,
-    each cycle opened at its least point: the order of the darts."""
-    cycles: list[list[int]] = []
-    for u in range(len(p)):
-        if p[u] != u and not any(u in cycle for cycle in cycles):
-            cycles.append([u])
-            while (v := p[cycles[-1][-1]]) != u:
-                cycles[-1].append(v)
-    return sum(map(len, cycles)), cycles
-
-
 def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
     """All three-vertex oriented quotient di-graphs at each colour count
     in ``counts``, one class per orbit under vertex relabelling and dart
@@ -275,24 +258,20 @@ def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
     A quotient on k = ``_K`` points is its undirected classes t_0..t_{n-3},
     involutions, and its dart rot, a permutation; classes at distance
     >= 2 commute, and every class but the last inverts rot (t rot t =
-    rot^-1).  The darts are the permutations in ``_dart_order``, the
-    classes the involutions among them; in this order the search keeps
-    the representatives that the tests' ``hand_oriented_stg3`` finds.  A
-    rot that relabelling or inversion maps to an earlier dart is skipped;
-    for each other rot the search runs over the classes under the
-    relabellings p with p rot p^-1 in {rot, rot^-1}, and level d gives
-    n = d + 2 from the rows that invert rot and, with rot, connect."""
+    rot^-1).  A rot that relabelling or inversion maps to an earlier
+    permutation is skipped; for each other rot the search runs over the
+    involutions under the relabellings p with p rot p^-1 in {rot, rot^-1},
+    and level d gives n = d + 2 from the rows that invert rot and, with
+    rot, connect."""
     k = _K
-    rots = sorted(permutations(range(k)), key=_dart_order)
-    classes = sorted(involutions(k), key=_dart_order)
+    rots, classes = _relabellings(k), involutions(k)
     inverse = [rots.index(tuple(np.argsort(rot).tolist())) for rot in rots]
-    relabellings = _relabellings(k)
-    images = _images(rots, relabellings)
+    images = _images(rots, rots)
     found: dict[int, list[OrientedSTG]] = {n: [] for n in counts}
     for r, rot in enumerate(rots):
         if min(images[r].min(), images[inverse[r]].min()) < r:
             continue
-        stabiliser = list(compress(relabellings, np.isin(images[r], (r, inverse[r]))))
+        stabiliser = list(compress(rots, np.isin(images[r], (r, inverse[r]))))
         # t inverts rot exactly when t rot is an involution
         inverts = np.array([all(t[rot[t[rot[u]]]] == u for u in range(k)) for t in classes])
         tables = np.array(classes + [rot], np.int32)  # rot after the classes, for connectivity
@@ -306,25 +285,24 @@ def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
 
 
 def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
-    """Cross-check route: quotient 2k-vertex semi-edge-free types, k = ``_K``.
-
-    Enumerates admissible 2k-vertex types without semi-edges or odd
-    cycles and reads each as a flag graph oriented by its census sides,
-    vertex 0 black.  Its oriented di-graph, ``oriented_digraph``'s move
-    graph on the black flags, is relabelled by the top-colour pairs (one
-    black flag each) in order of least point; the first type of each code is kept.
-    Exponential in n_colours; a cross-check for small colour counts.
-    """
-    n = n_colours
-    # no odd closed walks rules out semi-edges from the start
-    covers, _ = _census((n,), 2 * _K, (lambda t: not stg_has_odd_closed_walk(t),), True)[n]
+    """Cross-check route: the orderly search over the 2k-point types
+    without semi-edges, k = ``_K``, each connected bipartite one read as
+    a flag graph whose oriented di-graph, ``oriented_digraph``'s moves on
+    the k black flags, is a quotient as it stands, classes then dart.
+    The first of each code is kept, in order of code.  Exponential in
+    n_colours; a cross-check for small colour counts."""
+    k = 2 * _K
+    tables = np.array(involutions(k), np.uint8)
+    tables = tables[(tables != np.arange(k)).all(axis=1)]
+    *_, rows = _commuting_tuples(tables, n_colours, _relabellings(k))
+    covers = tables[_connected(tables, rows)].astype(np.int32)
+    if bad := non_commuting(covers):  # (cover, i, j, vertex)
+        raise InternalCheckError(f"a cover of the cross-check fails to commute: {bad[0]}")
     found = []
-    for t in covers:
-        g, parity = FlagGraph(t.tables), bipartition(t).astype(np.int8)
-        black = np.flatnonzero(parity == 0)
-        order = np.argsort(np.minimum(black, g.adj[-1, black]))
-        moves = invert(order)[oriented_digraph(g, parity).adj[:-1, order]]
-        found.append(OrientedSTG(tables=moves[:-1], dart=moves[-1]))
+    for g in map(FlagGraph, covers):
+        if (parity := orientation(g)) is not None:
+            moves = oriented_digraph(g, parity).adj
+            found.append(OrientedSTG(tables=moves[:-2], dart=moves[-2]))
     first: dict[bytes, OrientedSTG] = {}
     for code, ot in zip(_oriented_codes(found), found):
         first.setdefault(code.tobytes(), ot)

@@ -110,6 +110,8 @@ class OrientedSTG:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dart", dart := _int32(self.dart, 1))
+        if not dart.size:
+            raise ValueError(f"no vertex in an oriented quotient's dart of shape {dart.shape}")
         object.__setattr__(self, "tables", _int32(np.reshape(self.tables, (-1, dart.size)), 2))
 
     def __eq__(self, other) -> bool:

@@ -53,7 +53,9 @@ class SymmetryTypeGraph:
     _facts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tables", _int32(self.tables, 2))
+        object.__setattr__(self, "tables", tables := _int32(self.tables, 2))
+        if 0 in tables.shape:
+            raise ValueError(f"no colour or no vertex in tables of shape {tables.shape}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymmetryTypeGraph) and np.array_equal(self.tables, other.tables)

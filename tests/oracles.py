@@ -14,11 +14,11 @@ import numpy as np
 
 from maniplex import symmetry
 from maniplex.constructions import MapError, MapSpec, _face_slots
-from maniplex.enumeration import (_bitmasks, _census, _images, _least_codes, _oriented_census,
-                                  _oriented_codes, involutions)
+from maniplex.enumeration import (_bitmasks, _commuting_tuples, _connected, _images, _least_codes,
+                                  _oriented_census, _oriented_codes, _relabellings, involutions)
 from maniplex.flag_graph import FlagGraph, InternalCheckError, component_labels, validate
 from maniplex.formats import PALETTE, ParseError, _content_lines, _header_fields
-from maniplex.oriented import OrientedSTG, oriented_digraph, orientation, stg_has_odd_closed_walk
+from maniplex.oriented import OrientedSTG, oriented_digraph, orientation
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, _without,
                           bipartition, quotient, stg_violations)
 from maniplex.symmetry import (_GOLDEN, AutGroup, _both_ways, _cycle_lengths, _extend, _group, _mix,
@@ -884,21 +884,32 @@ def hand_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     return [found[code] for code in sorted(found)]
 
 
+def fixed_point_free_levels(k: int, colours: int) -> list[np.ndarray]:
+    """The search ``enumeration.oriented_stg3_via_quotient`` runs, on k
+    points: the orderly search over the involutions without fixed
+    points, each level's connected rows as a stack of tables."""
+    tables = np.array(involutions(k), np.uint8)
+    tables = tables[(tables != np.arange(k)).all(axis=1)]
+    return [tables[_connected(tables, rows)]
+            for rows in _commuting_tuples(tables, colours, _relabellings(k))]
+
+
 def hand_quotient_route(n_colours: int) -> list[OrientedSTG]:
     """``enumeration.oriented_stg3_via_quotient`` with the dart read by a
     hand formula on the six-point covers instead of from the oriented
-    di-graph.  Each cover is quotiented by its top-colour pairs; the
-    classes t_i, i <= n-3, commute with the top colour, so both points of
-    a pair reach the same pair.  The dart of a pair is read from its point
-    on vertex 0's side of the bipartition: r_{n-2} after r_{n-1} there,
-    which is r_{n-2} at the other point.  The first cover of each oriented
-    code is kept, in order of code."""
+    di-graph.  The covers are its search's, and those with a bipartition
+    are read.  Each is quotiented by its top-colour pairs; the classes
+    t_i, i <= n-3, commute with the top colour, so both points of a pair
+    reach the same pair.  The dart of a pair is read from its point on
+    vertex 0's side of the bipartition: r_{n-2} after r_{n-1} there,
+    which is r_{n-2} at the other point.  The first cover of each
+    oriented code is kept, in order of code."""
     n, points = n_colours, 6
-    covers, _ = _census((n,), points, (lambda t: not stg_has_odd_closed_walk(t),), True)[n]
     found: dict[bytes, OrientedSTG] = {}
-    for t in covers:
-        m = np.array(t.tables)
-        black = np.array(bipartition(t)) == 0
+    for t in map(SymmetryTypeGraph, fixed_point_free_levels(points, n)[-1]):
+        if (sides := bipartition(t)) is None:
+            continue
+        m, black = t.tables, sides == 0
         rot = np.where(black, m[n - 2][m[n - 1]], m[n - 2])
         *tables, dart = quotient_tables(np.vstack([m[:n - 2], rot]),
                                         np.minimum(np.arange(points), m[n - 1]))

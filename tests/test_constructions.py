@@ -119,6 +119,16 @@ def test_construction_labels():
         construction("widget:1")
 
 
+@pytest.mark.parametrize("label, example", [
+    ("polygon:1,2", "polygon:3"), ("simplex:", "simplex:1"), ("hypercube:1,1", "hypercube:1"),
+    ("prism:2,3", "prism:3"), ("pyramid", "pyramid:3"), ("torus44:1", "torus44:0,1")])
+def test_a_parameter_count_error_suggests_a_label_that_builds(label, example):
+    # the example is the builder's first corpus label, never one it refuses
+    with pytest.raises(ValueError, match=f"parameter\\(s\\), e.g. {example}$"):
+        construction(label)
+    assert validate(construction(example)) == []
+
+
 def refusal(call, *args) -> str:
     with pytest.raises(ValueError) as info:
         call(*args)

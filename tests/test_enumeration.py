@@ -13,13 +13,14 @@ from maniplex.enumeration import (census, enumerate_stg, involutions, is_fully_t
                                   oriented_stg3_via_quotient, verify_census)
 from maniplex.flag_graph import InternalCheckError
 from maniplex.formats import slot_text
+from maniplex.oriented import oriented_digraph
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit,
-                          class_labels, classify, transitivity_profile)
+                          bipartition, class_labels, classify, transitivity_profile)
 from oracles import (_lift, canonical_code, commute_defect, component, enumerate_oriented_stg3,
-                     exhaustive_stg, hand_oriented_stg3, hand_quotient_route, is_admissible,
-                     loop_least_code, min_code, oriented_canonical_code, oriented_min_code,
-                     oriented_stg3_families, recursive_commuting_tuples, recursive_involutions,
-                     stg_from_slots)
+                     exhaustive_stg, fixed_point_free_levels, hand_oriented_stg3,
+                     hand_quotient_route, is_admissible, loop_least_code, min_code,
+                     oriented_canonical_code, oriented_min_code, oriented_stg3_families,
+                     recursive_commuting_tuples, recursive_involutions, stg_from_slots)
 
 
 def test_involution_counts():
@@ -156,20 +157,43 @@ def test_oriented_direct_route_matches_quotient_route():
         assert direct == via, n
 
 
+def oriented_codes(ots):
+    return [oriented_canonical_code(ot) for ot in ots]
+
+
 def test_quotient_route_matches_the_hand_formula():
-    # the oriented di-graph on the census's sides gives the quotients the
-    # hand-read dart gave: the same representatives in the same order
+    # the oriented di-graph of each cover gives the classes that the
+    # hand-read dart on its top-colour pairs gives, in the same order
     for n in range(4, 11):
-        assert oriented_stg3_via_quotient(n) == hand_quotient_route(n), n
+        assert oriented_codes(oriented_stg3_via_quotient(n)) == \
+            oriented_codes(hand_quotient_route(n)), n
+
+
+def test_the_cross_check_reads_the_bipartite_classes_without_semi_edges(monkeypatch):
+    # each cover the cross-check orients is a class of the exhaustive
+    # search without fixed points, and each bipartite class is read once
+    read = []
+
+    def reading(g, parity):
+        read.append(canonical_code(SymmetryTypeGraph(g.adj)))
+        return oriented_digraph(g, parity)
+
+    monkeypatch.setattr(enumeration, "oriented_digraph", reading)
+    for n in range(3, 6):
+        read.clear()
+        oriented_stg3_via_quotient(n)
+        expected = {canonical_code(t) for t in exhaustive_stg(n, 6, True)
+                    if bipartition(t) is not None}
+        assert len(read) == len(set(read)) and set(read) == expected, n
 
 
 def test_oriented_census_matches_hand_derived_search():
-    # same classes, order and representatives; codes equal the k! oracle's
+    # same classes in the same order; codes equal the k! oracle's
     for n in range(4, 13):
         census = enumerate_oriented_stg3(n)
-        assert census == hand_oriented_stg3(n), n
-        assert [oriented_canonical_code(ot) for ot in census] == [
-            oriented_min_code(ot) for ot in census], n
+        codes = oriented_codes(census)
+        assert codes == [oriented_min_code(ot) for ot in hand_oriented_stg3(n)], n
+        assert codes == [oriented_min_code(ot) for ot in census], n
 
 
 @pytest.mark.parametrize("n_colours,k", [(3, 4), (4, 4), (3, 5), (4, 5), (5, 4), (6, 4),
@@ -181,14 +205,22 @@ def test_canonical_code_matches_all_relabellings(n_colours, k):
     assert [canonical_code(t) for t in graphs] == [min_code(t.slots) for t in graphs]
 
 
+def check_fixed_point_free_levels(k, colours):
+    """Each level of the cross-check's search on k points: one tuple per
+    class, the first labelled tuple met of each canonical code."""
+    for n, level in enumerate(fixed_point_free_levels(k, colours), 1):
+        expected = [t.tables.tolist() for t in exhaustive_stg(n, k, True)]
+        assert sorted(level.tolist()) == sorted(expected), (k, n)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_orderly_search_matches_exhaustive_search(k):
     # same classes, representatives and order as keeping the first
-    # labelled tuple met of each canonical code
+    # labelled tuple met of each canonical code; without fixed points,
+    # the cross-check's search, the same classes and representatives
     for n_colours in range(1, 7):
-        for fixed_point_free in (False, True):
-            assert enumeration._census((n_colours,), k, (), fixed_point_free)[n_colours][0] == \
-                exhaustive_stg(n_colours, k, fixed_point_free), (n_colours, fixed_point_free)
+        assert enumerate_stg(n_colours, k) == exhaustive_stg(n_colours, k), n_colours
+    check_fixed_point_free_levels(k, 6)
 
 
 @pytest.mark.parametrize("n_colours,k", [(3, 5), (4, 4), (5, 4)])
@@ -218,9 +250,8 @@ def test_commutation_masks_match_pairwise_defects():
 def oriented_tables():
     """The distinct double-cover lifts of the three-vertex oriented
     quotients: classes, then darts."""
-    rots = sorted(permutations(range(3)), key=enumeration._dart_order)
-    lifts = [_lift(t, t) for t in rots if t in involutions(3)]
-    lifts += [_lift(rot, np.argsort(rot).tolist()) for rot in rots]
+    lifts = [_lift(t, t) for t in involutions(3)]
+    lifts += [_lift(rot, np.argsort(rot).tolist()) for rot in permutations(range(3))]
     return list(dict.fromkeys(lifts))
 
 
@@ -245,14 +276,13 @@ def test_every_level_matches_the_recursive_search(k):
 def test_levels_match_the_recursive_search_without_fixed_points():
     choices = [m for m in involutions(6) if all(m[v] != v for v in range(6))]
     check_levels(choices, 6, enumeration._relabellings(6))
-    for n in range(1, 4):  # no candidate at all on an odd number of points
-        assert enumeration._census((n,), 3, (), True)[n][0] == []
+    check_fixed_point_free_levels(3, 3)  # no candidate at all on an odd number of points
 
 
 def test_oriented_levels_match_the_recursive_search_under_each_dart():
     # the three-point classes under each dart's relabelling stabiliser:
     # the p with p rot p^-1 equal to rot or to rot^-1
-    classes = sorted(involutions(3), key=enumeration._dart_order)
+    classes = involutions(3)
     for rot in permutations(range(3)):
         inverse = tuple(np.argsort(rot).tolist())
         stabiliser = [p for p in enumeration._relabellings(3)
@@ -302,25 +332,13 @@ def test_one_search_gives_every_colour_count(k):
 
 
 def test_one_search_gives_every_colour_count_without_fixed_points():
-    shared = enumeration._census(range(1, 6), 6, fixed_point_free=True)
-    for n in range(1, 6):
-        alone = enumeration._census((n,), 6, (), True)[n][0]
-        assert [t.tables.tolist() for t in shared[n][0]] == [t.tables.tolist() for t in alone], n
+    check_fixed_point_free_levels(6, 5)
 
 
 def test_one_search_per_dart_gives_every_oriented_colour_count():
     shared = enumeration._oriented_census(range(4, 13))
     for n in range(4, 13):
         assert shared[n] == enumerate_oriented_stg3(n), n
-
-
-def test_dart_order_is_moved_points_then_cycle_notation():
-    # at three points: the identity, (0 1), (0 2), (1 2), (0 1 2), (0 2 1),
-    # the order the oriented census's representatives rest on
-    rots = sorted(permutations(range(3)), key=enumeration._dart_order)
-    assert rots == [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
-    assert [enumeration._dart_order(p)[0] for p in permutations(range(4))].count(4) == 9
-    assert enumeration._dart_order((1, 2, 3, 0, 5, 4)) == (6, [[0, 1, 2, 3], [4, 5]])
 
 
 def test_labelled_copies_fail_the_internal_check(monkeypatch, capsys):
@@ -407,6 +425,20 @@ def test_enumerate_raises_on_an_inadmissible_class(monkeypatch):
     monkeypatch.setattr(enumeration, "_commuting_tuples", levels)
     with pytest.raises(InternalCheckError, match=r"bad \(0,2\) 2-factor at vertex 0"):
         enumerate_stg(3, 3)
+
+
+def test_the_cross_check_raises_on_a_cover_that_fails_to_commute(monkeypatch):
+    # the search keeps only commuting tuples; a connected cover whose
+    # colours 0 and 2 do not commute must be caught before it is read
+    fixed_point_free = [m for m in involutions(6) if all(m[u] != u for u in range(6))]
+    a, b = fixed_point_free.index((1, 0, 3, 2, 5, 4)), fixed_point_free.index((5, 2, 1, 4, 3, 0))
+
+    def level(tables, colours, relabellings):
+        yield np.array([[a, b, b]], np.int16)
+
+    monkeypatch.setattr(enumeration, "_commuting_tuples", level)
+    with pytest.raises(InternalCheckError, match=r"fails to commute: \(0, 0, 2, 0\)"):
+        oriented_stg3_via_quotient(3)
 
 
 # enumeration._least_codes against the per-class rooted codes and the k!

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from collections import Counter
 from itertools import product
@@ -312,6 +313,17 @@ def test_array_check_matches_the_loop_on_malformed_tables():
 def test_tables_of_another_shape_are_refused(tables):
     with pytest.raises(ValueError):
         SymmetryTypeGraph(tables)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+def test_no_colour_or_no_vertex_is_refused_with_its_shape(shape):
+    # such tables were once accepted, and the check then failed inside
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        SymmetryTypeGraph(np.zeros(shape, np.int32))
+    with pytest.raises(ValueError, match=re.escape("shape (0,)")):
+        OrientedSTG(tables=np.zeros((shape[0], 0), np.int32), dart=[])
+    # a rank-2 oriented quotient has no undirected class at all
+    assert OrientedSTG(tables=np.zeros((0, 2), np.int32), dart=[1, 0]).rank == 2
 
 
 @pytest.mark.parametrize("entry", [2**31, 2**32 + 1, -2**31 - 1, 0.5])
