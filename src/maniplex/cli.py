@@ -2,7 +2,7 @@
 census's one array: labels once per shared facts tuple, slots in one pass.
 
 Exit codes: 0 success, 2 parse error (also an input that is both a file
-and a construction label, an output file that cannot be written, over
+and a construction label, an output file or stdout that cannot be written, over
 2,147,483,647 flags, the int32 limit, and ``enumerate`` over 10 vertices,
 beyond the search's int16 rows), 3 validation error, 4 internal assertion
 failure (a cross-checked identity broke), 5 not enough memory.
@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -71,6 +72,18 @@ def _write(path, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE) from exc
+
+
+def _emit(text: str) -> None:
+    """Write to stdout; a failure (a pipe closed early, a full device) points
+    descriptor 1 at devnull for good, to quiet the flush of the exit it precedes."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(fd := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(fd)
+        raise CliError(f"cannot write stdout: {exc}", EXIT_PARSE) from exc
 
 
 def cmd_analyze(args) -> int:
@@ -135,7 +148,7 @@ def cmd_analyze(args) -> int:
             extra = out.with_name(out.stem + ".oriented" + (out.suffix or ".dot"))
             _write(extra, formats.oriented_stg_to_dot(ot))
 
-    print(formats.json_report(payload) if args.json else formats.text_report(payload))
+    _emit((formats.json_report(payload) if args.json else formats.text_report(payload)) + "\n")
     return 0
 
 
@@ -157,12 +170,11 @@ def cmd_enumerate(args) -> int:
         writer.writerows((idx, args.vertices, args.colors, label, text)
                          for idx, (label, text) in enumerate(zip(labels, formats.slot_text(stack))))
         _write(args.csv, buffer.getvalue())
-    print(len(graphs))
+    lines = [str(len(graphs))]
     if not args.count_only:
         for idx, (t, label) in enumerate(zip(graphs, labels)):
-            print(f"-- {idx}: {label}")
-            for line in formats.stg_table(t.slots):
-                print("   " + line)
+            lines += [f"-- {idx}: {label}"] + ["   " + line for line in formats.stg_table(t.slots)]
+    _emit("\n".join(lines) + "\n")
     return 0
 
 
@@ -175,7 +187,7 @@ def cmd_construct(args) -> int:
     if args.out:
         _write(args.out, text)
     else:
-        sys.stdout.write(text)
+        _emit(text)
     return 0
 
 

@@ -1,27 +1,26 @@
-"""Builders for the worked example corpus.
-
-Polygons, simplices, hypercubes, prisms, pyramids, the {4,4} torus
-quadrangulations, and rank-3 maps ingested from face lists.  Every
-builder returns a :class:`FlagGraph` that passes ``validate``.
+"""Builders for the worked example corpus: polygons, simplices,
+hypercubes, prisms, pyramids, the {4,4} torus quadrangulations, and
+rank-3 maps read from face lists in array passes.  Every builder
+returns a :class:`FlagGraph` that passes ``validate``, with no tree:
+its first user (``validate``, ``aut_group``) builds it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
-from .flag_graph import FlagGraph, check_flag_count
+from .flag_graph import FlagGraph, Record, check_flag_count, component_labels
 
 
 class MapError(ValueError):
     """Raised for face lists that do not describe a closed surface map."""
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(Record):
     """A rank-3 map given by its face cycles.
 
     Each face is a cyclic sequence of vertex indices; every edge (an
@@ -29,24 +28,7 @@ class MapSpec:
     in exactly two face slots, possibly both in the same face.
     """
 
-    vertex_count: int
-    faces: tuple[tuple[int, ...], ...]
-
-
-def _face_slots(spec: MapSpec):
-    """All (face, position) slots keyed by their unordered edge."""
-    slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for fi, cycle in enumerate(spec.faces):
-        if len(cycle) < 3:
-            raise MapError(f"face {fi} has fewer than 3 vertices")
-        for p, u in enumerate(cycle):
-            v = cycle[(p + 1) % len(cycle)]
-            if u == v:
-                raise MapError(f"face {fi} repeats vertex {u} consecutively")
-            if not (0 <= u < spec.vertex_count and 0 <= v < spec.vertex_count):
-                raise MapError(f"face {fi} uses a vertex outside 0..{spec.vertex_count - 1}")
-            slots.setdefault((min(u, v), max(u, v)), []).append((fi, p))
-    return slots
+    __slots__ = ("vertex_count", "faces")
 
 
 def map_from_faces(spec: MapSpec) -> FlagGraph:
@@ -54,39 +36,59 @@ def map_from_faces(spec: MapSpec) -> FlagGraph:
 
     Flags are indexed lexicographically by (face index, position in
     cycle, side): side 0 sits at the tail of the directed edge read from
-    the cycle, side 1 at its head.
+    the cycle, side 1 at its head.  Array passes raise the first fault:
+    by face and position (a face's length before its slots), then a
+    vertex in no face, then, by first slot, an edge not in two slots
+    (a stable sort of edge keys pairs the slots), then disconnection.
     """
-    slots = _face_slots(spec)  # every vertex lies in 0..vertex_count - 1
-    if len({u for cycle in spec.faces for u in cycle}) != spec.vertex_count:
-        raise MapError("some vertices appear in no face")
-    for edge, where in slots.items():
-        if len(where) != 2:
-            raise MapError(f"edge {edge} lies in {len(where)} face slots, expected 2")
-
-    # slot s, the s-th (face, position) read face by face, holds flags
-    # 2s (side 0) and 2s + 1 (side 1); r0 = f ^ 1 swaps the sides
-    tail = np.array([u for cycle in spec.faces for u in cycle], dtype=np.int32)
-    sizes = np.array([len(cycle) for cycle in spec.faces], dtype=np.int32)
-    start = np.cumsum(sizes, dtype=np.int32) - sizes
-    following = np.arange(1, tail.size + 1, dtype=np.int32)
+    count, sizes = spec.vertex_count, np.fromiter(map(len, spec.faces), np.intp, len(spec.faces))
+    try:
+        tail = np.fromiter(chain.from_iterable(spec.faces), np.int64, int(sizes.sum()))
+    except OverflowError:  # a vertex beyond int64 is compared as a Python int
+        tail = np.array(list(chain.from_iterable(spec.faces)), object)
+    # slot s, the s-th (face, position) read face by face, holds flags 2s and
+    # 2s + 1; faults are read in the slots before the first face of < 3 vertices
+    short = np.flatnonzero(sizes < 3)
+    sizes = sizes[:short[0]] if short.size else sizes
+    start = np.cumsum(sizes) - sizes
+    following = np.arange(1, sizes.sum() + 1)
     following[start + sizes - 1] = start
-    f = np.arange(2 * tail.size, dtype=np.int32)
-    r1 = np.empty_like(f)
-    r1[1::2] = 2 * following
-    r1[2 * following] = f[1::2]
-    # each edge's two slots; the sides cross where their tails differ
-    where = np.array(list(slots.values()), dtype=np.int32).reshape(-1, 2, 2)
-    a, b = (start[where[:, :, 0]] + where[:, :, 1]).T
+    tail, head = tail[:following.size], tail[following]
+    if (bad := np.flatnonzero((tail == head) | (tail < 0) | (tail >= count)
+                              | (head < 0) | (head >= count))).size:
+        s, face = bad[0], np.searchsorted(start, bad[0], "right") - 1
+        if tail[s] == head[s]:
+            raise MapError(f"face {face} repeats vertex {tail[s]} consecutively")
+        raise MapError(f"face {face} uses a vertex outside 0..{count - 1}")
+    if short.size:
+        raise MapError(f"face {short[0]} has fewer than 3 vertices")
+    ordered = np.sort(tail)  # every vertex lies in 0..count - 1
+    if np.count_nonzero(ordered[1:] != ordered[:-1]) + (tail.size > 0) != count:
+        raise MapError("some vertices appear in no face")
+    # vertices lie below count <= the slot count, far below 2^31
+    key = np.minimum(tail, head) << 32 | np.maximum(tail, head)
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))  # where each edge starts in order
+    slots = np.diff(first, append=tail.size)
+    if (wrong := np.flatnonzero(slots != 2)).size:
+        at = wrong[np.argmin(order[first[wrong]])]
+        s = order[first[at]]
+        edge = (int(min(tail[s], head[s])), int(max(tail[s], head[s])))
+        raise MapError(f"edge {edge} lies in {slots[at]} face slots, expected 2")
+    # each edge's two slots a < b; the sides cross where their tails differ
+    a, b = order[0::2], order[1::2]
     flip = (tail[a] != tail[b]).astype(np.int32)
-    r2 = np.empty_like(f)
+    f = np.arange(2 * tail.size, dtype=np.int32)
+    adj = np.empty((3, f.size), np.int32)
+    adj[0] = f ^ 1
+    adj[1, 1::2] = 2 * following
+    adj[1, 2 * following] = f[1::2]
     for side in (0, 1):
-        r2[2 * a + side] = 2 * b + (side ^ flip)
-        r2[2 * b + (side ^ flip)] = 2 * a + side
-
-    g = FlagGraph([f ^ 1, r1, r2])
-    if not g.is_connected():
+        adj[2, 2 * a + side] = 2 * b + (side ^ flip)
+        adj[2, 2 * b + (side ^ flip)] = 2 * a + side
+    if component_labels(adj, f.size).any():
         raise MapError("map is disconnected")
-    return g
+    return FlagGraph(adj)
 
 
 def polygon(l: int) -> FlagGraph:

@@ -244,7 +244,9 @@ def _oriented_codes(ots) -> np.ndarray:
     both dart directions.  Reversing every dart is the quotient of the
     opposite orientation choice of the same structure, so mirror pairs
     count once.  The dart is one more table after the undirected
-    classes, a loop written as the vertex itself."""
+    classes, a loop written as the vertex itself; no row for no quotient."""
+    if not ots:
+        return np.empty((0, 0), np.uint8)
     ts, ds = np.stack([ot.tables for ot in ots]), np.stack([ot.dart for ot in ots])
     both = [np.concatenate([ts, d[:, None]], axis=1) for d in (ds, np.argsort(ds, axis=1))]
     return _least_codes(np.stack(both, axis=1), ts.shape[1])

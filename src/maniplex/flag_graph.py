@@ -13,17 +13,16 @@ where ``m[u]`` is u's neighbour and ``m[u] == u`` is a semi-edge.
 ``component_labels`` is the one routine that finds components, and
 ``stack_labels`` and ``non_commuting`` take a whole stack of tuples, an
 array (tuples, colours, points), in one pass.  Flag 0 is the only root:
-a flag graph caches its breadth-first tree from flag 0 with each flag's
-depth in it, the trial extension replays the tree, and connectivity,
-``validate``'s witness of disconnection and the orientation (the depth
-parities) read the depths.  The tree is built a level at a time, with
-no sort.  Tables are int32: at most ``MAX_FLAGS`` flags.
+a flag graph builds its breadth-first tree from flag 0 on first use and
+keeps it with each flag's depth; the trial extension replays it, and
+connectivity, ``validate``'s disconnection witness and the orientation
+(the depth parities) read the depths.  The tree is built a level at a
+time, with no sort.  Tables are int32: at most ``MAX_FLAGS`` flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,13 +109,47 @@ def non_commuting(stack) -> list[tuple[int, int, int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Violation:
+class Record:
+    """A value whose fields are its class's ``__slots__`` not starting with
+    ``_``: built from them by position or keyword, equal by type and fields,
+    hashed, shown, copied and pickled by them.  Setting an attribute raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def __init__(self, *args, **kwargs) -> None:
+        if len(args) > len(self._fields) or kwargs.keys() != set(self._fields[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        for name, value in [*zip(self._fields, args), *kwargs.items()]:
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot set {name!r}: a {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        same = type(other) is type(self)
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Violation(Record):
     """One failed structural invariant, with a witness flag."""
 
-    kind: str
-    colours: tuple[int, ...]
-    flag: int
+    __slots__ = ("kind", "colours", "flag")
 
     def __str__(self) -> str:
         if len(self.colours) == 2:

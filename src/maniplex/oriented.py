@@ -18,11 +18,9 @@ fixed point is a semi-edge, plus the dart permutation, in int32 arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError
+from .flag_graph import FlagGraph, InternalCheckError, Record
 from .stg import SymmetryTypeGraph, _int32, bipartition, slot_rows
 from .symmetry import AutGroup, _group, invert
 
@@ -96,8 +94,7 @@ def is_chiral_a_la_conway(aut: AutGroup, a_plus: AutGroup, stg: SymmetryTypeGrap
     return group_test
 
 
-@dataclass(frozen=True)
-class OrientedSTG:
+class OrientedSTG(Record):
     """Quotient of the black-flag di-graph by orientation-preserving orbits.
 
     ``tables[i]`` is the partner table of the class t_i, i <= n-3 (a
@@ -105,14 +102,12 @@ class OrientedSTG:
     of the directed class (a self-target is a loop; mutually inverse
     darts between two vertices stay distinct).  Both are read-only int32."""
 
-    tables: np.ndarray
-    dart: np.ndarray
+    __slots__ = ("tables", "dart")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dart", dart := _int32(self.dart, 1))
-        if not dart.size:
+    def __init__(self, tables, dart) -> None:
+        if not (dart := _int32(dart, 1)).size:
             raise ValueError(f"no vertex in an oriented quotient's dart of shape {dart.shape}")
-        object.__setattr__(self, "tables", _int32(np.reshape(self.tables, (-1, dart.size)), 2))
+        super().__init__(_int32(np.reshape(tables, (-1, dart.size)), 2), dart)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OrientedSTG) and np.array_equal(self.tables, other.tables)
@@ -149,15 +144,13 @@ def oriented_stg(a_plus: AutGroup, parity: np.ndarray) -> OrientedSTG:
     return OrientedSTG(tables=moves[:-1], dart=moves[-1])
 
 
-@dataclass(frozen=True)
-class Rotary:
+class Rotary(Record):
     def label(self) -> str:
         return "rotary"
 
 
-@dataclass(frozen=True)
-class TwoOrbitOriented:
-    semi_colours: frozenset[int]
+class TwoOrbitOriented(Record):
+    __slots__ = ("semi_colours",)
 
     def label(self) -> str:
         if not self.semi_colours:
@@ -165,9 +158,8 @@ class TwoOrbitOriented:
         return "2⁺_{" + ",".join(str(c) for c in sorted(self.semi_colours)) + "}"
 
 
-@dataclass(frozen=True)
-class OtherOriented:
-    vertex_count: int
+class OtherOriented(Record):
+    __slots__ = ("vertex_count",)
 
     def label(self) -> str:
         return f"{self.vertex_count}-orbit⁺"

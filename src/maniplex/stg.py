@@ -17,11 +17,9 @@ vertices on, the class names are read off them.  The vertex-major
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .flag_graph import CHUNK, InternalCheckError, non_commuting, stack_labels
+from .flag_graph import CHUNK, InternalCheckError, Record, non_commuting, stack_labels
 from .symmetry import AutGroup
 
 SEMI = -1
@@ -42,20 +40,19 @@ def slot_rows(tables: np.ndarray) -> list[list[int]]:
     return np.where(tables == np.arange(tables.shape[1]), SEMI, tables).T.tolist()
 
 
-@dataclass(frozen=True)
-class SymmetryTypeGraph:
+class SymmetryTypeGraph(Record):
     """Coloured pregraph: ``tables[i, u]`` is u's colour-i partner, and
     ``tables[i, u] == u`` a semi-edge at u; equal tables, equal graphs."""
 
-    tables: np.ndarray
-    # what the check found: (problems, labels without each colour, sides),
-    # the last two None where the tables are not well formed
-    _facts: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # _facts, what the check found: (problems, labels without each colour,
+    # sides), the last two None where the tables are not well formed
+    __slots__ = ("tables", "_facts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tables", tables := _int32(self.tables, 2))
-        if 0 in tables.shape:
+    def __init__(self, tables) -> None:
+        if 0 in (tables := _int32(tables, 2)).shape:
             raise ValueError(f"no colour or no vertex in tables of shape {tables.shape}")
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "_facts", None)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymmetryTypeGraph) and np.array_equal(self.tables, other.tables)
@@ -193,15 +190,13 @@ def face_orbit_splits(t: SymmetryTypeGraph, i: int) -> tuple[int, ...]:
     return tuple(sorted(filter(None, np.bincount(_without(t, i)).tolist())))
 
 
-@dataclass(frozen=True)
-class Regular:
+class Regular(Record):
     def label(self) -> str:
         return "regular"
 
 
-@dataclass(frozen=True)
-class TwoOrbit:
-    semi_colours: frozenset[int]
+class TwoOrbit(Record):
+    __slots__ = ("semi_colours",)
 
     def label(self) -> str:
         if not self.semi_colours:
@@ -209,24 +204,21 @@ class TwoOrbit:
         return "2_{" + ",".join(str(c) for c in sorted(self.semi_colours)) + "}"
 
 
-@dataclass(frozen=True)
-class ThreeOrbitJ:
-    j: int
+class ThreeOrbitJ(Record):
+    __slots__ = ("j",)
 
     def label(self) -> str:
         return f"3^{{{self.j}}}"
 
 
-@dataclass(frozen=True)
-class ThreeOrbitJJ1:
-    j: int
+class ThreeOrbitJJ1(Record):
+    __slots__ = ("j",)
 
     def label(self) -> str:
         return f"3^{{{self.j},{self.j + 1}}}"
 
 
-@dataclass(frozen=True)
-class FourOrbitFamily:
+class FourOrbitFamily(Record):
     """Four-vertex types, described by how each colour splits the graph.
 
     ``splits`` records, for every colour i in the non-transitivity
@@ -236,9 +228,7 @@ class FourOrbitFamily:
     this triple is the stable machine-readable label.
     """
 
-    profile: frozenset[int]
-    splits: tuple[tuple[int, tuple[int, ...]], ...]
-    semi_colours: frozenset[int]
+    __slots__ = ("profile", "splits", "semi_colours")
 
     def label(self) -> str:
         if not self.profile:
@@ -247,9 +237,8 @@ class FourOrbitFamily:
         return f"4({parts})"
 
 
-@dataclass(frozen=True)
-class OtherClass:
-    vertex_count: int
+class OtherClass(Record):
+    __slots__ = ("vertex_count",)
 
     def label(self) -> str:
         return f"{self.vertex_count}-orbit"

@@ -14,11 +14,9 @@ reuse its tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .flag_graph import FlagGraph, InternalCheckError, _hook
+from .flag_graph import FlagGraph, InternalCheckError, Record, _hook
 
 
 def invert(a: np.ndarray) -> np.ndarray:
@@ -110,8 +108,7 @@ def invariant_colours(tables) -> np.ndarray:
             h += w * colour.take(table)
 
 
-@dataclass
-class AutGroup:
+class AutGroup(Record):
     """A group of colour-preserving automorphisms and its flag orbits.
 
     ``generators`` are image tables generating the group (Aut+, read off
@@ -122,11 +119,7 @@ class AutGroup:
     quotients are read at these flags.
     """
 
-    graph: FlagGraph
-    generators: list[np.ndarray]
-    targets: np.ndarray
-    orbit_of: np.ndarray
-    reps: np.ndarray
+    __slots__ = ("graph", "generators", "targets", "orbit_of", "reps")
 
     @property
     def order(self) -> int:

@@ -12,11 +12,9 @@ own generators realize the ends they reach, on one vertex the rho_c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .flag_graph import InternalCheckError, component_labels
+from .flag_graph import InternalCheckError, Record, component_labels
 from .stg import SymmetryTypeGraph
 from .symmetry import AutGroup, _both_ways
 
@@ -59,10 +57,8 @@ def _crossings(t: SymmetryTypeGraph):
     return paths, crossings + [(u, colour, u) for u in verts for colour in sorted(t.semi_colours(u))]
 
 
-@dataclass
-class GeneratorSet:
-    words: list[tuple[int, ...]]
-    automorphisms: list[np.ndarray]
+class GeneratorSet(Record):
+    __slots__ = ("words", "automorphisms")
 
 
 def realize_generators(a: AutGroup, t: SymmetryTypeGraph) -> GeneratorSet:

@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from maniplex import symmetry
-from maniplex.constructions import MapError, MapSpec, _face_slots
+from maniplex.constructions import MapError, MapSpec
 from maniplex.enumeration import (_bitmasks, _commuting_tuples, _connected, _images, _least_codes,
                                   _oriented_census, _oriented_codes, _relabellings, involutions)
 from maniplex.flag_graph import FlagGraph, InternalCheckError, component_labels, validate
@@ -1347,8 +1347,24 @@ def _classes(columns) -> tuple[np.ndarray, int]:
     return rank, int(rank.max()) + 1
 
 
-# The per-flag loops that the slot arithmetic of
-# constructions.map_from_faces replaced.
+# The per-slot loops that the array passes of constructions.map_from_faces
+# replaced.
+
+
+def _face_slots(spec: MapSpec):
+    """All (face, position) slots keyed by their unordered edge."""
+    slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for fi, cycle in enumerate(spec.faces):
+        if len(cycle) < 3:
+            raise MapError(f"face {fi} has fewer than 3 vertices")
+        for p, u in enumerate(cycle):
+            v = cycle[(p + 1) % len(cycle)]
+            if u == v:
+                raise MapError(f"face {fi} repeats vertex {u} consecutively")
+            if not (0 <= u < spec.vertex_count and 0 <= v < spec.vertex_count):
+                raise MapError(f"face {fi} uses a vertex outside 0..{spec.vertex_count - 1}")
+            slots.setdefault((min(u, v), max(u, v)), []).append((fi, p))
+    return slots
 
 
 def loop_map_from_faces(spec: MapSpec) -> FlagGraph:
@@ -1358,9 +1374,8 @@ def loop_map_from_faces(spec: MapSpec) -> FlagGraph:
     cycle, side): side 0 sits at the tail of the directed edge read from
     the cycle, side 1 at its head.
     """
-    slots = _face_slots(spec)
-    seen_vertices = {u for cycle in spec.faces for u in cycle}
-    if seen_vertices != set(range(spec.vertex_count)):
+    slots = _face_slots(spec)  # every vertex lies in 0..vertex_count - 1
+    if len({u for cycle in spec.faces for u in cycle}) != spec.vertex_count:
         raise MapError("some vertices appear in no face")
     for edge, where in slots.items():
         if len(where) != 2:

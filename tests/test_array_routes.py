@@ -6,8 +6,8 @@ reduction, the file parse and the breadth-first tree against the
 per-flag, per-pair, tree, Schreier, move-graph, rank-based, per-level,
 per-token and sorting routes they replaced (kept in oracles.py)."""
 
-import dataclasses
 import random
+import re
 import warnings
 from collections import Counter
 from importlib import resources
@@ -29,7 +29,7 @@ from maniplex.formats import (ParseError, _colour_row, cycle_string, parse_manip
                               parse_map_text, write_maniplex_text)
 from maniplex.oriented import aut_plus, orientation, oriented_digraph, oriented_stg
 from maniplex.stg import SymmetryTypeGraph, check_all, quotient
-from maniplex.symmetry import aut_group, invariant_colours
+from maniplex.symmetry import AutGroup, aut_group, invariant_colours
 from maniplex.walkgen import GeneratorSet, realize_generators, reduce_generators
 from oracles import (all_products_invariant_colours, are_isomorphic, bfs_levels_from,
                      black_orbit_count, bytes_reduce_generators, extend_map,
@@ -127,7 +127,7 @@ def test_a_tree_step_leaving_its_orbit_is_caught(corpus):
     swap = np.arange(a.orbit_count)
     swap[[1, 2]] = 2, 1          # orbit ids still start at the base flag
     with pytest.raises(InternalCheckError, match="spanning tree step"):
-        realize_generators(dataclasses.replace(a, orbit_of=swap[a.orbit_of]), t)
+        realize_generators(AutGroup(a.graph, a.generators, a.targets, swap[a.orbit_of], a.reps), t)
 
 
 def few_moved(rng, n):
@@ -485,6 +485,20 @@ MAP_ERRORS = [
     MapSpec(5, ((0, 1, 2), (0, 2, 1))),                # vertices in no face
     MapSpec(3, ((0, 1, 2), (0, 2, 1), (0, 1, 2))),     # an edge in three slots
     MapSpec(6, ((0, 1, 2), (0, 2, 1), (3, 4, 5), (3, 5, 4))),   # disconnected
+    # precedence: by face, then by position, a face's length before its slots
+    MapSpec(3, ((0, 1, 5), (0, 0, 1))),                # two faults, the first face's first
+    MapSpec(3, ((0, 0, 7), (0, 2, 1))),                # two faults in one face
+    MapSpec(3, ((0, 1, 1), (0, 1))),                   # a short face after a repeated vertex
+    MapSpec(3, ((0, 1), (0, 0, 1))),                   # a repeated vertex after a short face
+    MapSpec(3, ((0, 1, 2), ())),                       # a face of no vertex
+    MapSpec(3, ((0, 1, 2), (0, 2, 1), (0, 1, -1))),    # a vertex out of range in a later face
+    MapSpec(4, ((0, 1, 2), (0, 2, 1), (0, 1, 4))),     # ... and a vertex in no face
+    MapSpec(5, ((2, 3, 4), (0, 1, 4))),                # bad edges, (2, 3) first by slot, not key
+    MapSpec(4, ((0, 1, 2, 3), (3, 2, 1, 0), (1, 0, 2))),           # three slots, then one
+    MapSpec(10**12, ((0, 1, 2), (0, 2, 1))),           # the 10^12-vertex header
+    MapSpec(3, ((0, 1, 2), (0, 2, 2**70))),            # a vertex beyond int64 ...
+    MapSpec(3, ((0, 1, 2), (-2**70, -2**70, 1))),      # ... repeated
+    MapSpec(2**80, ((0, 1, 2**70), (0, 2**70, 1))),    # ... in range, with others in no face
 ]
 
 
@@ -518,6 +532,103 @@ def test_map_from_faces_errors_match_loop(spec):
     with pytest.raises(MapError) as old:
         loop_map_from_faces(spec)
     assert str(new.value) == str(old.value)
+
+
+def shuffled_spec(rng, spec):
+    """``spec`` with its vertices relabelled and its faces reordered, each
+    rotated and perhaps reversed: the same map."""
+    names = list(range(spec.vertex_count))
+    rng.shuffle(names)
+    faces = []
+    for cycle in spec.faces:
+        cycle = [names[u] for u in cycle]
+        turn = rng.randrange(len(cycle))
+        cycle = cycle[turn:] + cycle[:turn]
+        faces.append(tuple(cycle[::-1] if rng.random() < 0.5 else cycle))
+    rng.shuffle(faces)
+    return MapSpec(spec.vertex_count, tuple(faces))
+
+
+def broken_spec(rng, spec):
+    """``spec`` with one to three random faults: a vertex replaced, dropped
+    or repeated, a face dropped or doubled, the map doubled, or a vertex
+    count changed."""
+    count, faces = spec.vertex_count, [list(cycle) for cycle in spec.faces]
+    for _ in range(rng.randint(1, 3)):
+        fault = rng.randrange(7)
+        cycle = faces[rng.randrange(len(faces))]
+        if fault == 0:
+            cycle[rng.randrange(len(cycle))] = rng.randint(-2, count + 2)
+        elif fault == 1 and cycle:
+            del cycle[rng.randrange(len(cycle))]
+        elif fault == 2 and cycle:
+            at = rng.randrange(len(cycle))
+            cycle.insert(at, cycle[at])
+        elif fault == 3 and len(faces) > 1:
+            faces.remove(cycle)
+        elif fault == 4:
+            faces.insert(rng.randrange(len(faces) + 1), list(cycle))
+        elif fault == 5:  # a second copy of the map, on vertices of its own
+            faces += [[u + count for u in cycle] for cycle in faces]
+            count *= 2
+        else:
+            count += rng.choice((-1, 1))
+    return MapSpec(count, tuple(map(tuple, faces)))
+
+
+def same_outcome(spec):
+    """The graph both builders give, or the message of the MapError both raise."""
+    outcome = []
+    for build in (map_from_faces, loop_map_from_faces):
+        try:
+            outcome.append(build(spec))
+        except MapError as exc:
+            outcome.append(str(exc))
+    assert outcome[0] == outcome[1], spec
+    return outcome[0]
+
+
+def test_random_face_lists_match_loop():
+    rng = random.Random(42)
+    bases = data_map_specs()
+    for l in (3, 5, 8):
+        bases.append(MapSpec(2 * l, (tuple(range(l)), tuple(range(l, 2 * l))) + tuple(
+            (k, (k + 1) % l, l + (k + 1) % l, l + k) for k in range(l))))
+        bases.append(MapSpec(l + 1, (tuple(range(l)),) + tuple(
+            (k, (k + 1) % l, l) for k in range(l))))
+    faults = Counter()
+    for _ in range(300):
+        spec = shuffled_spec(rng, rng.choice(bases))
+        assert isinstance(same_outcome(spec), FlagGraph)
+        outcome = same_outcome(broken_spec(rng, spec))
+        faults["a map" if isinstance(outcome, FlagGraph) else re.sub(r"-?\d+", "#", outcome)] += 1
+    # every kind of fault is met
+    assert set(faults) - {"a map"} == {"face # has fewer than # vertices",
+                           "face # repeats vertex # consecutively",
+                           "face # uses a vertex outside #..#", "some vertices appear in no face",
+                           "edge (#, #) lies in # face slots, expected #",
+                           "map is disconnected"}, faults
+
+
+def test_constructions_leave_the_tree_to_its_first_user(monkeypatch):
+    calls = Counter()
+    bfs_levels = FlagGraph.bfs_levels
+
+    def counted(g):
+        calls[g.flag_count] += 1
+        return bfs_levels(g)
+
+    monkeypatch.setattr(FlagGraph, "bfs_levels", counted)
+    graphs = {label: construction(label) for label in CORPUS}
+    assert not calls
+    for label, g in graphs.items():
+        assert validate(g) == [], label
+        depth = np.full(g.flag_count, -1)
+        depth[0] = 0
+        for d, (flags, _, _) in enumerate(bfs_levels_from(g, 0), 1):
+            depth[flags] = d
+        assert np.array_equal(g.depths(), depth), label
+    assert sum(calls.values()) >= len(graphs)
 
 
 # symmetry.invariant_colours against the rank-based refinement

@@ -1,7 +1,6 @@
 """The partner-table core shared by flag graphs, symmetry type graphs and
 the census enumerator, checked against independent oracles."""
 
-import dataclasses
 import json
 import random
 import re
@@ -17,7 +16,7 @@ from maniplex.enumeration import enumerate_stg, involutions
 from maniplex.flag_graph import FlagGraph, InternalCheckError, non_commuting
 from maniplex.oriented import oriented_digraph, orientation
 from maniplex.stg import SymmetryTypeGraph, bipartition, quotient, stg_violations
-from maniplex.symmetry import aut_group
+from maniplex.symmetry import AutGroup, aut_group
 from maniplex.walkgen import (GeneratorSet, generates_full_group, realize_generators,
                               reduce_generators)
 from oracles import (are_isomorphic, canonical_code, closure, commute_defect, component,
@@ -266,7 +265,7 @@ def test_cli_corrupted_orbits_exit_internal(monkeypatch, capsys):
         # move one neighbour of the base flag into another orbit
         f = int(g.adj[1, 0])
         orbit_of[f] = (orbit_of[f] + 1) % a.orbit_count
-        return dataclasses.replace(a, orbit_of=orbit_of)
+        return AutGroup(a.graph, a.generators, a.targets, orbit_of, a.reps)
 
     monkeypatch.setattr(cli, "aut_group", corrupted)
     assert main(["analyze", "prism:3", "--json"]) == 4

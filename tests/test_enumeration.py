@@ -169,6 +169,16 @@ def test_quotient_route_matches_the_hand_formula():
             oriented_codes(hand_quotient_route(n)), n
 
 
+def test_no_cover_and_no_level_give_no_class():
+    # one fixed-point-free matching cannot connect six points, and the
+    # direct search's first level is three colours
+    assert oriented_stg3_via_quotient(1) == []
+    # the quotient route finds one class at two colours: a disagreement
+    # recorded as FOUND in CHANGES.md, which this line does not settle
+    assert enumeration._oriented_census([2]) == {2: []}
+    assert enumeration._oriented_codes([]).size == 0
+
+
 def test_the_cross_check_reads_the_bipartite_classes_without_semi_edges(monkeypatch):
     # each cover the cross-check orients is a class of the exhaustive
     # search without fixed points, and each bipartite class is read once

@@ -193,6 +193,35 @@ def test_cli_huge_vertex_count_exits_2_in_little_memory(tmp_path):
     assert run.stderr == f"error: cannot parse {path}: some vertices appear in no face\n"
 
 
+def run_with_stdout(stdout, *argv):
+    """The CLI in a child process writing to the file descriptor ``stdout``."""
+    return subprocess.run([sys.executable, "-m", "maniplex.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                               "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+
+
+@pytest.mark.parametrize("argv", [("analyze", "prism:5", "--json"), ("construct", "prism:5"),
+                                  ("enumerate", "--colors", "3", "--vertices", "2")])
+def test_cli_stdout_closed_by_its_reader_exits_2(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the first write
+    try:
+        run = run_with_stdout(write, *argv)
+    finally:
+        os.close(write)
+    assert run.returncode == 2
+    assert run.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_stdout_on_a_full_device_exits_2():
+    with open("/dev/full", "w") as full:
+        run = run_with_stdout(full, "analyze", "prism:5", "--json")
+    assert run.returncode == 2
+    assert run.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
 @pytest.mark.parametrize("label,flags", [("simplex:12", "6,227,020,800"),
                                          ("hypercube:10", "3,715,891,200"),
                                          ("torus44:20000,0", "3,200,000,000")])
