@@ -41,7 +41,7 @@ class CliError(Exception):
 
 def _load_input(label: str) -> tuple[str, FlagGraph]:
     path = Path(label)
-    if path.exists():
+    if os.path.exists(label):  # unlike Path.exists, False on a name too long to look up
         try:
             constructions.parse_label(label)
         except ValueError:

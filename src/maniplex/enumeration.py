@@ -13,18 +13,18 @@ meet.  Neither rule looks ahead, so level n is the census at n colours:
 one search per vertex count is read at every colour count.
 Connectivity, the rooted canonical codes that sort the classes and the
 STG check take a level in array passes.  Vertices are relabelled,
-colours never are, so the classes are colour-specific.  The
-three-vertex oriented census is the same search on the k points, one
-per dart, over the involutions, keeping the tuples whose classes
-invert the dart; its cross-check reads the oriented di-graph of each
-bipartite six-point type without semi-edges as a quotient.
+colours never are, so the classes are colour-specific.  The oriented
+census on k vertices is the same search on the k points, one per dart,
+over the involutions, keeping the tuples whose classes invert the dart;
+its cross-check reads the oriented di-graph of each bipartite 2k-point
+type without semi-edges as a quotient.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import compress, permutations
+from itertools import chain, compress, permutations
 
 import numpy as np
 
@@ -186,13 +186,19 @@ def enumerate_stg(n_colours: int, k: int, filters=()) -> list[SymmetryTypeGraph]
     are predicates applied after the check, which raises
     InternalCheckError on an inadmissible class.
     """
-    return census(n_colours, k, filters)[0]
+    return _census((n_colours,), k, filters)[n_colours][0]
 
 
 def census(n_colours: int, k: int, filters=()) -> tuple[list[SymmetryTypeGraph], np.ndarray]:
     """``enumerate_stg``'s classes, and their tables as one read-only
     int32 stack (classes, colours, k), which the check and the CSV read."""
-    if n_colours < 1 or k < 1:
+    return _census((n_colours,), k, filters)[n_colours]
+
+
+def _census(counts, k: int, filters=()) -> dict:
+    """``census`` at every colour count in ``counts``, each read off one
+    level of one search; the k > 5 warning names its caller's caller."""
+    if min(counts) < 1 or k < 1:
         raise ValueError("need at least one colour and one vertex")
     size, smaller = 1, 1  # I(k) = I(k-1) + (k-1) I(k-2) involutions, from I(1) = I(0) = 1
     for j in range(2, k + 1):
@@ -201,13 +207,7 @@ def census(n_colours: int, k: int, filters=()) -> tuple[list[SymmetryTypeGraph],
         raise ValueError(f"{size:,} involutions on {k} vertices exceed the 32,767 candidate tables"
                          " that the search's int16 rows index")
     if k > 5:
-        warnings.warn(f"enumeration over {k} vertices may be slow", stacklevel=2)
-    return _census((n_colours,), k, filters)[n_colours]
-
-
-def _census(counts, k: int, filters=()) -> dict:
-    """``census`` at every colour count in ``counts``, each read off one
-    level of a single search over max(counts) colours."""
+        warnings.warn(f"enumeration over {k} vertices may be slow", stacklevel=3)
     tables = np.array(involutions(k), np.uint8).reshape(-1, k)
     levels = _commuting_tuples(tables, max(counts), _relabellings(k))
     # the search has ended, and freed its levels, before the classes are built
@@ -233,9 +233,7 @@ def is_fully_transitive(t: SymmetryTypeGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# three-vertex oriented quotients
-
-_K = 3  # vertices of the oriented quotients; the cross-check reads them off 2 * _K points
+# oriented quotients
 
 
 def _oriented_codes(ots) -> np.ndarray:
@@ -252,20 +250,19 @@ def _oriented_codes(ots) -> np.ndarray:
     return _least_codes(np.stack(both, axis=1), ts.shape[1])
 
 
-def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
-    """All three-vertex oriented quotient di-graphs at each colour count
-    in ``counts``, one class per orbit under vertex relabelling and dart
+def _oriented_census(counts, k: int) -> dict[int, list[OrientedSTG]]:
+    """All k-vertex oriented quotient di-graphs at each colour count in
+    ``counts``, one class per orbit under vertex relabelling and dart
     reversal, sorted by oriented code.
 
-    A quotient on k = ``_K`` points is its undirected classes t_0..t_{n-3},
+    A quotient on k points is its undirected classes t_0..t_{n-3},
     involutions, and its dart rot, a permutation; classes at distance
     >= 2 commute, and every class but the last inverts rot (t rot t =
     rot^-1).  A rot that relabelling or inversion maps to an earlier
     permutation is skipped; for each other rot the search runs over the
     involutions under the relabellings p with p rot p^-1 in {rot, rot^-1},
     and level d gives n = d + 2 from the rows that invert rot and, with
-    rot, connect."""
-    k = _K
+    rot, connect.  Level 0, the empty tuple, is rot alone at two colours."""
     rots, classes = _relabellings(k), involutions(k)
     inverse = [rots.index(tuple(np.argsort(rot).tolist())) for rot in rots]
     images = _images(rots, rots)
@@ -277,7 +274,8 @@ def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
         # t inverts rot exactly when t rot is an involution
         inverts = np.array([all(t[rot[t[rot[u]]]] == u for u in range(k)) for t in classes])
         tables = np.array(classes + [rot], np.int32)  # rot after the classes, for connectivity
-        for n, rows in enumerate(_commuting_tuples(tables[:-1], max(counts) - 2, stabiliser), 3):
+        levels = _commuting_tuples(tables[:-1], max(counts) - 2, stabiliser)
+        for n, rows in enumerate(chain([np.zeros((1, 0), np.int16)], levels), 2):
             if n in counts:
                 rows = rows[inverts[rows[:, :-1]].all(axis=1)]
                 rows = np.column_stack((rows, np.full(len(rows), len(classes), np.int16)))
@@ -286,17 +284,18 @@ def _oriented_census(counts) -> dict[int, list[OrientedSTG]]:
     return {n: [ots[i] for i in _code_order(_oriented_codes(ots))] for n, ots in found.items()}
 
 
-def oriented_stg3_via_quotient(n_colours: int) -> list[OrientedSTG]:
+def oriented_stg_via_quotient(n_colours: int, k: int) -> list[OrientedSTG]:
     """Cross-check route: the orderly search over the 2k-point types
-    without semi-edges, k = ``_K``, each connected bipartite one read as
-    a flag graph whose oriented di-graph, ``oriented_digraph``'s moves on
-    the k black flags, is a quotient as it stands, classes then dart.
-    The first of each code is kept, in order of code.  Exponential in
-    n_colours; a cross-check for small colour counts."""
-    k = 2 * _K
-    tables = np.array(involutions(k), np.uint8)
-    tables = tables[(tables != np.arange(k)).all(axis=1)]
-    *_, rows = _commuting_tuples(tables, n_colours, _relabellings(k))
+    without semi-edges, each connected bipartite one read as a flag graph
+    whose oriented di-graph, ``oriented_digraph``'s moves on the k black
+    flags, is a quotient as it stands, classes then dart.  The first of
+    each code is kept, in order of code.  Exponential in n_colours and k,
+    so for small ones; k >= 2, since a di-graph on one flag is refused."""
+    if k < 2:
+        raise ValueError(f"the cross-check needs at least two vertices, not {k}")
+    tables = np.array(involutions(2 * k), np.uint8)
+    tables = tables[(tables != np.arange(2 * k)).all(axis=1)]
+    *_, rows = _commuting_tuples(tables, n_colours, _relabellings(2 * k))
     covers = tables[_connected(tables, rows)].astype(np.int32)
     if bad := non_commuting(covers):  # (cover, i, j, vertex)
         raise InternalCheckError(f"a cover of the cross-check fails to commute: {bad[0]}")
@@ -364,13 +363,13 @@ def verify_census() -> list[CensusCheck]:
         True, profiles_ok))
 
     expected_totals = {4: 6, 5: 9, 6: 10}
-    oriented = _oriented_census(range(4, 11))
+    oriented = _oriented_census(range(4, 11), 3)
     for n, census in oriented.items():
         expected = expected_totals.get(n, 2 * n - 3)
         checks.append(CensusCheck(
             f"oriented 3-vertex types, {n} colours", expected, len(census)))
     for n in range(7, 11):
-        loops = [np.count_nonzero(ot.dart == np.arange(_K)) for ot in oriented[n]]
+        loops = [np.count_nonzero(ot.dart == np.arange(ot.vertex_count)) for ot in oriented[n]]
         checks.append(CensusCheck(
             f"oriented 3-vertex, three loops, {n} colours", 2 * n - 7, loops.count(3)))
         checks.append(CensusCheck(
@@ -378,7 +377,7 @@ def verify_census() -> list[CensusCheck]:
     checks.append(CensusCheck(
         "oriented 3-vertex, 4 colours: direct route matches 6-vertex quotient route",
         [code.tobytes() for code in _oriented_codes(oriented[4])],
-        [code.tobytes() for code in _oriented_codes(oriented_stg3_via_quotient(4))]))
+        [code.tobytes() for code in _oriented_codes(oriented_stg_via_quotient(4, 3))]))
     return checks
 
 

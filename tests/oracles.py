@@ -231,7 +231,7 @@ def enumerate_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
     sorted by oriented canonical code."""
     if n_colours < 4:
         raise ValueError("three-vertex oriented quotients need n_colours >= 4")
-    return _oriented_census((n_colours,))[n_colours]
+    return _oriented_census((n_colours,), 3)[n_colours]
 
 
 def oriented_stg3_families(n_colours: int) -> dict[str, list[OrientedSTG]]:
@@ -378,7 +378,7 @@ def black_orbit_count(a_plus: AutGroup, parity: np.ndarray) -> int:
 # The sorted quotient, which reading each orbit at its least flag
 # (AutGroup.reps) replaced in stg.quotient, oriented.oriented_stg,
 # black_orbit_count (above) and the cover route of
-# enumeration.oriented_stg3_via_quotient, and the per-orbit loops that
+# enumeration.oriented_stg_via_quotient, and the per-orbit loops that
 # the sorted quotient had replaced in stg.quotient and oriented_stg.
 
 
@@ -885,7 +885,7 @@ def hand_oriented_stg3(n_colours: int) -> list[OrientedSTG]:
 
 
 def fixed_point_free_levels(k: int, colours: int) -> list[np.ndarray]:
-    """The search ``enumeration.oriented_stg3_via_quotient`` runs, on k
+    """The search ``enumeration.oriented_stg_via_quotient`` runs, on k
     points: the orderly search over the involutions without fixed
     points, each level's connected rows as a stack of tables."""
     tables = np.array(involutions(k), np.uint8)
@@ -895,7 +895,7 @@ def fixed_point_free_levels(k: int, colours: int) -> list[np.ndarray]:
 
 
 def hand_quotient_route(n_colours: int) -> list[OrientedSTG]:
-    """``enumeration.oriented_stg3_via_quotient`` with the dart read by a
+    """``enumeration.oriented_stg_via_quotient`` with the dart read by a
     hand formula on the six-point covers instead of from the oriented
     di-graph.  The covers are its search's, and those with a bipartition
     are read.  Each is quotiented by its top-colour pairs; the classes

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from maniplex import enumeration, flag_graph, oriented, symmetry
 from maniplex.constructions import (CORPUS, MapError, MapSpec, construction, hypercube,
                                     map_from_faces, polygon, prism, pyramid, simplex, torus44)
-from maniplex.enumeration import enumerate_stg, oriented_stg3_via_quotient
+from maniplex.enumeration import enumerate_stg, oriented_stg_via_quotient
 from maniplex.flag_graph import (FlagGraph, InternalCheckError, component_labels, non_commuting,
                                  validate)
 from maniplex.formats import (ParseError, _colour_row, cycle_string, parse_maniplex_text,
@@ -396,8 +396,8 @@ def test_every_table_is_read_only_int32(corpus, monkeypatch):
                    for t in found]
     for n, t in classes:
         check_stg(t, (n, t.vertex_count))
-    quotients = [(n, ot) for n, ots in enumeration._oriented_census(range(4, 11)).items()
-                 for ot in ots] + [(4, ot) for ot in oriented_stg3_via_quotient(4)]
+    quotients = [(n, ot) for n, ots in enumeration._oriented_census(range(4, 11), 3).items()
+                 for ot in ots] + [(4, ot) for ot in oriented_stg_via_quotient(4, 3)]
     for n, ot in quotients:
         check_oriented(ot, n)
     assert (len(graphs), oriented, len(classes), len(quotients)) == (106, 85, 1490, 87)

@@ -1,7 +1,7 @@
 import inspect
 import random
 import warnings
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -9,11 +9,11 @@ import pytest
 from maniplex import enumeration
 from maniplex.cli import main
 from maniplex.constructions import CORPUS
-from maniplex.enumeration import (census, enumerate_stg, involutions, is_fully_transitive,
-                                  oriented_stg3_via_quotient, verify_census)
+from maniplex.enumeration import (CensusCheck, census, enumerate_stg, involutions,
+                                  is_fully_transitive, oriented_stg_via_quotient, verify_census)
 from maniplex.flag_graph import InternalCheckError
 from maniplex.formats import slot_text
-from maniplex.oriented import oriented_digraph
+from maniplex.oriented import classify_oriented, oriented_digraph
 from maniplex.stg import (SEMI, SymmetryTypeGraph, ThreeOrbitJ, ThreeOrbitJJ1, TwoOrbit,
                           bipartition, class_labels, classify, transitivity_profile)
 from oracles import (_lift, canonical_code, commute_defect, component, enumerate_oriented_stg3,
@@ -150,11 +150,10 @@ def test_oriented_small_rank_specials_present():
 
 
 def test_oriented_direct_route_matches_quotient_route():
-    # every colour count verify_census reports
-    for n in range(4, 11):
-        direct = [oriented_canonical_code(ot) for ot in enumerate_oriented_stg3(n)]
-        via = [oriented_canonical_code(ot) for ot in oriented_stg3_via_quotient(n)]
-        assert direct == via, n
+    # every colour count verify_census reports, and the two below it
+    direct = enumeration._oriented_census(range(2, 11), 3)
+    for n in range(2, 11):
+        assert oriented_codes(direct[n]) == oriented_codes(oriented_stg_via_quotient(n, 3)), n
 
 
 def oriented_codes(ots):
@@ -165,18 +164,48 @@ def test_quotient_route_matches_the_hand_formula():
     # the oriented di-graph of each cover gives the classes that the
     # hand-read dart on its top-colour pairs gives, in the same order
     for n in range(4, 11):
-        assert oriented_codes(oriented_stg3_via_quotient(n)) == \
+        assert oriented_codes(oriented_stg_via_quotient(n, 3)) == \
             oriented_codes(hand_quotient_route(n)), n
 
 
 def test_no_cover_and_no_level_give_no_class():
     # one fixed-point-free matching cannot connect six points, and the
-    # direct search's first level is three colours
-    assert oriented_stg3_via_quotient(1) == []
-    # the quotient route finds one class at two colours: a disagreement
-    # recorded as FOUND in CHANGES.md, which this line does not settle
-    assert enumeration._oriented_census([2]) == {2: []}
-    assert enumeration._oriented_codes([]).size == 0
+    # direct search's first level, the dart alone, is two colours
+    assert oriented_stg_via_quotient(1, 3) == []
+    census = enumeration._oriented_census([1, 2], 3)
+    assert census[1] == [] and enumeration._oriented_codes([]).size == 0
+    # at two colours both routes find the directed 3-cycle, and it alone
+    (cycle,) = census[2]
+    assert cycle.tables.shape == (0, 3) and cycle.dart.tolist() in ([1, 2, 0], [2, 0, 1])
+    assert oriented_codes([cycle]) == oriented_codes(oriented_stg_via_quotient(2, 3))
+
+
+def test_two_vertex_oriented_classes_are_the_proper_subsets_of_the_colours():
+    # the oriented 2-orbit classification: 2⁺_I for each proper subset I
+    # of {0, ..., n-2}, the colours with a semi-edge or a loop, each once
+    census = enumeration._oriented_census(range(2, 9), 2)
+    for n in range(2, 9):
+        subsets = [s for size in range(n - 1) for s in combinations(range(n - 1), size)]
+        expected = ["2⁺_{" + ",".join(map(str, s)) + "}" if s else "2⁺_∅" for s in subsets]
+        labels = [classify_oriented(ot).label() for ot in census[n]]
+        assert len(labels) == 2 ** (n - 1) - 1 and sorted(labels) == sorted(expected), n
+        assert oriented_codes(census[n]) == oriented_codes(oriented_stg_via_quotient(n, 2)), n
+
+
+def test_four_vertex_oriented_routes_agree():
+    census = enumeration._oriented_census(range(3, 6), 4)
+    assert [len(census[n]) for n in range(3, 6)] == [10, 39, 113]
+    for n in range(3, 6):
+        assert oriented_codes(census[n]) == oriented_codes(oriented_stg_via_quotient(n, 4)), n
+
+
+def test_one_vertex_oriented_census_is_rotary_and_the_cross_check_refuses_it():
+    # the cross-check's oriented di-graph would be a flag graph on one flag
+    census = enumeration._oriented_census(range(2, 7), 1)
+    assert [[classify_oriented(ot).label() for ot in census[n]] for n in range(2, 7)] == \
+        [["rotary"]] * 5
+    with pytest.raises(ValueError, match="at least two vertices, not 1"):
+        oriented_stg_via_quotient(3, 1)
 
 
 def test_the_cross_check_reads_the_bipartite_classes_without_semi_edges(monkeypatch):
@@ -191,7 +220,7 @@ def test_the_cross_check_reads_the_bipartite_classes_without_semi_edges(monkeypa
     monkeypatch.setattr(enumeration, "oriented_digraph", reading)
     for n in range(3, 6):
         read.clear()
-        oriented_stg3_via_quotient(n)
+        oriented_stg_via_quotient(n, 3)
         expected = {canonical_code(t) for t in exhaustive_stg(n, 6, True)
                     if bipartition(t) is not None}
         assert len(read) == len(set(read)) and set(read) == expected, n
@@ -346,7 +375,7 @@ def test_one_search_gives_every_colour_count_without_fixed_points():
 
 
 def test_one_search_per_dart_gives_every_oriented_colour_count():
-    shared = enumeration._oriented_census(range(4, 13))
+    shared = enumeration._oriented_census(range(4, 13), 3)
     for n in range(4, 13):
         assert shared[n] == enumerate_oriented_stg3(n), n
 
@@ -375,11 +404,12 @@ def test_large_vertex_count_warns():
 
 
 def test_large_vertex_count_warns_at_the_calling_line():
+    # each public entry point warns at the line that called it
     with pytest.warns(UserWarning, match="may be slow") as record:
         line = inspect.currentframe().f_lineno + 1
         graphs, _ = census(1, 6)
-    assert graphs == []
-    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+        assert enumerate_stg(1, 6) == graphs == []
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line), (__file__, line + 1)]
 
 
 def test_census_refuses_more_candidates_than_int16_rows_index(monkeypatch):
@@ -417,9 +447,16 @@ def test_census_report_all_green():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = verify_census()
-        assert oriented_stg3_via_quotient(4)
+        assert oriented_stg_via_quotient(4, 3)
     failed = [str(check) for check in report if not check.passed]
     assert failed == []
+
+
+def test_census_check_lines():
+    assert str(CensusCheck("k=1 types, 3 colours", 1, 1)) == \
+        "[ok] k=1 types, 3 colours: expected 1, got 1"
+    assert str(CensusCheck("k=3 types, 4 colours", 5, 4)) == \
+        "[FAIL] k=3 types, 4 colours: expected 5, got 4"
 
 
 def test_enumerate_raises_on_an_inadmissible_class(monkeypatch):
@@ -448,7 +485,7 @@ def test_the_cross_check_raises_on_a_cover_that_fails_to_commute(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_commuting_tuples", level)
     with pytest.raises(InternalCheckError, match=r"fails to commute: \(0, 0, 2, 0\)"):
-        oriented_stg3_via_quotient(3)
+        oriented_stg_via_quotient(3, 3)
 
 
 # enumeration._least_codes against the per-class rooted codes and the k!

@@ -125,6 +125,15 @@ def test_images_beyond_the_index_type_are_out_of_range():
         FlagGraph(np.array([[1, 2**32]], dtype=np.int64))
 
 
+def test_tables_of_the_wrong_shape_are_refused():
+    with pytest.raises(ValueError, match="adjacency must be a rank x flag_count table"):
+        FlagGraph([1, 0])
+    with pytest.raises(ValueError, match="at least one colour is required"):
+        FlagGraph(np.empty((0, 2), np.int32))
+    with pytest.raises(ValueError, match="at least two flags are required"):
+        FlagGraph([[0]])
+
+
 def test_more_flags_than_int32_indexes_are_refused():
     # a zero-copy view of 2**31 flags: the count is checked before any pass
     with pytest.raises(ValueError, match="2,147,483,648 flags exceed the limit of 2,147,483,647"):

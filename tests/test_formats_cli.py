@@ -126,6 +126,11 @@ def test_cli_analyze_file_and_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "fixed point" in err
 
+    overlapping = tmp_path / "overlap.mnpx"
+    overlapping.write_text("maniplex rank=2 flags=2\nr0: 1 0\nr1: 1 0\n")
+    assert main(["analyze", str(overlapping)]) == 3
+    assert capsys.readouterr().err == "invalid: overlapping matchings (0,1), flag 0\n"
+
     unparsable = tmp_path / "nope.mnpx"
     unparsable.write_text("not a header\n")
     assert main(["analyze", str(unparsable)]) == 2
@@ -174,6 +179,28 @@ def test_cli_header_counts_below_one_exit_2_naming_the_field(tmp_path, capsys, h
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err == f"error: cannot parse {path}: header field '{field}' is below 1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("maniplex rank2 flags=4\n", "bad header field 'rank2', expected rank=<int>"),
+    ("maniplex rank=two flags=4\n", "bad integer in header: 'two'"),
+    ("maniplex rank=1 flags=1\nr0: 0\n", "at least two flags are required"),
+    ("map vertices=3\n0 1 x\n", "bad vertex index in face line '0 1 x'"),
+    ("map vertices=3\n", "map file lists no faces")],
+    ids=["header-field", "header-integer", "one-flag", "face-index", "no-faces"])
+def test_cli_malformed_file_exits_2_with_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse {path}: {message}\n"
+
+
+def test_map_parser_refuses_a_file_with_no_header():
+    # the CLI reads a file as a map only when its first word is "map"
+    with pytest.raises(ParseError, match="empty map file"):
+        parse_map_text("# faces to come\n")
 
 
 def test_cli_huge_vertex_count_exits_2_in_little_memory(tmp_path):
@@ -241,6 +268,15 @@ def test_cli_labels_beyond_int32_exit_2_before_building(label, flags):
 
 def test_cli_unknown_input(capsys):
     assert main(["analyze", "widget:9"]) == 2
+
+
+@pytest.mark.parametrize("label", ["x" * 300, "simplex:" + "9" * 300], ids=["name", "simplex"])
+def test_cli_label_too_long_for_a_file_name_exits_2(capsys, label):
+    # looking such a name up as a file raises OSError (name too long)
+    assert main(["analyze", label]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot interpret input {label!r}: ")
 
 
 def test_cli_file_named_like_a_construction(tmp_path, monkeypatch, capsys):
