@@ -3,7 +3,8 @@
 The digests in ``golden_analyze.json`` are sha256 sums of stdout for the
 JSON and the text report of every corpus label, of the benchmark's
 larger labels and `hypercube:6`, and of two seeded 2,400-flag random
-maps, whose symmetry type graphs have 1,200 and 2,400 vertices, and of
+maps, whose symmetry type graphs have 1,200 and 2,400 vertices, of the
+files that `--oriented --dot` writes for each of those inputs, and of
 `scripts/corpus_table.py`'s stdout.  Those in ``golden_census.json`` are sha256 sums of the
 stdout and the CSV file of `maniplex enumerate` at the census grid
 points, of `scripts/run_census.py`'s stdout, and of the ordered
@@ -56,12 +57,26 @@ def _stdout(run) -> bytes:
     return buffer.getvalue().encode()
 
 
+def dot_digests(name: str, source: str, workdir: Path) -> dict[str, str]:
+    """The sha256 of the file `analyze SOURCE --oriented --dot PATH` writes,
+    and of its `.oriented.dot` twin where one is written."""
+    dot, twin = workdir / "out.dot", workdir / "out.oriented.dot"
+    for path in (dot, twin):
+        path.unlink(missing_ok=True)
+    _stdout(lambda: main(["analyze", source, "--oriented", "--dot", str(dot)]))
+    out = {f"{name} dot": _sha(dot.read_bytes())}
+    if twin.exists():
+        out[f"{name} oriented dot"] = _sha(twin.read_bytes())
+    return out
+
+
 def analyze_digests(workdir: Path) -> dict[str, str]:
     out = {}
     for label in LABELS:
         for form, flags in FORMS.items():
             argv = ["analyze", label, *flags, "--generators", "--oriented"]
             out[f"{label} {form}"] = _sha(_stdout(lambda: main(argv)))
+        out |= dot_digests(label, label, workdir)
     for name, (seed, edges, sheets, orientable) in RANDOM_MAPS.items():
         path = workdir / f"{name}.maniplex"
         path.write_text(write_maniplex_text(
@@ -69,6 +84,7 @@ def analyze_digests(workdir: Path) -> dict[str, str]:
         for form, flags in FORMS.items():
             argv = ["analyze", str(path), *flags, "--oriented"]
             out[f"{name} {form}"] = _sha(_stdout(lambda: main(argv)))
+        out |= dot_digests(name, str(path), workdir)
     corpus_table = runpy.run_path(str(CORPUS_TABLE))["main"]
     out["corpus_table stdout"] = _sha(_stdout(lambda: corpus_table() or 0))
     return out
