@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the symmetry profile of every corpus construction.
+"""Print the symmetry profile of every corpus construction, read from
+``formats.report``, the payload of ``maniplex analyze --oriented``.
 
 Columns: flags, automorphism order, orbit count, type label, colours
 with broken face transitivity, orientability, orientation-preserving
@@ -7,9 +8,7 @@ order, chirality.
 """
 
 from maniplex.constructions import CORPUS, construction
-from maniplex.oriented import aut_plus, is_chiral_a_la_conway, orientation
-from maniplex.stg import classify, quotient, transitivity_profile
-from maniplex.symmetry import aut_group
+from maniplex.formats import report
 
 
 def main() -> None:
@@ -18,21 +17,16 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for label in CORPUS:
-        g = construction(label)
-        a = aut_group(g)
-        t = quotient(a)
-        cls = classify(t).label()
-        broken = ",".join(map(str, sorted(transitivity_profile(t)))) or "-"
-        o = orientation(g)
-        if o is None:
-            orient, plus, chiral = "no", "-", "-"
+        p = report(label, construction(label), oriented=True)
+        broken = ",".join(map(str, p["non_transitive"])) or "-"
+        o = p["oriented"]
+        if o["orientable"]:
+            orient, plus = "yes", str(p["aut_order"] // o["index"])  # |Aut+| = |Aut| / index
+            chiral = "yes" if o["chiral_a_la_conway"] else "no"
         else:
-            ap = aut_plus(a, o)
-            orient = "yes"
-            plus = str(ap.order)
-            chiral = "yes" if is_chiral_a_la_conway(a, ap, t) else "no"
-        print(f"{label:<14} {g.flag_count:>5} {a.order:>5} {a.orbit_count:>2} "
-              f"{cls:<22} {broken:<9} {orient:<6} {plus:>6} {chiral}")
+            orient, plus, chiral = "no", "-", "-"
+        print(f"{label:<14} {p['flags']:>5} {p['aut_order']:>5} {p['orbit_count']:>2} "
+              f"{p['class']:<22} {broken:<9} {orient:<6} {plus:>6} {chiral}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""Command-line front end.  ``enumerate --csv`` writes its rows from the
-census's one array: labels once per shared facts tuple, slots in one pass.
+"""Command-line front end.  ``analyze`` validates its input and writes the
+payload of ``formats.report``, DOT files included.  ``enumerate --csv`` writes
+its rows from the census's one array: labels once per facts tuple, slots in one pass.
 
 Exit codes: 0 success, 2 parse error (also an input that is both a file
 and a construction label, an output file or stdout that cannot be written, over
@@ -21,11 +22,8 @@ from pathlib import Path
 from . import constructions, formats
 from .enumeration import census, is_fully_transitive
 from .flag_graph import FlagGraph, InternalCheckError, validate
-from .oriented import (aut_plus, classify_oriented, is_chiral_a_la_conway, orientation,
-                       oriented_stg, stg_has_odd_closed_walk)
-from .stg import class_labels, classify, quotient, transitivity_profile
-from .symmetry import aut_group
-from .walkgen import generates_full_group, realize_generators, reduce_generators
+from .oriented import stg_has_odd_closed_walk
+from .stg import class_labels
 
 EXIT_PARSE = 2
 EXIT_VALIDATE = 3
@@ -93,61 +91,14 @@ def cmd_analyze(args) -> int:
         for violation in problems:
             print(f"invalid: {violation}", file=sys.stderr)
         return EXIT_VALIDATE
-
-    aut = aut_group(g)
-    t = quotient(aut)
-    payload: dict = {
-        "input": name,
-        "rank": g.rank,
-        "flags": g.flag_count,
-        "aut_order": aut.order,
-        "orbit_count": aut.orbit_count,
-        "class": classify(t).label(),
-        "non_transitive": sorted(transitivity_profile(t)),
-        "stg": {"vertices": t.vertex_count, "slots": t.slots},
-    }
-
-    if args.generators:
-        gens = reduce_generators(realize_generators(aut, t))
-        if not generates_full_group(gens, aut):
-            raise InternalCheckError("generator closure does not match the automorphism group")
-        payload["generators"] = {
-            "words": [",".join(map(str, w)) for w in gens.words],
-            "permutations": [formats.cycle_string(a) for a in gens.automorphisms],
-            "closure_order": aut.order,
-            "matches_aut": True,
-        }
-
-    ot = None
-    if args.oriented:
-        parity = orientation(g)
-        if parity is None:
-            payload["oriented"] = {"orientable": False}
-        else:
-            ap = aut_plus(aut, parity)
-            if ap.orbit_count % 2:  # each colour pairs the black Aut+ orbits with the white
-                raise InternalCheckError(f"Aut+ has an odd number of orbits, {ap.orbit_count}")
-            block: dict = {
-                "orientable": True,
-                "aut_plus_order": ap.order,
-                "index": aut.order // ap.order,
-                "chiral_a_la_conway": is_chiral_a_la_conway(aut, ap, t),
-                "black_orbit_count": ap.orbit_count // 2,
-            }
-            if g.rank >= 2:
-                ot = oriented_stg(ap, parity)
-                block["class"] = classify_oriented(ot).label()
-                block["stg"] = {"vertices": ot.vertex_count, "undirected": ot.undirected,
-                                "dart": ot.dart.tolist()}
-            payload["oriented"] = block
-
+    payload = formats.report(name, g, args.generators, args.oriented)
     if args.dot:
         out = Path(args.dot)
-        _write(out, formats.stg_to_dot(t))
-        if ot is not None:
+        _write(out, formats.stg_to_dot(payload["stg"]["slots"]))
+        ostg = payload.get("oriented", {}).get("stg")
+        if ostg is not None:
             extra = out.with_name(out.stem + ".oriented" + (out.suffix or ".dot"))
-            _write(extra, formats.oriented_stg_to_dot(ot))
-
+            _write(extra, formats.oriented_stg_to_dot(ostg["undirected"], ostg["dart"]))
     _emit((formats.json_report(payload) if args.json else formats.text_report(payload)) + "\n")
     return 0
 
@@ -203,11 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="report symmetry data for one input")
     analyze.add_argument("input", help="file path or construction label (e.g. prism:3)")
     analyze.add_argument("--json", action="store_true", help="machine-readable output")
-    analyze.add_argument("--dot", metavar="PATH", help="write the quotient in DOT format")
+    analyze.add_argument("--dot", metavar="PATH", help="write the symmetry type graph as DOT")
     analyze.add_argument("--generators", action="store_true",
-                         help="derive generators from a spanning tree of the quotient")
+                         help="derive generators from a spanning tree of the symmetry type graph")
     analyze.add_argument("--oriented", action="store_true",
-                         help="add orientability and oriented quotient data")
+                         help="add orientability and oriented symmetry type graph data")
 
     enum = sub.add_parser("enumerate", help="list admissible symmetry type graphs")
     enum.add_argument("--colors", type=int, required=True)

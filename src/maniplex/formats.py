@@ -1,4 +1,4 @@
-"""Text formats, DOT export, and the two renderers of the report.
+"""Text formats, the analysis report, and its renderers.
 
 Flag graph files: a header ``maniplex rank=<n> flags=<F>`` followed by
 one line per colour, ``r<i>: <F images>``.  Map files: a header
@@ -6,9 +6,11 @@ one line per colour, ``r<i>: <F images>``.  Map files: a header
 a comment; blank lines are ignored.  All indices are 0-based.  A colour
 line of ASCII digits and blanks is read by one numpy parse.
 
-``analyze`` renders its one payload with ``text_report`` or with
-``json_report``, which writes the bytes of ``json.dumps(indent=2)``;
-cycle notation is one byte array of cells, digits from one table.
+``report`` runs the analysis and builds its one payload, the only code
+that writes the schema; ``text_report``, ``json_report`` (the bytes of
+``json.dumps(indent=2)``) and the two DOT writers read it, and no
+renderer takes a graph object.  Cycle notation is one byte array of
+cells, digits from one table.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from itertools import chain
 import numpy as np
 
 from .constructions import MapSpec
-from .flag_graph import FlagGraph
-from .oriented import OrientedSTG
-from .stg import SEMI, SymmetryTypeGraph
-from .symmetry import invert
+from .flag_graph import FlagGraph, InternalCheckError
+from .oriented import (aut_plus, classify_oriented, is_chiral_a_la_conway, orientation,
+                       oriented_stg)
+from .stg import SEMI, classify, quotient, transitivity_profile
+from .symmetry import aut_group, invert
+from .walkgen import generates_full_group, realize_generators, reduce_generators
 
 JSON_SCHEMA_VERSION = 1
 
@@ -126,31 +130,74 @@ def parse_map_text(text: str) -> MapSpec:
 # DOT
 
 
-def stg_to_dot(t: SymmetryTypeGraph) -> str:
-    hue = [PALETTE[c % len(PALETTE)] for c in range(t.rank)]
+def stg_to_dot(slots) -> str:
+    """The payload's ``slots`` as a DOT graph: the edges to a later vertex,
+    then the semi-edges, each by vertex and then colour."""
+    hue = [PALETTE[c % len(PALETTE)] for c in range(len(slots[0]))]
     lines = ["graph stg {", "  node [shape=circle];"]
-    lines += [f'  v{u} [label="{u}"];' for u in range(t.vertex_count)]
-    lines += [f'  v{u} -- v{v} [label="{c}", color="{hue[c]}"];' for u, v, c in t.edges()]
+    lines += [f'  v{u} [label="{u}"];' for u in range(len(slots))]
+    lines += [f'  v{u} -- v{v} [label="{c}", color="{hue[c]}"];'
+              for u, row in enumerate(slots) for c, v in enumerate(row) if v > u]
     lines += [f'  v{u} -- v{u} [label="{c} semi", color="{hue[c]}", style=dashed];'
-              for u in range(t.vertex_count) for c in sorted(t.semi_colours(u))]
+              for u, row in enumerate(slots) for c, v in enumerate(row) if v == SEMI]
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def oriented_stg_to_dot(ot: OrientedSTG) -> str:
-    hue = [PALETTE[c % len(PALETTE)] for c in range(ot.rank - 1)]
+def oriented_stg_to_dot(undirected, dart) -> str:
+    """The payload's oriented ``undirected`` rows and ``dart`` as a DOT di-graph."""
+    rank = len(undirected[0]) + 2
+    hue = [PALETTE[c % len(PALETTE)] for c in range(rank - 1)]
     lines = ["digraph oriented_stg {", "  node [shape=circle];"]
-    lines += [f'  v{u} [label="{u}"];' for u in range(ot.vertex_count)]
-    for u, row in enumerate(ot.undirected):
+    lines += [f'  v{u} [label="{u}"];' for u in range(len(dart))]
+    for u, row in enumerate(undirected):
         lines += [f'  v{u} -> v{u} [label="t{c} semi", color="{hue[c]}", style=dashed, dir=none];'
                   if s == SEMI else f'  v{u} -> v{s} [label="t{c}", color="{hue[c]}", dir=none];'
                   for c, s in enumerate(row) if s == SEMI or s > u]
-    lines += [f'  v{u} -> v{d} [label="t{ot.rank - 2}", color="{hue[-1]}"];'
-              for u, d in enumerate(ot.dart.tolist())]
+    lines += [f'  v{u} -> v{d} [label="t{rank - 2}", color="{hue[-1]}"];'
+              for u, d in enumerate(dart)]
     return "\n".join(lines + ["}"]) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# JSON / text report helpers
+# The report and its renderers
+
+
+def report(name: str, g: FlagGraph, generators: bool = False, oriented: bool = False) -> dict:
+    """The ``analyze`` payload of ``g``, which ``validate`` must accept (``aut_group``
+    requires it).  InternalCheckError where a cross-check breaks: a generator
+    closure short of Aut, or an odd number of Aut+ orbits."""
+    aut = aut_group(g)
+    t = quotient(aut)
+    payload: dict = {"input": name, "rank": g.rank, "flags": g.flag_count,
+                     "aut_order": aut.order, "orbit_count": aut.orbit_count,
+                     "class": classify(t).label(),
+                     "non_transitive": sorted(transitivity_profile(t)),
+                     "stg": {"vertices": t.vertex_count, "slots": t.slots}}
+    if generators:
+        gens = reduce_generators(realize_generators(aut, t))
+        if not generates_full_group(gens, aut):
+            raise InternalCheckError("generator closure does not match the automorphism group")
+        payload["generators"] = {"words": [",".join(map(str, w)) for w in gens.words],
+                                 "permutations": [cycle_string(a) for a in gens.automorphisms],
+                                 "closure_order": aut.order, "matches_aut": True}
+    if oriented:
+        parity = orientation(g)
+        if parity is None:
+            payload["oriented"] = {"orientable": False}
+            return payload
+        ap = aut_plus(aut, parity)
+        if ap.orbit_count % 2:  # each colour pairs the black Aut+ orbits with the white
+            raise InternalCheckError(f"Aut+ has an odd number of orbits, {ap.orbit_count}")
+        block = payload["oriented"] = {
+            "orientable": True, "aut_plus_order": ap.order, "index": aut.order // ap.order,
+            "chiral_a_la_conway": is_chiral_a_la_conway(aut, ap, t),
+            "black_orbit_count": ap.orbit_count // 2}
+        if g.rank >= 2:
+            ot = oriented_stg(ap, parity)
+            block["class"] = classify_oriented(ot).label()
+            block["stg"] = {"vertices": ot.vertex_count, "undirected": ot.undirected,
+                            "dart": ot.dart.tolist()}
+    return payload
 
 
 def _digits(count: int) -> np.ndarray:

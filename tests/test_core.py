@@ -257,7 +257,7 @@ def test_cli_enumerate_rejects_sizes_below_one(flag, value, capsys):
 
 
 def test_cli_corrupted_orbits_exit_internal(monkeypatch, capsys):
-    import maniplex.cli as cli
+    import maniplex.formats as formats
 
     def corrupted(g):
         a = aut_group(g)
@@ -267,13 +267,13 @@ def test_cli_corrupted_orbits_exit_internal(monkeypatch, capsys):
         orbit_of[f] = (orbit_of[f] + 1) % a.orbit_count
         return AutGroup(a.graph, a.generators, a.targets, orbit_of, a.reps)
 
-    monkeypatch.setattr(cli, "aut_group", corrupted)
+    monkeypatch.setattr(formats, "aut_group", corrupted)
     assert main(["analyze", "prism:3", "--json"]) == 4
     assert capsys.readouterr().err.startswith("internal check failed:")
 
 
 def test_cli_generators_of_a_proper_subgroup_exit_internal(monkeypatch, capsys):
-    import maniplex.cli as cli
+    import maniplex.formats as formats
 
     def drop_last(s):
         s = reduce_generators(s)
@@ -283,7 +283,7 @@ def test_cli_generators_of_a_proper_subgroup_exit_internal(monkeypatch, capsys):
     a = aut_group(g)
     fewer = drop_last(realize_generators(a, quotient(a)))
     assert not generates_full_group(fewer, a)
-    monkeypatch.setattr(cli, "reduce_generators", drop_last)
+    monkeypatch.setattr(formats, "reduce_generators", drop_last)
     for form in ([], ["--json"]):
         assert main(["analyze", "cube", "--generators", *form]) == 4
         captured = capsys.readouterr()

@@ -11,7 +11,7 @@ import pytest
 
 from maniplex import cli, formats
 from maniplex.cli import build_parser, main
-from maniplex.constructions import CORPUS, cuboctahedron, map_from_faces
+from maniplex.constructions import CORPUS, construction, cuboctahedron, map_from_faces
 from maniplex.formats import (ParseError, cycle_string, parse_maniplex_text,
                               parse_map_text, stg_to_dot, write_maniplex_text)
 from maniplex.stg import quotient
@@ -69,7 +69,7 @@ def test_cycle_string():
 
 def test_dot_export_mentions_semi_edges():
     g = cuboctahedron()
-    dot = stg_to_dot(quotient(aut_group(g)))
+    dot = stg_to_dot(quotient(aut_group(g)).slots)
     assert "semi" in dot and "style=dashed" in dot
     assert 'label="2"' in dot
 
@@ -318,7 +318,7 @@ def test_cli_out_of_memory_exits_5(monkeypatch, capsys):
     def too_large(g):
         raise MemoryError("Unable to allocate 709. MiB")
 
-    monkeypatch.setattr(cli, "aut_group", too_large)
+    monkeypatch.setattr(formats, "aut_group", too_large)
     assert main(["analyze", "cube"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -416,6 +416,73 @@ def test_cli_dot_output(tmp_path):
     oriented_path = tmp_path / "out.oriented.dot"
     assert oriented_path.exists()
     assert "digraph" in oriented_path.read_text()
+
+
+MUTATED_LABELS = ("prism:4", "pyramid:5", "torus44:2,1", "simplex:3", "hemicube")
+MAP_FILES = sorted(Path(formats.__file__).with_name("data").glob("*.map"))
+
+
+def byte_mutants(data: bytes, rng: random.Random, count: int):
+    """``count`` copies of ``data``, each with one byte flipped, inserted or deleted."""
+    for _ in range(count):
+        at, kind = rng.randrange(len(data)), rng.randrange(3)
+        if kind == 0:
+            yield data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+        elif kind == 1:
+            yield data[:at] + bytes([rng.randrange(256)]) + data[at:]
+        else:
+            yield data[:at] + data[at + 1:]
+
+
+def structural_mutants(adj: np.ndarray, rng: random.Random, count: int):
+    """``count`` flag graph files made from ``adj`` by one change each: a pair
+    swapped within one colour, the flags relabelled, a colour dropped or
+    repeated, or one entry overwritten."""
+    rank, flags = adj.shape
+    for _ in range(count):
+        out, i, kind = adj.copy(), rng.randrange(rank), rng.randrange(5)
+        if kind == 0:
+            a, b = rng.sample(range(flags), 2)
+            out[i, [a, b]] = out[i, [b, a]]
+        elif kind == 1:
+            relabel = np.array(rng.sample(range(flags), flags))
+            out[:, relabel] = relabel[adj]
+        elif kind == 2:
+            out = np.delete(adj, i, axis=0)
+        elif kind == 3:
+            out = np.insert(adj, i, adj[i], axis=0)
+        else:
+            out[i, rng.randrange(flags)] = rng.randrange(flags)
+        lines = [f"maniplex rank={len(out)} flags={flags}"]  # rank 0 where one colour is dropped
+        lines += [f"r{c}: " + " ".join(map(str, row)) for c, row in enumerate(out.tolist())]
+        yield ("\n".join(lines) + "\n").encode()
+
+
+def test_cli_analyze_survives_mutated_inputs(tmp_path, capsys):
+    # every run ends in a report, one parse error or a violation report
+    rng = random.Random(0)
+    sources = [(path.read_bytes(), ".map") for path in MAP_FILES]
+    sources += [(write_maniplex_text(construction(label)).encode(), ".mnpx")
+                for label in MUTATED_LABELS]
+    mutants = [(data, suffix) for source, suffix in sources
+               for data in byte_mutants(source, rng, 60)]
+    mutants += [(data, ".mnpx") for label in MUTATED_LABELS
+                for data in structural_mutants(construction(label).adj, rng, 60)]
+    codes = []
+    for data, suffix in mutants:
+        path = tmp_path / f"mutant{suffix}"
+        path.write_bytes(data)
+        codes.append(main(["analyze", str(path), "--json", "--generators", "--oriented"]))
+        out, err = capsys.readouterr()
+        if codes[-1] == 0:
+            assert err == "" and json.loads(out)["flags"] >= 2
+        elif codes[-1] == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (data, err)
+        else:
+            assert codes[-1] == 3, (data, codes[-1], err)
+            assert out == "" and err and all(line.startswith("invalid: ")
+                                             for line in err.splitlines()), (data, err)
+    assert set(codes) == {0, 2, 3}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,13 +1,15 @@
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maniplex import cli
+from maniplex import formats
 from maniplex.cli import main
 from maniplex.constructions import (CORPUS, cube, cuboctahedron, hemicube, polygon,
                                     prism, simplex, torus44)
-from maniplex.flag_graph import FlagGraph
+from maniplex.flag_graph import FlagGraph, InternalCheckError
 from maniplex.oriented import (Rotary, TwoOrbitOriented, aut_plus, classify_oriented,
                                is_chiral_a_la_conway, orientation, oriented_digraph,
                                oriented_stg, stg_has_odd_closed_walk)
@@ -261,6 +263,15 @@ def test_report_halves_the_aut_plus_orbit_count(corpus, monkeypatch, capsys):
     block = json.loads(capsys.readouterr().out)["oriented"]
     assert block["black_orbit_count"] == black_orbit_count(aut_plus(a, o), o) == 3
     # Aut in place of Aut+: three orbits, which no orientable graph's Aut+ has
-    monkeypatch.setattr(cli, "aut_plus", lambda aut, parity: aut)
+    monkeypatch.setattr(formats, "aut_plus", lambda aut, parity: aut)
     assert main(["analyze", "prism:3", "--oriented", "--json"]) == 4
     assert "internal check failed: Aut+ has an odd number of orbits, 3" in capsys.readouterr().err
+
+
+def test_corpus_table_runs_the_aut_plus_orbit_check(monkeypatch):
+    # the script reads formats.report, so it inherits the check that the CLI has
+    script = Path(__file__).parent.parent / "scripts" / "corpus_table.py"
+    table = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(formats, "aut_plus", lambda aut, parity: aut)
+    with pytest.raises(InternalCheckError, match=r"Aut\+ has an odd number of orbits"):
+        table()

@@ -37,4 +37,5 @@ def test_library_tour_matches_its_comments():
     assert (d.rank, d.flag_count) == (3, 48)
     assert np.array_equal(d.adj[1][d.adj[2]], np.arange(48))
     assert values["mx.aut_plus(a, o).order"] == 24 == a.order // 2
+    assert values["mx.report('cuboctahedron', g)['class']"] == "2_{0,1}"
     assert len(values["mx.enumerate_stg(4, 4, filters=(mx.is_fully_transitive,))"]) == 20
