@@ -109,11 +109,21 @@ def non_commuting(stack) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def _key(value):
+    """A field as records compare and hash it: an array by dtype, shape and
+    bytes, a list (unhashable) or tuple item by item, anything else itself."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if type(value) in (list, tuple):
+        return type(value)(map(_key, value))
+    return value
+
+
 class Record:
     """A value whose fields are its class's ``__slots__`` not starting with
-    ``_``: built from them by position or keyword, equal by type and fields,
-    hashed, shown, copied and pickled by them.  Setting an attribute raises
-    AttributeError."""
+    ``_``: built from them by position or keyword, equal and hashed by type
+    and each field's ``_key``, shown, copied and pickled by them.  Setting
+    an attribute raises AttributeError."""
 
     __slots__ = ()
 
@@ -136,10 +146,10 @@ class Record:
 
     def __eq__(self, other) -> bool:
         same = type(other) is type(self)
-        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+        return _key(self.__reduce__()[1]) == _key(other.__reduce__()[1]) if same else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.__reduce__()[1])
+        return hash(_key(self.__reduce__()[1]))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -193,7 +203,7 @@ class FlagGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlagGraph):
             return NotImplemented
-        return self.rank == other.rank and np.array_equal(self.adj, other.adj)
+        return np.array_equal(self.adj, other.adj)
 
     __hash__ = None
 

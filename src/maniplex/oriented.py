@@ -109,13 +109,6 @@ class OrientedSTG(Record):
             raise ValueError(f"no vertex in an oriented quotient's dart of shape {dart.shape}")
         super().__init__(_int32(np.reshape(tables, (-1, dart.size)), 2), dart)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OrientedSTG) and np.array_equal(self.tables, other.tables)
-                and np.array_equal(self.dart, other.dart))
-
-    def __hash__(self) -> int:
-        return hash(self.tables.tobytes() + self.dart.tobytes())
-
     @property
     def rank(self) -> int:
         return self.tables.shape[0] + 2

@@ -54,12 +54,6 @@ class SymmetryTypeGraph(Record):
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "_facts", None)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymmetryTypeGraph) and np.array_equal(self.tables, other.tables)
-
-    def __hash__(self) -> int:
-        return hash(self.tables.tobytes())
-
     @property
     def rank(self) -> int:
         return self.tables.shape[0]
@@ -279,9 +273,9 @@ def classify(t: SymmetryTypeGraph) -> STGClass:
 
 def class_labels(graphs) -> list[str]:
     """``classify(t).label()`` for each graph, all with tables of one
-    shape, found once per table bytes; from three vertices on a label reads
+    shape, found once per equal graph; from three vertices on a label reads
     only the check's facts, so once per facts tuple, which equal facts share."""
     check_all(graphs)
     found: dict = {}
-    return [found.get(key := id(t._facts) if t.vertex_count >= 3 else t.tables.tobytes())
+    return [found.get(key := id(t._facts) if t.vertex_count >= 3 else t)
             or found.setdefault(key, classify(t).label()) for t in graphs]

@@ -435,6 +435,11 @@ def test_code_order_raises_on_a_repeated_row():
         enumeration._code_order(codes)
 
 
+def test_images_refuse_a_relabelling_outside_the_candidates():
+    with pytest.raises(ValueError, match="a relabelling maps a candidate outside the candidates"):
+        enumeration._images([(1, 0, 2)], enumeration._relabellings(3))
+
+
 def test_degenerate_parameters():
     assert len(enumerate_stg(1, 1)) == 1
     assert len(enumerate_stg(1, 2)) == 1  # a single edge

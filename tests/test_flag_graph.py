@@ -165,6 +165,12 @@ def test_integer_arrays_are_range_checked_in_their_own_dtype():
     assert peak < 1.5 * adj.nbytes
 
 
+def test_a_flag_graph_equals_flag_graphs_of_equal_tables_only():
+    assert polygon(3) == FlagGraph(polygon(3).adj.astype(np.int64))
+    assert polygon(3) != polygon(4) and polygon(3) != FlagGraph(polygon(3).adj.reshape(1, -1))
+    assert not polygon(3) == 3 and polygon(3) != 3
+
+
 def test_colour_out_of_range():
     with pytest.raises(ValueError):
         i_faces(polygon(3), 2)

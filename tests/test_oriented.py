@@ -13,6 +13,7 @@ from maniplex.flag_graph import FlagGraph, InternalCheckError
 from maniplex.oriented import (Rotary, TwoOrbitOriented, aut_plus, classify_oriented,
                                is_chiral_a_la_conway, orientation, oriented_digraph,
                                oriented_stg, stg_has_odd_closed_walk)
+from maniplex.stg import quotient
 from maniplex.symmetry import aut_group
 from oracles import (are_isomorphic, black_orbit_count, check_facets_against_faces, enantiomorph,
                      has_semi_edges)
@@ -112,6 +113,12 @@ def test_chirality_both_tests_agree(corpus):
             assert chiral
         if label in ("cube", "cuboctahedron"):
             assert not chiral
+
+
+def test_chirality_tests_that_disagree_raise():
+    a = aut_group(cube())  # Aut given as its own Aut+: the group test reads chiral
+    with pytest.raises(InternalCheckError, match="disagree: group=True, graph=False"):
+        is_chiral_a_la_conway(a, a, quotient(a))
 
 
 def test_odd_closed_walk_detection(corpus):

@@ -151,3 +151,25 @@ def test_census_check_is_the_only_dataclass():
                   if inspect.isclass(obj) and obj.__module__ == module.__name__
                   and hasattr(obj, "__dataclass_fields__")}
     assert found == {"enumeration.CensusCheck"}
+
+
+def test_groups_and_generator_sets_compare_by_value():
+    a, b = aut_group(polygon(3)), aut_group(polygon(3))
+    s, t = realize_generators(a, quotient(a)), realize_generators(b, quotient(b))
+    assert a.targets is not b.targets and s.automorphisms[0] is not t.automorphisms[0]
+    assert a == b and not a != b and s == t and not s != t
+    c = aut_group(polygon(4))
+    assert a != c and c != b and realize_generators(c, quotient(c)) != s
+    for value in (b, t):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_array_fields_of_equal_bytes_compare_by_dtype_and_shape():
+    flat, square = SymmetryTypeGraph([[1, 0, 3, 2]]), SymmetryTypeGraph([[1, 0], [3, 2]])
+    assert flat.tables.tobytes() == square.tables.tobytes() and flat != square
+    s = realize_generators(a := aut_group(polygon(3)), quotient(a))
+    reshaped = GeneratorSet(s.words, [p.reshape(2, 3) for p in s.automorphisms])
+    widened = GeneratorSet(s.words, [p.astype(np.int64) for p in s.automorphisms])
+    assert reshaped != s and s != reshaped and widened != s
+    assert GeneratorSet(s.words, [p.copy() for p in s.automorphisms]) == s

@@ -6,12 +6,14 @@ from itertools import product
 
 import pytest
 
+from maniplex import symmetry
 from maniplex.cli import main
 from maniplex.constructions import construction, cube, cuboctahedron, prism
 from maniplex.enumeration import enumerate_stg
+from maniplex.flag_graph import InternalCheckError
 from maniplex.formats import write_maniplex_text
-from maniplex.stg import SEMI, quotient
-from maniplex.symmetry import aut_group
+from maniplex.stg import SEMI, SymmetryTypeGraph, quotient
+from maniplex.symmetry import AutGroup, aut_group
 from maniplex.walkgen import (GeneratorSet, generates_full_group, realize_generators,
                               reduce_generators, spanning_tree)
 from oracles import (Walk, check_walk, closure, generating_walks, identity, min_spanning_walk,
@@ -162,6 +164,28 @@ def test_realized_closure_matches_aut(corpus):
                   "torus44:1,2", "simplex:4", "hemicube"):
         g, a, t = corpus.graph(label), corpus.aut(label), corpus.stg(label)
         assert generates_full_group(realize_generators(a, t), a), label
+
+
+def test_realize_generators_needs_orbit_ids_from_flag_0():
+    a = aut_group(cuboctahedron())
+    renumbered = AutGroup(a.graph, a.generators, a.targets, 1 - a.orbit_of, a.reps)
+    with pytest.raises(InternalCheckError, match="orbit ids must start at flag 0"):
+        realize_generators(renumbered, quotient(a))
+
+
+def test_realize_generators_refuses_a_crossing_the_graph_does_not_have():
+    a = aut_group(construction("pyramid:4"))
+    tables = quotient(a).tables.copy()
+    tables[2] = [1, 0, 3, 2]  # the tree keeps its colour-2 step 0-1; a crossing joins 2 and 3
+    with pytest.raises(InternalCheckError, match="closed walk left the base orbit"):
+        realize_generators(a, SymmetryTypeGraph(tables))
+
+
+def test_realize_generators_raises_where_no_automorphism_extends(monkeypatch):
+    a = aut_group(construction("torus44:1,2"))
+    monkeypatch.setattr(symmetry, "_extend", lambda g, target: None)
+    with pytest.raises(InternalCheckError, match="no automorphism realizes a closed walk word"):
+        realize_generators(a, quotient(a))
 
 
 def test_reduce_removes_identity_and_duplicates():
