@@ -13,22 +13,12 @@ from itertools import chain
 
 import numpy as np
 
-from .flag_graph import FlagGraph, Record, check_flag_count, component_labels
+from .flag_graph import FlagGraph, check_flag_count, component_labels
+from .formats import MapSpec, parse_map_text
 
 
 class MapError(ValueError):
     """Raised for face lists that do not describe a closed surface map."""
-
-
-class MapSpec(Record):
-    """A rank-3 map given by its face cycles.
-
-    Each face is a cyclic sequence of vertex indices; every edge (an
-    unordered vertex pair read off consecutive cycle entries) must occur
-    in exactly two face slots, possibly both in the same face.
-    """
-
-    __slots__ = ("vertex_count", "faces")
 
 
 def map_from_faces(spec: MapSpec) -> FlagGraph:
@@ -215,8 +205,6 @@ def torus44(b: int, c: int) -> FlagGraph:
 
 
 def _load_map_spec(name: str) -> MapSpec:
-    from .formats import parse_map_text
-
     text = resources.files("maniplex").joinpath(f"data/{name}.map").read_text()
     return parse_map_text(text)
 

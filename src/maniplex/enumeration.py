@@ -154,15 +154,15 @@ def _connected(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _code_order(codes: np.ndarray) -> list[int]:
-    """Indices of the uint8 code rows in increasing order of code.  Each
-    search yields one tuple per class, so two equal rows raise
-    InternalCheckError."""
-    first: dict[bytes, int] = {}
-    for i, row in enumerate(codes):
-        code = row.tobytes()
-        if first.setdefault(code, i) != i:
-            raise InternalCheckError(f"the census met class {code.hex()} twice")
-    return [first[code] for code in sorted(first)]
+    """Indices of the uint8 code rows in increasing order of code: one
+    stable sort of the rows, each read as one byte string.  Each search
+    yields one tuple per class, so two equal rows raise InternalCheckError."""
+    keys = np.ascontiguousarray(codes).view(f"V{codes.shape[1]}").ravel()
+    order = np.argsort(keys, kind="stable")
+    if (twice := np.flatnonzero(keys[order[1:]] == keys[order[:-1]])).size:
+        code = keys[order[twice[0]]].tobytes()
+        raise InternalCheckError(f"the census met class {code.hex()} twice")
+    return order.tolist()
 
 
 def _commutes(tables: np.ndarray) -> np.ndarray:

@@ -121,9 +121,9 @@ def _key(value):
 
 class Record:
     """A value whose fields are its class's ``__slots__`` not starting with
-    ``_``: built from them by position or keyword, equal and hashed by type
-    and each field's ``_key``, shown, copied and pickled by them.  Setting
-    an attribute raises AttributeError."""
+    ``_``, the rest caches that a copy builds again: built from the fields by
+    position or keyword, equal and hashed by type and each field's ``_key``,
+    shown, copied and pickled by them.  Setting an attribute raises AttributeError."""
 
     __slots__ = ()
 
@@ -169,15 +169,15 @@ class Violation(Record):
         return f"{self.kind}, flag {self.flag}"
 
 
-class FlagGraph:
-    """Immutable edge-coloured graph given by per-colour flag permutations.
+class FlagGraph(Record):
+    """Edge-coloured graph given by per-colour flag permutations; equal tables, equal graphs.
 
-    ``adj[i][f]`` is the flag joined to ``f`` by the edge of colour ``i``.
-    Construction only enforces shape (tables rectangular, images in
-    range, at most ``MAX_FLAGS`` flags); ``validate`` checks the rest.
+    ``adj[i][f]``, read-only int32, is the flag joined to ``f`` by the edge of
+    colour ``i``.  Construction only enforces shape (tables rectangular, images
+    in range, at most ``MAX_FLAGS`` flags); ``validate`` checks the rest.
     """
 
-    __slots__ = ("rank", "flag_count", "adj", "_tree")
+    __slots__ = ("adj", "_tree")  # _tree: bfs_levels' (levels, depths), once built
 
     def __init__(self, adj) -> None:
         if not (isinstance(adj, np.ndarray) and adj.dtype.kind in "iu"):
@@ -195,17 +195,18 @@ class FlagGraph:
         check_flag_count(count)
         if adj.min() < 0 or adj.max() >= count:
             raise ValueError("flag image out of range")
-        self.rank, self.flag_count, self._tree = rank, count, None
         # C order: bfs_levels would copy an F-order table at every level
-        self.adj = adj.astype(np.int32, order="C")
-        self.adj.setflags(write=False)
+        (adj := adj.astype(np.int32, order="C")).setflags(write=False)
+        super().__init__(adj)
+        object.__setattr__(self, "_tree", None)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FlagGraph):
-            return NotImplemented
-        return np.array_equal(self.adj, other.adj)
+    @property
+    def rank(self) -> int:
+        return self.adj.shape[0]
 
-    __hash__ = None
+    @property
+    def flag_count(self) -> int:
+        return self.adj.shape[1]
 
     def __repr__(self) -> str:
         return f"FlagGraph(rank={self.rank}, flags={self.flag_count})"
@@ -246,7 +247,7 @@ class FlagGraph:
             depth.put(frontier, len(levels))
         levels.pop()  # the empty level that ends the search
         depth.setflags(write=False)
-        self._tree = (levels, depth)
+        object.__setattr__(self, "_tree", (levels, depth))
         return levels
 
     def depths(self) -> np.ndarray:

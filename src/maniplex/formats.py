@@ -1,10 +1,10 @@
 """Text formats, the analysis report, and its renderers.
 
 Flag graph files: a header ``maniplex rank=<n> flags=<F>`` followed by
-one line per colour, ``r<i>: <F images>``.  Map files: a header
-``map vertices=<V>`` followed by one face cycle per line.  ``#`` starts
-a comment; blank lines are ignored.  All indices are 0-based.  A colour
-line of ASCII digits and blanks is read by one numpy parse.
+one line per colour, ``r<i>: <F images>``.  Map files, read into a
+``MapSpec``: a header ``map vertices=<V>`` followed by one face cycle per
+line.  ``#`` starts a comment; blank lines are ignored.  All indices are
+0-based.  A colour line of ASCII digits and blanks is read by one numpy parse.
 
 ``report`` runs the analysis and builds its one payload, the only code
 that writes the schema; ``text_report``, ``json_report`` (the bytes of
@@ -20,8 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .constructions import MapSpec
-from .flag_graph import FlagGraph, InternalCheckError
+from .flag_graph import FlagGraph, InternalCheckError, Record
 from .oriented import (aut_plus, classify_oriented, is_chiral_a_la_conway, orientation,
                        oriented_stg)
 from .stg import SEMI, classify, quotient, transitivity_profile
@@ -108,6 +107,17 @@ def write_maniplex_text(g: FlagGraph) -> str:
     for i in range(g.rank):
         lines.append(f"r{i}: " + " ".join(str(int(x)) for x in g.adj[i]))
     return "\n".join(lines) + "\n"
+
+
+class MapSpec(Record):
+    """A rank-3 map given by its face cycles.
+
+    Each face is a cyclic sequence of vertex indices; every edge (an
+    unordered vertex pair read off consecutive cycle entries) must occur
+    in exactly two face slots, possibly both in the same face.
+    """
+
+    __slots__ = ("vertex_count", "faces")
 
 
 def parse_map_text(text: str) -> MapSpec:

@@ -5,12 +5,18 @@ Every public top-level function or class in ``src/maniplex`` (apart from
 ``perfbench/`` outside its own definition: as a name, an attribute or an
 import.  Code that only the tests call lives in ``tests/oracles.py``.
 Methods are out of scope.
+
+Every import in the library sits at module level, so the import graph of
+its modules has no cycle that an import inside a function works round.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import maniplex
+from maniplex import constructions, formats
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted(p for p in (ROOT / "src" / "maniplex").glob("*.py") if p.name != "__init__.py")
@@ -42,3 +48,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
               and not any(node.name in _names_read(tree, node) for tree in trees.values())]
     assert not unused, f"public names with no caller outside the tests: {unused}"
+
+
+def test_every_import_in_the_library_is_at_module_level():
+    nested = [f"{path.stem}:{node.lineno}" for path in LIBRARY
+              for top in ast.parse(path.read_text(encoding="utf-8")).body
+              for node in ast.walk(top)
+              if node is not top and isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports below module level: {nested}"
+
+
+def test_map_spec_resolves_where_it_did():
+    assert maniplex.MapSpec is constructions.MapSpec is formats.MapSpec

@@ -12,7 +12,7 @@ import pytest
 
 import maniplex
 from maniplex.constructions import MapSpec, polygon
-from maniplex.flag_graph import Violation
+from maniplex.flag_graph import FlagGraph, Violation, validate
 from maniplex.oriented import OrientedSTG, OtherOriented, Rotary, TwoOrbitOriented
 from maniplex.stg import (FourOrbitFamily, OtherClass, Regular, SymmetryTypeGraph, ThreeOrbitJ,
                           ThreeOrbitJJ1, TwoOrbit, quotient, stg_violations)
@@ -49,8 +49,13 @@ FROZEN = [
      SymmetryTypeGraph([[1, 0], [1, 0]]), OrientedSTG([[1, 0], [0, 1]], [0, 1])),
 ]
 IDS = [type(value).__name__ for value, *_ in FROZEN]
+# FROZEN and, in its form, the records whose repr does not evaluate back
+RECORDS = FROZEN + [(polygon(3), "FlagGraph(rank=2, flags=6)", polygon(4),
+                     SymmetryTypeGraph(polygon(3).adj))]
+RECORD_IDS = [type(value).__name__ for value, *_ in RECORDS]
 FIELDS = {"Violation": ("kind", "colours", "flag"), "MapSpec": ("vertex_count", "faces"),
-          "TwoOrbit": ("semi_colours",), "ThreeOrbitJ": ("j",), "ThreeOrbitJJ1": ("j",),
+          "FlagGraph": ("adj",), "TwoOrbit": ("semi_colours",), "ThreeOrbitJ": ("j",),
+          "ThreeOrbitJJ1": ("j",),
           "FourOrbitFamily": ("profile", "splits", "semi_colours"),
           "OtherClass": ("vertex_count",), "OrientedSTG": ("tables", "dart"),
           "TwoOrbitOriented": ("semi_colours",), "OtherOriented": ("vertex_count",),
@@ -69,7 +74,7 @@ def test_repr_equality_and_hash(value, text, other, twin):
     assert value != twin and twin != value
 
 
-@pytest.mark.parametrize("value, text, other, twin", FROZEN, ids=IDS)
+@pytest.mark.parametrize("value, text, other, twin", RECORDS, ids=RECORD_IDS)
 def test_fields_cannot_be_set_or_deleted(value, text, other, twin):
     for name in FIELDS.get(type(value).__name__, ()):
         with pytest.raises(AttributeError):
@@ -81,13 +86,34 @@ def test_fields_cannot_be_set_or_deleted(value, text, other, twin):
     assert repr(value) == text
 
 
-@pytest.mark.parametrize("value, text, other, twin", FROZEN, ids=IDS)
+@pytest.mark.parametrize("value, text, other, twin", RECORDS, ids=RECORD_IDS)
 def test_copies_and_pickles_are_equal(value, text, other, twin):
     for twin_copy in (copy.copy(value), copy.deepcopy(value),
                       pickle.loads(pickle.dumps(value))):
         assert type(twin_copy) is type(value)
         assert twin_copy == value and hash(twin_copy) == hash(value)
         assert repr(twin_copy) == text
+
+
+def test_a_flag_graph_is_a_record_of_its_tables():
+    g, same = polygon(3), polygon(3)
+    assert FlagGraph.__slots__ == ("adj", "_tree") and FlagGraph._fields == ("adj",)
+    assert g == same and hash(g) == hash(same) and len({g, same, polygon(4)}) == 2
+    assert g != SymmetryTypeGraph(g.adj) and SymmetryTypeGraph(g.adj) != g
+    assert FlagGraph(adj=g.adj) == g == FlagGraph(g.adj.astype(np.int64))
+    depths = g.depths()
+    for name, value in [("adj", polygon(4).adj), ("rank", 7), ("flag_count", 8), ("_tree", None)]:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, value)
+    assert (g.rank, g.flag_count) == (2, 6) and g.depths() is depths and validate(g) == []
+
+
+def test_a_copied_flag_graph_builds_its_tree_again():
+    g = polygon(4)
+    g.depths()
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin._tree is None and not twin.adj.flags.writeable
+        assert validate(twin) == [] and np.array_equal(twin.depths(), g.depths())
 
 
 def test_construction_by_keyword_and_position():
