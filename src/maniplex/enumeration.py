@@ -159,9 +159,9 @@ def _code_order(codes: np.ndarray) -> list[int]:
     yields one tuple per class, so two equal rows raise InternalCheckError."""
     keys = np.ascontiguousarray(codes).view(f"V{codes.shape[1]}").ravel()
     order = np.argsort(keys, kind="stable")
-    if (twice := np.flatnonzero(keys[order[1:]] == keys[order[:-1]])).size:
-        code = keys[order[twice[0]]].tobytes()
-        raise InternalCheckError(f"the census met class {code.hex()} twice")
+    ranked = keys[order]
+    if (twice := np.flatnonzero(ranked[1:] == ranked[:-1])).size:
+        raise InternalCheckError(f"the census met class {ranked[twice[0]].tobytes().hex()} twice")
     return order.tolist()
 
 
